@@ -20,8 +20,8 @@ Quick start::
 from .evaluate import evaluate
 from .model import (AimdError, ConvergenceError, ExitKind, ExitSpec,
                     ModelParams, ValidationError, normalize)
-from .reflected import (DerivativeControl, QuadratureControl,
-                        drawdown_supremum_survival, hazard, lst_drawdown,
+from .reflected import (QuadratureControl, drawdown_supremum_survival,
+                        hazard, lst_drawdown,
                         lst_drawdown_general_start, lst_drawup,
                         lst_reflected_lower, lst_reflected_upper, solve_a)
 from .scalefn import (SeriesControl, c_tilde, interval_index, k_up_coeffs,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AimdError", "ValidationError", "ConvergenceError",
     "ExitKind", "ExitSpec", "ModelParams", "normalize",
-    "SeriesControl", "QuadratureControl", "DerivativeControl",
+    "SeriesControl", "QuadratureControl",
     "z_up", "z_up_zero", "z_down", "c_tilde", "interval_index",
     "k_up_coeffs", "l_up", "l_up_from_b", "l_down",
     "lst_reflected_upper", "lst_reflected_lower", "hazard",

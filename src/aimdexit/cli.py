@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence
 from .evaluate import evaluate
 from .model import (AimdError, ConvergenceError, ExitKind, ExitSpec,
                     ModelParams, ValidationError)
-from .reflected import DerivativeControl, QuadratureControl
+from .reflected import QuadratureControl
 from .scalefn import SeriesControl
 from .simulator import McConfig, default_horizon_cap, mc_lst
 from .validate import default_grid, run_suite
@@ -70,7 +70,6 @@ _KEYS = {
     "quad_abs_tol": (float, 1e-8),
     "quad_rel_tol": (float, 1e-7),
     "drawup_tol": (float, 1e-7),
-    "deriv_rel_step": (float, 1e-6),
     "sweep": (str, None),
     "values": (_float_list, None),
     "format": (str, "csv"),
@@ -106,7 +105,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--quad-abs-tol", dest="quad_abs_tol", type=float)
         sp.add_argument("--quad-rel-tol", dest="quad_rel_tol", type=float)
         sp.add_argument("--drawup-tol", dest="drawup_tol", type=float)
-        sp.add_argument("--deriv-rel-step", dest="deriv_rel_step", type=float)
         sp.add_argument("--config", type=str, help="key=value config file")
         sp.add_argument("--format", type=str, choices=("csv", "json"))
         sp.add_argument("--output", type=str, help="write table here instead of stdout")
@@ -195,8 +193,7 @@ def _make_point(res: Dict[str, object]):
 def _controls(res: Dict[str, object]):
     series = SeriesControl(rel_tol=res["rel_tol"], max_terms=res["max_terms"])
     qctrl = QuadratureControl(abs_tol=res["quad_abs_tol"], rel_tol=res["quad_rel_tol"])
-    dctrl = DerivativeControl(rel_step=res["deriv_rel_step"])
-    return series, qctrl, dctrl
+    return series, qctrl
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +203,7 @@ def _controls(res: Dict[str, object]):
 _CONFIG_ECHO_ORDER = ("command", "kind", "lambda", "p", "beta", "w", "x", "a",
                       "b", "c", "u", "xbar0", "sweep", "values", "seed",
                       "paths", "cap", "rel_tol", "max_terms", "quad_abs_tol",
-                      "quad_rel_tol", "drawup_tol", "deriv_rel_step", "format")
+                      "quad_rel_tol", "drawup_tol", "format")
 
 
 def _echo_config(res: Dict[str, object]) -> Dict[str, object]:
@@ -273,11 +270,11 @@ def _cmd_eval(res: Dict[str, object]) -> int:
     params, spec = _make_point(res)
     if res.get("w") is None:
         raise ValidationError("--w is required here")
-    series, qctrl, dctrl = _controls(res)
+    series, qctrl = _controls(res)
     rows = []
     for w in res["w"]:
         diag: Dict[str, object] = {}
-        value = evaluate(params, spec, w, series=series, qctrl=qctrl, dctrl=dctrl,
+        value = evaluate(params, spec, w, series=series, qctrl=qctrl,
                          drawup_tol=res["drawup_tol"], diagnostics=diag)
         row = _spec_cells(params, spec, w)
         row.update(value=value,
@@ -351,7 +348,7 @@ def _cmd_sweep(res: Dict[str, object]) -> int:
     if var != "w" and res.get(var) is None:
         res = {**res, var: res["values"][0]}  # seed the swept level
     params, spec = _make_point(res)
-    series, qctrl, dctrl = _controls(res)
+    series, qctrl = _controls(res)
     base_w = (res.get("w") or [0.0])[0]
     rows = []
     any_fail = False
@@ -359,7 +356,7 @@ def _cmd_sweep(res: Dict[str, object]) -> int:
         w = val if var == "w" else base_w
         point = spec if var == "w" else dataclasses.replace(spec, **{var: val})
         analytic = evaluate(params, point, w, series=series, qctrl=qctrl,
-                            dctrl=dctrl, drawup_tol=res["drawup_tol"])
+                            drawup_tol=res["drawup_tol"])
         cells = _spec_cells(params, point, w)
         cells.pop("xbar0", None)
         cells.update(analytic=analytic, mc_mean=None, mc_stderr=None,

@@ -5,8 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .model import ExitKind, ExitSpec, ModelParams, normalize
-from .reflected import (DEFAULT_DERIV, DEFAULT_QUAD, DerivativeControl,
-                        QuadratureControl, lst_drawdown,
+from .reflected import (DEFAULT_QUAD, QuadratureControl, lst_drawdown,
                         lst_drawdown_general_start, lst_drawup,
                         lst_reflected_lower, lst_reflected_upper, solve_a)
 from .scalefn import (DEFAULT_SERIES, SeriesControl, l_down, l_up, z_down,
@@ -18,7 +17,6 @@ __all__ = ["evaluate"]
 def evaluate(params: ModelParams, spec: ExitSpec, w: float,
              series: SeriesControl = DEFAULT_SERIES,
              qctrl: QuadratureControl = DEFAULT_QUAD,
-             dctrl: DerivativeControl = DEFAULT_DERIV,
              drawup_tol: float = 1e-7,
              diagnostics: Optional[dict] = None) -> float:
     """Laplace-Stieltjes transform ``E[e^{-w tau}]`` of the requested exit time.
@@ -50,9 +48,9 @@ def evaluate(params: ModelParams, spec: ExitSpec, w: float,
         return lst_reflected_lower(w, lam, p, spec.x, spec.c, spec.b, series)
     if kind is ExitKind.DRAWDOWN:
         if spec.xbar0 is not None:
-            return lst_drawdown_general_start(w, lam, p, spec.x, spec.xbar0,
-                                              spec.c, qctrl, dctrl, diagnostics)
-        return lst_drawdown(w, lam, p, spec.x, spec.c, qctrl, dctrl, diagnostics)
+            return lst_drawdown_general_start(w, lam, p, spec.x, spec.xbar0, spec.c,
+                                              qctrl, diagnostics=diagnostics)
+        return lst_drawdown(w, lam, p, spec.x, spec.c, qctrl, diagnostics=diagnostics)
     if kind is ExitKind.DRAWUP:
         value = lst_drawup(w, lam, p, spec.x, spec.u, spec.c,
                            tol=drawup_tol, diagnostics=diagnostics)

@@ -9,7 +9,8 @@ Four first-passage problems built on the two-sided exit parts from
   passage up to ``c``.
 * ``lst_drawdown`` — first time the process falls ``c`` below its running
   supremum, resolved through the supremum's exit distribution (hazard of
-  losing the race to a new maximum) and a drawdown-given-supremum factor.
+  losing the race to a new maximum) and the down-exit slope at the level
+  where the supremum stops; both come from exact scale-function slopes.
 * ``lst_drawup`` — first time the process rises ``c`` above its running
   infimum, via the infimum-cascade renewal in :mod:`._drawup`.
 
@@ -28,13 +29,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import ConvergenceError, _require
-from .scalefn import (DEFAULT_SERIES, SeriesControl, l_down, l_up,
-                      _log_k_from_b, z_down, z_up)
+from .scalefn import (DEFAULT_SERIES, SeriesControl, _k_log_slope, l_down,
+                      l_up, z_down, z_down_slope)
+# not called here; kept as a name of this module, which the layer trace
+# (bench/tracing.py) wraps
+from .scalefn import _log_k_from_b  # noqa: F401
 from ._drawup import drawup_lst
 
 __all__ = [
     "QuadratureControl",
-    "DerivativeControl",
     "lst_reflected_upper",
     "lst_reflected_lower",
     "hazard",
@@ -54,44 +57,22 @@ class QuadratureControl:
     re-evaluated with all panels halved until two successive refinements
     agree to ``max(abs_tol, rel_tol * |value|)``; the last difference is the
     reported error estimate.  ``max_subdivisions`` bounds the number of
-    refinement rounds; ``tail_cutoff_tol`` truncates the infinite upper
-    limit once the remaining contribution is provably below it.
+    refinement rounds.  Past the last kink level the integrands are known in
+    closed form, so no integral needs a cutoff.
     """
 
     abs_tol: float = 1e-8
     rel_tol: float = 1e-7
     max_subdivisions: int = 6
-    tail_cutoff_tol: float = 1e-10
 
     def __post_init__(self):
         _require(self.abs_tol > 0.0, f"abs_tol must be > 0, got {self.abs_tol}")
         _require(self.rel_tol > 0.0, f"rel_tol must be > 0, got {self.rel_tol}")
         _require(self.max_subdivisions >= 1,
                  f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
-        _require(self.tail_cutoff_tol > 0.0,
-                 f"tail_cutoff_tol must be > 0, got {self.tail_cutoff_tol}")
-
-
-@dataclass(frozen=True)
-class DerivativeControl:
-    """Right-sided finite-difference policy.
-
-    Only right differences are taken (the exit transforms are guaranteed
-    one-sided differentiable in their level arguments, with kinks on the
-    breakpoint lattice).  ``rel_step`` scales the step by the level;
-    ``use_extrapolation`` applies one step-halving Richardson pass.
-    """
-
-    rel_step: float = 1e-6
-    use_extrapolation: bool = True
-
-    def __post_init__(self):
-        _require(0.0 < self.rel_step <= 1e-2,
-                 f"rel_step must lie in (0, 1e-2], got {self.rel_step}")
 
 
 DEFAULT_QUAD = QuadratureControl()
-DEFAULT_DERIV = DerivativeControl()
 
 
 # ---------------------------------------------------------------------------
@@ -158,59 +139,20 @@ def lst_reflected_lower(w: float, lam: float, p: float, x: float, c: float, b: f
 # ---------------------------------------------------------------------------
 
 
-def hazard(w: float, lam: float, p: float, z: float, c: float,
-           dctrl: DerivativeControl = DEFAULT_DERIV) -> float:
+def hazard(w: float, lam: float, p: float, z: float, c: float) -> float:
     """Exit intensity of the supremum race at level ``z`` with window ``c``.
 
     Equals the negative right-derivative, in the upper level ``a``, of the
-    up-exit transform of the strip ``(z - c, a)`` started at ``z``, taken
-    at ``a = z``.  Because that transform equals 1 at ``a = z``, the
-    difference quotient of its logarithm (the log of the reciprocal scale
-    function) gives the same derivative; it is evaluated right-sided with
-    an optional Richardson pass.  Values are clamped to the provable
-    ``>= 0`` range; a significantly negative quotient signals a step-size
-    fault and raises.
+    up-exit transform ``K(z)/K(a)`` of the strip ``(z - c, a)`` started at
+    ``z``, taken at ``a = z``: the right slope ``K'(z)/K(z)`` of the
+    reciprocal scale function for the barrier ``b = z - c``, summed exactly
+    from its interval table.  At and beyond the knee ``c/(1-p)`` any jump
+    ends the race and the slope is ``w + lam``.
     """
     _require(z > c > 0.0, f"hazard needs z > c > 0, got z={z}, c={c}")
-    b = z - c
-    step = dctrl.rel_step * z
-
-    def quot(dd: float) -> float:
-        return (_log_k_from_b(w, lam, p, b, z + dd)
-                - _log_k_from_b(w, lam, p, b, z)) / dd
-
-    h1 = quot(step)
-    if dctrl.use_extrapolation:
-        h = 2.0 * quot(step / 2.0) - h1
-    else:
-        h = h1
-    noise = 64.0 * 2.2e-16 * (abs(_log_k_from_b(w, lam, p, b, z)) + 1.0) / step
-    if h < -noise - 1e-9 * (w + lam):
-        raise ConvergenceError(
-            f"hazard difference quotient came out negative ({h}) beyond noise "
-            f"at w={w}, lam={lam}, p={p}, z={z}, c={c}; adjust rel_step")
-    return max(h, 0.0)
-
-
-def _drawdown_ratio(w: float, lam: float, p: float, y: float, c: float,
-                    dctrl: DerivativeControl) -> float:
-    """Conditional transform factor given the supremum stops at ``y``.
-
-    Ratio of the right-derivatives (in the upper level) of the down-exit
-    part at ``w`` and at 0, evaluated as a ratio of difference quotients
-    with one Richardson pass on the ratio itself.
-    """
-    step = dctrl.rel_step * y
-
-    def ratio(dd: float) -> float:
-        num = l_down(w, lam, p, y, y + dd, y - c)
-        den = l_down(0.0, lam, p, y, y + dd, y - c)
-        return num / den
-
-    r1 = ratio(step)
-    if dctrl.use_extrapolation:
-        return 2.0 * ratio(step / 2.0) - r1
-    return r1
+    if w + lam == 0.0:
+        return 0.0  # no clock and no discount: nothing ends the race
+    return _k_log_slope(w, lam, p, z - c, z)
 
 
 def _supremum_breakpoints(x: float, c: float, p: float) -> list:
@@ -242,8 +184,7 @@ def _gl_panel(f: Callable[[float], float], lo: float, hi: float) -> float:
 
 
 def drawdown_supremum_survival(lam: float, p: float, x: float, y: float, c: float,
-                               qctrl: QuadratureControl = DEFAULT_QUAD,
-                               dctrl: DerivativeControl = DEFAULT_DERIV) -> float:
+                               qctrl: QuadratureControl = DEFAULT_QUAD) -> float:
     """Probability the running supremum exceeds ``y`` before the drawdown hits ``c``.
 
     ``exp(-integral_x^y h_0(z) dz)`` with the undiscounted hazard.  Beyond
@@ -273,7 +214,7 @@ def drawdown_supremum_survival(lam: float, p: float, x: float, y: float, c: floa
             for i in range(split):
                 a0 = lo + (hi - lo) * i / split
                 b0 = lo + (hi - lo) * (i + 1) / split
-                total += _gl_panel(lambda z: hazard(0.0, lam, p, z, c, dctrl), a0, b0)
+                total += _gl_panel(lambda z: hazard(0.0, lam, p, z, c), a0, b0)
         return total
 
     prev = integrate(1)
@@ -288,78 +229,64 @@ def drawdown_supremum_survival(lam: float, p: float, x: float, y: float, c: floa
 
 
 def _drawdown_value(w: float, lam: float, p: float, x: float, c: float,
-                    qctrl: QuadratureControl, dctrl: DerivativeControl,
                     split: int) -> float:
-    """One resolution level of the drawdown integral (panels split ``split``-fold)."""
-    z1 = c / (1.0 - p)
-    bps = _supremum_breakpoints(x, c, p)
-    ends = bps + [max(z1, x)]
-    Hcut = math.log(1.0 / qctrl.tail_cutoff_tol)
-    base_panels = []
-    lo = x
-    for e in ends:
-        if e > lo + 1e-15:
-            base_panels.append((lo, e))
-            lo = e
-    width = 2.0 / lam
-    while True:
-        base_panels.append((lo, lo + width))
-        lo += width
-        if lam * (lo - max(z1, x)) > Hcut + 5.0:
-            break
+    """One resolution level of the drawdown integral (panels split ``split``-fold).
+
+    Integrates ``exp(-H_w(y)) [h_w(y) Z(y) - Z'(y)]`` over ``(x, z1)``, with
+    ``Z`` the downward transform for the barrier ``y - c`` and ``z1 =
+    c/(1-p)`` the knee (``x < z1`` here).  ``H_w`` advances incrementally
+    between quadrature nodes.  Past the knee ``h_w = w + lam`` and ``h_w Z -
+    Z' = lam``, so the rest of the integral is ``exp(-H_w(z1)) lam/(lam+w)``.
+    """
+    g = w + lam
+    ends = [x]
+    for e in _supremum_breakpoints(x, c, p):  # ascending; the last is z1
+        if e > ends[-1] + 1e-15:
+            ends.append(e)
     panels = []
-    for a0, b0 in base_panels:
+    for a0, b0 in zip(ends[:-1], ends[1:]):
         for i in range(split):
             panels.append((a0 + (b0 - a0) * i / split,
                            a0 + (b0 - a0) * (i + 1) / split))
 
     nodes24, weights24 = _GL24
     nodes8, weights8 = _GL8
+
+    def cumulative(lo: float, hi: float) -> float:
+        ih = 0.5 * (hi - lo)
+        ts = ih * nodes8 + 0.5 * (hi + lo)
+        return sum(tw * hazard(w, lam, p, t, c) for t, tw in zip(ts, ih * weights8))
+
     H_w = 0.0
-    H_0 = 0.0
     total = 0.0
     for (aa, bb) in panels:
-        if H_0 > Hcut:
-            break
         half = 0.5 * (bb - aa)
         ys = half * nodes24 + 0.5 * (bb + aa)
         ws = half * weights24
         prev = aa
-        Hw_loc = H_w
-        H0_loc = H_0
         for y, wt in zip(ys, ws):
-            ih = 0.5 * (y - prev)
-            ts = ih * nodes8 + 0.5 * (y + prev)
-            tw = ih * weights8
-            Hw_loc += sum(tw_i * hazard(w, lam, p, t, c, dctrl) for t, tw_i in zip(ts, tw))
-            H0_loc += sum(tw_i * hazard(0.0, lam, p, t, c, dctrl) for t, tw_i in zip(ts, tw))
-            f = hazard(0.0, lam, p, y, c, dctrl) * math.exp(-Hw_loc) \
-                * _drawdown_ratio(w, lam, p, y, c, dctrl)
-            total += wt * f
+            H_w += cumulative(prev, y)
+            zd, dzd = z_down_slope(w, lam, p, y, y - c)
+            total += wt * math.exp(-H_w) * (hazard(w, lam, p, y, c) * zd - dzd)
             prev = y
-        ih = 0.5 * (bb - prev)
-        ts = ih * nodes8 + 0.5 * (bb + prev)
-        tw = ih * weights8
-        Hw_loc += sum(tw_i * hazard(w, lam, p, t, c, dctrl) for t, tw_i in zip(ts, tw))
-        H0_loc += sum(tw_i * hazard(0.0, lam, p, t, c, dctrl) for t, tw_i in zip(ts, tw))
-        H_w, H_0 = Hw_loc, H0_loc
+        H_w += cumulative(prev, bb)
+    total += math.exp(-H_w) * lam / g
     return float(total)  # the Gauss weights are numpy scalars; shed the wrapper
 
 
 def lst_drawdown(w: float, lam: float, p: float, x: float, c: float,
-                 qctrl: QuadratureControl = DEFAULT_QUAD,
-                 dctrl: DerivativeControl = DEFAULT_DERIV,
+                 qctrl: QuadratureControl = DEFAULT_QUAD, *,
                  diagnostics: Optional[dict] = None) -> float:
     """LST of the first time the process falls ``c`` below its running supremum.
 
     Integrates, over the level ``y`` where the supremum race ends, the
-    density ``h_0(y) exp(-H_0(y))`` of the stopped supremum times the
-    discount accumulated while racing, ``exp(-(H_w(y) - H_0(y)))``, times
-    the conditional drawdown factor of :func:`_drawdown_ratio`; ``H``
-    denotes the cumulative hazard from ``x``.  Cumulative hazards advance
-    incrementally between quadrature nodes; the upper limit stops once the
-    survival weight drops below ``tail_cutoff_tol``, and the whole
-    integral is refined by panel halving until two rounds agree.
+    discount-weighted survival ``exp(-H_w(y))`` of the race times the
+    right-derivative in the upper level of the two-sided down-exit part,
+    ``h_w(y) Z(y; y-c) - dZ/dx(y; y-c)``; ``H_w`` is the cumulative hazard
+    from ``x`` and ``Z`` the downward transform.  Both slopes are exact
+    sums from the scale-function tables.  The stretch past the knee
+    ``c/(1-p)`` is closed form, and the head integral is refined by panel
+    halving until two rounds agree.
     """
     _require(x > c > 0.0, f"drawdown needs x > c > 0, got x={x}, c={c}")
     if lam == 0.0:
@@ -371,14 +298,13 @@ def lst_drawdown(w: float, lam: float, p: float, x: float, c: float,
         # opens a drawdown of (1-p) y >= (1-p) x >= c: the exit time is
         # exactly the first jump time
         return lam / (lam + w)
-    prev = _drawdown_value(w, lam, p, x, c, qctrl, dctrl, 1)
+    prev = _drawdown_value(w, lam, p, x, c, 1)
     for round_ in range(1, qctrl.max_subdivisions + 1):
-        cur = _drawdown_value(w, lam, p, x, c, qctrl, dctrl, 2 ** round_)
+        cur = _drawdown_value(w, lam, p, x, c, 2 ** round_)
         err = abs(cur - prev)
         if err <= max(qctrl.abs_tol, qctrl.rel_tol * abs(cur)):
             if diagnostics is not None:
-                diagnostics.update(quad_error=err + qctrl.tail_cutoff_tol,
-                                   refinement_rounds=round_)
+                diagnostics.update(quad_error=err, refinement_rounds=round_)
             return min(max(cur, 0.0), 1.0)
         prev = cur
     raise ConvergenceError(
@@ -388,8 +314,7 @@ def lst_drawdown(w: float, lam: float, p: float, x: float, c: float,
 
 def lst_drawdown_general_start(w: float, lam: float, p: float, x: float,
                                xbar0: float, c: float,
-                               qctrl: QuadratureControl = DEFAULT_QUAD,
-                               dctrl: DerivativeControl = DEFAULT_DERIV,
+                               qctrl: QuadratureControl = DEFAULT_QUAD, *,
                                diagnostics: Optional[dict] = None) -> float:
     """Drawdown LST when a supremum ``xbar0 >= x`` is already on record.
 
@@ -407,7 +332,7 @@ def lst_drawdown_general_start(w: float, lam: float, p: float, x: float,
     if xbar0 - c >= x:
         return 1.0
     if xbar0 == x:
-        return lst_drawdown(w, lam, p, x, c, qctrl, dctrl, diagnostics)
+        return lst_drawdown(w, lam, p, x, c, qctrl, diagnostics=diagnostics)
     if lam == 0.0:
         return 0.0  # drift rejoins the recorded supremum and never falls back
     if w == 0.0:
@@ -415,7 +340,7 @@ def lst_drawdown_general_start(w: float, lam: float, p: float, x: float,
     b0 = xbar0 - c
     down = l_down(w, lam, p, x, xbar0, b0)
     up = l_up(w, lam, p, x, xbar0, b0)
-    return down + up * lst_drawdown(w, lam, p, xbar0, c, qctrl, dctrl, diagnostics)
+    return down + up * lst_drawdown(w, lam, p, xbar0, c, qctrl, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ __all__ = [
     "z_up",
     "c_tilde",
     "z_down",
+    "z_down_slope",
     "k_up_coeffs",
     "l_up_from_b",
     "l_up",
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 _LOG_HUGE = 690.0  # ln(max float64) with margin
+_LN10 = math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -333,10 +335,15 @@ def _down_interval_count(x: float, b: float, p: float) -> int:
 
 
 def _z_down_terms_float(w, lam, p, x, b, ct):
-    """Signed float64 terms of the downward transform plus the peak magnitude."""
+    """Signed float64 terms of the downward transform, their rates and the peak.
+
+    Every term is a constant times ``e^{rate * x}``, so the slope in ``x`` is
+    ``sum(term * rate)``; the constant head term has rate 0.
+    """
     g = w + lam
     k0 = _down_interval_count(x, b, p)
     terms = [(lam / g) ** k0]
+    rates = [0.0]
     peak = abs(terms[0])
     log_lam = math.log(lam) if lam > 0.0 else float("-inf")
     # w may be subnormal, where the quotient w/g underflows before its log
@@ -353,10 +360,12 @@ def _z_down_terms_float(w, lam, p, x, b, ct):
             for j in range(k):
                 if j != i:
                     denom = denom.times_float(p ** i - p ** j)
+            rate = g * p ** i
             t = base.times(SignedLogProduct(denom.sign,
-                                            g * p ** i * shift - denom.log_magnitude))
+                                            rate * shift - denom.log_magnitude))
             val = t.to_float()
             terms.append(val)
+            rates.append(rate)
             peak = max(peak, abs(val))
     if ct != 0.0:
         log_ct = math.log(abs(ct))
@@ -374,44 +383,56 @@ def _z_down_terms_float(w, lam, p, x, b, ct):
                 for j in range(k + 1):
                     if j != i:
                         denom = denom.times_float(p ** i - p ** j)
+                rate = g * p ** i
                 t = base.times(SignedLogProduct(denom.sign,
-                                                g * p ** i * shift - denom.log_magnitude))
+                                                rate * shift - denom.log_magnitude))
                 val = t.to_float()
                 terms.append(val)
+                rates.append(rate)
                 peak = max(peak, abs(val))
-    return terms, peak
+    return terms, rates, peak
 
 
-def _z_down_mp(w, lam, p, x, b, dps: int) -> float:
-    """Arbitrary-precision evaluation of the downward transform."""
+def _z_down_mp(w, lam, p, x, b, dps: int, slope: bool = False) -> Tuple[float, ...]:
+    """Arbitrary-precision downward transform: ``(value,)``, or with ``slope``
+    ``(value, d/dx value)`` from the same pass over the terms."""
     with mp.workdps(dps):
         ct = _c_tilde_mp(w, lam, p, b)
         w_, lam_, p_, x_, b_ = map(mp.mpf, (w, lam, p, x, b))
         g = w_ + lam_
         k0 = _down_interval_count(x, b, p)
         tot = (lam_ / g) ** k0
+        dtot = mp.mpf(0)
+
+        def sums(k, n, denom0):
+            """``sum_i e^{g p^i shift} / denom_i`` over ``i < n``, and its slope."""
+            shift = x_ - b_ * p_ ** (-k)
+            s = ds = mp.mpf(0)
+            for i in range(n):
+                denom = denom0(i)
+                for j in range(n):
+                    if j != i:
+                        denom *= (p_ ** i - p_ ** j)
+                e = mp.e ** (g * p_ ** i * shift)
+                s += e / denom
+                if slope:
+                    ds += g * p_ ** i * e / denom
+            return s, ds
+
         for k in range(1, k0):
-            shift = x_ - b_ * p_ ** (-k)
-            s = mp.mpf(0)
-            for i in range(k):
-                denom = g ** k * p_ ** i
-                for j in range(k):
-                    if j != i:
-                        denom *= (p_ ** i - p_ ** j)
-                s += mp.e ** (g * p_ ** i * shift) / denom
-            tot -= (w_ / g) * (-lam_) ** k * p_ ** (k * (k - 1) // 2) * s
+            s, ds = sums(k, k, lambda i: g ** k * p_ ** i)
+            pre = (w_ / g) * (-lam_) ** k * p_ ** (k * (k - 1) // 2)
+            tot -= pre * s
+            if slope:
+                dtot -= pre * ds
         for k in range(k0):
-            shift = x_ - b_ * p_ ** (-k)
-            s = mp.mpf(0)
-            for i in range(k + 1):
-                denom = g ** k
-                for j in range(k + 1):
-                    if j != i:
-                        denom *= (p_ ** i - p_ ** j)
-                s += mp.e ** (g * p_ ** i * shift) / denom
-            tot += (w_ / g) * ct * (-1) ** (k + 1) * (lam_ / p_) ** k \
-                * p_ ** (k * (k + 1) // 2) * s
-        return float(tot)
+            s, ds = sums(k, k + 1, lambda i: g ** k)
+            pre = (w_ / g) * ct * (-1) ** (k + 1) * (lam_ / p_) ** k \
+                * p_ ** (k * (k + 1) // 2)
+            tot += pre * s
+            if slope:
+                dtot += pre * ds
+        return (float(tot), float(dtot)) if slope else (float(tot),)
 
 
 _Z_DOWN_MAX_DPS = 400
@@ -432,44 +453,81 @@ def z_down(w: float, lam: float, p: float, x: float, b: float,
     _require(x > b, f"z_down needs x > b, got x={x}, b={b}")
     if w == 0.0:
         return 1.0
+    return _z_down_eval(w, lam, p, x, b, ctrl, diagnostics, slope=False)[0]
+
+
+def z_down_slope(w: float, lam: float, p: float, x: float, b: float,
+                 ctrl: SeriesControl = DEFAULT_SERIES) -> Tuple[float, float]:
+    """``z_down(w; x, b)`` and its exact slope in ``x``, from one pass over the terms.
+
+    The slope differentiates the same exponential sums on the same interval
+    (breakpoints ``b p^{-k}`` tie to the lower interval, as the value does)
+    and must meet the float64 cancellation check alongside the value: the
+    slope scale is ``w + lam``, since ``|d/dx z_down| <= lam``.
+    """
+    _require(b > 0.0, f"z_down needs b > 0, got b={b}")
+    _require(x > b, f"z_down needs x > b, got x={x}, b={b}")
+    if w == 0.0:
+        return 1.0, 0.0
+    return _z_down_eval(w, lam, p, x, b, ctrl, None, slope=True)
+
+
+def _z_down_eval(w, lam, p, x, b, ctrl, diagnostics, slope: bool) -> Tuple[float, ...]:
+    """``(value,)`` or ``(value, slope)`` of the downward transform, with escalation."""
     ct = c_tilde(w, lam, p, b, ctrl)
-    terms, peak = _z_down_terms_float(w, lam, p, x, b, ct)
+    terms, rates, peak = _z_down_terms_float(w, lam, p, x, b, ct)
     total = math.fsum(terms)
     err_est = 8.0 * 2.2e-16 * peak
     tol = max(1e-15, ctrl.rel_tol * abs(total), 1e-13 * abs(total))
+    ok = err_est <= tol and total > 0.0
+    # (peak, float sum) per returned quantity; the slope carries its own check
+    parts = [(peak, total)]
+    if slope:
+        dterms = [t * r for t, r in zip(terms, rates)]
+        dpeak = max(abs(t) for t in dterms)
+        dtotal = math.fsum(dterms)
+        ok = ok and 8.0 * 2.2e-16 * dpeak <= max(
+            1e-15 * (w + lam), ctrl.rel_tol * abs(dtotal), 1e-13 * abs(dtotal))
+        parts.append((dpeak, dtotal))
     if diagnostics is not None:
         diagnostics.update(interval_count=_down_interval_count(x, b, p),
                            float_error_estimate=err_est, escalated_digits=0)
-    if err_est <= tol and total > 0.0:
-        return min(total, 1.0)
+    if ok:
+        return (min(total, 1.0), dtotal) if slope else (min(total, 1.0),)
     # Escalate to arbitrary precision.  The needed digit count is
     # log10(peak / |value|) plus working margin, but the true value's
     # magnitude is only learned from the evaluation itself (the float total
     # may be pure cancellation noise), so iterate: evaluate, bound the
     # summation noise by peak * 10^(4 - digits), and re-raise the budget
     # until the bound is beaten or the hard cap trips.
-    log_peak = math.log10(peak) if peak > 0 else 0.0
-    digits = 25 + max(0, int(math.ceil(
-        log_peak - (math.log10(abs(total)) if total != 0.0 else 0.0))))
-    digits = min(digits, _Z_DOWN_MAX_DPS)
-    val = total
+    def log10_or_zero(v):
+        return math.log10(abs(v)) if v != 0.0 else 0.0
+
+    digits = min(_Z_DOWN_MAX_DPS, max(
+        25 + max(0, int(math.ceil(log10_or_zero(pk) - log10_or_zero(tot))))
+        for pk, tot in parts))
     for _ in range(8):
-        val = _z_down_mp(w, lam, p, x, b, digits)
-        noise = peak * 10.0 ** (4 - digits)
-        if noise <= max(1e-300, 1e-12 * abs(val)):
+        vals = _z_down_mp(w, lam, p, x, b, digits, slope)
+        need = digits
+        for (pk, _), val in zip(parts, vals):
+            noise = pk * 10.0 ** (4 - digits)
+            if noise <= max(1e-300, 1e-12 * abs(val)):
+                continue
+            if abs(val) <= 1e-60 and noise <= 1e-60:
+                continue  # genuinely negligible value; sign noise is irrelevant
+            need = max(need, 25 + int(math.ceil(
+                log10_or_zero(pk) - math.log10(max(abs(val), noise / 10.0)))),
+                int(digits * 1.6) + 10)
+        if need == digits:
             break
-        if abs(val) <= 1e-60 and noise <= 1e-60:
-            break  # genuinely negligible value; sign noise is irrelevant
         if digits >= _Z_DOWN_MAX_DPS:
             raise ConvergenceError(
                 f"z_down cancellation exceeds {_Z_DOWN_MAX_DPS} digits "
-                f"at w={w}, lam={lam}, p={p}, x={x}, b={b}", partial=val)
-        digits = min(_Z_DOWN_MAX_DPS,
-                     max(25 + int(math.ceil(log_peak - math.log10(max(abs(val), noise / 10.0)))),
-                         int(digits * 1.6) + 10))
+                f"at w={w}, lam={lam}, p={p}, x={x}, b={b}", partial=vals[0])
+        digits = min(_Z_DOWN_MAX_DPS, need)
     if diagnostics is not None:
         diagnostics["escalated_digits"] = digits
-    return min(max(val, 0.0), 1.0)
+    return (min(max(vals[0], 0.0), 1.0),) + vals[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -592,55 +650,97 @@ def _k_tables_mp(w: float, lam: float, p: float, b: float, kmax: int, dps: int):
 
 
 def _log_k_mp(w: float, lam: float, p: float, b: float, x: float,
-              k: int, dps: int) -> Optional[float]:
-    """``log K(x)`` from the arbitrary-precision table; None if still noise."""
+              k: int, dps: int, slope: bool = False) -> Optional[Tuple[float, ...]]:
+    """``(log K(x),)``, or with ``slope`` ``(log K(x), log K'(x))``, from the
+    arbitrary-precision table of interval ``k``; None while still noise."""
     tab = _k_tables_mp(w, lam, p, b, k, dps)[k]
     with mp.workdps(dps):
         g = mp.mpf(w) + mp.mpf(lam)
         p_, x_ = mp.mpf(p), mp.mpf(x)
-        val = mp.fsum(tab[n] * mp.e ** (g * p_ ** n * x_) for n in range(k + 1))
-        if val <= 0:
+        terms = [tab[n] * mp.e ** (g * p_ ** n * x_) for n in range(k + 1)]
+        sums = [mp.fsum(terms)]
+        if slope:
+            sums.append(mp.fsum(g * p_ ** n * t for n, t in enumerate(terms)))
+        if any(v <= 0 for v in sums):
             return None
-        return float(mp.log(val))
+        return tuple(float(mp.log(v)) for v in sums)
 
 
 def _log_k_from_b(w: float, lam: float, p: float, b: float, x: float) -> float:
-    """``log K(x)``, escalating to arbitrary precision on deep cancellation.
+    """``log K(x)``, escalating to arbitrary precision on deep cancellation."""
+    return _log_k_sums(w, lam, p, b, x, interval_index(x, b, p), slope=False)[0]
 
-    The float64 signed-log evaluation reports how many digits the final
-    summation cancelled; past ``_K_EVAL_LOST_OK`` digits (the coefficients
-    carry compounded noise of the same origin, so the loss estimate is a
-    floor, not a ceiling) the table is rebuilt in arbitrary precision and
-    the digit budget raised until two budgets agree.
+
+def _k_log_slope(w: float, lam: float, p: float, b: float, x: float) -> float:
+    """Exact right slope ``K'(x)/K(x)`` of ``log K`` for barrier ``b``.
+
+    ``K' = sum_n a_n gamma p^n e^{gamma p^n x}`` on the interval's own
+    table.  On a breakpoint ``b p^{-(k+1)}`` (where :func:`interval_index`
+    ties to the lower interval) the next interval's table is used: ``K`` is
+    continuous there, and its right slope belongs to the interval on the
+    right.
     """
     k = interval_index(x, b, p)
-    ln10 = math.log(10.0)
+    if math.isclose(x, b * p ** (-(k + 1)), rel_tol=4e-16):
+        k += 1
+    log_k, log_dk = _log_k_sums(w, lam, p, b, x, k, slope=True)
+    return math.exp(log_dk - log_k)
+
+
+def _log_k_sums(w: float, lam: float, p: float, b: float, x: float, k: int,
+                slope: bool) -> Tuple[float, ...]:
+    """``(log K(x),)``, or with ``slope`` ``(log K(x), log K'(x))``, on interval ``k``.
+
+    The float64 signed-log evaluation reports how many digits each final
+    summation cancelled; past ``_K_EVAL_LOST_OK`` digits on either sum (the
+    coefficients carry compounded noise of the same origin, so the loss
+    estimate is a floor, not a ceiling) the table is rebuilt in arbitrary
+    precision and the digit budget raised until two budgets agree on every
+    returned logarithm.
+    """
     try:
         tab = _k_tables(w, lam, p, b, k)[k]
         g = w + lam
         logs = [L + g * p ** n * x for n, L in enumerate(tab.logmags)]
-        peak = max(logs)
-        out = _signed_logsumexp(tab.signs, logs)
-        if out.sign > 0:
-            lost = (peak - out.log_magnitude) / ln10
-            if lost <= _K_EVAL_LOST_OK:
-                return out.log_magnitude
-        else:
-            lost = peak / ln10  # K >= 1 so log K >= 0: peak bounds the loss
+        log_k, lost = _log_sum_loss(tab.signs, logs)
+        if slope:
+            log_g, log_p = math.log(g), math.log(p)
+            log_dk, dlost = _log_sum_loss(
+                tab.signs, [L + log_g + n * log_p for n, L in enumerate(logs)])
+            if log_k is not None and log_dk is not None and max(lost, dlost) <= _K_EVAL_LOST_OK:
+                return log_k, log_dk
+            lost = max(lost, dlost)
+        elif log_k is not None and lost <= _K_EVAL_LOST_OK:
+            return (log_k,)
     except ConvergenceError:
         lost = 12.0  # the recursion itself cancelled out; size the budget blind
     digits = 30 + int(math.ceil(2.5 * lost))
-    prev_log = None
+    prev = None
     while digits <= _K_MAX_DPS:
-        cur = _log_k_mp(w, lam, p, b, x, k, digits)
-        if cur is not None and prev_log is not None \
-                and abs(cur - prev_log) <= 1e-12 * max(1.0, abs(cur)):
+        cur = _log_k_mp(w, lam, p, b, x, k, digits, slope)
+        if cur is not None and prev is not None and all(
+                abs(c - q) <= 1e-12 * max(1.0, abs(c)) for c, q in zip(cur, prev)):
             return cur
-        prev_log = cur
+        prev = cur
         digits = int(digits * 1.5) + 10
     raise ConvergenceError(
         f"reciprocal scale function cancellation exceeds {_K_MAX_DPS} digits "
         f"at w={w}, lam={lam}, p={p}, b={b}, x={x}")
+
+
+def _log_sum_loss(signs, logs) -> Tuple[Optional[float], float]:
+    """``log`` of a signed sum of ``exp(logs)`` (None unless positive) and the
+    decimal digits its summation cancelled.
+
+    A sum that came out non-positive gets its peak as the loss: ``K >= 1``
+    makes that a bound for ``log K``, and for ``log K'`` it sizes the first
+    arbitrary-precision budget, which the escalation then checks.
+    """
+    peak = max(logs)
+    out = _signed_logsumexp(signs, logs)
+    if out.sign > 0:
+        return out.log_magnitude, (peak - out.log_magnitude) / _LN10
+    return None, peak / _LN10
 
 
 def l_up_from_b(w: float, lam: float, p: float, b: float, x: float,

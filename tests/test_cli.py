@@ -277,6 +277,9 @@ class TestConsoleScript:
         wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
         self.check_run([sys.executable, "-c", wrapper, *self.ARGV])
 
+    def test_module_entry_point_runs(self):
+        self.check_run([sys.executable, "-m", "aimdexit", *self.ARGV])
+
     @pytest.mark.skipif(shutil.which("aimdexit") is None,
                         reason="aimdexit console script not installed")
     def test_console_script_on_path_runs(self):

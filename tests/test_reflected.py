@@ -2,13 +2,16 @@
 
 import math
 
+import mpmath as mp
 import pytest
 
-from aimdexit import (DerivativeControl, QuadratureControl, ValidationError,
-                      drawdown_supremum_survival, hazard, l_up, lst_drawdown,
-                      lst_drawdown_general_start, lst_drawup,
-                      lst_reflected_lower, lst_reflected_upper, solve_a,
-                      z_down, z_up)
+from aimdexit import (ExitKind, ExitSpec, McConfig, ModelParams,
+                      QuadratureControl, ValidationError,
+                      default_horizon_cap, drawdown_supremum_survival, hazard,
+                      l_up, lst_drawdown, lst_drawdown_general_start,
+                      lst_drawup, lst_reflected_lower, lst_reflected_upper,
+                      mc_lst, solve_a, z_down, z_up)
+from aimdexit.scalefn import _k_tables_mp, _log_k_from_b, interval_index
 
 
 class TestReflectedUpper:
@@ -81,18 +84,46 @@ class TestHazard:
         for (w, lam, p, c) in [(0.5, 1.0, 0.5, 1.0), (1.0, 2.0, 0.8, 0.5)]:
             z1 = c / (1.0 - p)
             assert math.isclose(hazard(w, lam, p, 1.5 * z1, c), w + lam,
-                                rel_tol=1e-9)
+                                rel_tol=1e-12)
 
     def test_positive_and_finite_below_knee(self):
         for z in (1.3, 1.6, 1.9):
             h = hazard(0.5, 1.0, 0.5, z, 1.0)
             assert 0.0 < h < 10.0
 
-    def test_extrapolation_consistent_with_plain_differences(self):
-        plain = hazard(0.5, 1.0, 0.5, 1.6, 1.0,
-                       DerivativeControl(use_extrapolation=False))
-        rich = hazard(0.5, 1.0, 0.5, 1.6, 1.0)
-        assert math.isclose(plain, rich, rel_tol=1e-4)
+    def test_matches_richardson_quotient_of_log_k(self):
+        # the p=0.8 drawdown row of the default grid (x=4.35, c=3, knee 15):
+        # deep intervals, where the float tables cancel the most.  The
+        # quotient's step balances its O(step^2) error against the rounding
+        # of log K, which dominates where h_0 is small (1e-2 at z=4.4)
+        lam, p, c = 1.0, 0.8, 3.0
+
+        def richardson(w, z):
+            b, step = z - c, 1e-4 * z
+
+            def quot(dd):
+                return (_log_k_from_b(w, lam, p, b, z + dd)
+                        - _log_k_from_b(w, lam, p, b, z)) / dd
+            return 2.0 * quot(step / 2.0) - quot(step)
+
+        def exact_mp(w, z):
+            b = z - c
+            k = interval_index(z, b, p)
+            tab = _k_tables_mp(w, lam, p, b, k, 60)[k]
+            with mp.workdps(60):
+                g, p_ = mp.mpf(w) + lam, mp.mpf(p)
+                terms = [a * mp.e ** (g * p_ ** n * z) for n, a in enumerate(tab)]
+                return float(mp.fsum(g * p_ ** n * t for n, t in enumerate(terms))
+                             / mp.fsum(terms))
+
+        for w in (0.5, 0.0):
+            for z in (4.4, 5.0, 7.3, 11.0, 14.5):
+                b = z - c
+                k = interval_index(z, b, p)
+                assert interval_index(z * (1 + 2e-4), b, p) == k  # no kink inside
+                h = hazard(w, lam, p, z, c)
+                assert math.isclose(h, richardson(w, z), rel_tol=1e-7), (w, z)
+                assert math.isclose(h, exact_mp(w, z), rel_tol=1e-12), (w, z)
 
 
 class TestDrawdownSupremumSurvival:
@@ -141,6 +172,18 @@ class TestDrawdown:
     def test_decreasing_in_w(self):
         vals = [lst_drawdown(w, 1.0, 0.5, 1.5, 1.0) for w in (0.25, 0.5, 1.0, 2.0)]
         assert all(v0 > v1 for v0, v1 in zip(vals, vals[1:]))
+
+    def test_deep_corner_is_scale_invariant_and_matches_monte_carlo(self):
+        # nine kink levels between x and the knee, where most float sums
+        # escalate; rescaling levels by lam (and w by 1/lam) fixes the value
+        w, lam, p, x, c = 0.5, 0.5, 0.8, 6.9, 6.0
+        val = lst_drawdown(w, lam, p, x, c)
+        assert abs(val - lst_drawdown(w / lam, 1.0, p, lam * x, lam * c)) <= 1e-9
+        est = mc_lst(ExitSpec(kind=ExitKind.DRAWDOWN, x=x, c=c), ModelParams(lam=lam, p=p),
+                     McConfig(n_paths=400_000, seed=20260815,
+                              horizon_cap=default_horizon_cap(w, lam), w=w))
+        assert est.std_error > 0.0
+        assert abs(val - est.mean) <= 4.0 * est.std_error, (val, est)
 
     def test_quadrature_path_returns_builtin_float(self):
         # the Gauss weights are numpy scalars; a leaked np.float64 would
@@ -264,7 +307,3 @@ class TestControls:
             QuadratureControl(abs_tol=0.0)
         with pytest.raises(ValidationError):
             QuadratureControl(max_subdivisions=0)
-
-    def test_derivative_control_validation(self):
-        with pytest.raises(ValidationError):
-            DerivativeControl(rel_step=0.5)

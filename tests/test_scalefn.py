@@ -9,7 +9,7 @@ from aimdexit import (ConvergenceError, SeriesControl, ValidationError,
                       c_tilde, c_tilde_statement_oracle, interval_index,
                       k_up_coeffs, l_down, l_up, l_up_from_b, z_down,
                       z_down_renewal_residual, z_up, z_up_zero)
-from aimdexit.scalefn import SignedLogProduct, _signed_logsumexp
+from aimdexit.scalefn import SignedLogProduct, _signed_logsumexp, z_down_slope
 
 
 class TestSignedLogProduct:
@@ -177,6 +177,48 @@ class TestZDown:
     def test_rejects_start_below_barrier(self):
         with pytest.raises(ValidationError):
             z_down(1.0, 1.0, 0.5, 0.9, 1.0)
+
+
+class TestZDownSlope:
+    @staticmethod
+    def central(w, lam, p, x, b, rel_step=1e-5):
+        h = rel_step * x
+        return (z_down(w, lam, p, x + h, b) - z_down(w, lam, p, x - h, b)) / (2.0 * h)
+
+    def test_value_is_z_down(self):
+        for (w, lam, p, x, b) in [(1.0, 1.0, 0.5, 1.5, 1.0), (0.5, 2.0, 0.8, 3.0, 1.0)]:
+            assert z_down_slope(w, lam, p, x, b)[0] == z_down(w, lam, p, x, b)
+
+    def test_matches_central_difference(self):
+        # points sit away from the breakpoints b p^{-k}, where the slope jumps
+        for (w, lam, p, x, b) in [(1.0, 1.0, 0.5, 1.5, 1.0),
+                                  (0.5, 2.0, 0.8, 3.0, 1.0),
+                                  (3.0, 0.5, 0.3, 6.0, 1.0),
+                                  (1.0, 1.0, 0.5, 2.9, 1.0)]:
+            _, slope = z_down_slope(w, lam, p, x, b)
+            assert slope < 0.0
+            assert math.isclose(slope, self.central(w, lam, p, x, b), rel_tol=1e-6)
+
+    def test_escalated_slope_matches_central_difference(self):
+        # k0 = 10 intervals at p = 0.8: the float sums cancel ~12 digits
+        w, lam, p, x, b = 1.0, 1.0, 0.8, 3.457, 0.457
+        diag = {}
+        value = z_down(w, lam, p, x, b, diagnostics=diag)
+        assert diag["escalated_digits"] > 0
+        got, slope = z_down_slope(w, lam, p, x, b)
+        assert math.isclose(got, value, rel_tol=1e-12)
+        assert math.isclose(slope, self.central(w, lam, p, x, b), rel_tol=1e-6)
+
+    def test_generator_identity_past_the_first_breakpoint(self):
+        # for b < x <= b/p every jump lands below b, so the generator gives
+        # (w+lam) Z - Z' = lam exactly; these are the drawdown levels y past
+        # the knee c/(1-p), with b = y - c
+        for (w, lam, p, c) in [(0.5, 1.0, 0.5, 1.0), (1.0, 2.0, 0.8, 0.5),
+                               (0.5, 0.5, 0.8, 6.0)]:
+            for y in (1.01, 1.3, 2.0):
+                y *= c / (1.0 - p)
+                value, slope = z_down_slope(w, lam, p, y, y - c)
+                assert abs((w + lam) * value - slope - lam) <= 1e-12
 
 
 class TestIntervalIndex:
