@@ -26,7 +26,7 @@ from .reflected import (QuadratureControl, drawdown_supremum_survival,
                         lst_reflected_lower, lst_reflected_upper, solve_a)
 from .scalefn import (SeriesControl, c_tilde, interval_index, k_up_coeffs,
                       l_down, l_up, l_up_from_b, z_down, z_up, z_up_zero)
-from .simulator import (McConfig, McEstimate, PathState, Side,
+from .simulator import (McConfig, McEstimate, Side,
                         default_horizon_cap, mc_lst, simulate_exit)
 from .validate import (ComparisonRow, c_tilde_statement_oracle, default_grid,
                        quadrature_oracle_lup, run_suite, volterra_oracle_zup,
@@ -44,7 +44,7 @@ __all__ = [
     "lst_drawdown", "lst_drawdown_general_start", "lst_drawup",
     "drawdown_supremum_survival", "solve_a",
     "evaluate",
-    "Side", "PathState", "McConfig", "McEstimate",
+    "Side", "McConfig", "McEstimate",
     "default_horizon_cap", "simulate_exit", "mc_lst",
     "ComparisonRow", "volterra_oracle_zup", "quadrature_oracle_lup",
     "c_tilde_statement_oracle", "z_down_renewal_residual",

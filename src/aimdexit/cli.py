@@ -30,7 +30,7 @@ from .model import (AimdError, ConvergenceError, ExitKind, ExitSpec,
 from .reflected import QuadratureControl
 from .scalefn import SeriesControl
 from .simulator import McConfig, default_horizon_cap, mc_lst
-from .validate import default_grid, run_suite
+from .validate import _confront, default_grid, run_suite
 
 __all__ = ["main"]
 
@@ -364,11 +364,7 @@ def _cmd_sweep(res: Dict[str, object]) -> int:
         if res["paths"]:
             est = mc_lst(point, params, _sim_config(res, params, w),
                          threads=res["threads"])
-            if est.std_error > 0.0:
-                z = (analytic - est.mean) / est.std_error
-                ok = abs(z) <= 3.0
-            else:
-                z, ok = 0.0, abs(analytic - est.mean) <= 1e-12
+            z, ok = _confront(analytic, est, 3.0)
             cells.update(mc_mean=est.mean, mc_stderr=est.std_error,
                          z_score=z, verdict="pass" if ok else "fail")
             any_fail |= not ok

@@ -99,10 +99,6 @@ class ModelParams:
         _require(0.0 < self.p < 1.0, f"p must lie in (0, 1), got {self.p}")
         _require(self.beta > 0.0, f"beta must be > 0, got {self.beta}")
 
-    @property
-    def normalized(self) -> bool:
-        return self.beta == 1.0
-
 
 def _check_w(w: float) -> float:
     w = _finite(w, "w")

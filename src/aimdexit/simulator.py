@@ -22,11 +22,11 @@ from enum import Enum
 import numpy as np
 
 from .model import ExitKind, ExitSpec, ModelParams, ValidationError, _require, normalize
-from .rng import exponentials, substream_seed, uniforms
+from .rng import exponentials, substream_seed
+from .rng import uniforms  # noqa: F401  unused here; the layer trace in bench/tracing.py wraps it
 
 __all__ = [
     "Side",
-    "PathState",
     "McConfig",
     "McEstimate",
     "default_horizon_cap",
@@ -43,16 +43,6 @@ class Side(Enum):
     UP = "up"
     DOWN = "down"
     CENSORED = "censored"
-
-
-@dataclass
-class PathState:
-    """Snapshot of one path: level, elapsed time, and running extremes."""
-
-    level: float
-    time: float
-    sup: float
-    inf: float
 
 
 def default_horizon_cap(w: float, lam: float) -> float:
@@ -114,16 +104,20 @@ class McEstimate:
 
 
 # ---------------------------------------------------------------------------
-# vectorized kernels: one (tau, side) pair per path
+# vectorized kernel: one (tau, side) pair per path
 # ---------------------------------------------------------------------------
-# Each kernel consumes exactly one Exp(lam) draw per alive path per round,
-# with draw_index equal to the number of jumps already experienced; the
-# scalar replay in simulate_exit follows the identical schedule.
+# The loop consumes exactly one Exp(lam) draw per alive path per round, with
+# draw_index equal to the number of jumps already experienced; the scalar
+# replay in simulate_exit follows the identical schedule.  A kind enters only
+# through its step: ``gap`` (distance left to an upward exit by creeping, or
+# None), ``jump`` (pre-jump state and run E -> post-jump state) and ``out``
+# (downward exit test on the post-jump state, or None).  The state is a list
+# of arrays: the level, then the supremum (drawdown) or infimum (drawup).
 
 
-def _paths_up_one(stage0, lam, p, idx, x, a, cap):
+def _paths(stage0, lam, idx, start, cap, gap, jump, out):
     n = idx.size
-    v = np.full(n, float(x))
+    state = [np.full(n, float(s0)) for s0 in start]
     t = np.zeros(n)
     tau = np.full(n, np.inf)
     side = np.full(n, 0, dtype=np.int8)  # 0 = censored, 1 = up, -1 = down
@@ -132,199 +126,69 @@ def _paths_up_one(stage0, lam, p, idx, x, a, cap):
     while alive.size:
         E = exponentials(stage0, idx[alive], draw[alive], lam)
         draw[alive] += np.uint64(1)
-        gap = a - v[alive]
-        creep = E > gap
-        hit = alive[creep]
-        tau[hit] = t[hit] + gap[creep]
-        side[hit] = 1
-        rest = alive[~creep]
-        Er = E[~creep]
-        t[rest] += Er
-        v[rest] = p * (v[rest] + Er)
-        alive = rest[t[rest] <= cap]
-    return tau, side
-
-
-def _paths_down_one(stage0, lam, p, idx, x, b, cap):
-    n = idx.size
-    v = np.full(n, float(x))
-    t = np.zeros(n)
-    tau = np.full(n, np.inf)
-    side = np.full(n, 0, dtype=np.int8)
-    alive = np.arange(n)
-    draw = np.zeros(n, dtype=np.uint64)
-    while alive.size:
-        E = exponentials(stage0, idx[alive], draw[alive], lam)
-        draw[alive] += np.uint64(1)
-        t[alive] += E
-        post = p * (v[alive] + E)
-        out = post <= b
-        hit = alive[out]
-        tau[hit] = t[hit]
-        side[hit] = -1
-        rest = alive[~out]
-        v[rest] = post[~out]
-        alive = rest[t[rest] <= cap]
-    return tau, side
-
-
-def _paths_two_sided(stage0, lam, p, idx, x, a, b, cap):
-    n = idx.size
-    v = np.full(n, float(x))
-    t = np.zeros(n)
-    tau = np.full(n, np.inf)
-    side = np.full(n, 0, dtype=np.int8)
-    alive = np.arange(n)
-    draw = np.zeros(n, dtype=np.uint64)
-    while alive.size:
-        E = exponentials(stage0, idx[alive], draw[alive], lam)
-        draw[alive] += np.uint64(1)
-        gap = a - v[alive]
-        creep = E > gap
-        up = alive[creep]
-        tau[up] = t[up] + gap[creep]
-        side[up] = 1
-        rest = alive[~creep]
-        Er = E[~creep]
-        t[rest] += Er
-        post = p * (v[rest] + Er)
-        out = post <= b
-        dn = rest[out]
-        tau[dn] = t[dn]
-        side[dn] = -1
-        keep = rest[~out]
-        v[keep] = post[~out]
-        alive = keep[t[keep] <= cap]
-    return tau, side
-
-
-def _paths_refl_upper_down(stage0, lam, p, idx, x, a, c, cap):
-    n = idx.size
-    v = np.full(n, float(x))
-    t = np.zeros(n)
-    tau = np.full(n, np.inf)
-    side = np.full(n, 0, dtype=np.int8)
-    alive = np.arange(n)
-    draw = np.zeros(n, dtype=np.uint64)
-    while alive.size:
-        E = exponentials(stage0, idx[alive], draw[alive], lam)
-        draw[alive] += np.uint64(1)
-        pre = np.minimum(v[alive] + E, a)  # growth truncated at the barrier
-        t[alive] += E
-        post = p * pre
-        out = post <= c
-        hit = alive[out]
-        tau[hit] = t[hit]
-        side[hit] = -1
-        keep = (~out) & (t[alive] <= cap)
-        sel = alive[keep]
-        v[sel] = post[keep]
-        alive = sel
-    return tau, side
-
-
-def _paths_refl_lower_up(stage0, lam, p, idx, x, c, b, cap):
-    n = idx.size
-    v = np.full(n, float(x))
-    t = np.zeros(n)
-    tau = np.full(n, np.inf)
-    side = np.full(n, 0, dtype=np.int8)
-    alive = np.arange(n)
-    draw = np.zeros(n, dtype=np.uint64)
-    while alive.size:
-        E = exponentials(stage0, idx[alive], draw[alive], lam)
-        draw[alive] += np.uint64(1)
-        gap = c - v[alive]
-        creep = E > gap
-        hit = alive[creep]
-        tau[hit] = t[hit] + gap[creep]
-        side[hit] = 1
-        rest = alive[~creep]
-        Er = E[~creep]
-        t[rest] += Er
-        v[rest] = np.maximum(p * (v[rest] + Er), b)  # jump floored at the barrier
-        alive = rest[t[rest] <= cap]
-    return tau, side
-
-
-def _paths_drawdown(stage0, lam, p, idx, x, c, cap, xbar0=None):
-    n = idx.size
-    v = np.full(n, float(x))
-    s = np.full(n, float(xbar0 if xbar0 is not None else x))
-    t = np.zeros(n)
-    tau = np.full(n, np.inf)
-    side = np.full(n, 0, dtype=np.int8)
-    alive = np.arange(n)
-    draw = np.zeros(n, dtype=np.uint64)
-    while alive.size:
-        E = exponentials(stage0, idx[alive], draw[alive], lam)
-        draw[alive] += np.uint64(1)
-        pre = v[alive] + E
-        s_new = np.maximum(s[alive], pre)  # supremum can only move at segment tops
-        post = p * pre
-        t[alive] += E
-        out = (s_new - post) > c
-        hit = alive[out]
-        tau[hit] = t[hit]
-        side[hit] = -1
-        keep = (~out) & (t[alive] <= cap)
-        sel = alive[keep]
-        v[sel] = post[keep]
-        s[sel] = s_new[keep]
-        alive = sel
-    return tau, side
-
-
-def _paths_drawup(stage0, lam, p, idx, x, u, c, cap):
-    n = idx.size
-    v = np.full(n, float(x))
-    m = np.full(n, float(u))
-    t = np.zeros(n)
-    tau = np.full(n, np.inf)
-    side = np.full(n, 0, dtype=np.int8)
-    alive = np.arange(n)
-    draw = np.zeros(n, dtype=np.uint64)
-    while alive.size:
-        E = exponentials(stage0, idx[alive], draw[alive], lam)
-        draw[alive] += np.uint64(1)
-        gap = c - (v[alive] - m[alive])  # distance to drawup level, shrinks at slope 1
-        creep = E > gap
-        hit = alive[creep]
-        tau[hit] = t[hit] + gap[creep]
-        side[hit] = 1
-        rest = alive[~creep]
-        Er = E[~creep]
-        t[rest] += Er
-        post = p * (v[rest] + Er)
-        v[rest] = post
-        m[rest] = np.minimum(m[rest], post)
-        alive = rest[t[rest] <= cap]
+        rest = alive
+        if gap is not None:
+            g = gap([arr[alive] for arr in state])
+            creep = E > g
+            hit = alive[creep]
+            tau[hit] = t[hit] + g[creep]
+            side[hit] = 1
+            stay = ~creep
+            rest, E = alive[stay], E[stay]
+        t[rest] += E
+        post = jump([arr[rest] for arr in state], E)
+        for arr, new in zip(state, post):
+            arr[rest] = new  # a path that exits below is dead: its state is never read
+        keep = t[rest] <= cap
+        if out is not None:
+            down = out(post)
+            hit = rest[down]
+            tau[hit] = t[hit]
+            side[hit] = -1
+            keep &= ~down
+        alive = rest[keep]
     return tau, side
 
 
 def _run_kernel(kind: ExitKind, stage0, lam, p, idx, spec: ExitSpec, cap: float):
+    x, a, b, c = spec.x, spec.a, spec.b, spec.c
+    start, gap, out = [x], None, None
+    jump = lambda st, E: [p * (st[0] + E)]
     if kind is ExitKind.UP_ONE:
-        return _paths_up_one(stage0, lam, p, idx, spec.x, spec.a, cap)
-    if kind is ExitKind.DOWN_ONE:
-        return _paths_down_one(stage0, lam, p, idx, spec.x, spec.b, cap)
-    if kind in (ExitKind.TWO_SIDED_UP, ExitKind.TWO_SIDED_DOWN):
-        return _paths_two_sided(stage0, lam, p, idx, spec.x, spec.a, spec.b, cap)
-    if kind is ExitKind.REFL_UPPER_DOWN:
-        return _paths_refl_upper_down(stage0, lam, p, idx, spec.x, spec.a, spec.c, cap)
-    if kind is ExitKind.REFL_LOWER_UP:
-        return _paths_refl_lower_up(stage0, lam, p, idx, spec.x, spec.c, spec.b, cap)
-    if kind is ExitKind.DRAWDOWN:
-        return _paths_drawdown(stage0, lam, p, idx, spec.x, spec.c, cap, spec.xbar0)
-    if kind is ExitKind.DRAWUP:
-        return _paths_drawup(stage0, lam, p, idx, spec.x, spec.u, spec.c, cap)
-    raise ValidationError(f"unknown exit kind {kind!r}")
+        gap = lambda st: a - st[0]
+    elif kind is ExitKind.DOWN_ONE:
+        out = lambda st: st[0] <= b
+    elif kind in (ExitKind.TWO_SIDED_UP, ExitKind.TWO_SIDED_DOWN):
+        gap = lambda st: a - st[0]
+        out = lambda st: st[0] <= b
+    elif kind is ExitKind.REFL_UPPER_DOWN:
+        jump = lambda st, E: [p * np.minimum(st[0] + E, a)]  # growth truncated at a
+        out = lambda st: st[0] <= c
+    elif kind is ExitKind.REFL_LOWER_UP:
+        gap = lambda st: c - st[0]
+        jump = lambda st, E: [np.maximum(p * (st[0] + E), b)]  # jump floored at b
+    elif kind is ExitKind.DRAWDOWN:
+        start = [x, spec.xbar0 if spec.xbar0 is not None else x]
+
+        def jump(st, E):
+            pre = st[0] + E
+            return [p * pre, np.maximum(st[1], pre)]  # the sup moves only at segment tops
+        out = lambda st: (st[1] - st[0]) > c
+    elif kind is ExitKind.DRAWUP:
+        start = [x, spec.u]
+        gap = lambda st: c - (st[0] - st[1])  # shrinks at slope 1
+
+        def jump(st, E):
+            post = p * (st[0] + E)
+            return [post, np.minimum(st[1], post)]
+    else:
+        raise ValidationError(f"unknown exit kind {kind!r}")
+    return _paths(stage0, lam, idx, start, cap, gap, jump, out)
 
 
 def _drift_only_exit(kind: ExitKind, spec: ExitSpec, cap: float):
     """Deterministic exit for lam = 0 (pure unit drift, no jumps)."""
-    if kind is ExitKind.UP_ONE:
-        tau = spec.a - spec.x
-    elif kind in (ExitKind.TWO_SIDED_UP, ExitKind.TWO_SIDED_DOWN):
+    if kind in (ExitKind.UP_ONE, ExitKind.TWO_SIDED_UP, ExitKind.TWO_SIDED_DOWN):
         tau = spec.a - spec.x
     elif kind is ExitKind.REFL_LOWER_UP:
         tau = spec.c - spec.x
@@ -397,11 +261,11 @@ def mc_lst(spec: ExitSpec, params: ModelParams, cfg: McConfig, threads: int = 1)
     lam = nparams.lam
     kind = nspec.kind
     cap = cfg.horizon_cap * scale  # unit-slope kernel clock
+    cens_width = math.exp(-w * cap) if w > 0.0 else 1.0
     if lam == 0.0:
         tau, side = _drift_only_exit(kind, nspec, cap)
         if side is Side.CENSORED:
-            half = math.exp(-w * cap) if w > 0 else 1.0
-            return McEstimate(0.5 * half, half, cfg.n_paths, cfg.n_paths)
+            return McEstimate(0.5 * cens_width, cens_width, cfg.n_paths, cfg.n_paths)
         val = math.exp(-w * tau)
         if kind is ExitKind.TWO_SIDED_DOWN:
             val = 0.0  # drift-only paths always exit upward
@@ -428,7 +292,6 @@ def mc_lst(spec: ExitSpec, params: ModelParams, cfg: McConfig, threads: int = 1)
         total += s
         total_sq += s2
         n_cens += nc
-    cens_width = math.exp(-w * cap) if w > 0.0 else 1.0
     mean = (total + 0.5 * cens_width * n_cens) / n
     var = max((total_sq - total * total / n) / (n - 1), 0.0) if n > 1 else 0.0
     se = math.sqrt(var / n) + cens_width * n_cens / n

@@ -174,6 +174,25 @@ class TestSweep:
         _, header, rows, _ = parse_csv(out)
         assert all(r[header.index("verdict")] == "pass" for r in rows)
 
+    def test_zero_variance_rows_use_the_compare_pass_rule(self, capsys, monkeypatch):
+        # lam = 0: every path exits at the same time, so the MC mean is exact
+        # and only a 1e-12 match passes; a miss reads z = inf, as in compare
+        argv = ("sweep", "--sweep", "w", "--values", "0.5,1", "--kind", "up-one",
+                "--lambda", "0", "--p", "0.5", "--x", "1", "--a", "2", "--paths", "100")
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        _, header, rows, _ = parse_csv(out)
+        assert [r[header.index("z_score")] for r in rows] == ["0.0", "0.0"]
+        assert all(r[header.index("verdict")] == "pass" for r in rows)
+        real = aimdexit.cli.evaluate
+        monkeypatch.setattr(aimdexit.cli, "evaluate",
+                            lambda *args, **kwargs: real(*args, **kwargs) + 1e-9)
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 1
+        _, header, rows, _ = parse_csv(out)
+        assert [r[header.index("z_score")] for r in rows] == ["inf", "inf"]
+        assert all(r[header.index("verdict")] == "fail" for r in rows)
+
     def test_unknown_sweep_variable_is_rejected(self, capsys):
         rc, _, err = run(capsys, "sweep", "--sweep", "q", "--values", "1,2",
                          "--kind", "up-one", "--lambda", "1", "--p", "0.5",

@@ -71,6 +71,21 @@ class TestCounterRng:
         assert abs(float(e.mean()) - 2.0) < 5 * 2.0 / math.sqrt(100_000)
 
 
+# one spec per kernel step, each exiting after a few jumps so the scalar
+# replay stays cheap
+REPLAY_CASES = [
+    ("up-one", ExitSpec(ExitKind.UP_ONE, x=1.0, a=2.0), 1.0, 0.5),
+    ("down-one", ExitSpec(ExitKind.DOWN_ONE, x=2.0, b=0.5), 1.5, 0.5),
+    ("two-sided-up", ExitSpec(ExitKind.TWO_SIDED_UP, x=1.0, a=2.0, b=0.5), 1.0, 0.5),
+    ("two-sided-down", ExitSpec(ExitKind.TWO_SIDED_DOWN, x=1.0, a=2.0, b=0.5), 1.0, 0.5),
+    ("refl-upper-down", ExitSpec(ExitKind.REFL_UPPER_DOWN, x=1.5, a=2.0, c=1.2), 1.0, 0.5),
+    ("refl-lower-up", ExitSpec(ExitKind.REFL_LOWER_UP, x=1.0, b=0.5, c=2.0), 1.0, 0.5),
+    ("drawdown", ExitSpec(ExitKind.DRAWDOWN, x=3.0, c=1.2), 1.0, 0.5),
+    ("drawdown-xbar0", ExitSpec(ExitKind.DRAWDOWN, x=3.0, c=1.2, xbar0=3.8), 1.0, 0.5),
+    ("drawup", ExitSpec(ExitKind.DRAWUP, x=1.5, u=0.8, c=1.5), 1.0, 0.5),
+]
+
+
 class TestSimulateExit:
     def test_replay_is_deterministic(self):
         spec = ExitSpec(ExitKind.TWO_SIDED_UP, x=1.0, a=2.0, b=0.5)
@@ -111,17 +126,20 @@ class TestSimulateExit:
             if math.isfinite(tau1):
                 assert tau2 == tau1 / 2.0
 
-    def test_scalar_replay_reproduces_vector_statistics(self):
-        spec = ExitSpec(ExitKind.TWO_SIDED_UP, x=1.0, a=2.0, b=0.5)
-        params = ModelParams(lam=1.0, p=0.5)
+    @pytest.mark.parametrize("spec, params", [
+        pytest.param(spec, ModelParams(lam=lam, p=p), id=name)
+        for name, spec, lam, p in REPLAY_CASES])
+    def test_scalar_replay_reproduces_vector_statistics(self, spec, params):
         w, n = 0.7, 4096
         cfg = _cfg(w, n)
         est = mc_lst(spec, params, cfg)
+        want = {ExitKind.TWO_SIDED_UP: Side.UP,
+                ExitKind.TWO_SIDED_DOWN: Side.DOWN}.get(spec.kind)
         assert est.n_censored == 0
         acc = 0.0
         for i in range(n):
             tau, side = simulate_exit(spec, params, i, SEED, cfg.horizon_cap, w)
-            if side is Side.UP:
+            if want is None or side is want:  # a censored tau is inf and adds 0
                 acc += math.exp(-w * tau)
         assert math.isclose(est.mean, acc / n, rel_tol=1e-12)
 
@@ -237,6 +255,45 @@ class TestMcLst:
         slow = mc_lst(spec, ModelParams(lam=0.5, p=0.5, beta=1.0),
                       McConfig(n_paths=20_000, seed=SEED, horizon_cap=100.0, w=0.5))
         assert fast == slow
+
+
+# (mean, std_error, n_censored) of mc_lst at 4,096 paths and seed 4242,
+# recorded as float.hex: any change to the kernels' arithmetic or to their
+# draw schedule shows up here bit for bit
+PINNED = [
+    ("up-one", ExitSpec(ExitKind.UP_ONE, x=1.0, a=2.0), 1.0, 0.5, 0.5, None, 1,
+     ("0x1.7e8a70c913503p-2", "0x1.a4ea38e190f6dp-9", 0)),
+    ("down-one", ExitSpec(ExitKind.DOWN_ONE, x=2.0, b=0.5), 1.5, 0.6, 0.3, None, 1,
+     ("0x1.879f87bb85a96p-3", "0x1.e929f1bea5961p-9", 0)),
+    ("down-one-censored", ExitSpec(ExitKind.DOWN_ONE, x=1.0, b=0.5), 1.0, 0.5, 0.0, 3.0, 1,
+     ("0x1.5c90000000000p-1", "0x1.4ab817f53d01ap-1", 2615)),
+    ("two-sided-up", ExitSpec(ExitKind.TWO_SIDED_UP, x=1.0, a=2.0, b=0.5), 1.0, 0.5, 0.7,
+     None, 1, ("0x1.fdfa397cb637cp-3", "0x1.ae0e2dea682fep-9", 0)),
+    ("two-sided-down", ExitSpec(ExitKind.TWO_SIDED_DOWN, x=1.0, a=2.0, b=0.5), 1.0, 0.5, 0.7,
+     None, 2, ("0x1.4c819a05cd8fcp-3", "0x1.1c1175aa54d4ap-8", 0)),
+    ("refl-upper-down", ExitSpec(ExitKind.REFL_UPPER_DOWN, x=1.5, a=2.0, c=0.6), 1.0, 0.7,
+     0.4, None, 1, ("0x1.04e6b981a3896p-6", "0x1.695f673db3bb6p-10", 1975)),
+    ("refl-lower-up", ExitSpec(ExitKind.REFL_LOWER_UP, x=1.0, b=0.5, c=2.5), 2.0, 0.5, 0.4,
+     None, 1, ("0x1.3fce2b6f87ec7p-4", "0x1.27640a2d0f2c1p-9", 4)),
+    ("drawdown", ExitSpec(ExitKind.DRAWDOWN, x=3.0, c=1.2), 1.0, 0.7, 0.3, None, 1,
+     ("0x1.393bdbcac9b19p-1", "0x1.7db833d527eafp-9", 0)),
+    ("drawdown-xbar0", ExitSpec(ExitKind.DRAWDOWN, x=3.0, c=1.2, xbar0=3.8), 1.0, 0.7, 0.3,
+     None, 1, ("0x1.80dca3f566c58p-1", "0x1.93970b1ba3dafp-9", 0)),
+    ("drawup", ExitSpec(ExitKind.DRAWUP, x=1.5, u=0.8, c=1.5), 1.0, 0.5, 0.3, None, 1,
+     ("0x1.25814ea945ad9p-1", "0x1.c3425e3535eb1p-9", 0)),
+]
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("spec, lam, p, w, cap, threads, expected", [
+        pytest.param(*case[1:], id=case[0]) for case in PINNED])
+    def test_estimate_is_bit_identical_to_the_recorded_one(
+            self, spec, lam, p, w, cap, threads, expected):
+        cfg = _cfg(w, 4096, lam=lam, seed=4242, cap=cap)
+        est = mc_lst(spec, ModelParams(lam=lam, p=p), cfg, threads=threads)
+        mean, se, n_cens = expected
+        assert (est.mean, est.std_error, est.n_censored) == \
+            (float.fromhex(mean), float.fromhex(se), n_cens)
 
 
 class TestDefaultHorizonCap:
