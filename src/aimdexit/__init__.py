@@ -24,8 +24,8 @@ from .reflected import (QuadratureControl, drawdown_supremum_survival,
                         hazard, lst_drawdown,
                         lst_drawdown_general_start, lst_drawup,
                         lst_reflected_lower, lst_reflected_upper, solve_a)
-from .scalefn import (SeriesControl, c_tilde, interval_index, k_up_coeffs,
-                      l_down, l_up, l_up_from_b, z_down, z_up, z_up_zero)
+from .scalefn import (c_tilde, interval_index, k_up_coeffs, l_down, l_up,
+                      l_up_from_b, z_down, z_up, z_up_zero)
 from .simulator import (McConfig, McEstimate, Side,
                         default_horizon_cap, mc_lst, simulate_exit)
 from .validate import (ComparisonRow, c_tilde_statement_oracle, default_grid,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AimdError", "ValidationError", "ConvergenceError",
     "ExitKind", "ExitSpec", "ModelParams", "normalize",
-    "SeriesControl", "QuadratureControl",
+    "QuadratureControl",
     "z_up", "z_up_zero", "z_down", "c_tilde", "interval_index",
     "k_up_coeffs", "l_up", "l_up_from_b", "l_down",
     "lst_reflected_upper", "lst_reflected_lower", "hazard",

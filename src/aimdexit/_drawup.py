@@ -34,6 +34,7 @@ from .scalefn import z_up
 __all__ = ["drawup_lst"]
 
 _NN = 10  # Chebyshev-Lobatto nodes per panel
+_KINK_CAP = 14  # branch-switch kinks kept as panel edges per strip
 
 
 def _cheb_nodes(n: int):
@@ -69,13 +70,13 @@ class _StripSolver:
 
     ``psi_eval`` supplies the fresh-start value for jump landings at or
     below ``m``.  Panels are anchored at the branch-switch kinks
-    ``m p^{-j}`` (capped at ``kink_cap``, always keeping ``m / p`` where the
+    ``m p^{-j}`` (capped at ``_KINK_CAP``, always keeping ``m / p`` where the
     integrand's first branch switch occurs — deeper kinks are only
     C^1-discontinuities of already-solved levels and merge safely), then
     refined so no panel is wider than ``2.5 / (lam + w)``.
     """
 
-    def __init__(self, w, lam, p, m, c, psi_eval, kink_cap: int = 14):
+    def __init__(self, w, lam, p, m, c, psi_eval):
         gw = lam + w
         top = m + c
         kinks = []
@@ -87,8 +88,8 @@ class _StripSolver:
             kinks.append(e)
             if len(kinks) >= 240:
                 break
-        if len(kinks) > kink_cap:
-            kinks = [kinks[0]] + kinks[len(kinks) - (kink_cap - 1):]
+        if len(kinks) > _KINK_CAP:
+            kinks = [kinks[0]] + kinks[len(kinks) - (_KINK_CAP - 1):]
         raw = [m] + kinks + [top]
         hmax = 2.5 / gw
         edges = []
@@ -176,8 +177,7 @@ class _StripSolver:
 
 
 def drawup_lst(w: float, lam: float, p: float, x: float, u: float, c: float,
-               tol: float = 1e-7, n_per: Optional[int] = None,
-               gens: Optional[int] = None, diagnostics: Optional[dict] = None) -> float:
+               tol: float = 1e-7, *, diagnostics: Optional[dict] = None) -> float:
     """LST of the first time the process rises ``c`` above its running infimum.
 
     ``u`` is the infimum already recorded at time zero (``0 <= u <= x``).
@@ -188,8 +188,8 @@ def drawup_lst(w: float, lam: float, p: float, x: float, u: float, c: float,
 
     ``tol`` controls the cascade truncation depth: generation ``G`` is
     chosen so the remaining mass ``(lam/(lam+w))^G`` times a bound on the
-    jump activity at depth ``G`` falls below it.  ``n_per`` (grid levels per
-    factor ``1/p`` of depth) and ``gens`` override the automatic choices.
+    jump activity at depth ``G`` falls below it.  The infimum grid has
+    ``max(4, ceil(10 log(1/p)))`` levels per factor ``1/p`` of depth.
     """
     _require(u <= x, f"drawup needs u <= x, got u={u}, x={x}")
     _require(c > 0.0, f"drawup needs c > 0, got {c}")
@@ -200,17 +200,13 @@ def drawup_lst(w: float, lam: float, p: float, x: float, u: float, c: float,
     if u == 0.0:
         return z_up(w, lam, p, x, c) if x < c else 1.0
     eta = lam / (lam + w)
-    if gens is None:
-        G, cap = 1, 160
-        while G < cap:
-            y = u * p ** G
-            if eta ** G * min(1.0, 3.0 * lam * y * (1.0 / p - 1.0)) <= tol:
-                break
-            G += 1
-    else:
-        G = gens
-    if n_per is None:
-        n_per = max(4, int(math.ceil(math.log(1.0 / p) / 0.1)))
+    G, cap = 1, 160
+    while G < cap:
+        y = u * p ** G
+        if eta ** G * min(1.0, 3.0 * lam * y * (1.0 / p - 1.0)) <= tol:
+            break
+        G += 1
+    n_per = max(4, int(math.ceil(math.log(1.0 / p) / 0.1)))
     h = math.log(1.0 / p) / n_per
     J = G * n_per
     logu = math.log(u)

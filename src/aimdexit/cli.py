@@ -28,7 +28,6 @@ from .evaluate import evaluate
 from .model import (AimdError, ConvergenceError, ExitKind, ExitSpec,
                     ModelParams, ValidationError)
 from .reflected import QuadratureControl
-from .scalefn import SeriesControl
 from .simulator import McConfig, default_horizon_cap, mc_lst
 from .validate import _confront, default_grid, run_suite
 
@@ -40,7 +39,7 @@ _ENV_SEED = "AIMDEXIT_SEED"
 _TABLE_COLUMNS = ("kind", "lambda", "p", "w", "x", "a", "b", "c", "u",
                   "analytic", "mc_mean", "mc_stderr", "z_score", "verdict")
 _EVAL_COLUMNS = ("kind", "lambda", "p", "w", "x", "a", "b", "c", "u", "xbar0",
-                 "value", "series_terms", "quad_error", "root_residual")
+                 "value", "series_terms", "quad_error")
 _SIM_COLUMNS = ("kind", "lambda", "p", "w", "x", "a", "b", "c", "u", "xbar0",
                 "mc_mean", "mc_stderr", "n_paths", "n_censored")
 
@@ -65,8 +64,6 @@ _KEYS = {
     "seed": (int, 20260815),
     "paths": (int, None),  # per-command default applied later
     "cap": (float, None),  # None -> horizon cap chosen from (w, lambda)
-    "rel_tol": (float, 1e-14),
-    "max_terms": (int, 10_000),
     "quad_abs_tol": (float, 1e-8),
     "quad_rel_tol": (float, 1e-7),
     "drawup_tol": (float, 1e-7),
@@ -100,8 +97,6 @@ def _build_parser() -> _Parser:
                          ("u", "running-infimum start"),
                          ("xbar0", "running-supremum start")):
             sp.add_argument(f"--{lvl}", type=float, help=doc)
-        sp.add_argument("--rel-tol", dest="rel_tol", type=float, help="series tolerance")
-        sp.add_argument("--max-terms", dest="max_terms", type=int, help="series term cap")
         sp.add_argument("--quad-abs-tol", dest="quad_abs_tol", type=float)
         sp.add_argument("--quad-rel-tol", dest="quad_rel_tol", type=float)
         sp.add_argument("--drawup-tol", dest="drawup_tol", type=float)
@@ -190,10 +185,8 @@ def _make_point(res: Dict[str, object]):
     return params, spec
 
 
-def _controls(res: Dict[str, object]):
-    series = SeriesControl(rel_tol=res["rel_tol"], max_terms=res["max_terms"])
-    qctrl = QuadratureControl(abs_tol=res["quad_abs_tol"], rel_tol=res["quad_rel_tol"])
-    return series, qctrl
+def _quad_control(res: Dict[str, object]) -> QuadratureControl:
+    return QuadratureControl(abs_tol=res["quad_abs_tol"], rel_tol=res["quad_rel_tol"])
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +195,8 @@ def _controls(res: Dict[str, object]):
 
 _CONFIG_ECHO_ORDER = ("command", "kind", "lambda", "p", "beta", "w", "x", "a",
                       "b", "c", "u", "xbar0", "sweep", "values", "seed",
-                      "paths", "cap", "rel_tol", "max_terms", "quad_abs_tol",
-                      "quad_rel_tol", "drawup_tol", "format")
+                      "paths", "cap", "quad_abs_tol", "quad_rel_tol",
+                      "drawup_tol", "format")
 
 
 def _echo_config(res: Dict[str, object]) -> Dict[str, object]:
@@ -270,17 +263,16 @@ def _cmd_eval(res: Dict[str, object]) -> int:
     params, spec = _make_point(res)
     if res.get("w") is None:
         raise ValidationError("--w is required here")
-    series, qctrl = _controls(res)
+    qctrl = _quad_control(res)
     rows = []
     for w in res["w"]:
         diag: Dict[str, object] = {}
-        value = evaluate(params, spec, w, series=series, qctrl=qctrl,
+        value = evaluate(params, spec, w, qctrl=qctrl,
                          drawup_tol=res["drawup_tol"], diagnostics=diag)
         row = _spec_cells(params, spec, w)
         row.update(value=value,
                    series_terms=diag.get("series_terms"),
-                   quad_error=diag.get("quad_error"),
-                   root_residual=diag.get("root_residual"))
+                   quad_error=diag.get("quad_error"))
         rows.append(row)
     _emit(res, _EVAL_COLUMNS, rows, None)
     return 0
@@ -348,14 +340,14 @@ def _cmd_sweep(res: Dict[str, object]) -> int:
     if var != "w" and res.get(var) is None:
         res = {**res, var: res["values"][0]}  # seed the swept level
     params, spec = _make_point(res)
-    series, qctrl = _controls(res)
+    qctrl = _quad_control(res)
     base_w = (res.get("w") or [0.0])[0]
     rows = []
     any_fail = False
     for val in res["values"]:
         w = val if var == "w" else base_w
         point = spec if var == "w" else dataclasses.replace(spec, **{var: val})
-        analytic = evaluate(params, point, w, series=series, qctrl=qctrl,
+        analytic = evaluate(params, point, w, qctrl=qctrl,
                             drawup_tol=res["drawup_tol"])
         cells = _spec_cells(params, point, w)
         cells.pop("xbar0", None)

@@ -15,22 +15,20 @@ Four first-passage problems built on the two-sided exit parts from
   infimum, via the infimum-cascade renewal in :mod:`._drawup`.
 
 ``solve_a`` computes the implicit upper level that balances the two-sided
-split at the drawup boundary; it is exposed both as a building block and a
-diagnostic, with a resonance guard for roots landing on coefficient-table
-breakpoints.
+split at the drawup boundary, a characterisation of that boundary exposed
+for analysis; no evaluator here depends on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .model import ConvergenceError, _require
-from .scalefn import (DEFAULT_SERIES, SeriesControl, _k_log_slope, l_down,
-                      l_up, z_down, z_down_slope)
+from .scalefn import _k_log_slope, l_down, l_up, z_down, z_down_slope
 # not called here; kept as a name of this module, which the layer trace
 # (bench/tracing.py) wraps
 from .scalefn import _log_k_from_b  # noqa: F401
@@ -56,23 +54,41 @@ class QuadratureControl:
     Each integral is evaluated on kink-aware Gauss-Legendre panels and then
     re-evaluated with all panels halved until two successive refinements
     agree to ``max(abs_tol, rel_tol * |value|)``; the last difference is the
-    reported error estimate.  ``max_subdivisions`` bounds the number of
-    refinement rounds.  Past the last kink level the integrands are known in
-    closed form, so no integral needs a cutoff.
+    reported error estimate.  At most ``_MAX_ROUNDS`` refinement rounds are
+    run.  Past the last kink level the integrands are known in closed form,
+    so no integral needs a cutoff.
     """
 
     abs_tol: float = 1e-8
     rel_tol: float = 1e-7
-    max_subdivisions: int = 6
 
     def __post_init__(self):
         _require(self.abs_tol > 0.0, f"abs_tol must be > 0, got {self.abs_tol}")
         _require(self.rel_tol > 0.0, f"rel_tol must be > 0, got {self.rel_tol}")
-        _require(self.max_subdivisions >= 1,
-                 f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
 
 
 DEFAULT_QUAD = QuadratureControl()
+_MAX_ROUNDS = 6
+
+
+def _refine(integral: Callable[[int], float], qctrl: QuadratureControl,
+            what: str) -> Tuple[float, float, int]:
+    """``(value, error estimate, rounds)`` of a panel-halving refinement.
+
+    ``integral(split)`` evaluates with every panel split ``split``-fold;
+    the split doubles until two successive values agree to
+    ``max(abs_tol, rel_tol * |value|)``.  Past ``_MAX_ROUNDS`` rounds a
+    :class:`ConvergenceError` carries the last value as its partial result.
+    """
+    prev = integral(1)
+    for round_ in range(1, _MAX_ROUNDS + 1):
+        cur = integral(2 ** round_)
+        err = abs(cur - prev)
+        if err <= max(qctrl.abs_tol, qctrl.rel_tol * abs(cur)):
+            return cur, err, round_
+        prev = cur
+    raise ConvergenceError(f"{what} did not settle after {_MAX_ROUNDS} refinements",
+                           partial=prev)
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +96,7 @@ DEFAULT_QUAD = QuadratureControl()
 # ---------------------------------------------------------------------------
 
 
-def lst_reflected_upper(w: float, lam: float, p: float, x: float, a: float, c: float,
-                        series: SeriesControl = DEFAULT_SERIES) -> float:
+def lst_reflected_upper(w: float, lam: float, p: float, x: float, a: float, c: float) -> float:
     """LST of the passage below ``c`` for the process truncated at ``a``.
 
     Jumps fire from ``min(level, a)``: the pre-jump position is capped at
@@ -97,19 +112,18 @@ def lst_reflected_upper(w: float, lam: float, p: float, x: float, a: float, c: f
     if w == 0.0:
         return 1.0
     g = w + lam
-    ld = l_down(w, lam, p, x, a, c, series)
-    lu = l_up(w, lam, p, x, a, c, series)
+    ld = l_down(w, lam, p, x, a, c)
+    lu = l_up(w, lam, p, x, a, c)
     if p * a > c:
         # post-jump level p*a is still inside (c, a): geometric recursion
         # over returns to the barrier
-        e_pa = l_down(w, lam, p, p * a, a, c, series) \
-            / (1.0 - (lam / g) * l_up(w, lam, p, p * a, a, c, series))
+        e_pa = l_down(w, lam, p, p * a, a, c) \
+            / (1.0 - (lam / g) * l_up(w, lam, p, p * a, a, c))
         return ld + lu * (lam / g) * e_pa
     return ld + lu * lam / g
 
 
-def lst_reflected_lower(w: float, lam: float, p: float, x: float, c: float, b: float,
-                        series: SeriesControl = DEFAULT_SERIES) -> float:
+def lst_reflected_lower(w: float, lam: float, p: float, x: float, c: float, b: float) -> float:
     """LST of the passage up to ``c`` for the process reflected at ``b``.
 
     Downward jumps are truncated at ``b`` (the post-jump position is
@@ -121,17 +135,17 @@ def lst_reflected_lower(w: float, lam: float, p: float, x: float, c: float, b: f
     _require(0.0 < b <= x < c, f"reflected-lower needs 0 < b <= x < c, got x={x}, c={c}, b={b}")
     if w == 0.0:
         return 1.0
-    lu = l_up(w, lam, p, x, c, b, series)
-    ld = l_down(w, lam, p, x, c, b, series)
+    lu = l_up(w, lam, p, x, c, b)
+    ld = l_down(w, lam, p, x, c, b)
     if ld == 0.0:
         return lu
-    ret = l_down(w, lam, p, b, c, b, series)
+    ret = l_down(w, lam, p, b, c, b)
     den = 1.0 - ret
     if den < 1e-14:
         raise ConvergenceError(
             f"reflected-lower restart weight too close to 1 (1 - {ret}) at "
             f"w={w}, lam={lam}, p={p}, c={c}, b={b}")
-    return lu + ld * l_up(w, lam, p, b, c, b, series) / den
+    return lu + ld * l_up(w, lam, p, b, c, b) / den
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +231,12 @@ def drawdown_supremum_survival(lam: float, p: float, x: float, y: float, c: floa
                 total += _gl_panel(lambda z: hazard(0.0, lam, p, z, c), a0, b0)
         return total
 
-    prev = integrate(1)
-    for round_ in range(1, qctrl.max_subdivisions + 1):
-        cur = integrate(2 ** round_)
-        if abs(cur - prev) <= max(qctrl.abs_tol, qctrl.rel_tol * abs(cur)):
-            return math.exp(-(cur + tail))
-        prev = cur
-    raise ConvergenceError(
-        f"survival integral did not settle after {qctrl.max_subdivisions} refinements",
-        partial=math.exp(-(prev + tail)))
+    try:
+        head = _refine(integrate, qctrl, "survival integral")[0]
+    except ConvergenceError as exc:
+        exc.partial = math.exp(-(exc.partial + tail))
+        raise
+    return math.exp(-(head + tail))
 
 
 def _drawdown_value(w: float, lam: float, p: float, x: float, c: float,
@@ -298,18 +309,11 @@ def lst_drawdown(w: float, lam: float, p: float, x: float, c: float,
         # opens a drawdown of (1-p) y >= (1-p) x >= c: the exit time is
         # exactly the first jump time
         return lam / (lam + w)
-    prev = _drawdown_value(w, lam, p, x, c, 1)
-    for round_ in range(1, qctrl.max_subdivisions + 1):
-        cur = _drawdown_value(w, lam, p, x, c, 2 ** round_)
-        err = abs(cur - prev)
-        if err <= max(qctrl.abs_tol, qctrl.rel_tol * abs(cur)):
-            if diagnostics is not None:
-                diagnostics.update(quad_error=err, refinement_rounds=round_)
-            return min(max(cur, 0.0), 1.0)
-        prev = cur
-    raise ConvergenceError(
-        f"drawdown integral did not settle after {qctrl.max_subdivisions} refinements",
-        partial=prev)
+    value, err, rounds = _refine(
+        lambda split: _drawdown_value(w, lam, p, x, c, split), qctrl, "drawdown integral")
+    if diagnostics is not None:
+        diagnostics.update(quad_error=err, refinement_rounds=rounds)
+    return min(max(value, 0.0), 1.0)
 
 
 def lst_drawdown_general_start(w: float, lam: float, p: float, x: float,
@@ -349,56 +353,41 @@ def lst_drawdown_general_start(w: float, lam: float, p: float, x: float,
 
 
 def solve_a(w: float, lam: float, p: float, c: float, u: float,
-            tol: float = 1e-12, series: SeriesControl = DEFAULT_SERIES) -> float:
+            tol: float = 1e-12) -> float:
     """Level ``a > u + c`` balancing the two-sided split at the drawup boundary.
 
     Solves ``l_up(w; u+c, a, u) = 1 - z_down(w; u+c, u)`` by bracket
     doubling and bisection; the map is strictly decreasing in ``a`` (larger
-    targets are harder to reach first), so the root is unique.  If the
-    root lands within 1e-9 (relative) of a coefficient-table breakpoint
-    ``u p^{-k}`` the window ``c`` is perturbed by one part in 1e9 and the
-    solve is repeated, so downstream difference quotients never straddle a
-    kink.
+    targets are harder to reach first), so the root is unique.
     """
     _require(w > 0.0, f"solve_a needs w > 0, got {w}")
     _require(c > 0.0 and u > 0.0, f"solve_a needs c > 0 and u > 0, got c={c}, u={u}")
+    target = 1.0 - z_down(w, lam, p, u + c, u)
+    _require(0.0 < target < 1.0, f"degenerate drawup balance target {target}")
 
-    def root_for(c_eff: float) -> float:
-        target = 1.0 - z_down(w, lam, p, u + c_eff, u, series)
-        _require(0.0 < target < 1.0, f"degenerate drawup balance target {target}")
+    def f(a: float) -> float:
+        return l_up(w, lam, p, u + c, a, u) - target
 
-        def f(a: float) -> float:
-            return l_up(w, lam, p, u + c_eff, a, u, series) - target
-
-        lo = u + c_eff
-        d = max(c_eff, 1.0)
+    lo = u + c
+    d = max(c, 1.0)
+    hi = lo + d
+    while f(hi) > 0.0:
+        d *= 2.0
         hi = lo + d
-        while f(hi) > 0.0:
-            d *= 2.0
-            hi = lo + d
-            if d > 1e12:
-                raise ConvergenceError(
-                    f"drawup balance bracket exceeded 1e12 at w={w}, lam={lam}, "
-                    f"p={p}, c={c_eff}, u={u}")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if abs(fm) <= tol:
-                return mid
-            if fm > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    c_eff = c
-    for _ in range(4):
-        a = root_for(c_eff)
-        k = round(math.log(a / u) / math.log(1.0 / p))
-        if k < 0 or abs(u * p ** (-k) - a) / u >= 1e-9:
-            return a
-        c_eff *= 1.0 + 1e-9
-    return a
+        if d > 1e12:
+            raise ConvergenceError(
+                f"drawup balance bracket exceeded 1e12 at w={w}, lam={lam}, "
+                f"p={p}, c={c}, u={u}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if abs(fm) <= tol:
+            return mid
+        if fm > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def lst_drawup(w: float, lam: float, p: float, x: float, u: float, c: float,

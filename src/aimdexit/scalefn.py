@@ -17,7 +17,7 @@ lose their sign pattern.  ``z_down`` combines a geometric closed form with
 two finite exponential sums whose coefficients involve alternating
 q-products; those products are likewise accumulated in signed log space,
 and the final signed summation escalates to arbitrary precision when the
-float64 cancellation estimate exceeds the requested tolerance.
+float64 cancellation estimate exceeds its tolerance.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar, List, Optional, Tuple
+from typing import Callable, ClassVar, Optional, Tuple
 
 import mpmath as mp
 
 from .model import ConvergenceError, ValidationError, _require
 
 __all__ = [
-    "SeriesControl",
     "SignedLogProduct",
     "KCoefficients",
     "z_up_zero",
@@ -49,24 +48,12 @@ __all__ = [
 _LOG_HUGE = 690.0  # ln(max float64) with margin
 _LN10 = math.log(10.0)
 
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the infinite series and q-products.
-
-    ``rel_tol`` is the relative term-size threshold at which a convergent
-    series is cut; ``max_terms`` bounds every summation loop.
-    """
-
-    rel_tol: float = 1e-14
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        _require(0.0 < self.rel_tol <= 1e-6, f"rel_tol must lie in (0, 1e-6], got {self.rel_tol}")
-        _require(self.max_terms >= 16, f"max_terms must be >= 16, got {self.max_terms}")
-
-
-DEFAULT_SERIES = SeriesControl()
+# a convergent series is cut once its term falls below _REL_TOL times the
+# running sum; _MAX_TERMS bounds every summation loop
+_REL_TOL = 1e-14
+_MAX_TERMS = 10_000
+# digit cap of every arbitrary-precision escalation
+_MAX_DPS = 400
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +121,8 @@ SignedLogProduct.ONE = SignedLogProduct(1, 0.0)
 def _signed_logsumexp(signs, logmags) -> SignedLogProduct:
     """Sum of ``sign_i * exp(logmag_i)`` as a SignedLogProduct.
 
-    Also returns the conditioning ratio ``max_i logmag_i - result_logmag``
-    implicitly via the caller re-deriving it; kept simple here.
+    Callers that need the cancellation compare the result's log magnitude
+    with the largest ``logmag_i`` themselves (:func:`_log_sum_loss`).
     """
     m = max(logmags, default=float("-inf"))
     if m == float("-inf"):
@@ -154,8 +141,7 @@ def _signed_logsumexp(signs, logmags) -> SignedLogProduct:
 # ---------------------------------------------------------------------------
 
 
-def _log_up_denominator(w: float, lam: float, p: float, x: float,
-                        ctrl: SeriesControl = DEFAULT_SERIES,
+def _log_up_denominator(w: float, lam: float, p: float, x: float, *,
                         diagnostics: Optional[dict] = None) -> float:
     """``log(1 + w * sum_{n>=1} x^n/n! * prod_{i=1}^{n-1}(w + lam - lam p^i))``.
 
@@ -171,11 +157,11 @@ def _log_up_denominator(w: float, lam: float, p: float, x: float,
     total = 0.0  # running sum of w * series, under exp(log_scale)
     term = w  # w * x^n/n! * prod(...) at n = 1 is w*x; build incrementally
     n = 0
-    while n < ctrl.max_terms:
+    while n < _MAX_TERMS:
         n += 1
         term *= x * (w + lam - lam * p ** (n - 1)) / n if n > 1 else x
         total += term
-        if term <= ctrl.rel_tol * total and n > 4 and x * (w + lam) < n:
+        if term <= _REL_TOL * total and n > 4 and x * (w + lam) < n:
             # terms now decay at least geometrically; bound the tail
             if diagnostics is not None:
                 diagnostics["series_terms"] = diagnostics.get("series_terms", 0) + n
@@ -188,20 +174,18 @@ def _log_up_denominator(w: float, lam: float, p: float, x: float,
             total = 1.0
             term *= scale
     raise ConvergenceError(
-        f"upward series not converged after {ctrl.max_terms} terms "
+        f"upward series not converged after {_MAX_TERMS} terms "
         f"(w={w}, lam={lam}, p={p}, x={x})",
         partial=log_scale + math.log1p(total))
 
 
-def z_up_zero(w: float, lam: float, p: float, x: float,
-              ctrl: SeriesControl = DEFAULT_SERIES,
+def z_up_zero(w: float, lam: float, p: float, x: float, *,
               diagnostics: Optional[dict] = None) -> float:
     """LST of the passage time from level 0 up over ``x`` (x >= 0)."""
-    return math.exp(-_log_up_denominator(w, lam, p, x, ctrl, diagnostics))
+    return math.exp(-_log_up_denominator(w, lam, p, x, diagnostics=diagnostics))
 
 
-def z_up(w: float, lam: float, p: float, x: float, a: float,
-         ctrl: SeriesControl = DEFAULT_SERIES,
+def z_up(w: float, lam: float, p: float, x: float, a: float, *,
          diagnostics: Optional[dict] = None) -> float:
     """LST of the passage time from ``x`` up over ``a`` (0 <= x <= a).
 
@@ -211,8 +195,8 @@ def z_up(w: float, lam: float, p: float, x: float, a: float,
     _require(0.0 <= x <= a, f"z_up needs 0 <= x <= a, got x={x}, a={a}")
     if x == a:
         return 1.0
-    return math.exp(_log_up_denominator(w, lam, p, x, ctrl, diagnostics)
-                    - _log_up_denominator(w, lam, p, a, ctrl, diagnostics))
+    return math.exp(_log_up_denominator(w, lam, p, x, diagnostics=diagnostics)
+                    - _log_up_denominator(w, lam, p, a, diagnostics=diagnostics))
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +204,7 @@ def z_up(w: float, lam: float, p: float, x: float, a: float,
 # ---------------------------------------------------------------------------
 
 
-def c_tilde(w: float, lam: float, p: float, b: float,
-            ctrl: SeriesControl = DEFAULT_SERIES) -> float:
+def c_tilde(w: float, lam: float, p: float, b: float) -> float:
     """The downward-exit series constant ``C~(w; b)``.
 
     Defined as ``A/B - 1`` with ``A = sum_l t_l`` and ``B = sum_l t_l p^{-l}``
@@ -243,7 +226,7 @@ def c_tilde(w: float, lam: float, p: float, b: float,
     prod = SignedLogProduct.ONE  # prod_{i=1}^{l}(1 - p^{-i})
     prev_prod = SignedLogProduct.ONE  # prod_{i=1}^{l-1}
     peak_num = peak_den = float("-inf")
-    for l in range(ctrl.max_terms):
+    for l in range(_MAX_TERMS):
         if l > 0:
             prev_prod = prod
             prod = prod.times_float(1.0 - p ** (-l))
@@ -255,12 +238,12 @@ def c_tilde(w: float, lam: float, p: float, b: float,
             num_term = SignedLogProduct(prev_prod.sign, base_log - prev_prod.log_magnitude)
             peak_num = max(peak_num, num_term.log_magnitude)
             num = num.plus(num_term)
-            if (num_term.log_magnitude < num.log_magnitude + math.log(ctrl.rel_tol)
-                    and den_term.log_magnitude < den.log_magnitude + math.log(ctrl.rel_tol)
+            if (num_term.log_magnitude < num.log_magnitude + math.log(_REL_TOL)
+                    and den_term.log_magnitude < den.log_magnitude + math.log(_REL_TOL)
                     and l >= 4):
                 break
     else:
-        raise ConvergenceError(f"c_tilde series not converged after {ctrl.max_terms} terms")
+        raise ConvergenceError(f"c_tilde series not converged after {_MAX_TERMS} terms")
     # the q-product denominators shrink as p -> 1, making the terms of both
     # sums huge and alternating while the sums stay moderate: measure the
     # cancellation and fall back to arbitrary precision when float64 thins out
@@ -280,45 +263,55 @@ def c_tilde(w: float, lam: float, p: float, b: float,
 @lru_cache(maxsize=4096)
 def _c_tilde_escalated(w, lam, p, b, lost: float) -> float:
     """Arbitrary-precision rescue of :func:`c_tilde`, digits sized to the loss."""
+    def at(digits):
+        with mp.workdps(digits):
+            return (float(_c_tilde_mp(w, lam, p, b)),)
+    return _settled_mp(at, lost, "downward-series constant",
+                       f"w={w}, lam={lam}, p={p}, b={b}")[0]
+
+
+def _settled_mp(at: Callable[[int], Optional[Tuple[float, ...]]], lost: float,
+                what: str, where: str) -> Tuple[float, ...]:
+    """``at(digits)`` at a digit budget sized to ``lost`` decimal digits of
+    cancellation, raised until two successive budgets agree to 1e-12 on
+    every value; ``at`` returns None while its result is still noise."""
     digits = 30 + int(math.ceil(2.5 * lost))
     prev = None
-    while digits <= _K_MAX_DPS:
-        with mp.workdps(digits):
-            cur = float(_c_tilde_mp(w, lam, p, b))
-        if prev is not None and abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)):
+    while digits <= _MAX_DPS:
+        cur = at(digits)
+        if cur is not None and prev is not None and all(
+                abs(c - q) <= 1e-12 * max(1.0, abs(c)) for c, q in zip(cur, prev)):
             return cur
         prev = cur
         digits = int(digits * 1.5) + 10
-    raise ConvergenceError(
-        f"downward-series constant cancellation exceeds {_K_MAX_DPS} digits "
-        f"at w={w}, lam={lam}, p={p}, b={b}")
+    raise ConvergenceError(f"{what} cancellation exceeds {_MAX_DPS} digits at {where}")
 
 
-def _c_tilde_mp(w, lam, p, b, extra_dps: int = 0):
-    """Arbitrary-precision twin of :func:`c_tilde` (same cancellation-free form)."""
-    with mp.workdps(mp.mp.dps + extra_dps):
-        w, lam, p, b = map(mp.mpf, (w, lam, p, b))
-        g = w + lam
-        if lam == 0:
-            return mp.mpf(0)
-        num = mp.mpf(0)
-        den = mp.mpf(0)
-        prod = mp.mpf(1)
-        prev = mp.mpf(1)
-        tol = mp.mpf(10) ** (-(mp.mp.dps + 5))
-        for l in range(2000):
-            if l > 0:
-                prev = prod
-                prod *= (1 - p ** (-l))
-            t_base = mp.e ** (-b * g * p ** (-l)) * (lam / g) ** l
-            den_term = t_base * p ** (-l) / prod
-            den += den_term
-            if l > 0:
-                num_term = t_base / prev
-                num += num_term
-                if abs(num_term) < tol * abs(num) and abs(den_term) < tol * abs(den) and l >= 4:
-                    break
-        return num / den
+def _c_tilde_mp(w, lam, p, b):
+    """Arbitrary-precision twin of :func:`c_tilde` (same cancellation-free form),
+    at the working precision of the caller."""
+    w, lam, p, b = map(mp.mpf, (w, lam, p, b))
+    g = w + lam
+    if lam == 0:
+        return mp.mpf(0)
+    num = mp.mpf(0)
+    den = mp.mpf(0)
+    prod = mp.mpf(1)
+    prev = mp.mpf(1)
+    tol = mp.mpf(10) ** (-(mp.mp.dps + 5))
+    for l in range(2000):
+        if l > 0:
+            prev = prod
+            prod *= (1 - p ** (-l))
+        t_base = mp.e ** (-b * g * p ** (-l)) * (lam / g) ** l
+        den_term = t_base * p ** (-l) / prod
+        den += den_term
+        if l > 0:
+            num_term = t_base / prev
+            num += num_term
+            if abs(num_term) < tol * abs(num) and abs(den_term) < tol * abs(den) and l >= 4:
+                break
+    return num / den
 
 
 def _down_interval_count(x: float, b: float, p: float) -> int:
@@ -435,11 +428,7 @@ def _z_down_mp(w, lam, p, x, b, dps: int, slope: bool = False) -> Tuple[float, .
         return (float(tot), float(dtot)) if slope else (float(tot),)
 
 
-_Z_DOWN_MAX_DPS = 400
-
-
-def z_down(w: float, lam: float, p: float, x: float, b: float,
-           ctrl: SeriesControl = DEFAULT_SERIES,
+def z_down(w: float, lam: float, p: float, x: float, b: float, *,
            diagnostics: Optional[dict] = None) -> float:
     """LST of the passage time from ``x`` to a level ``<= b`` (jump crossing).
 
@@ -453,11 +442,10 @@ def z_down(w: float, lam: float, p: float, x: float, b: float,
     _require(x > b, f"z_down needs x > b, got x={x}, b={b}")
     if w == 0.0:
         return 1.0
-    return _z_down_eval(w, lam, p, x, b, ctrl, diagnostics, slope=False)[0]
+    return _z_down_eval(w, lam, p, x, b, diagnostics, slope=False)[0]
 
 
-def z_down_slope(w: float, lam: float, p: float, x: float, b: float,
-                 ctrl: SeriesControl = DEFAULT_SERIES) -> Tuple[float, float]:
+def z_down_slope(w: float, lam: float, p: float, x: float, b: float) -> Tuple[float, float]:
     """``z_down(w; x, b)`` and its exact slope in ``x``, from one pass over the terms.
 
     The slope differentiates the same exponential sums on the same interval
@@ -469,16 +457,16 @@ def z_down_slope(w: float, lam: float, p: float, x: float, b: float,
     _require(x > b, f"z_down needs x > b, got x={x}, b={b}")
     if w == 0.0:
         return 1.0, 0.0
-    return _z_down_eval(w, lam, p, x, b, ctrl, None, slope=True)
+    return _z_down_eval(w, lam, p, x, b, None, slope=True)
 
 
-def _z_down_eval(w, lam, p, x, b, ctrl, diagnostics, slope: bool) -> Tuple[float, ...]:
+def _z_down_eval(w, lam, p, x, b, diagnostics, slope: bool) -> Tuple[float, ...]:
     """``(value,)`` or ``(value, slope)`` of the downward transform, with escalation."""
-    ct = c_tilde(w, lam, p, b, ctrl)
+    ct = c_tilde(w, lam, p, b)
     terms, rates, peak = _z_down_terms_float(w, lam, p, x, b, ct)
     total = math.fsum(terms)
     err_est = 8.0 * 2.2e-16 * peak
-    tol = max(1e-15, ctrl.rel_tol * abs(total), 1e-13 * abs(total))
+    tol = max(1e-15, 1e-13 * abs(total))
     ok = err_est <= tol and total > 0.0
     # (peak, float sum) per returned quantity; the slope carries its own check
     parts = [(peak, total)]
@@ -486,8 +474,7 @@ def _z_down_eval(w, lam, p, x, b, ctrl, diagnostics, slope: bool) -> Tuple[float
         dterms = [t * r for t, r in zip(terms, rates)]
         dpeak = max(abs(t) for t in dterms)
         dtotal = math.fsum(dterms)
-        ok = ok and 8.0 * 2.2e-16 * dpeak <= max(
-            1e-15 * (w + lam), ctrl.rel_tol * abs(dtotal), 1e-13 * abs(dtotal))
+        ok = ok and 8.0 * 2.2e-16 * dpeak <= max(1e-15 * (w + lam), 1e-13 * abs(dtotal))
         parts.append((dpeak, dtotal))
     if diagnostics is not None:
         diagnostics.update(interval_count=_down_interval_count(x, b, p),
@@ -503,7 +490,7 @@ def _z_down_eval(w, lam, p, x, b, ctrl, diagnostics, slope: bool) -> Tuple[float
     def log10_or_zero(v):
         return math.log10(abs(v)) if v != 0.0 else 0.0
 
-    digits = min(_Z_DOWN_MAX_DPS, max(
+    digits = min(_MAX_DPS, max(
         25 + max(0, int(math.ceil(log10_or_zero(pk) - log10_or_zero(tot))))
         for pk, tot in parts))
     for _ in range(8):
@@ -520,11 +507,11 @@ def _z_down_eval(w, lam, p, x, b, ctrl, diagnostics, slope: bool) -> Tuple[float
                 int(digits * 1.6) + 10)
         if need == digits:
             break
-        if digits >= _Z_DOWN_MAX_DPS:
+        if digits >= _MAX_DPS:
             raise ConvergenceError(
-                f"z_down cancellation exceeds {_Z_DOWN_MAX_DPS} digits "
+                f"z_down cancellation exceeds {_MAX_DPS} digits "
                 f"at w={w}, lam={lam}, p={p}, x={x}, b={b}", partial=vals[0])
-        digits = min(_Z_DOWN_MAX_DPS, need)
+        digits = min(_MAX_DPS, need)
     if diagnostics is not None:
         diagnostics["escalated_digits"] = digits
     return (min(max(vals[0], 0.0), 1.0),) + vals[1:]
@@ -556,9 +543,6 @@ class KCoefficients:
             raise ConvergenceError(
                 f"reciprocal scale function lost positivity at x={x} (interval {self.k})")
         return out.log_magnitude
-
-    def to_floats(self) -> List[float]:
-        return [s * math.exp(L) for s, L in zip(self.signs, self.logmags)]
 
 
 @lru_cache(maxsize=100_000)
@@ -623,7 +607,6 @@ def k_up_coeffs(w: float, lam: float, p: float, b: float, k: int) -> KCoefficien
 # eval-time digits of cancellation beyond which the float64 tables are no
 # longer trusted (high p: many slowly-growing intervals, near-cancelling sums)
 _K_EVAL_LOST_OK = 3.0
-_K_MAX_DPS = 400
 
 
 @lru_cache(maxsize=4096)
@@ -714,18 +697,9 @@ def _log_k_sums(w: float, lam: float, p: float, b: float, x: float, k: int,
             return (log_k,)
     except ConvergenceError:
         lost = 12.0  # the recursion itself cancelled out; size the budget blind
-    digits = 30 + int(math.ceil(2.5 * lost))
-    prev = None
-    while digits <= _K_MAX_DPS:
-        cur = _log_k_mp(w, lam, p, b, x, k, digits, slope)
-        if cur is not None and prev is not None and all(
-                abs(c - q) <= 1e-12 * max(1.0, abs(c)) for c, q in zip(cur, prev)):
-            return cur
-        prev = cur
-        digits = int(digits * 1.5) + 10
-    raise ConvergenceError(
-        f"reciprocal scale function cancellation exceeds {_K_MAX_DPS} digits "
-        f"at w={w}, lam={lam}, p={p}, b={b}, x={x}")
+    return _settled_mp(lambda digits: _log_k_mp(w, lam, p, b, x, k, digits, slope),
+                       lost, "reciprocal scale function",
+                       f"w={w}, lam={lam}, p={p}, b={b}, x={x}")
 
 
 def _log_sum_loss(signs, logs) -> Tuple[Optional[float], float]:
@@ -743,33 +717,32 @@ def _log_sum_loss(signs, logs) -> Tuple[Optional[float], float]:
     return None, peak / _LN10
 
 
-def l_up_from_b(w: float, lam: float, p: float, b: float, x: float,
-                ctrl: SeriesControl = DEFAULT_SERIES) -> float:
+def l_up_from_b(w: float, lam: float, p: float, b: float, x: float) -> float:
     """``E[e^{-w tau}; up-exit]`` from start ``b`` for the exit from ``(b, x)``."""
     return math.exp(-_log_k_from_b(w, lam, p, b, x))
 
 
-def l_up(w: float, lam: float, p: float, x: float, a: float, b: float,
-         ctrl: SeriesControl = DEFAULT_SERIES) -> float:
+def l_up(w: float, lam: float, p: float, x: float, a: float, b: float) -> float:
     """Up-exit part of the two-sided exit from ``(b, a)`` started at ``x``.
 
     Returns 0 for ``x < b`` (the start already lies at or below the exit
     region, a convention used by the reflected-process evaluators) and 1
-    for ``x >= a``.
+    for ``x >= a``.  The ratio ``K(x)/K(a)`` is capped at 1: where the
+    down-exit is negligible the two logarithms agree to their rounding,
+    which may put the quotient a few ulps above certainty.
     """
     if x < b:
         return 0.0
     if x >= a:
         return 1.0
-    return math.exp(_log_k_from_b(w, lam, p, b, x) - _log_k_from_b(w, lam, p, b, a))
+    return min(1.0, math.exp(_log_k_from_b(w, lam, p, b, x) - _log_k_from_b(w, lam, p, b, a)))
 
 
 # threshold below which the up-weighted remote term of l_down is dropped
 _L_UP_NEGLIGIBLE = 1e-18
 
 
-def l_down(w: float, lam: float, p: float, x: float, a: float, b: float,
-           ctrl: SeriesControl = DEFAULT_SERIES) -> float:
+def l_down(w: float, lam: float, p: float, x: float, a: float, b: float) -> float:
     """Down-exit part of the two-sided exit from ``(b, a)`` started at ``x``.
 
     Evaluates ``z_down(w; x, b) - l_up(w; x, a, b) z_down(w; a, b)``.  At
@@ -784,11 +757,11 @@ def l_down(w: float, lam: float, p: float, x: float, a: float, b: float,
         return 0.0
     if x == b:
         x = b * (1.0 + 1e-12)
-    zd_x = z_down(w, lam, p, x, b, ctrl)
-    lu = l_up(w, lam, p, x, a, b, ctrl)
+    zd_x = z_down(w, lam, p, x, b)
+    lu = l_up(w, lam, p, x, a, b)
     if lu <= _L_UP_NEGLIGIBLE * zd_x:
         return zd_x
-    val = zd_x - lu * z_down(w, lam, p, a, b, ctrl)
+    val = zd_x - lu * z_down(w, lam, p, a, b)
     if val < -1e-9:
         raise ConvergenceError(
             f"two-sided down part came out significantly negative ({val}) at "

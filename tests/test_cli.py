@@ -245,6 +245,21 @@ class TestPrecedenceAndConfig:
         assert rc == 2
         assert "frobnicate" in err
 
+    @pytest.mark.parametrize("name, value", [("rel_tol", "1e-10"), ("max_terms", "20")])
+    def test_removed_series_controls_are_rejected(self, capsys, tmp_path, name, value):
+        # the series tolerance and term cap are fixed; neither flag nor
+        # config key may pretend to set them, even to a once-valid value
+        point = ("eval", "--kind", "up-one", "--lambda", "1", "--p", "0.5",
+                 "--w", "1", "--x", "1", "--a", "2")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = {value}\n")
+        for extra in (("--" + name.replace("_", "-"), value), ("--config", str(cfg))):
+            rc, out, err = run(capsys, *point, *extra)
+            assert rc == 2 and out == ""
+            assert err.count("\n") == 1
+            assert err.startswith("aimdexit: error: validation:")
+            assert name.replace("_", "-") in err or name in err
+
 
 class TestErrorReporting:
     def test_missing_point_is_a_single_line_validation_error(self, capsys):
@@ -260,9 +275,9 @@ class TestErrorReporting:
         assert "p" in err
 
     def test_convergence_failure_maps_to_exit_three(self, capsys):
+        # the upward series needs more than its 10,000-term cap here
         rc, _, err = run(capsys, "eval", "--kind", "up-one", "--lambda", "2",
-                         "--p", "0.5", "--w", "8", "--x", "0", "--a", "30",
-                         "--max-terms", "16")
+                         "--p", "0.5", "--w", "8", "--x", "0", "--a", "3000")
         assert rc == 3
         assert err.startswith("aimdexit: error: convergence:")
 

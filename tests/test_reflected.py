@@ -306,4 +306,4 @@ class TestControls:
         with pytest.raises(ValidationError):
             QuadratureControl(abs_tol=0.0)
         with pytest.raises(ValidationError):
-            QuadratureControl(max_subdivisions=0)
+            QuadratureControl(rel_tol=0.0)

@@ -5,9 +5,9 @@ import math
 import mpmath as mp
 import pytest
 
-from aimdexit import (ConvergenceError, SeriesControl, ValidationError,
-                      c_tilde, c_tilde_statement_oracle, interval_index,
-                      k_up_coeffs, l_down, l_up, l_up_from_b, z_down,
+from aimdexit import (ConvergenceError, ValidationError, c_tilde,
+                      c_tilde_statement_oracle, interval_index, k_up_coeffs,
+                      l_down, l_up, l_up_from_b, z_down,
                       z_down_renewal_residual, z_up, z_up_zero)
 from aimdexit.scalefn import SignedLogProduct, _signed_logsumexp, z_down_slope
 
@@ -42,19 +42,6 @@ class TestSignedLogProduct:
         direct = sum(vals)
         assert math.isclose(out.sign * math.exp(out.log_magnitude), direct,
                             rel_tol=1e-14)
-
-
-class TestSeriesControl:
-    def test_defaults(self):
-        ctrl = SeriesControl()
-        assert ctrl.rel_tol == 1e-14 and ctrl.max_terms == 10_000
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(rel_tol=0.0), dict(rel_tol=1e-5), dict(max_terms=8),
-    ])
-    def test_rejects_bad_controls(self, kwargs):
-        with pytest.raises(ValidationError):
-            SeriesControl(**kwargs)
 
 
 class TestZUp:
@@ -282,6 +269,12 @@ class TestTwoSidedUp:
         # undiscounted, nearly-certain upward exit: must not exceed one
         lu = l_up(0.0, 1.0, 0.9453125, 2.0, 3.0, 1.0)
         assert 0.999999 < lu <= 1.0
+
+    def test_nearly_certain_up_exit_is_capped_at_one(self):
+        # ten intervals deep the two logarithms of K agree to their rounding;
+        # the uncapped quotient read 1 + 1.1e-13 here
+        b = 0.05078125
+        assert l_up(0.0, 1.0, 0.75, b + 1.0, b + 2.0, b) == 1.0
 
 
 class TestTwoSidedDown:
