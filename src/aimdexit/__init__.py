@@ -20,8 +20,7 @@ Quick start::
 from .evaluate import evaluate
 from .model import (AimdError, ConvergenceError, ExitKind, ExitSpec,
                     ModelParams, ValidationError, normalize)
-from .reflected import (QuadratureControl, drawdown_supremum_survival,
-                        hazard, lst_drawdown,
+from .reflected import (QuadratureControl, hazard, lst_drawdown,
                         lst_drawdown_general_start, lst_drawup,
                         lst_reflected_lower, lst_reflected_upper, solve_a)
 from .scalefn import (c_tilde, interval_index, k_up_coeffs, l_down, l_up,
@@ -41,8 +40,7 @@ __all__ = [
     "z_up", "z_up_zero", "z_down", "c_tilde", "interval_index",
     "k_up_coeffs", "l_up", "l_up_from_b", "l_down",
     "lst_reflected_upper", "lst_reflected_lower", "hazard",
-    "lst_drawdown", "lst_drawdown_general_start", "lst_drawup",
-    "drawdown_supremum_survival", "solve_a",
+    "lst_drawdown", "lst_drawdown_general_start", "lst_drawup", "solve_a",
     "evaluate",
     "Side", "McConfig", "McEstimate",
     "default_horizon_cap", "simulate_exit", "mc_lst",

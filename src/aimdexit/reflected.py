@@ -10,7 +10,9 @@ Four first-passage problems built on the two-sided exit parts from
 * ``lst_drawdown`` — first time the process falls ``c`` below its running
   supremum, resolved through the supremum's exit distribution (hazard of
   losing the race to a new maximum) and the down-exit slope at the level
-  where the supremum stops; both come from exact scale-function slopes.
+  where the supremum stops; both come from exact scale-function slopes,
+  taken once per Gauss node, and the cumulative hazard is integrated from
+  the same nodes.
 * ``lst_drawup`` — first time the process rises ``c`` above its running
   infimum, via the infimum-cascade renewal in :mod:`._drawup`.
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -39,7 +41,6 @@ __all__ = [
     "lst_reflected_upper",
     "lst_reflected_lower",
     "hazard",
-    "drawdown_supremum_survival",
     "lst_drawdown",
     "lst_drawdown_general_start",
     "solve_a",
@@ -49,14 +50,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureControl:
-    """Accuracy policy for the drawdown integrals.
+    """Accuracy policy for the drawdown integral.
 
-    Each integral is evaluated on kink-aware Gauss-Legendre panels and then
+    The integral is evaluated on kink-aware Gauss-Legendre panels and then
     re-evaluated with all panels halved until two successive refinements
     agree to ``max(abs_tol, rel_tol * |value|)``; the last difference is the
     reported error estimate.  At most ``_MAX_ROUNDS`` refinement rounds are
-    run.  Past the last kink level the integrands are known in closed form,
-    so no integral needs a cutoff.
+    run.  Past the last kink level the integrand is known in closed form,
+    so the integral needs no cutoff.
     """
 
     abs_tol: float = 1e-8
@@ -69,26 +70,6 @@ class QuadratureControl:
 
 DEFAULT_QUAD = QuadratureControl()
 _MAX_ROUNDS = 6
-
-
-def _refine(integral: Callable[[int], float], qctrl: QuadratureControl,
-            what: str) -> Tuple[float, float, int]:
-    """``(value, error estimate, rounds)`` of a panel-halving refinement.
-
-    ``integral(split)`` evaluates with every panel split ``split``-fold;
-    the split doubles until two successive values agree to
-    ``max(abs_tol, rel_tol * |value|)``.  Past ``_MAX_ROUNDS`` rounds a
-    :class:`ConvergenceError` carries the last value as its partial result.
-    """
-    prev = integral(1)
-    for round_ in range(1, _MAX_ROUNDS + 1):
-        cur = integral(2 ** round_)
-        err = abs(cur - prev)
-        if err <= max(qctrl.abs_tol, qctrl.rel_tol * abs(cur)):
-            return cur, err, round_
-        prev = cur
-    raise ConvergenceError(f"{what} did not settle after {_MAX_ROUNDS} refinements",
-                           partial=prev)
 
 
 # ---------------------------------------------------------------------------
@@ -187,56 +168,17 @@ def _supremum_breakpoints(x: float, c: float, p: float) -> list:
 
 
 _GL24 = np.polynomial.legendre.leggauss(24)
-_GL8 = np.polynomial.legendre.leggauss(8)
 
 
-def _gl_panel(f: Callable[[float], float], lo: float, hi: float) -> float:
-    nodes, weights = _GL24
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    return float(half * sum(wi * f(mid + half * ni) for ni, wi in zip(nodes, weights)))
+def _cumulative_matrix(nodes: np.ndarray) -> np.ndarray:
+    """``M`` with ``(M @ f)[i]`` the integral over ``[-1, nodes[i]]`` of the
+    Legendre interpolant through the values ``f`` at ``nodes``."""
+    leg = np.polynomial.legendre
+    coeffs = np.linalg.inv(leg.legvander(nodes, len(nodes) - 1))
+    return leg.legval(nodes, leg.legint(coeffs, lbnd=-1)).T
 
 
-def drawdown_supremum_survival(lam: float, p: float, x: float, y: float, c: float,
-                               qctrl: QuadratureControl = DEFAULT_QUAD) -> float:
-    """Probability the running supremum exceeds ``y`` before the drawdown hits ``c``.
-
-    ``exp(-integral_x^y h_0(z) dz)`` with the undiscounted hazard.  Beyond
-    the last kink level ``c/(1-p)`` the hazard is exactly ``lam`` (any jump
-    ends the race there), so that stretch integrates in closed form; the
-    finite head uses kink-aware panels with halving refinement.
-    """
-    _require(x > c > 0.0, f"survival needs x > c > 0, got x={x}, c={c}")
-    _require(y >= x, f"survival needs y >= x, got x={x}, y={y}")
-    if y == x:
-        return 1.0
-    if lam == 0.0:
-        return 1.0  # hazard vanishes: the supremum grows forever
-    z1 = c / (1.0 - p)
-    head_hi = min(y, max(z1, x))
-    tail = lam * max(0.0, y - max(z1, x))
-    if head_hi <= x:
-        return math.exp(-tail)
-    bps = [z for z in _supremum_breakpoints(x, c, p) if z < head_hi]
-    raw = [x] + bps + [head_hi]
-
-    def integrate(split: int) -> float:
-        total = 0.0
-        for lo, hi in zip(raw[:-1], raw[1:]):
-            if hi - lo <= 1e-15 * head_hi:
-                continue
-            for i in range(split):
-                a0 = lo + (hi - lo) * i / split
-                b0 = lo + (hi - lo) * (i + 1) / split
-                total += _gl_panel(lambda z: hazard(0.0, lam, p, z, c), a0, b0)
-        return total
-
-    try:
-        head = _refine(integrate, qctrl, "survival integral")[0]
-    except ConvergenceError as exc:
-        exc.partial = math.exp(-(exc.partial + tail))
-        raise
-    return math.exp(-(head + tail))
+_CUM24 = _cumulative_matrix(_GL24[0])
 
 
 def _drawdown_value(w: float, lam: float, p: float, x: float, c: float,
@@ -245,44 +187,32 @@ def _drawdown_value(w: float, lam: float, p: float, x: float, c: float,
 
     Integrates ``exp(-H_w(y)) [h_w(y) Z(y) - Z'(y)]`` over ``(x, z1)``, with
     ``Z`` the downward transform for the barrier ``y - c`` and ``z1 =
-    c/(1-p)`` the knee (``x < z1`` here).  ``H_w`` advances incrementally
-    between quadrature nodes.  Past the knee ``h_w = w + lam`` and ``h_w Z -
-    Z' = lam``, so the rest of the integral is ``exp(-H_w(z1)) lam/(lam+w)``.
+    c/(1-p)`` the knee (``x < z1`` here).  The hazard is evaluated once at
+    each Gauss node; ``H_w`` at the nodes is the integral of its interpolant
+    through them, and at the panel end their Gauss sum.  Past the knee
+    ``h_w = w + lam`` and ``h_w Z - Z' = lam``, so the rest of the integral
+    is ``exp(-H_w(z1)) lam/(lam+w)``.
     """
-    g = w + lam
+    nodes, weights = _GL24
     ends = [x]
     for e in _supremum_breakpoints(x, c, p):  # ascending; the last is z1
         if e > ends[-1] + 1e-15:
             ends.append(e)
-    panels = []
-    for a0, b0 in zip(ends[:-1], ends[1:]):
-        for i in range(split):
-            panels.append((a0 + (b0 - a0) * i / split,
-                           a0 + (b0 - a0) * (i + 1) / split))
-
-    nodes24, weights24 = _GL24
-    nodes8, weights8 = _GL8
-
-    def cumulative(lo: float, hi: float) -> float:
-        ih = 0.5 * (hi - lo)
-        ts = ih * nodes8 + 0.5 * (hi + lo)
-        return sum(tw * hazard(w, lam, p, t, c) for t, tw in zip(ts, ih * weights8))
-
     H_w = 0.0
     total = 0.0
-    for (aa, bb) in panels:
-        half = 0.5 * (bb - aa)
-        ys = half * nodes24 + 0.5 * (bb + aa)
-        ws = half * weights24
-        prev = aa
-        for y, wt in zip(ys, ws):
-            H_w += cumulative(prev, y)
-            zd, dzd = z_down_slope(w, lam, p, y, y - c)
-            total += wt * math.exp(-H_w) * (hazard(w, lam, p, y, c) * zd - dzd)
-            prev = y
-        H_w += cumulative(prev, bb)
-    total += math.exp(-H_w) * lam / g
-    return float(total)  # the Gauss weights are numpy scalars; shed the wrapper
+    for a0, b0 in zip(ends[:-1], ends[1:]):
+        for i in range(split):
+            aa = a0 + (b0 - a0) * i / split
+            bb = a0 + (b0 - a0) * (i + 1) / split
+            half = 0.5 * (bb - aa)
+            ys = half * nodes + 0.5 * (bb + aa)
+            hs = np.array([hazard(w, lam, p, y, c) for y in ys])
+            zd, dzd = np.array([z_down_slope(w, lam, p, y, y - c) for y in ys]).T
+            survival = np.exp(-(H_w + half * (_CUM24 @ hs)))
+            total += half * (weights @ (survival * (hs * zd - dzd)))
+            H_w += half * (weights @ hs)
+    total += math.exp(-H_w) * lam / (w + lam)
+    return float(total)  # numpy scalars; shed the wrapper
 
 
 def lst_drawdown(w: float, lam: float, p: float, x: float, c: float,
@@ -309,8 +239,17 @@ def lst_drawdown(w: float, lam: float, p: float, x: float, c: float,
         # opens a drawdown of (1-p) y >= (1-p) x >= c: the exit time is
         # exactly the first jump time
         return lam / (lam + w)
-    value, err, rounds = _refine(
-        lambda split: _drawdown_value(w, lam, p, x, c, split), qctrl, "drawdown integral")
+    prev = _drawdown_value(w, lam, p, x, c, 1)
+    for rounds in range(1, _MAX_ROUNDS + 1):
+        value = _drawdown_value(w, lam, p, x, c, 2 ** rounds)
+        err = abs(value - prev)
+        if err <= max(qctrl.abs_tol, qctrl.rel_tol * abs(value)):
+            break
+        prev = value
+    else:
+        raise ConvergenceError(
+            f"drawdown integral did not settle after {_MAX_ROUNDS} refinements",
+            partial=prev)
     if diagnostics is not None:
         diagnostics.update(quad_error=err, refinement_rounds=rounds)
     return min(max(value, 0.0), 1.0)

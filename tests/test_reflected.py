@@ -5,13 +5,15 @@ import math
 import mpmath as mp
 import pytest
 
-from aimdexit import (ExitKind, ExitSpec, McConfig, ModelParams,
-                      QuadratureControl, ValidationError,
-                      default_horizon_cap, drawdown_supremum_survival, hazard,
-                      l_up, lst_drawdown, lst_drawdown_general_start,
-                      lst_drawup, lst_reflected_lower, lst_reflected_upper,
-                      mc_lst, solve_a, z_down, z_up)
-from aimdexit.scalefn import _k_tables_mp, _log_k_from_b, interval_index
+from aimdexit import (ConvergenceError, ExitKind, ExitSpec, McConfig,
+                      ModelParams, QuadratureControl, ValidationError,
+                      default_horizon_cap, hazard, l_down, l_up, lst_drawdown,
+                      lst_drawdown_general_start, lst_drawup,
+                      lst_reflected_lower, lst_reflected_upper, mc_lst,
+                      solve_a, z_down, z_up)
+from aimdexit import reflected
+from aimdexit.scalefn import (_k_tables_mp, _log_k_from_b, interval_index,
+                              z_down_slope)
 
 
 class TestReflectedUpper:
@@ -126,13 +128,40 @@ class TestHazard:
                 assert math.isclose(h, exact_mp(w, z), rel_tol=1e-12), (w, z)
 
 
-class TestDrawdownSupremumSurvival:
-    def test_is_a_survival_function_in_y(self):
-        lam, p, x, c = 1.0, 0.5, 1.5, 1.0
-        ys = (1.5, 1.8, 2.2, 3.0, 5.0)
-        vals = [drawdown_supremum_survival(lam, p, x, y, c) for y in ys]
-        assert all(0.0 <= v <= 1.0 for v in vals)
-        assert all(v0 >= v1 - 1e-12 for v0, v1 in zip(vals, vals[1:]))
+    # (w, lam, p, c) below the knee; the p=0.8 rows reach the escalated
+    # z_down near z = c
+    FIRST_STEP = [(0.5, 1.0, 0.5, 1.0), (0.0, 1.0, 0.5, 1.0), (1.0, 2.0, 0.3, 0.6),
+                  (0.5, 1.0, 0.8, 3.0), (0.0, 1.0, 0.8, 3.0), (0.5, 0.5, 0.8, 6.0)]
+
+    @staticmethod
+    def _levels(p, c):
+        knee = c / (1.0 - p)
+        return [c + f * (knee - c) for f in (0.05, 0.25, 0.5, 0.75, 0.98)]
+
+    @pytest.mark.parametrize("w, lam, p, c", FIRST_STEP)
+    def test_matches_first_step_through_the_up_exit(self, w, lam, p, c):
+        # at the top z of the strip (z - c, z) the race ends at rate w + lam
+        # unless the jump to p z climbs back to z first.  Absolute
+        # tolerance: h_0 goes to 0 near z = c
+        for z in self._levels(p, c):
+            first_step = (w + lam) - lam * l_up(w, lam, p, p * z, z, z - c)
+            assert abs(hazard(w, lam, p, z, c) - first_step) <= 1e-12 * (w + lam), z
+
+    @pytest.mark.parametrize("w, lam, p, c", [case for case in FIRST_STEP if case[0] > 0.0])
+    def test_drawdown_integrand_matches_first_step_through_the_down_exit(self, w, lam, p, c):
+        # h Z - Z' is the rate of leaving (y - c, y) downward from the top
+        # y: a jump to p y, then the down exit before y comes back.  (At
+        # w = 0 the integrand is h_0 itself and the check above covers it.)
+        escalated = 0
+        for y in self._levels(p, c):
+            diags = {}
+            z_down(w, lam, p, y, y - c, diagnostics=diags)
+            escalated += diags["escalated_digits"] > 0
+            zd, dzd = z_down_slope(w, lam, p, y, y - c)
+            integrand = hazard(w, lam, p, y, c) * zd - dzd
+            first_step = lam * l_down(w, lam, p, p * y, y, y - c)
+            assert abs(integrand - first_step) <= 1e-14 * lam, y
+        assert escalated or p < 0.8  # the p=0.8 rows reach mpmath
 
 
 class TestDrawdown:
@@ -184,6 +213,29 @@ class TestDrawdown:
                               horizon_cap=default_horizon_cap(w, lam), w=w))
         assert est.std_error > 0.0
         assert abs(val - est.mean) <= 4.0 * est.std_error, (val, est)
+
+    @pytest.mark.parametrize("x, p, c, panels", [(1.5, 0.5, 1.0, 1), (3.0, 0.8, 1.5, 3)])
+    def test_one_hazard_call_per_gauss_node(self, monkeypatch, x, p, c, panels):
+        # the cumulative hazard comes from the hazard values at the panel's
+        # own 24 Gauss nodes; a round-1 answer evaluates every panel whole
+        # and halved, so 3 * 24 nodes per panel
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return hazard(*args)
+        monkeypatch.setattr(reflected, "hazard", counted)
+        diags = {}
+        lst_drawdown(0.5, 1.0, p, x, c, diagnostics=diags)
+        assert diags["refinement_rounds"] == 1
+        assert len(calls) == 3 * 24 * panels
+
+    def test_unsettled_refinement_raises_with_the_last_raw_integral(self, monkeypatch):
+        # an integral that halves with every panel split never settles
+        monkeypatch.setattr(reflected, "_drawdown_value", lambda *args: 0.5 / args[-1])
+        with pytest.raises(ConvergenceError) as info:
+            lst_drawdown(0.5, 1.0, 0.5, 1.5, 1.0)
+        assert info.value.partial == 0.5 / 2 ** reflected._MAX_ROUNDS
 
     def test_quadrature_path_returns_builtin_float(self):
         # the Gauss weights are numpy scalars; a leaked np.float64 would
