@@ -1,11 +1,12 @@
 """Drawup passage transform via renewal over the running-infimum cascade.
 
 The drawup time is the first moment the process exceeds its running infimum
-by ``c``.  Starting inside the active strip ``[m, m + c]`` (``m`` = current
-infimum), the discounted exit value ``g`` solves the renewal equation
+by ``c``.  At jump rate 1, as in :mod:`.scalefn`, and starting inside the
+active strip ``[m, m + c]`` (``m`` = current infimum), the discounted exit
+value ``g`` solves the renewal equation
 
-    g(v) = e^{-(lam+w)(m+c-v)}
-           + integral_v^{m+c} lam e^{-(lam+w)(s-v)} chi(p s) ds,
+    g(v) = e^{-(1+w)(m+c-v)}
+           + integral_v^{m+c} e^{-(1+w)(s-v)} chi(p s) ds,
 
 where the post-jump value ``chi(y)`` is ``g(y)`` while the jump lands inside
 the strip (``y > m``) and equals the *fresh-start* value ``psi(y)`` when the
@@ -14,7 +15,7 @@ definition of a restart at the bottom of a fresh strip.
 
 ``psi`` is computed bottom-up on a geometric grid of infimum levels: far
 below the start the jump rate out of a strip of width ``c`` is negligible
-(reaching ``m + c`` needs no jumps once ``lam * m`` is tiny), so
+(reaching ``m + c`` needs no jumps once ``m`` is tiny), so
 ``psi(y) -> z_up(w; y, y + c)``, the jump-free ascent transform, which seeds
 the cascade.  Each level is then solved by piecewise-Chebyshev collocation
 of the renewal equation, with panel edges on the kink set ``{m p^{-j}}``
@@ -73,11 +74,11 @@ class _StripSolver:
     ``m p^{-j}`` (capped at ``_KINK_CAP``, always keeping ``m / p`` where the
     integrand's first branch switch occurs — deeper kinks are only
     C^1-discontinuities of already-solved levels and merge safely), then
-    refined so no panel is wider than ``2.5 / (lam + w)``.
+    refined so no panel is wider than ``2.5 / (1 + w)``.
     """
 
-    def __init__(self, w, lam, p, m, c, psi_eval):
-        gw = lam + w
+    def __init__(self, w, p, m, c, psi_eval):
+        gw = 1.0 + w
         top = m + c
         kinks = []
         e = m
@@ -109,7 +110,7 @@ class _StripSolver:
         self.edges, self.V, self.npan = edges, V, npan
         self.m, self.top = m, top
 
-        # Per-panel contributions C_q = int_panel lam e^{-gw (s - a_q)} chi(p s) ds,
+        # Per-panel contributions C_q = int_panel e^{-gw (s - a_q)} chi(p s) ds,
         # split into a known part (psi side of chi) and an unknown-row part (g side).
         Crow = np.zeros((npan, M))
         Ccst = np.zeros(npan)
@@ -135,7 +136,7 @@ class _StripSolver:
             a0, b0 = edges[q], edges[q + 1]
             half = (b0 - a0) / 2.0
             s = a0 + half * (_GLX + 1.0)
-            wq = lam * _GLW * half * np.exp(-gw * (s - a0))
+            wq = _GLW * half * np.exp(-gw * (s - a0))
             Ccst[q] += accumulate(s, wq, Crow[q], 0.0)
 
         # suffix sums S_q = C_q + link_q S_{q+1}, so the tail of the integral
@@ -157,7 +158,7 @@ class _StripSolver:
                 if b0 - vi > 1e-300:  # partial integral over [vi, b0]
                     half = (b0 - vi) / 2.0
                     s = vi + half * (_GLX + 1.0)
-                    wqr = lam * _GLW * half * np.exp(-gw * (s - vi))
+                    wqr = _GLW * half * np.exp(-gw * (s - vi))
                     rhs[i] += accumulate(s, wqr, K[i], 0.0)
                 fac = math.exp(-gw * (b0 - vi))
                 K[i] += fac * Srow[q + 1]
@@ -176,18 +177,19 @@ class _StripSolver:
         return float(self.g[0])
 
 
-def drawup_lst(w: float, lam: float, p: float, x: float, u: float, c: float,
+def drawup_lst(w: float, p: float, x: float, u: float, c: float,
                tol: float = 1e-7, *, diagnostics: Optional[dict] = None) -> float:
     """LST of the first time the process rises ``c`` above its running infimum.
 
-    ``u`` is the infimum already recorded at time zero (``0 <= u <= x``).
+    Posed at jump rate 1.  ``u`` is the infimum already recorded at time
+    zero (``0 <= u <= x``).
     With no recorded infimum yet below the start (``u == 0``, where 0 acts
     as the worst-case floor) the event reduces to plain ascent to ``c``.
     Otherwise the value is obtained from the infimum-cascade renewal
     described in the module docstring.
 
     ``tol`` controls the cascade truncation depth: generation ``G`` is
-    chosen so the remaining mass ``(lam/(lam+w))^G`` times a bound on the
+    chosen so the remaining mass ``(1/(1+w))^G`` times a bound on the
     jump activity at depth ``G`` falls below it.  The infimum grid has
     ``max(4, ceil(10 log(1/p)))`` levels per factor ``1/p`` of depth.
     """
@@ -195,15 +197,13 @@ def drawup_lst(w: float, lam: float, p: float, x: float, u: float, c: float,
     _require(c > 0.0, f"drawup needs c > 0, got {c}")
     if w == 0.0 or x >= u + c:
         return 1.0
-    if lam == 0.0:
-        return math.exp(-w * (u + c - x))
     if u == 0.0:
-        return z_up(w, lam, p, x, c) if x < c else 1.0
-    eta = lam / (lam + w)
+        return z_up(w, p, x, c) if x < c else 1.0
+    eta = 1.0 / (1.0 + w)
     G, cap = 1, 160
     while G < cap:
         y = u * p ** G
-        if eta ** G * min(1.0, 3.0 * lam * y * (1.0 / p - 1.0)) <= tol:
+        if eta ** G * min(1.0, 3.0 * y * (1.0 / p - 1.0)) <= tol:
             break
         G += 1
     n_per = max(4, int(math.ceil(math.log(1.0 / p) / 0.1)))
@@ -215,7 +215,7 @@ def drawup_lst(w: float, lam: float, p: float, x: float, u: float, c: float,
     psi = np.full(J + 4, np.nan)
     ycut = levels[J]
     for jj in range(J + 1, J + 4):
-        psi[jj] = z_up(w, lam, p, levels[jj], levels[jj] + c)
+        psi[jj] = z_up(w, p, levels[jj], levels[jj] + c)
     min_idx = [J + 1]  # lowest index already computed (shrinks as cascade ascends)
 
     def psi_eval(ys):
@@ -223,7 +223,7 @@ def drawup_lst(w: float, lam: float, p: float, x: float, u: float, c: float,
         out = np.empty_like(ys)
         for ii, y in enumerate(ys):
             if y <= ycut:
-                out[ii] = z_up(w, lam, p, y, y + c)
+                out[ii] = z_up(w, p, y, y + c)
                 continue
             pos = (logu - math.log(y)) / h
             j0 = int(math.floor(pos)) - 1
@@ -241,7 +241,7 @@ def drawup_lst(w: float, lam: float, p: float, x: float, u: float, c: float,
 
     for j in range(J, -1, -1):
         min_idx[0] = j + 1
-        strip = _StripSolver(w, lam, p, float(levels[j]), c, psi_eval)
+        strip = _StripSolver(w, p, float(levels[j]), c, psi_eval)
         psi[j] = strip.bottom
         if j == 0:
             if diagnostics is not None:

@@ -280,7 +280,7 @@ def _cmd_eval(res: Dict[str, object]) -> int:
 
 def _sim_config(res: Dict[str, object], params: ModelParams, w: float) -> McConfig:
     cap = res["cap"] if res.get("cap") is not None \
-        else default_horizon_cap(w, max(params.lam, 1e-12))
+        else default_horizon_cap(w, params.lam)
     return McConfig(n_paths=res["paths"], seed=res["seed"], horizon_cap=cap, w=w)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from .model import ExitKind, ExitSpec, ModelParams, normalize
@@ -9,6 +10,7 @@ from .reflected import (DEFAULT_QUAD, QuadratureControl, lst_drawdown,
                         lst_drawdown_general_start, lst_drawup,
                         lst_reflected_lower, lst_reflected_upper)
 from .scalefn import l_down, l_up, z_down, z_up
+from .simulator import Side, _drift_only_exit
 
 __all__ = ["evaluate"]
 
@@ -19,39 +21,44 @@ def evaluate(params: ModelParams, spec: ExitSpec, w: float,
              diagnostics: Optional[dict] = None) -> float:
     """Laplace-Stieltjes transform ``E[e^{-w tau}]`` of the requested exit time.
 
-    Normalizes the slope to 1 (rescaling ``lam`` and ``w``), then
-    dispatches on the exit kind.  ``qctrl`` governs the drawdown
-    quadrature and ``drawup_tol`` the drawup cascade depth.
+    Normalizes the slope to 1, then measures time and level in units of
+    ``1/lam``: the evaluators take ``w/lam`` and ``lam`` times each level.
+    Without jumps (``lam == 0``, or ``w/lam`` overflowing, where an exit
+    that needs a jump weighs below ``lam/w < 1e-308``) the exit is the
+    drift-only one: ``e^{-w tau}`` on the wanted side, else 0.  ``qctrl``
+    governs the drawdown quadrature and ``drawup_tol`` the drawup cascade depth.
     ``diagnostics``, when given a dict, is filled with evaluator internals
     where the kind reports them: series terms used (up-one), interval
     index and escalated digits (down-one), quadrature error and refinement
     rounds (drawdown), and cascade depth (drawup).
     """
     nparams, spec, w = normalize(params, spec, w)
-    lam, p = nparams.lam, nparams.p
-    kind = spec.kind
+    lam, p, kind = nparams.lam, nparams.p, spec.kind
+    if lam == 0.0 or w / lam == math.inf:
+        tau, side = _drift_only_exit(kind, spec, math.inf)
+        if side is Side.CENSORED or kind is ExitKind.TWO_SIDED_DOWN:
+            return 0.0  # no exit, or the upward one where the lower end is wanted
+        return math.exp(-w * tau)
+    w /= lam
+    x, a, b, c, u, xbar0 = (None if v is None else lam * v for v in
+                            (spec.x, spec.a, spec.b, spec.c, spec.u, spec.xbar0))
     if kind is ExitKind.UP_ONE:
-        return z_up(w, lam, p, spec.x, spec.a, diagnostics=diagnostics)
+        return z_up(w, p, x, a, diagnostics=diagnostics)
     if kind is ExitKind.DOWN_ONE:
-        if lam == 0.0:
-            return 0.0  # no jumps, no downward crossing, ever
-        if w == 0.0:
-            return 1.0
-        return z_down(w, lam, p, spec.x, spec.b, diagnostics=diagnostics)
+        return z_down(w, p, x, b, diagnostics=diagnostics)
     if kind is ExitKind.TWO_SIDED_UP:
-        return l_up(w, lam, p, spec.x, spec.a, spec.b)
+        return l_up(w, p, x, a, b)
     if kind is ExitKind.TWO_SIDED_DOWN:
-        return l_down(w, lam, p, spec.x, spec.a, spec.b)
+        return l_down(w, p, x, a, b)
     if kind is ExitKind.REFL_UPPER_DOWN:
-        return lst_reflected_upper(w, lam, p, spec.x, spec.a, spec.c)
+        return lst_reflected_upper(w, p, x, a, c)
     if kind is ExitKind.REFL_LOWER_UP:
-        return lst_reflected_lower(w, lam, p, spec.x, spec.c, spec.b)
+        return lst_reflected_lower(w, p, x, c, b)
     if kind is ExitKind.DRAWDOWN:
-        if spec.xbar0 is not None:
-            return lst_drawdown_general_start(w, lam, p, spec.x, spec.xbar0, spec.c,
-                                              qctrl, diagnostics=diagnostics)
-        return lst_drawdown(w, lam, p, spec.x, spec.c, qctrl, diagnostics=diagnostics)
+        if xbar0 is not None:
+            return lst_drawdown_general_start(w, p, x, xbar0, c, qctrl,
+                                              diagnostics=diagnostics)
+        return lst_drawdown(w, p, x, c, qctrl, diagnostics=diagnostics)
     if kind is ExitKind.DRAWUP:
-        return lst_drawup(w, lam, p, spec.x, spec.u, spec.c,
-                          tol=drawup_tol, diagnostics=diagnostics)
+        return lst_drawup(w, p, x, u, c, tol=drawup_tol, diagnostics=diagnostics)
     raise AssertionError(f"unhandled kind {kind!r}")

@@ -1,7 +1,7 @@
 """Exit transforms of the reflected AIMD process.
 
 Four first-passage problems built on the two-sided exit parts from
-:mod:`.scalefn`:
+:mod:`.scalefn`, and like them posed at jump rate 1:
 
 * ``lst_reflected_upper`` — process reflected (jump-truncated) at an upper
   level ``a``; passage below ``c``.
@@ -77,7 +77,7 @@ _MAX_ROUNDS = 6
 # ---------------------------------------------------------------------------
 
 
-def lst_reflected_upper(w: float, lam: float, p: float, x: float, a: float, c: float) -> float:
+def lst_reflected_upper(w: float, p: float, x: float, a: float, c: float) -> float:
     """LST of the passage below ``c`` for the process truncated at ``a``.
 
     Jumps fire from ``min(level, a)``: the pre-jump position is capped at
@@ -88,23 +88,20 @@ def lst_reflected_upper(w: float, lam: float, p: float, x: float, a: float, c: f
     """
     _require(0.0 < c < a, f"reflected-upper needs 0 < c < a, got c={c}, a={a}")
     _require(c <= x <= a, f"reflected-upper needs c <= x <= a, got x={x}")
-    if lam == 0.0:
-        return 0.0  # no jumps: the barrier is never left downward
     if w == 0.0:
         return 1.0
-    g = w + lam
-    ld = l_down(w, lam, p, x, a, c)
-    lu = l_up(w, lam, p, x, a, c)
+    g = w + 1.0
+    ld = l_down(w, p, x, a, c)
+    lu = l_up(w, p, x, a, c)
     if p * a > c:
         # post-jump level p*a is still inside (c, a): geometric recursion
         # over returns to the barrier
-        e_pa = l_down(w, lam, p, p * a, a, c) \
-            / (1.0 - (lam / g) * l_up(w, lam, p, p * a, a, c))
-        return ld + lu * (lam / g) * e_pa
-    return ld + lu * lam / g
+        e_pa = l_down(w, p, p * a, a, c) / (1.0 - (1.0 / g) * l_up(w, p, p * a, a, c))
+        return ld + lu * (1.0 / g) * e_pa
+    return ld + lu / g
 
 
-def lst_reflected_lower(w: float, lam: float, p: float, x: float, c: float, b: float) -> float:
+def lst_reflected_lower(w: float, p: float, x: float, c: float, b: float) -> float:
     """LST of the passage up to ``c`` for the process reflected at ``b``.
 
     Downward jumps are truncated at ``b`` (the post-jump position is
@@ -116,17 +113,17 @@ def lst_reflected_lower(w: float, lam: float, p: float, x: float, c: float, b: f
     _require(0.0 < b <= x < c, f"reflected-lower needs 0 < b <= x < c, got x={x}, c={c}, b={b}")
     if w == 0.0:
         return 1.0
-    lu = l_up(w, lam, p, x, c, b)
-    ld = l_down(w, lam, p, x, c, b)
+    lu = l_up(w, p, x, c, b)
+    ld = l_down(w, p, x, c, b)
     if ld == 0.0:
         return lu
-    ret = l_down(w, lam, p, b, c, b)
+    ret = l_down(w, p, b, c, b)
     den = 1.0 - ret
     if den < 1e-14:
         raise ConvergenceError(
             f"reflected-lower restart weight too close to 1 (1 - {ret}) at "
-            f"w={w}, lam={lam}, p={p}, c={c}, b={b}")
-    return lu + ld * l_up(w, lam, p, b, c, b) / den
+            f"w={w}, p={p}, c={c}, b={b}")
+    return lu + ld * l_up(w, p, b, c, b) / den
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +131,19 @@ def lst_reflected_lower(w: float, lam: float, p: float, x: float, c: float, b: f
 # ---------------------------------------------------------------------------
 
 
-def hazard(w: float, lam: float, p: float, z: float, c: float) -> float:
-    """Exit intensity of the supremum race at level ``z`` with window ``c``.
-
+def hazard(w: float, p: float, z: float, c: float) -> float:
+    """Exit intensity of the supremum race at level ``z`` with window ``c``,
+    in units of the jump rate (at rate ``lam``, ``lam * hazard(w/lam, p,
+    lam*z, lam*c)``).
     Equals the negative right-derivative, in the upper level ``a``, of the
     up-exit transform ``K(z)/K(a)`` of the strip ``(z - c, a)`` started at
     ``z``, taken at ``a = z``: the right slope ``K'(z)/K(z)`` of the
     reciprocal scale function for the barrier ``b = z - c``, summed exactly
     from its interval table.  At and beyond the knee ``c/(1-p)`` any jump
-    ends the race and the slope is ``w + lam``.
+    ends the race and the slope is ``w + 1``.
     """
     _require(z > c > 0.0, f"hazard needs z > c > 0, got z={z}, c={c}")
-    if w + lam == 0.0:
-        return 0.0  # no clock and no discount: nothing ends the race
-    return _k_log_slope(w, lam, p, z - c, z)
+    return _k_log_slope(w, p, z - c, z)
 
 
 def _supremum_breakpoints(x: float, c: float, p: float) -> list:
@@ -181,8 +177,7 @@ def _cumulative_matrix(nodes: np.ndarray) -> np.ndarray:
 _CUM24 = _cumulative_matrix(_GL24[0])
 
 
-def _drawdown_value(w: float, lam: float, p: float, x: float, c: float,
-                    split: int) -> float:
+def _drawdown_value(w: float, p: float, x: float, c: float, split: int) -> float:
     """One resolution level of the drawdown integral (panels split ``split``-fold).
 
     Integrates ``exp(-H_w(y)) [h_w(y) Z(y) - Z'(y)]`` over ``(x, z1)``, with
@@ -190,8 +185,8 @@ def _drawdown_value(w: float, lam: float, p: float, x: float, c: float,
     c/(1-p)`` the knee (``x < z1`` here).  The hazard is evaluated once at
     each Gauss node; ``H_w`` at the nodes is the integral of its interpolant
     through them, and at the panel end their Gauss sum.  Past the knee
-    ``h_w = w + lam`` and ``h_w Z - Z' = lam``, so the rest of the integral
-    is ``exp(-H_w(z1)) lam/(lam+w)``.
+    ``h_w = w + 1`` and ``h_w Z - Z' = 1``, so the rest of the integral
+    is ``exp(-H_w(z1)) / (w + 1)``.
     """
     nodes, weights = _GL24
     ends = [x]
@@ -206,16 +201,16 @@ def _drawdown_value(w: float, lam: float, p: float, x: float, c: float,
             bb = a0 + (b0 - a0) * (i + 1) / split
             half = 0.5 * (bb - aa)
             ys = half * nodes + 0.5 * (bb + aa)
-            hs = np.array([hazard(w, lam, p, y, c) for y in ys])
-            zd, dzd = np.array([z_down_slope(w, lam, p, y, y - c) for y in ys]).T
+            hs = np.array([hazard(w, p, y, c) for y in ys])
+            zd, dzd = np.array([z_down_slope(w, p, y, y - c) for y in ys]).T
             survival = np.exp(-(H_w + half * (_CUM24 @ hs)))
             total += half * (weights @ (survival * (hs * zd - dzd)))
             H_w += half * (weights @ hs)
-    total += math.exp(-H_w) * lam / (w + lam)
+    total += math.exp(-H_w) / (w + 1.0)
     return float(total)  # numpy scalars; shed the wrapper
 
 
-def lst_drawdown(w: float, lam: float, p: float, x: float, c: float,
+def lst_drawdown(w: float, p: float, x: float, c: float,
                  qctrl: QuadratureControl = DEFAULT_QUAD, *,
                  diagnostics: Optional[dict] = None) -> float:
     """LST of the first time the process falls ``c`` below its running supremum.
@@ -230,18 +225,16 @@ def lst_drawdown(w: float, lam: float, p: float, x: float, c: float,
     halving until two rounds agree.
     """
     _require(x > c > 0.0, f"drawdown needs x > c > 0, got x={x}, c={c}")
-    if lam == 0.0:
-        return 0.0  # no jumps: the level never leaves its running supremum
     if w == 0.0:
         return 1.0
     if (1.0 - p) * x >= c:
         # the first jump happens at a level >= x, and a jump from level y
         # opens a drawdown of (1-p) y >= (1-p) x >= c: the exit time is
         # exactly the first jump time
-        return lam / (lam + w)
-    prev = _drawdown_value(w, lam, p, x, c, 1)
+        return 1.0 / (1.0 + w)
+    prev = _drawdown_value(w, p, x, c, 1)
     for rounds in range(1, _MAX_ROUNDS + 1):
-        value = _drawdown_value(w, lam, p, x, c, 2 ** rounds)
+        value = _drawdown_value(w, p, x, c, 2 ** rounds)
         err = abs(value - prev)
         if err <= max(qctrl.abs_tol, qctrl.rel_tol * abs(value)):
             break
@@ -255,8 +248,7 @@ def lst_drawdown(w: float, lam: float, p: float, x: float, c: float,
     return min(max(value, 0.0), 1.0)
 
 
-def lst_drawdown_general_start(w: float, lam: float, p: float, x: float,
-                               xbar0: float, c: float,
+def lst_drawdown_general_start(w: float, p: float, x: float, xbar0: float, c: float,
                                qctrl: QuadratureControl = DEFAULT_QUAD, *,
                                diagnostics: Optional[dict] = None) -> float:
     """Drawdown LST when a supremum ``xbar0 >= x`` is already on record.
@@ -275,15 +267,13 @@ def lst_drawdown_general_start(w: float, lam: float, p: float, x: float,
     if xbar0 - c >= x:
         return 1.0
     if xbar0 == x:
-        return lst_drawdown(w, lam, p, x, c, qctrl, diagnostics=diagnostics)
-    if lam == 0.0:
-        return 0.0  # drift rejoins the recorded supremum and never falls back
+        return lst_drawdown(w, p, x, c, qctrl, diagnostics=diagnostics)
     if w == 0.0:
         return 1.0
     b0 = xbar0 - c
-    down = l_down(w, lam, p, x, xbar0, b0)
-    up = l_up(w, lam, p, x, xbar0, b0)
-    return down + up * lst_drawdown(w, lam, p, xbar0, c, qctrl, diagnostics=diagnostics)
+    down = l_down(w, p, x, xbar0, b0)
+    up = l_up(w, p, x, xbar0, b0)
+    return down + up * lst_drawdown(w, p, xbar0, c, qctrl, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +281,7 @@ def lst_drawdown_general_start(w: float, lam: float, p: float, x: float,
 # ---------------------------------------------------------------------------
 
 
-def solve_a(w: float, lam: float, p: float, c: float, u: float,
-            tol: float = 1e-12) -> float:
+def solve_a(w: float, p: float, c: float, u: float, tol: float = 1e-12) -> float:
     """Level ``a > u + c`` balancing the two-sided split at the drawup boundary.
 
     Solves ``l_up(w; u+c, a, u) = 1 - z_down(w; u+c, u)`` by bracket
@@ -301,11 +290,11 @@ def solve_a(w: float, lam: float, p: float, c: float, u: float,
     """
     _require(w > 0.0, f"solve_a needs w > 0, got {w}")
     _require(c > 0.0 and u > 0.0, f"solve_a needs c > 0 and u > 0, got c={c}, u={u}")
-    target = 1.0 - z_down(w, lam, p, u + c, u)
+    target = 1.0 - z_down(w, p, u + c, u)
     _require(0.0 < target < 1.0, f"degenerate drawup balance target {target}")
 
     def f(a: float) -> float:
-        return l_up(w, lam, p, u + c, a, u) - target
+        return l_up(w, p, u + c, a, u) - target
 
     lo = u + c
     d = max(c, 1.0)
@@ -315,8 +304,7 @@ def solve_a(w: float, lam: float, p: float, c: float, u: float,
         hi = lo + d
         if d > 1e12:
             raise ConvergenceError(
-                f"drawup balance bracket exceeded 1e12 at w={w}, lam={lam}, "
-                f"p={p}, c={c}, u={u}")
+                f"drawup balance bracket exceeded 1e12 at w={w}, p={p}, c={c}, u={u}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -329,7 +317,7 @@ def solve_a(w: float, lam: float, p: float, c: float, u: float,
     return 0.5 * (lo + hi)
 
 
-def lst_drawup(w: float, lam: float, p: float, x: float, u: float, c: float,
+def lst_drawup(w: float, p: float, x: float, u: float, c: float,
                tol: float = 1e-7, diagnostics: Optional[dict] = None) -> float:
     """LST of the first time the process rises ``c`` above its running infimum.
 
@@ -338,4 +326,4 @@ def lst_drawup(w: float, lam: float, p: float, x: float, u: float, c: float,
     ascent over ``c``; otherwise the infimum-cascade renewal solver of
     :mod:`._drawup` applies.  ``tol`` bounds the cascade truncation error.
     """
-    return drawup_lst(w, lam, p, x, u, c, tol=tol, diagnostics=diagnostics)
+    return drawup_lst(w, p, x, u, c, tol=tol, diagnostics=diagnostics)

@@ -10,14 +10,16 @@ Notation used throughout (all levels positive unless stated otherwise):
   for the two-sided exit from ``(b, a)``.
 * ``l_down(w; x, a, b)`` — the matching down-exit part.
 
-``gamma = w + lam`` everywhere.  The ``l_up`` evaluator is built on interval
-coefficient tables for the reciprocal scale function ``K`` (``l_up_from_b =
-1/K``), kept in signed log space so that deep intervals neither overflow nor
-lose their sign pattern.  ``z_down`` combines a geometric closed form with
-two finite exponential sums whose coefficients involve alternating
-q-products; those products are likewise accumulated in signed log space,
-and the final signed summation escalates to arbitrary precision when the
-float64 cancellation estimate exceeds its tolerance.
+Everything here runs at jump rate 1, so ``gamma = w + 1``: a problem at rate
+``lam`` is posed as ``(w/lam, p, lam*levels)``, with the same values.  The
+``l_up`` evaluator is built on interval coefficient tables for the reciprocal
+scale function ``K`` (``l_up_from_b = 1/K``), kept in signed log space so
+that deep intervals neither overflow nor lose their sign pattern.  ``z_down``
+combines a geometric closed form with two finite exponential sums whose
+coefficients involve alternating q-products; those products are likewise
+accumulated in signed log space, and the final signed summation escalates to
+arbitrary precision when the float64 cancellation estimate exceeds its
+tolerance.
 """
 
 from __future__ import annotations
@@ -141,13 +143,13 @@ def _signed_logsumexp(signs, logmags) -> SignedLogProduct:
 # ---------------------------------------------------------------------------
 
 
-def _log_up_denominator(w: float, lam: float, p: float, x: float, *,
+def _log_up_denominator(w: float, p: float, x: float, *,
                         diagnostics: Optional[dict] = None) -> float:
-    """``log(1 + w * sum_{n>=1} x^n/n! * prod_{i=1}^{n-1}(w + lam - lam p^i))``.
+    """``log(1 + w * sum_{n>=1} x^n/n! * prod_{i=1}^{n-1}(w + 1 - p^i))``.
 
     All series terms are nonnegative (each product factor is ``>= w``), so
     the sum is monotone; it is accumulated with a rescaling guard so that
-    arguments with ``(w + lam) x`` in the thousands stay finite.
+    arguments with ``(w + 1) x`` in the thousands stay finite.
     """
     if x < 0.0:
         raise ValidationError(f"level must be >= 0, got {x}")
@@ -159,9 +161,9 @@ def _log_up_denominator(w: float, lam: float, p: float, x: float, *,
     n = 0
     while n < _MAX_TERMS:
         n += 1
-        term *= x * (w + lam - lam * p ** (n - 1)) / n if n > 1 else x
+        term *= x * (w + 1.0 - p ** (n - 1)) / n if n > 1 else x
         total += term
-        if term <= _REL_TOL * total and n > 4 and x * (w + lam) < n:
+        if term <= _REL_TOL * total and n > 4 and x * (w + 1.0) < n:
             # terms now decay at least geometrically; bound the tail
             if diagnostics is not None:
                 diagnostics["series_terms"] = diagnostics.get("series_terms", 0) + n
@@ -175,17 +177,17 @@ def _log_up_denominator(w: float, lam: float, p: float, x: float, *,
             term *= scale
     raise ConvergenceError(
         f"upward series not converged after {_MAX_TERMS} terms "
-        f"(w={w}, lam={lam}, p={p}, x={x})",
+        f"(w={w}, p={p}, x={x})",
         partial=log_scale + math.log1p(total))
 
 
-def z_up_zero(w: float, lam: float, p: float, x: float, *,
+def z_up_zero(w: float, p: float, x: float, *,
               diagnostics: Optional[dict] = None) -> float:
     """LST of the passage time from level 0 up over ``x`` (x >= 0)."""
-    return math.exp(-_log_up_denominator(w, lam, p, x, diagnostics=diagnostics))
+    return math.exp(-_log_up_denominator(w, p, x, diagnostics=diagnostics))
 
 
-def z_up(w: float, lam: float, p: float, x: float, a: float, *,
+def z_up(w: float, p: float, x: float, a: float, *,
          diagnostics: Optional[dict] = None) -> float:
     """LST of the passage time from ``x`` up over ``a`` (0 <= x <= a).
 
@@ -195,8 +197,8 @@ def z_up(w: float, lam: float, p: float, x: float, a: float, *,
     _require(0.0 <= x <= a, f"z_up needs 0 <= x <= a, got x={x}, a={a}")
     if x == a:
         return 1.0
-    return math.exp(_log_up_denominator(w, lam, p, x, diagnostics=diagnostics)
-                    - _log_up_denominator(w, lam, p, a, diagnostics=diagnostics))
+    return math.exp(_log_up_denominator(w, p, x, diagnostics=diagnostics)
+                    - _log_up_denominator(w, p, a, diagnostics=diagnostics))
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +206,11 @@ def z_up(w: float, lam: float, p: float, x: float, a: float, *,
 # ---------------------------------------------------------------------------
 
 
-def c_tilde(w: float, lam: float, p: float, b: float) -> float:
+def c_tilde(w: float, p: float, b: float) -> float:
     """The downward-exit series constant ``C~(w; b)``.
 
     Defined as ``A/B - 1`` with ``A = sum_l t_l`` and ``B = sum_l t_l p^{-l}``
-    where ``t_l = e^{-b gamma p^{-l}} (lam/gamma)^l / prod_{i<=l}(1 - p^{-i})``.
+    where ``t_l = e^{-b gamma p^{-l}} gamma^{-l} / prod_{i<=l}(1 - p^{-i})``.
     Evaluated in the algebraically equivalent cancellation-free form
     ``(A - B)/B``, whose numerator sums ``t_l (1 - p^{-l})`` term by term;
     both series decay super-geometrically thanks to the ``e^{-b gamma p^{-l}}``
@@ -216,10 +218,8 @@ def c_tilde(w: float, lam: float, p: float, b: float) -> float:
     """
     _require(b > 0.0, f"c_tilde needs b > 0, got {b}")
     _require(w > 0.0, f"c_tilde needs w > 0, got {w}")
-    g = w + lam
-    if lam == 0.0:
-        return 0.0
-    log_rate = math.log(lam / g)
+    g = w + 1.0
+    log_rate = math.log(1.0 / g)
     log_p_inv = -math.log(p)
     num = SignedLogProduct.ZERO  # sum_{l>=1} t_l * (1 - p^{-l})
     den = SignedLogProduct.ZERO  # sum_{l>=0} t_l * p^{-l}
@@ -253,7 +253,7 @@ def c_tilde(w: float, lam: float, p: float, b: float) -> float:
         lost = max(peak_num - num.log_magnitude,
                    peak_den - den.log_magnitude) / math.log(10.0)
     if lost > _K_EVAL_LOST_OK:
-        return _c_tilde_escalated(w, lam, p, b, lost)
+        return _c_tilde_escalated(w, p, b, lost)
     if num.sign == 0:
         return 0.0
     ratio = num.times(SignedLogProduct(den.sign, -den.log_magnitude))
@@ -261,13 +261,13 @@ def c_tilde(w: float, lam: float, p: float, b: float) -> float:
 
 
 @lru_cache(maxsize=4096)
-def _c_tilde_escalated(w, lam, p, b, lost: float) -> float:
+def _c_tilde_escalated(w, p, b, lost: float) -> float:
     """Arbitrary-precision rescue of :func:`c_tilde`, digits sized to the loss."""
     def at(digits):
         with mp.workdps(digits):
-            return (float(_c_tilde_mp(w, lam, p, b)),)
+            return (float(_c_tilde_mp(w, p, b)),)
     return _settled_mp(at, lost, "downward-series constant",
-                       f"w={w}, lam={lam}, p={p}, b={b}")[0]
+                       f"w={w}, p={p}, b={b}")[0]
 
 
 def _settled_mp(at: Callable[[int], Optional[Tuple[float, ...]]], lost: float,
@@ -287,13 +287,11 @@ def _settled_mp(at: Callable[[int], Optional[Tuple[float, ...]]], lost: float,
     raise ConvergenceError(f"{what} cancellation exceeds {_MAX_DPS} digits at {where}")
 
 
-def _c_tilde_mp(w, lam, p, b):
+def _c_tilde_mp(w, p, b):
     """Arbitrary-precision twin of :func:`c_tilde` (same cancellation-free form),
     at the working precision of the caller."""
-    w, lam, p, b = map(mp.mpf, (w, lam, p, b))
-    g = w + lam
-    if lam == 0:
-        return mp.mpf(0)
+    w, p, b = map(mp.mpf, (w, p, b))
+    g = w + 1
     num = mp.mpf(0)
     den = mp.mpf(0)
     prod = mp.mpf(1)
@@ -303,7 +301,7 @@ def _c_tilde_mp(w, lam, p, b):
         if l > 0:
             prev = prod
             prod *= (1 - p ** (-l))
-        t_base = mp.e ** (-b * g * p ** (-l)) * (lam / g) ** l
+        t_base = mp.e ** (-b * g * p ** (-l)) * (1 / g) ** l
         den_term = t_base * p ** (-l) / prod
         den += den_term
         if l > 0:
@@ -327,26 +325,25 @@ def _down_interval_count(x: float, b: float, p: float) -> int:
     return k
 
 
-def _z_down_terms_float(w, lam, p, x, b, ct):
+def _z_down_terms_float(w, p, x, b, ct):
     """Signed float64 terms of the downward transform, their rates and the peak.
 
     Every term is a constant times ``e^{rate * x}``, so the slope in ``x`` is
     ``sum(term * rate)``; the constant head term has rate 0.
     """
-    g = w + lam
+    g = w + 1.0
     k0 = _down_interval_count(x, b, p)
-    terms = [(lam / g) ** k0]
+    terms = [(1.0 / g) ** k0]
     rates = [0.0]
     peak = abs(terms[0])
-    log_lam = math.log(lam) if lam > 0.0 else float("-inf")
     # w may be subnormal, where the quotient w/g underflows before its log
     log_w_over_g = math.log(w) - math.log(g)
     for k in range(1, k0):
-        # -(w/g) (-lam)^k p^{k(k-1)/2} sum_i e^{g p^i (x - b p^{-k})}
-        #                                    / (g^k p^i prod_{j != i}(p^i - p^j))
+        # -(w/g) (-1)^k p^{k(k-1)/2} sum_i e^{g p^i (x - b p^{-k})}
+        #                                   / (g^k p^i prod_{j != i}(p^i - p^j))
         shift = x - b * p ** (-k)
-        base = SignedLogProduct((-1) ** (k + 1),  # -(w/g)(-lam)^k sign
-                                log_w_over_g + k * log_lam
+        base = SignedLogProduct((-1) ** (k + 1),  # -(w/g)(-1)^k sign
+                                log_w_over_g
                                 + (k * (k - 1) // 2) * math.log(p) - k * math.log(g))
         for i in range(k):
             denom = SignedLogProduct(1, i * math.log(p))
@@ -364,12 +361,12 @@ def _z_down_terms_float(w, lam, p, x, b, ct):
         log_ct = math.log(abs(ct))
         sign_ct = 1 if ct > 0 else -1
         for k in range(k0):
-            # +(w/g) C~ (-1)^{k+1} (lam/p)^k p^{k(k+1)/2} ... (the p/lam of the
-            # prefactor and one lam/p power cancel; organized lam-safely)
+            # +(w/g) C~ (-1)^{k+1} p^{-k} p^{k(k+1)/2} sum_i e^{g p^i shift}
+            #                                         / (g^k prod_{j != i}(p^i - p^j))
             shift = x - b * p ** (-k)
             base = SignedLogProduct(sign_ct * (-1) ** (k + 1),
                                     log_w_over_g + log_ct
-                                    + k * (log_lam - math.log(p))
+                                    - k * math.log(p)
                                     + (k * (k + 1) // 2) * math.log(p) - k * math.log(g))
             for i in range(k + 1):
                 denom = SignedLogProduct.ONE
@@ -386,15 +383,15 @@ def _z_down_terms_float(w, lam, p, x, b, ct):
     return terms, rates, peak
 
 
-def _z_down_mp(w, lam, p, x, b, dps: int, slope: bool = False) -> Tuple[float, ...]:
+def _z_down_mp(w, p, x, b, dps: int, slope: bool = False) -> Tuple[float, ...]:
     """Arbitrary-precision downward transform: ``(value,)``, or with ``slope``
     ``(value, d/dx value)`` from the same pass over the terms."""
     with mp.workdps(dps):
-        ct = _c_tilde_mp(w, lam, p, b)
-        w_, lam_, p_, x_, b_ = map(mp.mpf, (w, lam, p, x, b))
-        g = w_ + lam_
+        ct = _c_tilde_mp(w, p, b)
+        w_, p_, x_, b_ = map(mp.mpf, (w, p, x, b))
+        g = w_ + 1
         k0 = _down_interval_count(x, b, p)
-        tot = (lam_ / g) ** k0
+        tot = (1 / g) ** k0
         dtot = mp.mpf(0)
 
         def sums(k, n, denom0):
@@ -414,13 +411,13 @@ def _z_down_mp(w, lam, p, x, b, dps: int, slope: bool = False) -> Tuple[float, .
 
         for k in range(1, k0):
             s, ds = sums(k, k, lambda i: g ** k * p_ ** i)
-            pre = (w_ / g) * (-lam_) ** k * p_ ** (k * (k - 1) // 2)
+            pre = (w_ / g) * (-1) ** k * p_ ** (k * (k - 1) // 2)
             tot -= pre * s
             if slope:
                 dtot -= pre * ds
         for k in range(k0):
             s, ds = sums(k, k + 1, lambda i: g ** k)
-            pre = (w_ / g) * ct * (-1) ** (k + 1) * (lam_ / p_) ** k \
+            pre = (w_ / g) * ct * (-1) ** (k + 1) * (1 / p_) ** k \
                 * p_ ** (k * (k + 1) // 2)
             tot += pre * s
             if slope:
@@ -428,42 +425,45 @@ def _z_down_mp(w, lam, p, x, b, dps: int, slope: bool = False) -> Tuple[float, .
         return (float(tot), float(dtot)) if slope else (float(tot),)
 
 
-def z_down(w: float, lam: float, p: float, x: float, b: float, *,
+def z_down(w: float, p: float, x: float, b: float, *,
            diagnostics: Optional[dict] = None) -> float:
     """LST of the passage time from ``x`` to a level ``<= b`` (jump crossing).
 
     ``w == 0`` returns 1 exactly (the crossing is a.s. finite; the series
-    representation degenerates there).  The signed exponential sums are
-    evaluated in float64 with a cancellation estimate; when the estimated
-    error exceeds the tolerance the whole expression is re-summed in
-    arbitrary precision with a digit budget matched to the peak term.
+    representation degenerates there); ``x == b`` takes the right limit (a
+    crossing needs a jump).  The signed exponential sums are evaluated in
+    float64 with a cancellation estimate; when the estimated error exceeds
+    the tolerance the whole expression is re-summed in arbitrary precision
+    with a digit budget matched to the peak term.
     """
     _require(b > 0.0, f"z_down needs b > 0, got b={b}")
-    _require(x > b, f"z_down needs x > b, got x={x}, b={b}")
+    _require(x >= b, f"z_down needs x >= b, got x={x}, b={b}")
     if w == 0.0:
         return 1.0
-    return _z_down_eval(w, lam, p, x, b, diagnostics, slope=False)[0]
+    if x == b:
+        x = b * (1.0 + 1e-12)
+    return _z_down_eval(w, p, x, b, diagnostics, slope=False)[0]
 
 
-def z_down_slope(w: float, lam: float, p: float, x: float, b: float) -> Tuple[float, float]:
+def z_down_slope(w: float, p: float, x: float, b: float) -> Tuple[float, float]:
     """``z_down(w; x, b)`` and its exact slope in ``x``, from one pass over the terms.
 
     The slope differentiates the same exponential sums on the same interval
     (breakpoints ``b p^{-k}`` tie to the lower interval, as the value does)
     and must meet the float64 cancellation check alongside the value: the
-    slope scale is ``w + lam``, since ``|d/dx z_down| <= lam``.
+    slope scale is ``w + 1``, since ``|d/dx z_down| <= 1``.
     """
     _require(b > 0.0, f"z_down needs b > 0, got b={b}")
     _require(x > b, f"z_down needs x > b, got x={x}, b={b}")
     if w == 0.0:
         return 1.0, 0.0
-    return _z_down_eval(w, lam, p, x, b, None, slope=True)
+    return _z_down_eval(w, p, x, b, None, slope=True)
 
 
-def _z_down_eval(w, lam, p, x, b, diagnostics, slope: bool) -> Tuple[float, ...]:
+def _z_down_eval(w, p, x, b, diagnostics, slope: bool) -> Tuple[float, ...]:
     """``(value,)`` or ``(value, slope)`` of the downward transform, with escalation."""
-    ct = c_tilde(w, lam, p, b)
-    terms, rates, peak = _z_down_terms_float(w, lam, p, x, b, ct)
+    ct = c_tilde(w, p, b)
+    terms, rates, peak = _z_down_terms_float(w, p, x, b, ct)
     total = math.fsum(terms)
     err_est = 8.0 * 2.2e-16 * peak
     tol = max(1e-15, 1e-13 * abs(total))
@@ -474,7 +474,7 @@ def _z_down_eval(w, lam, p, x, b, diagnostics, slope: bool) -> Tuple[float, ...]
         dterms = [t * r for t, r in zip(terms, rates)]
         dpeak = max(abs(t) for t in dterms)
         dtotal = math.fsum(dterms)
-        ok = ok and 8.0 * 2.2e-16 * dpeak <= max(1e-15 * (w + lam), 1e-13 * abs(dtotal))
+        ok = ok and 8.0 * 2.2e-16 * dpeak <= max(1e-15 * (w + 1.0), 1e-13 * abs(dtotal))
         parts.append((dpeak, dtotal))
     if diagnostics is not None:
         diagnostics.update(interval_count=_down_interval_count(x, b, p),
@@ -494,7 +494,7 @@ def _z_down_eval(w, lam, p, x, b, diagnostics, slope: bool) -> Tuple[float, ...]
         25 + max(0, int(math.ceil(log10_or_zero(pk) - log10_or_zero(tot))))
         for pk, tot in parts))
     for _ in range(8):
-        vals = _z_down_mp(w, lam, p, x, b, digits, slope)
+        vals = _z_down_mp(w, p, x, b, digits, slope)
         need = digits
         for (pk, _), val in zip(parts, vals):
             noise = pk * 10.0 ** (4 - digits)
@@ -510,7 +510,7 @@ def _z_down_eval(w, lam, p, x, b, diagnostics, slope: bool) -> Tuple[float, ...]
         if digits >= _MAX_DPS:
             raise ConvergenceError(
                 f"z_down cancellation exceeds {_MAX_DPS} digits "
-                f"at w={w}, lam={lam}, p={p}, x={x}, b={b}", partial=vals[0])
+                f"at w={w}, p={p}, x={x}, b={b}", partial=vals[0])
         digits = min(_MAX_DPS, need)
     if diagnostics is not None:
         diagnostics["escalated_digits"] = digits
@@ -546,11 +546,10 @@ class KCoefficients:
 
 
 @lru_cache(maxsize=100_000)
-def _k_tables(w: float, lam: float, p: float, b: float, kmax: int) -> Tuple[KCoefficients, ...]:
+def _k_tables(w: float, p: float, b: float, kmax: int) -> Tuple[KCoefficients, ...]:
     """Interval tables 0..kmax for barrier ``b`` (cached; exact recursion)."""
-    g = w + lam
+    g = w + 1.0
     tabs = [KCoefficients(0, (1,), (-g * b,))]
-    log_lam = math.log(lam) if lam > 0.0 else float("-inf")
     for k in range(1, kmax + 1):
         prev = tabs[k - 1]
         signs = [0] * (k + 1)
@@ -559,8 +558,7 @@ def _k_tables(w: float, lam: float, p: float, b: float, kmax: int) -> Tuple[KCoe
             if prev.signs[m - 1] == 0:
                 continue
             signs[m] = prev.signs[m - 1]
-            logmags[m] = (prev.logmags[m - 1] + log_lam
-                          - math.log(g) - math.log1p(-p ** m))
+            logmags[m] = prev.logmags[m - 1] - math.log(g) - math.log1p(-p ** m)
         xk = b * p ** (-k)
         log_K_xk = prev.eval_log(g, p, xk)
         first = SignedLogProduct(1, -g * xk + log_K_xk)
@@ -573,10 +571,7 @@ def _k_tables(w: float, lam: float, p: float, b: float, kmax: int) -> Tuple[KCoe
                                     prev.logmags[n] + mu * b * p ** (-(k - 1))
                                     - math.log(-mu))
             acc = acc.plus(term)
-        if lam > 0.0:
-            acc = acc.times(SignedLogProduct(1, log_lam - math.log(p)))
-        else:
-            acc = SignedLogProduct.ZERO
+        acc = acc.times(SignedLogProduct(1, -math.log(p)))
         head = first.plus(acc)
         signs[0] = head.sign
         logmags[0] = head.log_magnitude
@@ -597,11 +592,11 @@ def interval_index(x: float, b: float, p: float) -> int:
     return k
 
 
-def k_up_coeffs(w: float, lam: float, p: float, b: float, k: int) -> KCoefficients:
+def k_up_coeffs(w: float, p: float, b: float, k: int) -> KCoefficients:
     """Coefficient table of the reciprocal scale function on interval ``k``."""
     _require(b > 0.0, f"k_up_coeffs needs b > 0, got {b}")
     _require(k >= 0, f"interval index must be >= 0, got {k}")
-    return _k_tables(w, lam, p, b, k)[k]
+    return _k_tables(w, p, b, k)[k]
 
 
 # eval-time digits of cancellation beyond which the float64 tables are no
@@ -610,35 +605,35 @@ _K_EVAL_LOST_OK = 3.0
 
 
 @lru_cache(maxsize=4096)
-def _k_tables_mp(w: float, lam: float, p: float, b: float, kmax: int, dps: int):
+def _k_tables_mp(w: float, p: float, b: float, kmax: int, dps: int):
     """The interval coefficient recursion re-run in arbitrary precision."""
     with mp.workdps(dps):
-        w_, lam_, p_, b_ = map(mp.mpf, (w, lam, p, b))
-        g = w_ + lam_
+        w_, p_, b_ = map(mp.mpf, (w, p, b))
+        g = w_ + 1
         tabs = [(mp.e ** (-g * b_),)]
         for k in range(1, kmax + 1):
             prev = tabs[k - 1]
             coeffs = [mp.mpf(0)] * (k + 1)
             for m in range(1, k + 1):
-                coeffs[m] = prev[m - 1] * lam_ / (g * (1 - p_ ** m))
+                coeffs[m] = prev[m - 1] / (g * (1 - p_ ** m))
             xk = b_ * p_ ** (-k)
             xk1 = b_ * p_ ** (-(k - 1))
             k_at_break = mp.fsum(prev[n] * mp.e ** (g * p_ ** n * xk)
                                  for n in range(k))
             acc = mp.fsum(prev[n] * mp.e ** (g * (p_ ** n - 1 / p_) * xk1)
                           / (g * (p_ ** n - 1 / p_)) for n in range(k))
-            coeffs[0] = mp.e ** (-g * xk) * k_at_break + (lam_ / p_) * acc
+            coeffs[0] = mp.e ** (-g * xk) * k_at_break + (1 / p_) * acc
             tabs.append(tuple(coeffs))
         return tuple(tabs)
 
 
-def _log_k_mp(w: float, lam: float, p: float, b: float, x: float,
+def _log_k_mp(w: float, p: float, b: float, x: float,
               k: int, dps: int, slope: bool = False) -> Optional[Tuple[float, ...]]:
     """``(log K(x),)``, or with ``slope`` ``(log K(x), log K'(x))``, from the
     arbitrary-precision table of interval ``k``; None while still noise."""
-    tab = _k_tables_mp(w, lam, p, b, k, dps)[k]
+    tab = _k_tables_mp(w, p, b, k, dps)[k]
     with mp.workdps(dps):
-        g = mp.mpf(w) + mp.mpf(lam)
+        g = mp.mpf(w) + 1
         p_, x_ = mp.mpf(p), mp.mpf(x)
         terms = [tab[n] * mp.e ** (g * p_ ** n * x_) for n in range(k + 1)]
         sums = [mp.fsum(terms)]
@@ -649,12 +644,12 @@ def _log_k_mp(w: float, lam: float, p: float, b: float, x: float,
         return tuple(float(mp.log(v)) for v in sums)
 
 
-def _log_k_from_b(w: float, lam: float, p: float, b: float, x: float) -> float:
+def _log_k_from_b(w: float, p: float, b: float, x: float) -> float:
     """``log K(x)``, escalating to arbitrary precision on deep cancellation."""
-    return _log_k_sums(w, lam, p, b, x, interval_index(x, b, p), slope=False)[0]
+    return _log_k_sums(w, p, b, x, interval_index(x, b, p), slope=False)[0]
 
 
-def _k_log_slope(w: float, lam: float, p: float, b: float, x: float) -> float:
+def _k_log_slope(w: float, p: float, b: float, x: float) -> float:
     """Exact right slope ``K'(x)/K(x)`` of ``log K`` for barrier ``b``.
 
     ``K' = sum_n a_n gamma p^n e^{gamma p^n x}`` on the interval's own
@@ -666,11 +661,11 @@ def _k_log_slope(w: float, lam: float, p: float, b: float, x: float) -> float:
     k = interval_index(x, b, p)
     if math.isclose(x, b * p ** (-(k + 1)), rel_tol=4e-16):
         k += 1
-    log_k, log_dk = _log_k_sums(w, lam, p, b, x, k, slope=True)
+    log_k, log_dk = _log_k_sums(w, p, b, x, k, slope=True)
     return math.exp(log_dk - log_k)
 
 
-def _log_k_sums(w: float, lam: float, p: float, b: float, x: float, k: int,
+def _log_k_sums(w: float, p: float, b: float, x: float, k: int,
                 slope: bool) -> Tuple[float, ...]:
     """``(log K(x),)``, or with ``slope`` ``(log K(x), log K'(x))``, on interval ``k``.
 
@@ -682,8 +677,8 @@ def _log_k_sums(w: float, lam: float, p: float, b: float, x: float, k: int,
     returned logarithm.
     """
     try:
-        tab = _k_tables(w, lam, p, b, k)[k]
-        g = w + lam
+        tab = _k_tables(w, p, b, k)[k]
+        g = w + 1.0
         logs = [L + g * p ** n * x for n, L in enumerate(tab.logmags)]
         log_k, lost = _log_sum_loss(tab.signs, logs)
         if slope:
@@ -697,9 +692,9 @@ def _log_k_sums(w: float, lam: float, p: float, b: float, x: float, k: int,
             return (log_k,)
     except ConvergenceError:
         lost = 12.0  # the recursion itself cancelled out; size the budget blind
-    return _settled_mp(lambda digits: _log_k_mp(w, lam, p, b, x, k, digits, slope),
+    return _settled_mp(lambda digits: _log_k_mp(w, p, b, x, k, digits, slope),
                        lost, "reciprocal scale function",
-                       f"w={w}, lam={lam}, p={p}, b={b}, x={x}")
+                       f"w={w}, p={p}, b={b}, x={x}")
 
 
 def _log_sum_loss(signs, logs) -> Tuple[Optional[float], float]:
@@ -717,12 +712,12 @@ def _log_sum_loss(signs, logs) -> Tuple[Optional[float], float]:
     return None, peak / _LN10
 
 
-def l_up_from_b(w: float, lam: float, p: float, b: float, x: float) -> float:
+def l_up_from_b(w: float, p: float, b: float, x: float) -> float:
     """``E[e^{-w tau}; up-exit]`` from start ``b`` for the exit from ``(b, x)``."""
-    return math.exp(-_log_k_from_b(w, lam, p, b, x))
+    return math.exp(-_log_k_from_b(w, p, b, x))
 
 
-def l_up(w: float, lam: float, p: float, x: float, a: float, b: float) -> float:
+def l_up(w: float, p: float, x: float, a: float, b: float) -> float:
     """Up-exit part of the two-sided exit from ``(b, a)`` started at ``x``.
 
     Returns 0 for ``x < b`` (the start already lies at or below the exit
@@ -735,14 +730,14 @@ def l_up(w: float, lam: float, p: float, x: float, a: float, b: float) -> float:
         return 0.0
     if x >= a:
         return 1.0
-    return min(1.0, math.exp(_log_k_from_b(w, lam, p, b, x) - _log_k_from_b(w, lam, p, b, a)))
+    return min(1.0, math.exp(_log_k_from_b(w, p, b, x) - _log_k_from_b(w, p, b, a)))
 
 
 # threshold below which the up-weighted remote term of l_down is dropped
 _L_UP_NEGLIGIBLE = 1e-18
 
 
-def l_down(w: float, lam: float, p: float, x: float, a: float, b: float) -> float:
+def l_down(w: float, p: float, x: float, a: float, b: float) -> float:
     """Down-exit part of the two-sided exit from ``(b, a)`` started at ``x``.
 
     Evaluates ``z_down(w; x, b) - l_up(w; x, a, b) z_down(w; a, b)``.  At
@@ -757,13 +752,13 @@ def l_down(w: float, lam: float, p: float, x: float, a: float, b: float) -> floa
         return 0.0
     if x == b:
         x = b * (1.0 + 1e-12)
-    zd_x = z_down(w, lam, p, x, b)
-    lu = l_up(w, lam, p, x, a, b)
+    zd_x = z_down(w, p, x, b)
+    lu = l_up(w, p, x, a, b)
     if lu <= _L_UP_NEGLIGIBLE * zd_x:
         return zd_x
-    val = zd_x - lu * z_down(w, lam, p, a, b)
+    val = zd_x - lu * z_down(w, p, a, b)
     if val < -1e-9:
         raise ConvergenceError(
             f"two-sided down part came out significantly negative ({val}) at "
-            f"w={w}, lam={lam}, p={p}, x={x}, a={a}, b={b}")
+            f"w={w}, p={p}, x={x}, a={a}, b={b}")
     return max(val, 0.0)

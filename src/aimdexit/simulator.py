@@ -194,6 +194,8 @@ def _drift_only_exit(kind: ExitKind, spec: ExitSpec, cap: float):
         tau = spec.c - spec.x
     elif kind is ExitKind.DRAWUP:
         tau = max(spec.u + spec.c - spec.x, 0.0)
+    elif kind is ExitKind.DRAWDOWN and spec.xbar0 is not None and spec.xbar0 - spec.c >= spec.x:
+        return 0.0, Side.DOWN  # the recorded drawdown already reaches c
     else:
         # down-one, reflected-upper-down, drawdown: no jumps means no
         # downward motion, the exit never happens
@@ -220,7 +222,7 @@ def simulate_exit(spec: ExitSpec, params: ModelParams, path_index: int, seed: in
     # the kernels run on the unit-slope clock, where times are scale x the
     # caller's; convert the cap in and the exit time back out
     cap = horizon_cap * scale if math.isfinite(horizon_cap) \
-        else default_horizon_cap(nw, max(lam, 1e-12))
+        else default_horizon_cap(nw, lam)
     if lam == 0.0:
         tau, side = _drift_only_exit(kind, nspec, cap)
         return tau / scale, side

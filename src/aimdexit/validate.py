@@ -185,8 +185,9 @@ def c_tilde_statement_oracle(w: float, lam: float, p: float, b: float,
 def z_down_renewal_residual(w: float, lam: float, p: float, x: float, b: float) -> float:
     """Residual of the downward transform in its first-jump integral equation.
 
-    The transform ``Z(x)`` must satisfy, with ``t* = b/p - x`` the last
-    time a jump still lands at or below ``b``,
+    The transform ``Z(x)``, which production evaluates at jump rate 1 as
+    ``z_down(w/lam, p, lam x, lam b)``, must satisfy, with ``t* = b/p - x``
+    the last time a jump still lands at or below ``b``,
 
         Z(x) = (lam/(lam+w)) (1 - e^{-(lam+w) t*})_+
                + integral lam e^{-(lam+w) t} Z(p(x+t)) dt over t > t*_+ .
@@ -197,7 +198,7 @@ def z_down_renewal_residual(w: float, lam: float, p: float, x: float, b: float) 
     nothing about the production series.
     """
     g_ = w + lam
-    lhs = z_down(w, lam, p, x, b)
+    lhs = z_down(w / lam, p, lam * x, lam * b)
     t_star = max(b / p - x, 0.0)
     exit_part = (lam / g_) * -math.expm1(-g_ * t_star)
     # substitute y = p(x+t): t = y/p - x
@@ -212,7 +213,7 @@ def z_down_renewal_residual(w: float, lam: float, p: float, x: float, b: float) 
 
     def integrand(y: float) -> float:
         t = y / p - x
-        return (lam / p) * math.exp(-g_ * t) * z_down(w, lam, p, y, b)
+        return (lam / p) * math.exp(-g_ * t) * z_down(w / lam, p, lam * y, lam * b)
 
     val, err = integrate.quad(integrand, y_lo, y_hi, points=points or None,
                               epsabs=1e-12, epsrel=1e-11, limit=300)
@@ -353,7 +354,7 @@ def run_suite(grid: Sequence[Tuple[ModelParams, ExitSpec, float]],
         try:
             analytic = evaluate(params, spec, w)
             cap = horizon_cap if horizon_cap is not None \
-                else default_horizon_cap(w, max(params.lam, 1e-12))
+                else default_horizon_cap(w, params.lam)
             cfg = McConfig(n_paths=n_paths, seed=seed + gi, horizon_cap=cap, w=w)
             est = mc_lst(spec, params, cfg, threads=threads)
             z, ok = _confront(analytic, est, z_threshold)

@@ -17,6 +17,7 @@ from aimdexit import (ExitKind, ExitSpec, McConfig, ModelParams,
                       lst_drawup, mc_lst, quadrature_oracle_lup, run_suite,
                       solve_a, volterra_oracle_zup, z_down, z_up)
 from aimdexit.cli import main as cli_main
+from unit_rate import at_rate
 
 
 def _report(num: int, detail: str) -> None:
@@ -60,7 +61,7 @@ class TestAcceptance:
         # the down-passage series degenerates at w = 0 exactly; approach it
         for (lam, p, x, b) in [(1.0, 0.5, 2.0, 1.0), (2.0, 0.8, 1.5, 0.9),
                                (0.5, 0.3, 3.0, 1.0)]:
-            assert abs(z_down(1e-6, lam, p, x, b) - 1.0) <= 1e-4
+            assert abs(at_rate(z_down, 1e-6, lam, p, x, b) - 1.0) <= 1e-4
         elapsed = time.monotonic() - t0
         assert elapsed < 10.0
         _report(2, f"w=0 transforms equal 1; z_down(w=1e-6) within 1e-4 ({elapsed:.2f}s)")
@@ -70,13 +71,13 @@ class TestAcceptance:
         w, a = 1.0, 1.0
         worst = 0.0
         for lam, p in product((0.5, 1.0, 2.0), (0.3, 0.5, 0.8)):
-            exact = z_up(w, lam, p, 0.0, a)
+            exact = at_rate(z_up, w, lam, p, 0.0, a)
             got = volterra_oracle_zup(w, lam, p, a, 1 << 14)
             worst = max(worst, abs(got - exact))
             assert abs(got - exact) <= 1e-6
         # empirical convergence order of the oracle itself
         lam, p = 1.0, 0.5
-        exact = z_up(w, lam, p, 0.0, a)
+        exact = z_up(w, p, 0.0, a)
         e12 = abs(volterra_oracle_zup(w, lam, p, a, 1 << 12) - exact)
         e13 = abs(volterra_oracle_zup(w, lam, p, a, 1 << 13) - exact)
         order = math.log2(e12 / e13)
@@ -101,16 +102,16 @@ class TestAcceptance:
             x = b * p ** -(k + 0.5)
             assert interval_index(x, b, p) == k
             ref = quadrature_oracle_lup(w, lam, p, b, x)
-            got = l_up_from_b(w, lam, p, b, x)
+            got = at_rate(l_up_from_b, w, lam, p, b, x)
             rel = abs(got - ref) / ref
             worst = max(worst, rel)
             assert rel <= 1e-9
         # continuity of the reciprocal scale function across breakpoints
-        w, lam, p, b = 1.0, 1.0, 0.8, 1.0
+        w, p, b = 1.0, 0.8, 1.0
         for k in range(1, 7):
             xk = b * p ** -k
-            lo = l_up_from_b(w, lam, p, b, xk * (1 - 1e-12))
-            hi = l_up_from_b(w, lam, p, b, xk * (1 + 1e-12))
+            lo = l_up_from_b(w, p, b, xk * (1 - 1e-12))
+            hi = l_up_from_b(w, p, b, xk * (1 + 1e-12))
             assert abs(hi - lo) <= 1e-10 * lo
         elapsed = time.monotonic() - t0
         assert elapsed < 30.0
@@ -124,9 +125,9 @@ class TestAcceptance:
         k_golden = math.e ** 2 - 2.0 * math.e + 2.0 * math.exp(0.5)
         l_golden = 1.0 / k_golden
         k = interval_index(3.0, 1.0, 0.5)
-        via_table = math.exp(k_up_coeffs(0.0, 1.0, 0.5, 1.0, k).eval_log(1.0, 0.5, 3.0))
+        via_table = math.exp(k_up_coeffs(0.0, 0.5, 1.0, k).eval_log(1.0, 0.5, 3.0))
         assert math.isclose(via_table, k_golden, rel_tol=1e-12)
-        assert math.isclose(l_up_from_b(0.0, 1.0, 0.5, 1.0, 3.0), l_golden, rel_tol=1e-12)
+        assert math.isclose(l_up_from_b(0.0, 0.5, 1.0, 3.0), l_golden, rel_tol=1e-12)
         oracle = quadrature_oracle_lup(0.0, 1.0, 0.5, 1.0, 3.0)
         assert math.isclose(oracle, l_golden, rel_tol=1e-9)
         spec = ExitSpec(ExitKind.TWO_SIDED_UP, x=1.0, a=3.0, b=1.0)
@@ -155,15 +156,15 @@ class TestAcceptance:
     def test_criterion_07_barrier_removal_limits(self):
         t0 = time.monotonic()
         # two-sided down part -> unbounded down passage as the top recedes
-        w, lam, p, b, x = 1.0, 1.0, 0.5, 1.0, 2.0
-        target = z_down(w, lam, p, x, b)
-        seq = [l_down(w, lam, p, x, b * p ** -k, b) for k in (4, 6, 8, 10, 12)]
+        w, p, b, x = 1.0, 0.5, 1.0, 2.0
+        target = z_down(w, p, x, b)
+        seq = [l_down(w, p, x, b * p ** -k, b) for k in (4, 6, 8, 10, 12)]
         assert all(v0 <= v1 + 1e-15 for v0, v1 in zip(seq, seq[1:]))
         assert abs(seq[-1] - target) <= 1e-4 * target
         # two-sided up part -> one-sided up passage as the floor drains away
-        w, lam, p, x, a = 1.0, 1.0, 0.5, 1.0, 2.0
-        target_up = z_up(w, lam, p, x, a)
-        seq_up = [l_up(w, lam, p, x, a, b) for b in (0.1 * x, 0.01 * x, 0.001 * x)]
+        w, p, x, a = 1.0, 0.5, 1.0, 2.0
+        target_up = z_up(w, p, x, a)
+        seq_up = [l_up(w, p, x, a, b) for b in (0.1 * x, 0.01 * x, 0.001 * x)]
         assert all(v0 <= v1 + 1e-15 for v0, v1 in zip(seq_up, seq_up[1:]))
         assert abs(seq_up[-1] - target_up) <= 1e-2 * target_up
         elapsed = time.monotonic() - t0
@@ -176,21 +177,21 @@ class TestAcceptance:
         # up-passage transform multiplies over intermediate levels
         for lam, p in combos:
             for w in (0.5, 1.5):
-                whole = z_up(w, lam, p, 0.7, 2.9)
-                split = z_up(w, lam, p, 0.7, 1.6) * z_up(w, lam, p, 1.6, 2.9)
+                whole = at_rate(z_up, w, lam, p, 0.7, 2.9)
+                split = at_rate(z_up, w, lam, p, 0.7, 1.6) * at_rate(z_up, w, lam, p, 1.6, 2.9)
                 assert math.isclose(whole, split, rel_tol=1e-12)
         # the two-sided parts are sub-probabilities summing to one at w = 0
         for lam, p in combos:
             x, a, b = 1.4, 2.2, 0.9
             for w in (0.0, 0.8):
-                s = l_up(w, lam, p, x, a, b) + l_down(w, lam, p, x, a, b)
+                s = at_rate(l_up, w, lam, p, x, a, b) + at_rate(l_down, w, lam, p, x, a, b)
                 assert s <= 1.0 + 5e-13
                 if w == 0.0:
                     assert abs(s - 1.0) <= 1e-9
         # the down passage cannot beat the first jump's discount
         for lam, p in combos:
             for w in (0.5, 2.0):
-                assert z_down(w, lam, p, 1.8, 0.9) <= lam / (lam + w) + 1e-12
+                assert at_rate(z_down, w, lam, p, 1.8, 0.9) <= lam / (lam + w) + 1e-12
         elapsed = time.monotonic() - t0
         assert elapsed < 30.0
         _report(8, f"multiplicativity 1e-12, side split, first-jump bound on 9 combos ({elapsed:.2f}s)")
@@ -203,16 +204,17 @@ class TestAcceptance:
         assert len(points) == 12
         worst = 0.0
         for (w, lam, p, c, u) in points:
-            a = solve_a(w, lam, p, c, u)
-            target = 1.0 - z_down(w, lam, p, u + c, u)
-            resid = abs(l_up(w, lam, p, u + c, a, u) - target)
+            w, c, u = w / lam, lam * c, lam * u  # at jump rate 1
+            a = solve_a(w, p, c, u)
+            target = 1.0 - z_down(w, p, u + c, u)
+            resid = abs(l_up(w, p, u + c, a, u) - target)
             worst = max(worst, resid)
             assert resid <= 1e-10
-            tightened = solve_a(w, lam, p, c, u, tol=1e-14)
+            tightened = solve_a(w, p, c, u, tol=1e-14)
             assert abs(a - tightened) <= 1e-8 * max(1.0, abs(a))
         # a start already at the drawup boundary exits immediately
         for (w, lam, p, c, u) in points[:4]:
-            v = lst_drawup(w, lam, p, u + c, u, c)
+            v = at_rate(lst_drawup, w, lam, p, u + c, u, c)
             assert abs(v - 1.0) <= 1e-10
         elapsed = time.monotonic() - t0
         assert elapsed < 60.0

@@ -1,6 +1,7 @@
 """Every exported name resolves, in the package and in each of its modules."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -26,3 +27,19 @@ def test_star_import_binds_every_export():
     namespace = {}
     exec("from aimdexit import *", namespace)
     assert set(aimdexit.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("module", ["scalefn", "reflected", "_drawup"])
+def test_evaluators_work_at_unit_jump_rate(module):
+    # evaluate() folds lam into w/lam and lam * levels, so no function or
+    # method defined in the evaluator modules takes it
+    mod = importlib.import_module(f"aimdexit.{module}")
+    found = []
+    for obj in vars(mod).values():
+        members = list(vars(obj).values()) if inspect.isclass(obj) else []
+        for fn in [obj] + members:
+            fn = inspect.unwrap(getattr(fn, "__func__", fn))
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__ \
+                    and "lam" in inspect.signature(fn).parameters:
+                found.append(fn.__qualname__)
+    assert found == []

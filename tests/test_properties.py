@@ -5,7 +5,8 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from aimdexit import (ExitKind, ExitSpec, ModelParams, c_tilde, evaluate,
-                      interval_index, l_down, l_up, z_down, z_up)
+                      interval_index, l_down, l_up, z_down)
+from unit_rate import at_rate
 
 # parameter ranges chosen so every evaluation stays cheap: jump-rate and
 # discount bounded, level gaps bounded in units of 1/(w + lam)
@@ -20,25 +21,30 @@ gap_s = st.floats(1e-3, 5.0, allow_nan=False)
 COMMON = dict(deadline=None, max_examples=80)
 
 
+def up_one(w, lam, p, x, a):
+    """The up passage through ``evaluate``, which also takes ``lam = 0``."""
+    return evaluate(ModelParams(lam=lam, p=p), ExitSpec(ExitKind.UP_ONE, x=x, a=a), w)
+
+
 class TestUpPassage:
     @given(w=w_s, lam=lam_s, p=p_s, x=level_s, gap=gap_s)
     @settings(**COMMON)
     def test_values_stay_in_unit_interval(self, w, lam, p, x, gap):
-        v = z_up(w, lam, p, x, x + gap)
+        v = up_one(w, lam, p, x, x + gap)
         assert 0.0 <= v <= 1.0
 
     @given(w1=w_pos_s, w2=w_pos_s, lam=lam_s, p=p_s, x=level_s, gap=gap_s)
     @settings(**COMMON)
     def test_decreasing_in_w(self, w1, w2, lam, p, x, gap):
         lo, hi = min(w1, w2), max(w1, w2)
-        assert z_up(lo, lam, p, x, x + gap) >= z_up(hi, lam, p, x, x + gap) - 1e-12
+        assert up_one(lo, lam, p, x, x + gap) >= up_one(hi, lam, p, x, x + gap) - 1e-12
 
     @given(w=w_s, lam=lam_s, p=p_s, x=level_s, g1=gap_s, g2=gap_s)
     @settings(**COMMON)
     def test_passage_multiplies_over_intermediate_levels(self, w, lam, p, x, g1, g2):
         m, a = x + g1, x + g1 + g2
-        whole = z_up(w, lam, p, x, a)
-        split = z_up(w, lam, p, x, m) * z_up(w, lam, p, m, a)
+        whole = up_one(w, lam, p, x, a)
+        split = up_one(w, lam, p, x, m) * up_one(w, lam, p, m, a)
         assert math.isclose(whole, split, rel_tol=1e-12, abs_tol=1e-300)
 
     @given(w=w_s, lam=lam_s, p=p_s, x1=level_s, x2=level_s, gap=gap_s)
@@ -46,21 +52,21 @@ class TestUpPassage:
     def test_increasing_in_the_start_level(self, w, lam, p, x1, x2, gap):
         lo, hi = min(x1, x2), max(x1, x2)
         a = hi + gap
-        assert z_up(w, lam, p, lo, a) <= z_up(w, lam, p, hi, a) + 1e-12
+        assert up_one(w, lam, p, lo, a) <= up_one(w, lam, p, hi, a) + 1e-12
 
 
 class TestDownPassage:
     @given(w=w_pos_s, lam=lam_pos_s, p=p_s, b=level_s, gap=gap_s)
     @settings(**COMMON)
     def test_bounded_by_the_first_jump_transform(self, w, lam, p, b, gap):
-        v = z_down(w, lam, p, b + gap, b)
+        v = at_rate(z_down, w, lam, p, b + gap, b)
         assert 0.0 <= v <= lam / (lam + w) + 1e-12
 
     @given(w=w_pos_s, lam=lam_pos_s, p=p_s, b=level_s, g1=gap_s, g2=gap_s)
     @settings(**COMMON)
     def test_decreasing_in_the_start_level(self, w, lam, p, b, g1, g2):
-        near = z_down(w, lam, p, b + g1, b)
-        far = z_down(w, lam, p, b + g1 + g2, b)
+        near = at_rate(z_down, w, lam, p, b + g1, b)
+        far = at_rate(z_down, w, lam, p, b + g1 + g2, b)
         assert far <= near + 1e-12
 
 
@@ -69,8 +75,8 @@ class TestTwoSidedSplit:
     @settings(**COMMON)
     def test_sides_never_exceed_certainty(self, w, lam, p, b, g1, g2):
         x, a = b + g1, b + g1 + g2
-        up = l_up(w, lam, p, x, a, b)
-        down = l_down(w, lam, p, x, a, b)
+        up = at_rate(l_up, w, lam, p, x, a, b)
+        down = at_rate(l_down, w, lam, p, x, a, b)
         assert 0.0 <= up <= 1.0
         assert 0.0 <= down <= 1.0
         assert up + down <= 1.0 + 5e-13
@@ -79,7 +85,7 @@ class TestTwoSidedSplit:
     @settings(**COMMON)
     def test_undiscounted_sides_are_complementary(self, lam, p, b, g1, g2):
         x, a = b + g1, b + g1 + g2
-        total = l_up(0.0, lam, p, x, a, b) + l_down(0.0, lam, p, x, a, b)
+        total = at_rate(l_up, 0.0, lam, p, x, a, b) + at_rate(l_down, 0.0, lam, p, x, a, b)
         assert math.isclose(total, 1.0, rel_tol=1e-9)
 
 
@@ -87,7 +93,7 @@ class TestConstantFactor:
     @given(w=w_pos_s, lam=lam_pos_s, p=p_s, b=level_s)
     @settings(**COMMON)
     def test_positive_and_finite(self, w, lam, p, b):
-        v = c_tilde(w, lam, p, b)
+        v = at_rate(c_tilde, w, lam, p, b)
         assert v >= 0.0
         assert math.isfinite(v)
 

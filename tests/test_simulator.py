@@ -192,7 +192,7 @@ class TestMcLst:
         spec = ExitSpec(ExitKind.UP_ONE, x=1.0, a=2.0)
         params = ModelParams(lam=1.0, p=0.5)
         est = mc_lst(spec, params, _cfg(1.0, 200_000), threads=2)
-        exact = z_up(1.0, 1.0, 0.5, 1.0, 2.0)
+        exact = z_up(1.0, 0.5, 1.0, 2.0)
         assert abs(est.mean - exact) < 4.0 * est.std_error
         assert est.std_error < 2e-3
 

@@ -10,12 +10,13 @@ from aimdexit import (ComparisonRow, ExitKind, ExitSpec, ModelParams,
                       default_grid, l_up_from_b, quadrature_oracle_lup,
                       run_suite, volterra_oracle_zup, z_down,
                       z_down_renewal_residual, z_up)
+from unit_rate import at_rate
 
 
 class TestVolterraOracle:
     def test_reproduces_the_up_passage_transform(self):
         w, lam, p, a = 1.0, 1.0, 0.5, 1.0
-        exact = z_up(w, lam, p, 0.0, a)
+        exact = z_up(w, p, 0.0, a)
         coarse = volterra_oracle_zup(w, lam, p, a, 1 << 12)
         fine = volterra_oracle_zup(w, lam, p, a, 1 << 13)
         assert abs(coarse - exact) < 2e-6
@@ -24,7 +25,7 @@ class TestVolterraOracle:
 
     def test_second_parameter_set(self):
         w, lam, p, a = 0.5, 2.0, 0.3, 1.5
-        exact = z_up(w, lam, p, 0.0, a)
+        exact = at_rate(z_up, w, lam, p, 0.0, a)
         got = volterra_oracle_zup(w, lam, p, a, 1 << 13)
         assert math.isclose(got, exact, rel_tol=1e-6)
 
@@ -34,7 +35,7 @@ class TestQuadratureOracle:
         for (w, lam, p, b, x) in [(1.0, 1.0, 0.5, 1.0, 3.0),
                                   (0.5, 2.0, 0.3, 0.8, 4.0),
                                   (2.0, 0.5, 0.8, 1.0, 1.6)]:
-            ref = l_up_from_b(w, lam, p, b, x)
+            ref = at_rate(l_up_from_b, w, lam, p, b, x)
             got = quadrature_oracle_lup(w, lam, p, b, x)
             assert math.isclose(got, ref, rel_tol=1e-9)
 
@@ -47,7 +48,7 @@ class TestConstantStatementOracle:
     def test_matches_the_production_series(self):
         for (w, lam, p, b) in [(1.0, 1.0, 0.5, 1.0), (0.5, 2.0, 0.8, 0.4),
                                (3.0, 0.5, 0.3, 2.0)]:
-            ref = c_tilde(w, lam, p, b)
+            ref = at_rate(c_tilde, w, lam, p, b)
             got = c_tilde_statement_oracle(w, lam, p, b)
             assert math.isclose(got, ref, rel_tol=5e-12)
 
@@ -63,7 +64,7 @@ class TestRenewalResidual:
         w, lam, p = 3.0, 1.0, 0.3
         b = 0.6 / 0.7
         x = b * p ** -3.0
-        v = z_down(w, lam, p, x, b)
+        v = z_down(w, p, x, b)
         assert 0.0 < v < 0.05
         assert abs(z_down_renewal_residual(w, lam, p, x, b)) < 1e-9
 
