@@ -5,10 +5,11 @@ import math
 import mpmath as mp
 import pytest
 
-from aimdexit import (ConvergenceError, ValidationError, c_tilde,
-                      c_tilde_statement_oracle, interval_index, k_up_coeffs,
-                      l_down, l_up, l_up_from_b, z_down,
-                      z_down_renewal_residual, z_up, z_up_zero)
+from aimdexit import (ConvergenceError, ExitKind, ExitSpec, ModelParams,
+                      ValidationError, c_tilde, c_tilde_statement_oracle,
+                      evaluate, interval_index, k_up_coeffs, l_down, l_up,
+                      l_up_from_b, z_down, z_down_renewal_residual, z_up,
+                      z_up_zero)
 from aimdexit.scalefn import SignedLogProduct, _signed_logsumexp, z_down_slope
 from unit_rate import at_rate
 
@@ -104,6 +105,14 @@ class TestCTilde:
             oracle = c_tilde_statement_oracle(w, lam, p, b)
             assert math.isclose(prod, oracle, rel_tol=1e-11), (w, lam, p, b)
 
+    def test_vanishes_without_jumps(self):
+        # as lam -> 0 only the one-jump term is left: (lam/w) e^{-b w (1/p - 1)}
+        w, p, b = 1.0, 0.5, 1.0
+        for lam in (1e-10, 1e-100, 1e-300):
+            assert math.isclose(at_rate(c_tilde, w, lam, p, b),
+                                lam / w * math.exp(-b * w * (1.0 / p - 1.0)),
+                                rel_tol=1e-9), lam
+
     def test_high_p_cancellation_rescue(self):
         # the q-product denominators near p=1 make the float64 series lose
         # every digit (it used to return -0.12 here); pinned against the
@@ -123,6 +132,16 @@ class TestZDown:
 
     def test_w_zero_is_one(self):
         assert z_down(0.0, 0.5, 1.5, 1.0) == 1.0
+
+    def test_pure_drift_never_crosses_down(self):
+        w, p, x, b = 1.0, 0.5, 1.5, 1.0
+        assert evaluate(ModelParams(lam=0.0, p=p), ExitSpec(ExitKind.DOWN_ONE, x=x, b=b), w) == 0.0
+        # as lam -> 0 only one jump, before the drift lifts x past b/p, crosses:
+        # lam * int_0^{b/p - x} e^{-w t} dt
+        for lam in (1e-10, 1e-100, 1e-300):
+            assert math.isclose(at_rate(z_down, w, lam, p, x, b),
+                                lam / w * -math.expm1(-w * (b / p - x)),
+                                rel_tol=1e-9), lam
 
     def test_first_jump_bound(self):
         # crossing needs at least one jump, so the value is below lam/(lam+w)
