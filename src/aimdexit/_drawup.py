@@ -51,10 +51,14 @@ _GLX, _GLW = np.polynomial.legendre.leggauss(12)
 _CHX, _CHW = _cheb_nodes(_NN)
 
 
-def _interp_rows(yq: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Barycentric-interpolation weight rows at query points within [lo, hi]."""
+def _interp_rows(yq: np.ndarray, lo, hi) -> np.ndarray:
+    """Barycentric-interpolation weight rows at query points within [lo, hi].
+
+    ``lo``/``hi`` are one panel for all points, or one panel per point.
+    """
+    lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
     nodes = lo + (hi - lo) * (_CHX + 1.0) / 2.0
-    d = yq[:, None] - nodes[None, :]
+    d = yq[:, None] - nodes
     rows = np.zeros((yq.size, _NN))
     hit = d == 0.0
     anyhit = hit.any(axis=1)
@@ -74,7 +78,8 @@ class _StripSolver:
     ``m p^{-j}`` (capped at ``_KINK_CAP``, always keeping ``m / p`` where the
     integrand's first branch switch occurs — deeper kinks are only
     C^1-discontinuities of already-solved levels and merge safely), then
-    refined so no panel is wider than ``2.5 / (1 + w)``.
+    refined so no panel is wider than ``2.5 / (1 + w)``.  The system is
+    assembled in one pass over the Gauss points of every integral at once.
     """
 
     def __init__(self, w, p, m, c, psi_eval):
@@ -104,65 +109,47 @@ class _StripSolver:
         edges = np.array(edges)
         npan = edges.size - 1
         M = npan * _NN
-        V = np.empty(M)
-        for q in range(npan):
-            V[q * _NN:(q + 1) * _NN] = edges[q] + (edges[q + 1] - edges[q]) * (_CHX + 1.0) / 2.0
+        V = (edges[:-1, None] + np.diff(edges)[:, None] * (_CHX + 1.0) / 2.0).ravel()
         self.edges, self.V, self.npan = edges, V, npan
         self.m, self.top = m, top
 
-        # Per-panel contributions C_q = int_panel e^{-gw (s - a_q)} chi(p s) ds,
-        # split into a known part (psi side of chi) and an unknown-row part (g side).
-        Crow = np.zeros((npan, M))
-        Ccst = np.zeros(npan)
-        link = np.exp(-gw * np.diff(edges))  # e^{-gw (b_q - a_q)}
-
-        def accumulate(points, weights, row_target, cst_add):
-            ps = p * points
-            below = ps <= m
-            extra = 0.0
-            if below.any():
-                extra = float(weights[below] @ psi_eval(ps[below]))
-            above = ~below
-            if above.any():
-                idx = np.searchsorted(edges, ps[above], side="right") - 1
-                idx = np.clip(idx, 0, npan - 1)
-                for qq in np.unique(idx):
-                    sel = idx == qq
-                    rows = _interp_rows(ps[above][sel], edges[qq], edges[qq + 1])
-                    row_target[qq * _NN:(qq + 1) * _NN] += weights[above][sel] @ rows
-            return extra
-
-        for q in range(npan):
-            a0, b0 = edges[q], edges[q + 1]
-            half = (b0 - a0) / 2.0
-            s = a0 + half * (_GLX + 1.0)
-            wq = _GLW * half * np.exp(-gw * (s - a0))
-            Ccst[q] += accumulate(s, wq, Crow[q], 0.0)
+        # Rows 0..npan-1 hold the panel integrals C_q = int_{a_q}^{b_q}
+        # e^{-gw (s - a_q)} chi(p s) ds, rows npan + i the partial integral
+        # from node v_i to its panel's top b_q.  Each row is a constant (psi
+        # side of chi) plus a weight row on the unknown nodes (g side).
+        qn = np.repeat(np.arange(npan), _NN)  # panel of each node
+        lo = np.concatenate([edges[:-1], V])
+        hi = np.concatenate([edges[1:], edges[qn + 1]])
+        live = np.flatnonzero(hi - lo > 1e-300)  # no partial integral from b_q
+        lo, hi = lo[live, None], hi[live, None]
+        half = (hi - lo) / 2.0
+        s = lo + half * (_GLX + 1.0)
+        ps = (p * s).ravel()
+        wq = (_GLW * half * np.exp(-gw * (s - lo))).ravel()
+        row = np.repeat(live, _GLX.size)
+        below = ps <= m
+        cst = np.bincount(row[below], weights=wq[below] * psi_eval(ps[below]),
+                          minlength=npan + M)
+        ya, wa, ra = ps[~below], wq[~below], row[~below]
+        pan = np.clip(np.searchsorted(edges, ya, side="right") - 1, 0, npan - 1)
+        col = (ra * M + pan * _NN)[:, None] + np.arange(_NN)
+        wrow = wa[:, None] * _interp_rows(ya, edges[pan], edges[pan + 1])
+        A = np.bincount(col.ravel(), weights=wrow.ravel(),
+                        minlength=(npan + M) * M).reshape(npan + M, M)
 
         # suffix sums S_q = C_q + link_q S_{q+1}, so the tail of the integral
         # from any panel boundary upward is available in closed row form
+        link = np.exp(-gw * np.diff(edges))  # e^{-gw (b_q - a_q)}
         Srow = np.zeros((npan + 1, M))
         Scst = np.zeros(npan + 1)
         for q in range(npan - 1, -1, -1):
-            Srow[q] = Crow[q] + link[q] * Srow[q + 1]
-            Scst[q] = Ccst[q] + link[q] * Scst[q + 1]
+            Srow[q] = A[q] + link[q] * Srow[q + 1]
+            Scst[q] = cst[q] + link[q] * Scst[q + 1]
 
         # assemble (I - K) g = rhs over all collocation nodes
-        K = np.zeros((M, M))
-        rhs = np.exp(-gw * (top - V))
-        for q in range(npan):
-            b0 = edges[q + 1]
-            for j in range(_NN):
-                i = q * _NN + j
-                vi = V[i]
-                if b0 - vi > 1e-300:  # partial integral over [vi, b0]
-                    half = (b0 - vi) / 2.0
-                    s = vi + half * (_GLX + 1.0)
-                    wqr = _GLW * half * np.exp(-gw * (s - vi))
-                    rhs[i] += accumulate(s, wqr, K[i], 0.0)
-                fac = math.exp(-gw * (b0 - vi))
-                K[i] += fac * Srow[q + 1]
-                rhs[i] += fac * Scst[q + 1]
+        fac = np.exp(-gw * (edges[qn + 1] - V))
+        K = A[npan:] + fac[:, None] * Srow[qn + 1]
+        rhs = np.exp(-gw * (top - V)) + cst[npan:] + fac * Scst[qn + 1]
         self.g = np.linalg.solve(np.eye(M) - K, rhs)
 
     def eval(self, y: float) -> float:
@@ -219,24 +206,18 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
     min_idx = [J + 1]  # lowest index already computed (shrinks as cascade ascends)
 
     def psi_eval(ys):
-        ys = np.asarray(ys, dtype=float)
-        out = np.empty_like(ys)
-        for ii, y in enumerate(ys):
-            if y <= ycut:
-                out[ii] = z_up(w, p, y, y + c)
-                continue
-            pos = (logu - math.log(y)) / h
-            j0 = int(math.floor(pos)) - 1
-            j0 = max(j0, min_idx[0])
-            j0 = min(j0, J)  # stencil j0..j0+3 stays inside the arrays
-            val = 0.0
-            for k in range(4):
-                lk = 1.0
-                for l in range(4):
-                    if l != k:
-                        lk *= (pos - (j0 + l)) / (k - l)
-                val += lk * psi[j0 + k]
-            out[ii] = val
+        # 4-point Lagrange stencil in log level on solved levels j0..j0+3
+        pos = (logu - np.log(ys)) / h
+        j0 = np.minimum(np.maximum(np.floor(pos).astype(int) - 1, min_idx[0]), J)
+        out = 0.0
+        for k in range(4):
+            lk = 1.0
+            for l in range(4):
+                if l != k:
+                    lk = lk * ((pos - (j0 + l)) / (k - l))
+            out = out + lk * psi[j0 + k]
+        for i in np.flatnonzero(ys <= ycut):
+            out[i] = z_up(w, p, ys[i], ys[i] + c)
         return out
 
     for j in range(J, -1, -1):

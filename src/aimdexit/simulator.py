@@ -169,6 +169,8 @@ def _run_kernel(kind: ExitKind, stage0, lam, p, idx, spec: ExitSpec, cap: float)
         jump = lambda st, E: [np.maximum(p * (st[0] + E), b)]  # jump floored at b
     elif kind is ExitKind.DRAWDOWN:
         start = [x, spec.xbar0 if spec.xbar0 is not None else x]
+        if start[1] - c >= x:  # the recorded drawdown already reaches c
+            return np.zeros(idx.size), np.full(idx.size, -1, dtype=np.int8)
 
         def jump(st, E):
             pre = st[0] + E

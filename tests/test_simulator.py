@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from aimdexit import (ExitKind, ExitSpec, McConfig, ModelParams, Side,
-                      ValidationError, default_horizon_cap, mc_lst,
+                      ValidationError, default_horizon_cap, evaluate, mc_lst,
                       simulate_exit, z_up)
 from aimdexit.rng import exponentials, substream_seed, uniforms
 from aimdexit.simulator import _CHUNK
@@ -247,6 +247,17 @@ class TestMcLst:
         never = mc_lst(ExitSpec(ExitKind.DOWN_ONE, x=2.0, b=1.0), params, _cfg(1.0, 1000))
         assert never.n_censored == 1000
         assert never.mean == 0.5 * math.exp(-default_horizon_cap(1.0, 0.0))
+
+    def test_drawdown_already_open_stops_at_time_zero(self):
+        # the recorded drawdown xbar0 - x reaches c before any jump: every
+        # path exits at once, as evaluate() and the lam = 0 rule say
+        params = ModelParams(lam=1.0, p=0.5)
+        for xbar0 in (2.5, 2.6):
+            spec = ExitSpec(ExitKind.DRAWDOWN, x=1.5, c=1.0, xbar0=xbar0)
+            est = mc_lst(spec, params, _cfg(0.5, 4000, seed=1))
+            assert (est.mean, est.std_error, est.n_censored) == (1.0, 0.0, 0)
+            assert est.mean == evaluate(params, spec, 0.5)
+            assert simulate_exit(spec, params, 7, 1, w=0.5) == (0.0, Side.DOWN)
 
     def test_slope_parameter_reduces_to_normalized_run(self):
         spec = ExitSpec(ExitKind.TWO_SIDED_UP, x=1.0, a=2.0, b=0.5)
