@@ -11,8 +11,8 @@ Four first-passage problems built on the two-sided exit parts from
   supremum, resolved through the supremum's exit distribution (hazard of
   losing the race to a new maximum) and the down-exit slope at the level
   where the supremum stops; both come from exact scale-function slopes,
-  taken once per Gauss node, and the cumulative hazard is integrated from
-  the same nodes.
+  taken once per node of a Gauss-Kronrod 24/49 pass, and the cumulative
+  hazard is integrated from the same nodes.
 * ``lst_drawup`` — first time the process rises ``c`` above its running
   infimum, via the infimum-cascade renewal in :mod:`._drawup`.
 
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .model import ConvergenceError, _require
 from .scalefn import _k_log_slope, l_down, l_up, z_down, z_down_slope
@@ -52,12 +53,14 @@ __all__ = [
 class QuadratureControl:
     """Accuracy policy for the drawdown integral.
 
-    The integral is evaluated on kink-aware Gauss-Legendre panels and then
-    re-evaluated with all panels halved until two successive refinements
-    agree to ``max(abs_tol, rel_tol * |value|)``; the last difference is the
-    reported error estimate.  At most ``_MAX_ROUNDS`` refinement rounds are
-    run.  Past the last kink level the integrand is known in closed form,
-    so the integral needs no cutoff.
+    The integral is taken in one Gauss-Kronrod pass over kink-aware panels:
+    the 49-point Kronrod value is the result, and ``|Kronrod - Gauss|``
+    against the embedded 24-point Gauss rule, summed over the panels, is the
+    error estimate (``quad_error``).  While the estimate misses
+    ``max(abs_tol, rel_tol * |value|)`` the panels are halved and the pass
+    repeated, at most ``_MAX_ROUNDS`` passes in all.  Past the last kink
+    level the integrand is known in closed form, so the integral needs no
+    cutoff.
     """
 
     abs_tol: float = 1e-8
@@ -163,7 +166,44 @@ def _supremum_breakpoints(x: float, c: float, p: float) -> list:
     return sorted(bps)
 
 
+def _gauss_kronrod(n: int):
+    """Nodes and weights, ascending, of the ``2n+1``-point Kronrod extension
+    of the ``n``-point Gauss-Legendre rule on ``[-1, 1]``.
+
+    Laurie's algorithm (*Math. Comp.* 66, 1997) gives the Jacobi-Kronrod
+    matrix from the Legendre recurrence (its diagonal is zero, as the
+    weight is even); its eigenvalues are the nodes and the squared first
+    components of its eigenvectors, times 2, the weights.  The Gauss nodes
+    are every other node; they are set to ``leggauss``'s own, so the
+    embedded rule is exactly that rule.
+    """
+    b = np.zeros(2 * n + 1)
+    k = np.arange(1, (3 * n + 1) // 2 + 1)
+    b[0] = 2.0
+    b[k] = k * k / (4.0 * k * k - 1.0)
+    s = np.zeros(n // 2 + 2)
+    t = s.copy()
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    j = np.arange(n // 2, -1, -1)
+    s[j + 1] = s[j]
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - 1 - (m - k)
+        s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    nodes, vecs = eigh_tridiagonal(np.zeros(2 * n + 1), np.sqrt(b[1:]))
+    nodes[1::2] = np.polynomial.legendre.leggauss(n)[0]
+    return nodes, b[0] * vecs[0] ** 2
+
+
 _GL24 = np.polynomial.legendre.leggauss(24)
+_GK49 = _gauss_kronrod(24)  # the Gauss-24 nodes are _GK49[0][1::2]
 
 
 def _cumulative_matrix(nodes: np.ndarray) -> np.ndarray:
@@ -175,26 +215,33 @@ def _cumulative_matrix(nodes: np.ndarray) -> np.ndarray:
 
 
 _CUM24 = _cumulative_matrix(_GL24[0])
+_CUM49 = _cumulative_matrix(_GK49[0])
 
 
-def _drawdown_value(w: float, p: float, x: float, c: float, split: int) -> float:
-    """One resolution level of the drawdown integral (panels split ``split``-fold).
+def _drawdown_value(w: float, p: float, x: float, c: float, split: int) -> tuple:
+    """One Gauss-Kronrod pass over the drawdown integral, panels split
+    ``split``-fold: ``(value, error estimate)``.
 
     Integrates ``exp(-H_w(y)) [h_w(y) Z(y) - Z'(y)]`` over ``(x, z1)``, with
     ``Z`` the downward transform for the barrier ``y - c`` and ``z1 =
-    c/(1-p)`` the knee (``x < z1`` here).  The hazard is evaluated once at
-    each Gauss node; ``H_w`` at the nodes is the integral of its interpolant
-    through them, and at the panel end their Gauss sum.  Past the knee
-    ``h_w = w + 1`` and ``h_w Z - Z' = 1``, so the rest of the integral
-    is ``exp(-H_w(z1)) / (w + 1)``.
+    c/(1-p)`` the knee (``x < z1`` here).  The hazard and ``Z`` are
+    evaluated once at each of a panel's 49 Kronrod nodes; ``H_w`` at the
+    nodes is the integral of the hazard's interpolant through them, and at
+    the panel end their Kronrod sum.  Past the knee ``h_w = w + 1`` and
+    ``h_w Z - Z' = 1``, so the rest of the integral is ``exp(-H_w(z1)) /
+    (w + 1)``.  The value is the Kronrod one.  The same integral is also
+    taken with the embedded 24-point Gauss rule alone, ``H_w`` included,
+    and the error estimate is ``|Kronrod - Gauss|`` summed over the panels
+    and the tail.
     """
-    nodes, weights = _GL24
+    nodes, wk = _GK49
+    wg = _GL24[1]
     ends = [x]
     for e in _supremum_breakpoints(x, c, p):  # ascending; the last is z1
         if e > ends[-1] + 1e-15:
             ends.append(e)
-    H_w = 0.0
-    total = 0.0
+    H_k = H_g = 0.0  # cumulative hazard to the panel start: Kronrod, Gauss
+    total = err = 0.0
     for a0, b0 in zip(ends[:-1], ends[1:]):
         for i in range(split):
             aa = a0 + (b0 - a0) * i / split
@@ -203,11 +250,16 @@ def _drawdown_value(w: float, p: float, x: float, c: float, split: int) -> float
             ys = half * nodes + 0.5 * (bb + aa)
             hs = np.array([hazard(w, p, y, c) for y in ys])
             zd, dzd = np.array([z_down_slope(w, p, y, y - c) for y in ys]).T
-            survival = np.exp(-(H_w + half * (_CUM24 @ hs)))
-            total += half * (weights @ (survival * (hs * zd - dzd)))
-            H_w += half * (weights @ hs)
-    total += math.exp(-H_w) / (w + 1.0)
-    return float(total)  # numpy scalars; shed the wrapper
+            f = hs * zd - dzd
+            kronrod = half * (wk @ (np.exp(-(H_k + half * (_CUM49 @ hs))) * f))
+            gauss = half * (wg @ (np.exp(-(H_g + half * (_CUM24 @ hs[1::2]))) * f[1::2]))
+            total += kronrod
+            err += abs(kronrod - gauss)
+            H_k += half * (wk @ hs)
+            H_g += half * (wg @ hs[1::2])
+    tail = math.exp(-H_k) / (w + 1.0)
+    err += abs(tail - math.exp(-H_g) / (w + 1.0))
+    return float(total + tail), float(err)  # numpy scalars; shed the wrapper
 
 
 def lst_drawdown(w: float, p: float, x: float, c: float,
@@ -221,8 +273,11 @@ def lst_drawdown(w: float, p: float, x: float, c: float,
     ``h_w(y) Z(y; y-c) - dZ/dx(y; y-c)``; ``H_w`` is the cumulative hazard
     from ``x`` and ``Z`` the downward transform.  Both slopes are exact
     sums from the scale-function tables.  The stretch past the knee
-    ``c/(1-p)`` is closed form, and the head integral is refined by panel
-    halving until two rounds agree.
+    ``c/(1-p)`` is closed form, and the head integral is one Gauss-Kronrod
+    24/49 pass per kink-free panel, repeated on halved panels while
+    ``|Kronrod - Gauss|`` misses the tolerance.  ``diagnostics`` receives
+    that estimate as ``quad_error`` and the number of passes as
+    ``refinement_rounds``.
     """
     _require(x > c > 0.0, f"drawdown needs x > c > 0, got x={x}, c={c}")
     if w == 0.0:
@@ -232,17 +287,14 @@ def lst_drawdown(w: float, p: float, x: float, c: float,
         # opens a drawdown of (1-p) y >= (1-p) x >= c: the exit time is
         # exactly the first jump time
         return 1.0 / (1.0 + w)
-    prev = _drawdown_value(w, p, x, c, 1)
     for rounds in range(1, _MAX_ROUNDS + 1):
-        value = _drawdown_value(w, p, x, c, 2 ** rounds)
-        err = abs(value - prev)
+        value, err = _drawdown_value(w, p, x, c, 2 ** (rounds - 1))
         if err <= max(qctrl.abs_tol, qctrl.rel_tol * abs(value)):
             break
-        prev = value
     else:
         raise ConvergenceError(
-            f"drawdown integral did not settle after {_MAX_ROUNDS} refinements",
-            partial=prev)
+            f"drawdown integral did not settle in {_MAX_ROUNDS} Gauss-Kronrod passes",
+            partial=value)
     if diagnostics is not None:
         diagnostics.update(quad_error=err, refinement_rounds=rounds)
     return min(max(value, 0.0), 1.0)

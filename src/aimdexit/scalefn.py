@@ -265,7 +265,7 @@ def _c_tilde_escalated(w, p, b, lost: float) -> float:
     """Arbitrary-precision rescue of :func:`c_tilde`, digits sized to the loss."""
     def at(digits):
         with mp.workdps(digits):
-            return (float(_c_tilde_mp(w, p, b)),)
+            return (float(_c_tilde_mp(w, p, b)[0]),)
     return _settled_mp(at, lost, "downward-series constant",
                        f"w={w}, p={p}, b={b}")[0]
 
@@ -289,27 +289,37 @@ def _settled_mp(at: Callable[[int], Optional[Tuple[float, ...]]], lost: float,
 
 def _c_tilde_mp(w, p, b):
     """Arbitrary-precision twin of :func:`c_tilde` (same cancellation-free form),
-    at the working precision of the caller."""
+    at the working precision of the caller: ``(value, lost)``, with ``lost``
+    the decimal digits the alternating sums cancelled."""
     w, p, b = map(mp.mpf, (w, p, b))
     g = w + 1
+    p_inv, g_inv = 1 / p, 1 / g
     num = mp.mpf(0)
     den = mp.mpf(0)
+    peak = mp.mpf(0)  # largest |term| of either sum
     prod = mp.mpf(1)
     prev = mp.mpf(1)
+    p_inv_l = g_inv_l = mp.mpf(1)  # p^{-l} and g^{-l}, built term by term
     tol = mp.mpf(10) ** (-(mp.mp.dps + 5))
     for l in range(2000):
         if l > 0:
+            p_inv_l *= p_inv
+            g_inv_l *= g_inv
             prev = prod
-            prod *= (1 - p ** (-l))
-        t_base = mp.e ** (-b * g * p ** (-l)) * (1 / g) ** l
-        den_term = t_base * p ** (-l) / prod
+            prod *= (1 - p_inv_l)
+        t_base = mp.exp(-b * g * p_inv_l) * g_inv_l
+        den_term = t_base * p_inv_l / prod
         den += den_term
+        peak = max(peak, abs(den_term))
         if l > 0:
             num_term = t_base / prev
             num += num_term
+            peak = max(peak, abs(num_term))
             if abs(num_term) < tol * abs(num) and abs(den_term) < tol * abs(den) and l >= 4:
                 break
-    return num / den
+    smaller = min(abs(num), abs(den))
+    lost = float(mp.log10(peak / smaller)) if smaller else float(mp.mp.dps)
+    return num / den, lost
 
 
 def _down_interval_count(x: float, b: float, p: float) -> int:
@@ -387,12 +397,24 @@ def _z_down_mp(w, p, x, b, dps: int, slope: bool = False) -> Tuple[float, ...]:
     """Arbitrary-precision downward transform: ``(value,)``, or with ``slope``
     ``(value, d/dx value)`` from the same pass over the terms."""
     with mp.workdps(dps):
-        ct = _c_tilde_mp(w, p, b)
+        # the constant's own sums cancel too: re-run them with as many guard
+        # digits as they lost, or every escalated value keeps only the
+        # digits that survived there
+        ct, lost = _c_tilde_mp(w, p, b)
+        guard = 0
+        while lost > guard + 4:
+            guard = int(math.ceil(lost))
+            if guard > _MAX_DPS:
+                raise ConvergenceError(f"downward-series constant cancellation exceeds "
+                                       f"{_MAX_DPS} digits at w={w}, p={p}, b={b}")
+            with mp.workdps(dps + guard):
+                ct, lost = _c_tilde_mp(w, p, b)
         w_, p_, x_, b_ = map(mp.mpf, (w, p, x, b))
         g = w_ + 1
         k0 = _down_interval_count(x, b, p)
         tot = (1 / g) ** k0
         dtot = mp.mpf(0)
+        pw = [p_ ** i for i in range(k0)]
 
         def sums(k, n, denom0):
             """``sum_i e^{g p^i shift} / denom_i`` over ``i < n``, and its slope."""
@@ -402,15 +424,15 @@ def _z_down_mp(w, p, x, b, dps: int, slope: bool = False) -> Tuple[float, ...]:
                 denom = denom0(i)
                 for j in range(n):
                     if j != i:
-                        denom *= (p_ ** i - p_ ** j)
-                e = mp.e ** (g * p_ ** i * shift)
+                        denom *= (pw[i] - pw[j])
+                e = mp.exp(g * pw[i] * shift)
                 s += e / denom
                 if slope:
-                    ds += g * p_ ** i * e / denom
+                    ds += g * pw[i] * e / denom
             return s, ds
 
         for k in range(1, k0):
-            s, ds = sums(k, k, lambda i: g ** k * p_ ** i)
+            s, ds = sums(k, k, lambda i: g ** k * pw[i])
             pre = (w_ / g) * (-1) ** k * p_ ** (k * (k - 1) // 2)
             tot -= pre * s
             if slope:
@@ -610,19 +632,21 @@ def _k_tables_mp(w: float, p: float, b: float, kmax: int, dps: int):
     with mp.workdps(dps):
         w_, p_, b_ = map(mp.mpf, (w, p, b))
         g = w_ + 1
-        tabs = [(mp.e ** (-g * b_),)]
+        pw = [p_ ** n for n in range(kmax + 1)]
+        p_inv = 1 / p_
+        tabs = [(mp.exp(-g * b_),)]
         for k in range(1, kmax + 1):
             prev = tabs[k - 1]
             coeffs = [mp.mpf(0)] * (k + 1)
             for m in range(1, k + 1):
-                coeffs[m] = prev[m - 1] / (g * (1 - p_ ** m))
+                coeffs[m] = prev[m - 1] / (g * (1 - pw[m]))
             xk = b_ * p_ ** (-k)
             xk1 = b_ * p_ ** (-(k - 1))
-            k_at_break = mp.fsum(prev[n] * mp.e ** (g * p_ ** n * xk)
+            k_at_break = mp.fsum(prev[n] * mp.exp(g * pw[n] * xk)
                                  for n in range(k))
-            acc = mp.fsum(prev[n] * mp.e ** (g * (p_ ** n - 1 / p_) * xk1)
-                          / (g * (p_ ** n - 1 / p_)) for n in range(k))
-            coeffs[0] = mp.e ** (-g * xk) * k_at_break + (1 / p_) * acc
+            acc = mp.fsum(prev[n] * mp.exp(g * (pw[n] - p_inv) * xk1)
+                          / (g * (pw[n] - p_inv)) for n in range(k))
+            coeffs[0] = mp.exp(-g * xk) * k_at_break + p_inv * acc
             tabs.append(tuple(coeffs))
         return tuple(tabs)
 
@@ -635,10 +659,11 @@ def _log_k_mp(w: float, p: float, b: float, x: float,
     with mp.workdps(dps):
         g = mp.mpf(w) + 1
         p_, x_ = mp.mpf(p), mp.mpf(x)
-        terms = [tab[n] * mp.e ** (g * p_ ** n * x_) for n in range(k + 1)]
+        rates = [g * p_ ** n for n in range(k + 1)]
+        terms = [a * mp.exp(r * x_) for a, r in zip(tab, rates)]
         sums = [mp.fsum(terms)]
         if slope:
-            sums.append(mp.fsum(g * p_ ** n * t for n, t in enumerate(terms)))
+            sums.append(mp.fsum(r * t for r, t in zip(rates, terms)))
         if any(v <= 0 for v in sums):
             return None
         return tuple(float(mp.log(v)) for v in sums)

@@ -3,6 +3,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from aimdexit import (ConvergenceError, ExitKind, ExitSpec, McConfig,
@@ -212,8 +213,8 @@ class TestDrawdown:
     @pytest.mark.parametrize("x, p, c, panels", [(1.5, 0.5, 1.0, 1), (3.0, 0.8, 1.5, 3)])
     def test_one_hazard_call_per_gauss_node(self, monkeypatch, x, p, c, panels):
         # the cumulative hazard comes from the hazard values at the panel's
-        # own 24 Gauss nodes; a round-1 answer evaluates every panel whole
-        # and halved, so 3 * 24 nodes per panel
+        # own 49 Kronrod nodes, whose odd members are the 24 Gauss nodes of
+        # the error estimate; a round-1 answer is one pass, 49 nodes a panel
         calls = []
 
         def counted(*args):
@@ -223,14 +224,33 @@ class TestDrawdown:
         diags = {}
         lst_drawdown(0.5, p, x, c, diagnostics=diags)
         assert diags["refinement_rounds"] == 1
-        assert len(calls) == 3 * 24 * panels
+        assert len(calls) == 49 * panels
 
     def test_unsettled_refinement_raises_with_the_last_raw_integral(self, monkeypatch):
-        # an integral that halves with every panel split never settles
-        monkeypatch.setattr(reflected, "_drawdown_value", lambda *args: 0.5 / args[-1])
+        # an integral whose error estimate never shrinks never settles: after
+        # _MAX_ROUNDS passes (the last on panels split 2^(_MAX_ROUNDS-1)-fold)
+        # the last value is the partial result
+        monkeypatch.setattr(reflected, "_drawdown_value",
+                            lambda *args: (0.5 / args[-1], 1.0))
         with pytest.raises(ConvergenceError) as info:
             lst_drawdown(0.5, 0.5, 1.5, 1.0)
-        assert info.value.partial == 0.5 / 2 ** reflected._MAX_ROUNDS
+        assert info.value.partial == 0.5 / 2 ** (reflected._MAX_ROUNDS - 1)
+
+    def test_the_user_tolerance_governs_the_kronrod_estimate(self):
+        # |Kronrod - Gauss| is an ulp or two here, never below 1e-300 times
+        # the value, so that tolerance exhausts every pass; the defaults
+        # settle in the first
+        args = (0.5, 0.5, 1.5, 1.0)
+        strict = QuadratureControl(abs_tol=1e-300, rel_tol=1e-300)
+        with pytest.raises(ConvergenceError) as info:
+            lst_drawdown(*args, strict)
+        assert math.isfinite(info.value.partial) and 0.0 < info.value.partial < 1.0
+        diags = {}
+        value = lst_drawdown(*args, diagnostics=diags)
+        assert diags["refinement_rounds"] == 1
+        default = QuadratureControl()
+        assert diags["quad_error"] < max(default.abs_tol, default.rel_tol * value)
+        assert abs(info.value.partial - value) <= 1e-14
 
     def test_quadrature_path_returns_builtin_float(self):
         # the Gauss weights are numpy scalars; a leaked np.float64 would
@@ -239,6 +259,34 @@ class TestDrawdown:
         val = lst_drawdown(1.0, 0.5, 2.0, 1.5, diagnostics=diags)
         assert type(val) is float
         assert type(diags["quad_error"]) is float
+
+
+class TestGaussKronrodRule:
+    """The 24/49-point Gauss-Kronrod pair behind the drawdown quadrature."""
+
+    nodes, weights = reflected._GK49
+
+    def test_has_the_gauss_nodes_among_its_nodes(self):
+        gauss = np.polynomial.legendre.leggauss(24)[0]
+        assert len(self.nodes) == 49
+        assert np.all(np.diff(self.nodes) > 0.0)
+        assert np.max(np.abs(self.nodes[1::2] - gauss)) <= 1e-15
+
+    def test_weights_are_positive_and_sum_to_two(self):
+        assert np.all(self.weights > 0.0)
+        assert abs(self.weights.sum() - 2.0) <= 1e-14
+
+    def test_integrates_every_monomial_to_degree_73(self):
+        # 3n + 1 = 73 for n = 24
+        for d in range(74):
+            exact = (1.0 - (-1.0) ** (d + 1)) / (d + 1)
+            assert abs(self.weights @ self.nodes ** d - exact) <= 1e-14, d
+
+    def test_cumulative_matrix_integrates_every_degree_48_polynomial(self):
+        x = self.nodes
+        for d in range(49):
+            exact = (x ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
+            assert np.max(np.abs(reflected._CUM49 @ x ** d - exact)) <= 1e-14, d
 
 
 class TestDrawdownGeneralStart:

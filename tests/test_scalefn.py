@@ -10,7 +10,8 @@ from aimdexit import (ConvergenceError, ExitKind, ExitSpec, ModelParams,
                       evaluate, interval_index, k_up_coeffs, l_down, l_up,
                       l_up_from_b, z_down, z_down_renewal_residual, z_up,
                       z_up_zero)
-from aimdexit.scalefn import SignedLogProduct, _signed_logsumexp, z_down_slope
+from aimdexit.scalefn import (SignedLogProduct, _signed_logsumexp, _z_down_mp,
+                              z_down_slope)
 from unit_rate import at_rate
 
 
@@ -167,6 +168,18 @@ class TestZDown:
         assert math.isclose(v, 0.009996388, rel_tol=1e-5)
         assert abs(z_down_renewal_residual(3.0, 1.0, 0.3, 28.529579, 0.857143)) <= 1e-9
 
+    @pytest.mark.parametrize("w, p, x, b", [(0.02, 0.96, 1.02, 0.98),
+                                            (0.01, 0.96, 0.44, 0.416),
+                                            (0.02, 0.95, 1.3, 1.2)])
+    def test_escalation_carries_the_constants_own_digits(self, w, p, x, b):
+        # small w near p = 1: the downward-series constant cancels ~18 of
+        # the digits z_down escalates to, which used to leave the value off
+        # by up to 2.5e-2 relative; it must agree with 150 digits throughout
+        diag = {}
+        v = z_down(w, p, x, b, diagnostics=diag)
+        assert diag["escalated_digits"] > 0
+        assert math.isclose(v, _z_down_mp(w, p, x, b, 150)[0], rel_tol=1e-12)
+
     def test_decreasing_in_start_level(self):
         vals = [z_down(1.0, 0.5, x, 1.0) for x in (1.1, 1.5, 2.5, 4.0, 8.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -205,6 +218,18 @@ class TestZDownSlope:
         got, slope = z_down_slope(w, p, x, b)
         assert math.isclose(got, value, rel_tol=1e-12)
         assert math.isclose(slope, self.central(w, p, x, b), rel_tol=1e-6)
+
+    @pytest.mark.parametrize("w, p, x, b, expected", [
+        (1.0, 0.8, 3.457, 0.457, ("0x1.d492a3aac48eap-31", "-0x1.6bfcd402f0cbbp-30")),
+        (0.5, 0.95, 3.0, 2.0, ("0x1.f1f46a3ab5b23p-40", "-0x1.31078612efffap-35")),
+    ])
+    def test_escalated_value_and_slope_are_pinned(self, w, p, x, b, expected):
+        # both points take the arbitrary-precision twins (37 and 40 digits);
+        # any change to their arithmetic that moves a bit shows up here
+        diag = {}
+        z_down(w, p, x, b, diagnostics=diag)
+        assert diag["escalated_digits"] > 0
+        assert tuple(v.hex() for v in z_down_slope(w, p, x, b)) == expected
 
     def test_generator_identity_past_the_first_breakpoint(self):
         # for b < x <= b/p every jump lands below b, so the generator gives
