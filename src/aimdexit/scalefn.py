@@ -336,61 +336,60 @@ def _down_interval_count(x: float, b: float, p: float) -> int:
 
 
 def _z_down_terms_float(w, p, x, b, ct):
-    """Signed float64 terms of the downward transform, their rates and the peak.
+    """Signed float64 terms of the downward transform, their rates and the
+    log10 of the largest |term|; the terms are None when it is past float64.
 
     Every term is a constant times ``e^{rate * x}``, so the slope in ``x`` is
     ``sum(term * rate)``; the constant head term has rate 0.
     """
     g = w + 1.0
     k0 = _down_interval_count(x, b, p)
-    terms = [(1.0 / g) ** k0]
+    head = (1.0 / g) ** k0
     rates = [0.0]
-    peak = abs(terms[0])
+    tail = []  # SignedLogProduct terms
     # w may be subnormal, where the quotient w/g underflows before its log
     log_w_over_g = math.log(w) - math.log(g)
-    for k in range(1, k0):
-        # -(w/g) (-1)^k p^{k(k-1)/2} sum_i e^{g p^i (x - b p^{-k})}
-        #                                   / (g^k p^i prod_{j != i}(p^i - p^j))
+
+    def add(k, n, base, first):
+        """``base e^{g p^i shift} / (first(i) prod_{j != i}(p^i - p^j))``, i < n."""
         shift = x - b * p ** (-k)
-        base = SignedLogProduct((-1) ** (k + 1),  # -(w/g)(-1)^k sign
-                                log_w_over_g
-                                + (k * (k - 1) // 2) * math.log(p) - k * math.log(g))
-        for i in range(k):
-            denom = SignedLogProduct(1, i * math.log(p))
-            for j in range(k):
+        for i in range(n):
+            denom = first(i)
+            for j in range(n):
                 if j != i:
                     denom = denom.times_float(p ** i - p ** j)
             rate = g * p ** i
-            t = base.times(SignedLogProduct(denom.sign,
-                                            rate * shift - denom.log_magnitude))
-            val = t.to_float()
-            terms.append(val)
+            tail.append(base.times(SignedLogProduct(denom.sign,
+                                                    rate * shift - denom.log_magnitude)))
             rates.append(rate)
-            peak = max(peak, abs(val))
+
+    for k in range(1, k0):
+        # -(w/g) (-1)^k p^{k(k-1)/2} sum_i e^{g p^i (x - b p^{-k})}
+        #                                   / (g^k p^i prod_{j != i}(p^i - p^j))
+        add(k, k, SignedLogProduct((-1) ** (k + 1),  # -(w/g)(-1)^k sign
+                                   log_w_over_g
+                                   + (k * (k - 1) // 2) * math.log(p) - k * math.log(g)),
+            lambda i: SignedLogProduct(1, i * math.log(p)))
     if ct != 0.0:
         log_ct = math.log(abs(ct))
         sign_ct = 1 if ct > 0 else -1
         for k in range(k0):
             # +(w/g) C~ (-1)^{k+1} p^{-k} p^{k(k+1)/2} sum_i e^{g p^i shift}
             #                                         / (g^k prod_{j != i}(p^i - p^j))
-            shift = x - b * p ** (-k)
-            base = SignedLogProduct(sign_ct * (-1) ** (k + 1),
-                                    log_w_over_g + log_ct
-                                    - k * math.log(p)
-                                    + (k * (k + 1) // 2) * math.log(p) - k * math.log(g))
-            for i in range(k + 1):
-                denom = SignedLogProduct.ONE
-                for j in range(k + 1):
-                    if j != i:
-                        denom = denom.times_float(p ** i - p ** j)
-                rate = g * p ** i
-                t = base.times(SignedLogProduct(denom.sign,
-                                                rate * shift - denom.log_magnitude))
-                val = t.to_float()
-                terms.append(val)
-                rates.append(rate)
-                peak = max(peak, abs(val))
-    return terms, rates, peak
+            add(k, k + 1, SignedLogProduct(sign_ct * (-1) ** (k + 1),
+                                           log_w_over_g + log_ct - k * math.log(p)
+                                           + (k * (k + 1) // 2) * math.log(p)
+                                           - k * math.log(g)),
+                lambda i: SignedLogProduct.ONE)
+    log_peak = max((t.log_magnitude for t in tail), default=-math.inf)
+    if log_peak > _LOG_HUGE:
+        return None, rates, log_peak / _LN10
+    terms = [head] + [t.to_float() for t in tail]
+    return terms, rates, _log10_or_zero(max(abs(v) for v in terms))
+
+
+def _log10_or_zero(v: float) -> float:
+    return math.log10(abs(v)) if v != 0.0 else 0.0
 
 
 def _z_down_mp(w, p, x, b, dps: int, slope: bool = False) -> Tuple[float, ...]:
@@ -485,19 +484,22 @@ def z_down_slope(w: float, p: float, x: float, b: float) -> Tuple[float, float]:
 def _z_down_eval(w, p, x, b, diagnostics, slope: bool) -> Tuple[float, ...]:
     """``(value,)`` or ``(value, slope)`` of the downward transform, with escalation."""
     ct = c_tilde(w, p, b)
-    terms, rates, peak = _z_down_terms_float(w, p, x, b, ct)
-    total = math.fsum(terms)
-    err_est = 8.0 * 2.2e-16 * peak
-    tol = max(1e-15, 1e-13 * abs(total))
-    ok = err_est <= tol and total > 0.0
-    # (peak, float sum) per returned quantity; the slope carries its own check
-    parts = [(peak, total)]
-    if slope:
-        dterms = [t * r for t, r in zip(terms, rates)]
-        dpeak = max(abs(t) for t in dterms)
-        dtotal = math.fsum(dterms)
-        ok = ok and 8.0 * 2.2e-16 * dpeak <= max(1e-15 * (w + 1.0), 1e-13 * abs(dtotal))
-        parts.append((dpeak, dtotal))
+    terms, rates, lpk = _z_down_terms_float(w, p, x, b, ct)
+    # (log10 peak |term|, float sum) per returned quantity, the slope with its
+    # own check; a term past float64 fails it, its slope term <= (w + 1) x it
+    parts = [(lpk, 0.0), (lpk + math.log10(w + 1.0), 0.0)][:1 + slope]
+    ok, err_est = False, math.inf
+    if terms is not None:
+        total = math.fsum(terms)
+        err_est = 8.0 * 2.2e-16 * max(abs(v) for v in terms)
+        ok = err_est <= max(1e-15, 1e-13 * abs(total)) and total > 0.0
+        parts[0] = (lpk, total)
+        if slope:
+            dterms = [t * r for t, r in zip(terms, rates)]
+            dpeak = max(abs(t) for t in dterms)
+            dtotal = math.fsum(dterms)
+            ok = ok and 8.0 * 2.2e-16 * dpeak <= max(1e-15 * (w + 1.0), 1e-13 * abs(dtotal))
+            parts[1] = (_log10_or_zero(dpeak), dtotal)
     if diagnostics is not None:
         diagnostics.update(interval_count=_down_interval_count(x, b, p),
                            float_error_estimate=err_est, escalated_digits=0)
@@ -508,25 +510,23 @@ def _z_down_eval(w, p, x, b, diagnostics, slope: bool) -> Tuple[float, ...]:
     # magnitude is only learned from the evaluation itself (the float total
     # may be pure cancellation noise), so iterate: evaluate, bound the
     # summation noise by peak * 10^(4 - digits), and re-raise the budget
-    # until the bound is beaten or the hard cap trips.
-    def log10_or_zero(v):
-        return math.log10(abs(v)) if v != 0.0 else 0.0
-
+    # until the bound is beaten or the hard cap trips (in log10: the peak may
+    # be past float64).
     digits = min(_MAX_DPS, max(
-        25 + max(0, int(math.ceil(log10_or_zero(pk) - log10_or_zero(tot))))
-        for pk, tot in parts))
+        25 + max(0, int(math.ceil(pk - _log10_or_zero(tot)))) for pk, tot in parts))
     for _ in range(8):
         vals = _z_down_mp(w, p, x, b, digits, slope)
-        need = digits
+        # a sum past float64 is noise of a peak term past it
+        need = digits if all(map(math.isfinite, vals)) else int(digits * 1.6) + 10
         for (pk, _), val in zip(parts, vals):
-            noise = pk * 10.0 ** (4 - digits)
-            if noise <= max(1e-300, 1e-12 * abs(val)):
+            lnoise = pk + 4 - digits
+            lval = math.log10(abs(val)) if val != 0.0 else -math.inf
+            if lnoise <= max(-300.0, lval - 12.0):
                 continue
-            if abs(val) <= 1e-60 and noise <= 1e-60:
+            if lval <= -60.0 and lnoise <= -60.0:
                 continue  # genuinely negligible value; sign noise is irrelevant
-            need = max(need, 25 + int(math.ceil(
-                log10_or_zero(pk) - math.log10(max(abs(val), noise / 10.0)))),
-                int(digits * 1.6) + 10)
+            need = max(need, 25 + int(math.ceil(pk - max(lval, lnoise - 1.0))),
+                       int(digits * 1.6) + 10)
         if need == digits:
             break
         if digits >= _MAX_DPS:

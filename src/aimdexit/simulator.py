@@ -10,6 +10,9 @@ discretized.
 Randomness is counter-based (:mod:`.rng`): path ``i``'s ``k``-th inter-jump
 time is a pure function of ``(seed, i, k)``, which makes estimates
 bit-identical across thread counts and lets any path be replayed alone.
+The kernel hashes each path's key once, draws round ``k`` at draw index
+``k`` for every alive path, and keeps its state arrays compact: they hold
+the alive paths only.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .model import ExitKind, ExitSpec, ModelParams, ValidationError, _require, normalize
-from .rng import exponentials, substream_seed
+from .rng import exponentials, path_keys
 from .rng import uniforms  # noqa: F401  unused here; the layer trace in bench/tracing.py wraps it
 
 __all__ = [
@@ -106,51 +109,49 @@ class McEstimate:
 # ---------------------------------------------------------------------------
 # vectorized kernel: one (tau, side) pair per path
 # ---------------------------------------------------------------------------
-# The loop consumes exactly one Exp(lam) draw per alive path per round, with
-# draw_index equal to the number of jumps already experienced; the scalar
-# replay in simulate_exit follows the identical schedule.  A kind enters only
-# through its step: ``gap`` (distance left to an upward exit by creeping, or
-# None), ``jump`` (pre-jump state and run E -> post-jump state) and ``out``
-# (downward exit test on the post-jump state, or None).  The state is a list
-# of arrays: the level, then the supremum (drawdown) or infimum (drawup).
+# Every path alive in round k has made exactly k jumps, so round k draws one
+# Exp(lam) variate per alive path at draw index k; the scalar replay in
+# simulate_exit follows the identical schedule.  A kind enters only through
+# its step: ``gap`` (distance left to an upward exit by creeping, or None),
+# ``jump`` (pre-jump state and run E -> post-jump state) and ``out``
+# (downward exit test on the post-jump state, or None).  The state (level,
+# then sup or inf), ``t``, ``keys`` and ``pos`` (a path's slot in ``tau``/
+# ``side``) hold the alive paths only; one compaction a round drops exits.
 
 
-def _paths(stage0, lam, idx, start, cap, gap, jump, out):
-    n = idx.size
+def _paths(keys, lam, start, cap, gap, jump, out):
+    n = keys.size
     state = [np.full(n, float(s0)) for s0 in start]
     t = np.zeros(n)
     tau = np.full(n, np.inf)
     side = np.full(n, 0, dtype=np.int8)  # 0 = censored, 1 = up, -1 = down
-    alive = np.arange(n)
-    draw = np.zeros(n, dtype=np.uint64)
-    while alive.size:
-        E = exponentials(stage0, idx[alive], draw[alive], lam)
-        draw[alive] += np.uint64(1)
-        rest = alive
+    pos = np.arange(n)
+    up = pos[:0]  # creeping exits of the round: none without a gap
+    k = 0
+    while pos.size:
+        E = exponentials(keys, k, lam)
+        k += 1
         if gap is not None:
-            g = gap([arr[alive] for arr in state])
-            creep = E > g
-            hit = alive[creep]
-            tau[hit] = t[hit] + g[creep]
-            side[hit] = 1
-            stay = ~creep
-            rest, E = alive[stay], E[stay]
-        t[rest] += E
-        post = jump([arr[rest] for arr in state], E)
-        for arr, new in zip(state, post):
-            arr[rest] = new  # a path that exits below is dead: its state is never read
-        keep = t[rest] <= cap
+            g = gap(state)
+            up = np.flatnonzero(E > g)  # creeps out before the jump
+            tau[pos[up]], side[pos[up]] = t[up] + g[up], 1
+        t += E
+        state = jump(state, E)  # a creeper's step is never read
+        keep = t <= cap
+        keep[up] = False
         if out is not None:
-            down = out(post)
-            hit = rest[down]
-            tau[hit] = t[hit]
-            side[hit] = -1
-            keep &= ~down
-        alive = rest[keep]
+            down = out(state)
+            down[up] = False
+            dn = np.flatnonzero(down)
+            tau[pos[dn]], side[pos[dn]] = t[dn], -1
+            keep[dn] = False
+        live = np.flatnonzero(keep)
+        if live.size < pos.size:
+            *state, t, keys, pos = [arr.take(live) for arr in (*state, t, keys, pos)]
     return tau, side
 
 
-def _run_kernel(kind: ExitKind, stage0, lam, p, idx, spec: ExitSpec, cap: float):
+def _run_kernel(kind: ExitKind, keys, lam, p, spec: ExitSpec, cap: float):
     x, a, b, c = spec.x, spec.a, spec.b, spec.c
     start, gap, out = [x], None, None
     jump = lambda st, E: [p * (st[0] + E)]
@@ -170,7 +171,7 @@ def _run_kernel(kind: ExitKind, stage0, lam, p, idx, spec: ExitSpec, cap: float)
     elif kind is ExitKind.DRAWDOWN:
         start = [x, spec.xbar0 if spec.xbar0 is not None else x]
         if start[1] - c >= x:  # the recorded drawdown already reaches c
-            return np.zeros(idx.size), np.full(idx.size, -1, dtype=np.int8)
+            return np.zeros(keys.size), np.full(keys.size, -1, dtype=np.int8)
 
         def jump(st, E):
             pre = st[0] + E
@@ -185,7 +186,7 @@ def _run_kernel(kind: ExitKind, stage0, lam, p, idx, spec: ExitSpec, cap: float)
             return [post, np.minimum(st[1], post)]
     else:
         raise ValidationError(f"unknown exit kind {kind!r}")
-    return _paths(stage0, lam, idx, start, cap, gap, jump, out)
+    return _paths(keys, lam, start, cap, gap, jump, out)
 
 
 def _drift_only_exit(kind: ExitKind, spec: ExitSpec, cap: float):
@@ -228,27 +229,10 @@ def simulate_exit(spec: ExitSpec, params: ModelParams, path_index: int, seed: in
     if lam == 0.0:
         tau, side = _drift_only_exit(kind, nspec, cap)
         return tau / scale, side
-    stage0 = substream_seed(seed)
-    idx = np.array([path_index], dtype=np.uint64)
-    tau, side = _run_kernel(kind, stage0, lam, nparams.p, idx, nspec, cap)
+    tau, side = _run_kernel(kind, path_keys(seed, [path_index]), lam, nparams.p, nspec, cap)
     if side[0] == 0:
         return math.inf, Side.CENSORED
     return float(tau[0]) / scale, Side.UP if side[0] > 0 else Side.DOWN
-
-
-def _chunk_stats(kind: ExitKind, stage0, lam, p, spec, cap, w, lo, hi):
-    """Sums (sum, sum of squares, n_side, n_censored) for paths [lo, hi)."""
-    idx = np.arange(lo, hi, dtype=np.uint64)
-    tau, side = _run_kernel(kind, stage0, lam, p, idx, spec, cap)
-    if kind is ExitKind.TWO_SIDED_UP:
-        want = side == 1
-    elif kind is ExitKind.TWO_SIDED_DOWN:
-        want = side == -1
-    else:
-        want = side != 0
-    contrib = np.where(want, np.exp(-w * np.where(np.isfinite(tau), tau, 0.0)), 0.0)
-    n_cens = int(np.sum(side == 0))
-    return float(contrib.sum()), float((contrib * contrib).sum()), n_cens
 
 
 def mc_lst(spec: ExitSpec, params: ModelParams, cfg: McConfig, threads: int = 1) -> McEstimate:
@@ -275,19 +259,23 @@ def mc_lst(spec: ExitSpec, params: ModelParams, cfg: McConfig, threads: int = 1)
             val = 0.0  # drift-only paths always exit upward
         return McEstimate(val, 0.0, cfg.n_paths, 0)
 
-    stage0 = substream_seed(cfg.seed)
     n = cfg.n_paths
-    bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+    want = {ExitKind.TWO_SIDED_UP: 1, ExitKind.TWO_SIDED_DOWN: -1}.get(kind)
 
-    def work(span):
-        return _chunk_stats(kind, stage0, lam, nparams.p, nspec, cap,
-                            w, span[0], span[1])
+    def work(lo):
+        """(sum, sum of squares, n_censored) over the chunk of paths from ``lo``."""
+        keys = path_keys(cfg.seed, np.arange(lo, min(lo + _CHUNK, n), dtype=np.uint64))
+        tau, side = _run_kernel(kind, keys, lam, nparams.p, nspec, cap)
+        hit = side != 0 if want is None else side == want
+        contrib = np.where(hit, np.exp(-w * np.where(np.isfinite(tau), tau, 0.0)), 0.0)
+        return float(contrib.sum()), float((contrib * contrib).sum()), int(np.sum(side == 0))
 
+    starts = range(0, n, _CHUNK)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, bounds))
+            parts = list(pool.map(work, starts))
     else:
-        parts = [work(b) for b in bounds]
+        parts = [work(lo) for lo in starts]
 
     total = 0.0
     total_sq = 0.0

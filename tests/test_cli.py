@@ -281,6 +281,15 @@ class TestErrorReporting:
         assert rc == 3
         assert err.startswith("aimdexit: error: convergence:")
 
+    def test_overflowing_series_term_is_a_single_line_convergence_error(self, capsys):
+        # a downward-series term past float64 whose escalation needs more
+        # than the 400-digit cap
+        rc, out, err = run(capsys, "eval", "--kind", "down-one", "--lambda", "1",
+                           "--p", "0.3", "--w", "2", "--x", "300", "--b", "1.5")
+        assert rc == 3
+        assert err.count("\n") == 1
+        assert err.startswith("aimdexit: error: convergence:")
+
 
 class TestConsoleScript:
     """``main()`` as a process entry point: argv from ``sys.argv``, return

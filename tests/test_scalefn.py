@@ -180,6 +180,29 @@ class TestZDown:
         assert diag["escalated_digits"] > 0
         assert math.isclose(v, _z_down_mp(w, p, x, b, 150)[0], rel_tol=1e-12)
 
+    def test_term_past_float64_escalates_instead_of_overflowing(self):
+        # at x = 240 one series term is e^703: the float sums cannot hold it,
+        # so the whole sum is taken in mpmath, with digits sized from that
+        # term; the reference agrees at 340 and 380 digits
+        params, w = ModelParams(lam=1.0, p=0.3), 2.0
+        value = evaluate(params, ExitSpec(ExitKind.DOWN_ONE, x=240.0, b=1.5), w)
+        assert math.isclose(value, 0.0041147607768808915, rel_tol=1e-12)
+        assert value < evaluate(params, ExitSpec(ExitKind.DOWN_ONE, x=200.0, b=1.5), w)
+        got, slope = z_down_slope(w, 0.3, 240.0, 1.5)
+        assert got == value
+        assert slope < 0.0
+
+    @pytest.mark.parametrize("x", [300.0, 1000.0])
+    def test_term_far_past_float64_settles_or_raises_convergence_error(self, x):
+        # the series needs more digits than the escalation's cap; at x = 1000
+        # even the capped mpmath sum is past float64
+        spec = ExitSpec(ExitKind.DOWN_ONE, x=x, b=1.5)
+        try:
+            value = evaluate(ModelParams(lam=1.0, p=0.3), spec, 2.0)
+        except ConvergenceError:
+            return
+        assert 0.0 < value < 0.0041147607768808915
+
     def test_decreasing_in_start_level(self):
         vals = [z_down(1.0, 0.5, x, 1.0) for x in (1.1, 1.5, 2.5, 4.0, 8.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))

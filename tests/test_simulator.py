@@ -9,7 +9,7 @@ from scipy import stats
 from aimdexit import (ExitKind, ExitSpec, McConfig, ModelParams, Side,
                       ValidationError, default_horizon_cap, evaluate, mc_lst,
                       simulate_exit, z_up)
-from aimdexit.rng import exponentials, substream_seed, uniforms
+from aimdexit.rng import exponentials, path_keys, uniforms
 from aimdexit.simulator import _CHUNK
 
 SEED = 90210
@@ -23,52 +23,81 @@ def _cfg(w, n_paths, lam=1.0, seed=SEED, cap=None):
 
 class TestCounterRng:
     def test_uniforms_live_in_unit_interval(self):
-        s0 = substream_seed(SEED)
-        u = uniforms(s0, np.arange(100_000, dtype=np.uint64), 0)
+        u = uniforms(path_keys(SEED, np.arange(100_000, dtype=np.uint64)), 0)
         assert float(u.min()) >= 0.0
         assert float(u.max()) < 1.0
 
     def test_uniforms_pass_ks_across_paths(self):
-        s0 = substream_seed(SEED)
-        u = uniforms(s0, np.arange(200_000, dtype=np.uint64), 0)
+        u = uniforms(path_keys(SEED, np.arange(200_000, dtype=np.uint64)), 0)
         assert stats.kstest(u, "uniform").pvalue > 1e-4
 
     def test_uniforms_pass_ks_across_draws(self):
-        s0 = substream_seed(SEED)
-        u = uniforms(s0, 7, np.arange(200_000, dtype=np.uint64))
+        u = uniforms(path_keys(SEED, 7), np.arange(200_000, dtype=np.uint64))
         assert stats.kstest(u, "uniform").pvalue > 1e-4
 
     def test_exponentials_pass_ks(self):
-        s0 = substream_seed(SEED + 1)
-        e = exponentials(s0, np.arange(200_000, dtype=np.uint64), 0, rate=2.0)
+        e = exponentials(path_keys(SEED + 1, np.arange(200_000, dtype=np.uint64)), 0, rate=2.0)
         assert stats.kstest(e, "expon", args=(0.0, 0.5)).pvalue > 1e-4
 
     def test_variates_are_pure_functions_of_counters(self):
-        s0 = substream_seed(SEED)
         idx = np.arange(64, dtype=np.uint64)
-        block = uniforms(s0, idx, 3)
-        singles = np.array([float(uniforms(s0, int(i), 3)) for i in idx])
+        block = uniforms(path_keys(SEED, idx), 3)
+        singles = np.array([float(uniforms(path_keys(SEED, int(i)), 3)) for i in idx])
         np.testing.assert_array_equal(block, singles)
         # evaluation order is irrelevant: a permuted request permutes values
         perm = idx[::-1]
-        np.testing.assert_array_equal(uniforms(s0, perm, 3), block[::-1])
+        np.testing.assert_array_equal(uniforms(path_keys(SEED, perm), 3), block[::-1])
 
     def test_distinct_seeds_give_distinct_streams(self):
-        a = uniforms(substream_seed(1), np.arange(16, dtype=np.uint64), 0)
-        b = uniforms(substream_seed(2), np.arange(16, dtype=np.uint64), 0)
+        a = uniforms(path_keys(1, np.arange(16, dtype=np.uint64)), 0)
+        b = uniforms(path_keys(2, np.arange(16, dtype=np.uint64)), 0)
         assert not np.any(a == b)
 
     def test_adjacent_paths_are_decorrelated(self):
-        s0 = substream_seed(SEED)
-        u = uniforms(s0, np.arange(100_001, dtype=np.uint64), 0)
+        u = uniforms(path_keys(SEED, np.arange(100_001, dtype=np.uint64)), 0)
         r = np.corrcoef(u[:-1], u[1:])[0, 1]
         assert abs(r) < 0.01
 
     def test_exponential_sample_mean(self):
-        s0 = substream_seed(SEED + 2)
-        e = exponentials(s0, np.arange(100_000, dtype=np.uint64), 0, rate=0.5)
+        e = exponentials(path_keys(SEED + 2, np.arange(100_000, dtype=np.uint64)), 0, rate=0.5)
         # Exp(0.5): mean 2, sd 2 -> standard error 2/sqrt(n)
         assert abs(float(e.mean()) - 2.0) < 5 * 2.0 / math.sqrt(100_000)
+
+
+_M64 = (1 << 64) - 1
+
+
+def _splitmix64(z):
+    """One splitmix64 round in Python integers, modulo 2^64."""
+    z = (z + 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def _reference_uniform(seed, path, draw):
+    """The stream's definition, one triple at a time: three chained rounds
+    over (seed, path, draw), top 53 bits scaled to [0, 1)."""
+    key = _splitmix64(_splitmix64((seed & _M64) ^ 0x8BADF00DDEADBEEF) ^ path)
+    return (_splitmix64(key ^ draw) >> 11) * 2.0 ** -53
+
+
+class TestStreamReference:
+    # a negative seed, seeds at and past 2^63, paths near 2^64 - 1, and draws
+    # 0 and 10^6
+    TRIPLES = [(SEED, 0, 0), (-7, 12_345, 1), (2**63 + 11, 3, 10**6),
+               (1, 2**64 - 1, 0), (-(2**40), 2**64 - 2, 10**6), (2**64 - 1, 2**63, 17)]
+
+    @pytest.mark.parametrize("seed, path, draw", TRIPLES)
+    def test_variates_match_the_scalar_integer_reference(self, seed, path, draw):
+        keys = path_keys(seed, np.array([path], dtype=np.uint64))
+        u = _reference_uniform(seed, path, draw)
+        assert float(uniforms(keys, draw)[0]).hex() == u.hex()
+        for rate in (1.5, 0.37):
+            # -log1p(-U)/rate through the same log1p as the library, so the
+            # comparison sees the hashing and the sign handling only
+            want = float(-np.log1p(np.array([-u]))[0] / rate)
+            assert float(exponentials(keys, draw, rate)[0]).hex() == want.hex()
 
 
 # one spec per kernel step, each exiting after a few jumps so the scalar
@@ -301,6 +330,31 @@ class TestPinnedOutput:
     def test_estimate_is_bit_identical_to_the_recorded_one(
             self, spec, lam, p, w, cap, threads, expected):
         cfg = _cfg(w, 4096, lam=lam, seed=4242, cap=cap)
+        est = mc_lst(spec, ModelParams(lam=lam, p=p), cfg, threads=threads)
+        mean, se, n_cens = expected
+        assert (est.mean, est.std_error, est.n_censored) == \
+            (float.fromhex(mean), float.fromhex(se), n_cens)
+
+
+# (mean, std_error, n_censored) of mc_lst at 2 * _CHUNK + 1 paths (two full
+# chunks and one of a single path) and seed 4242, recorded as float.hex
+# before the alive set was kept compact: a creeping kind and a jumping kind
+# across chunk boundaries and the fixed-order reduction
+PINNED_MULTI_CHUNK = [
+    ("drawup", ExitSpec(ExitKind.DRAWUP, x=1.5, u=0.8, c=1.5), 1.0, 0.5, 0.3,
+     ("0x1.293ec5b45c5ffp-1", "0x1.c2413d6265cd2p-11", 0)),
+    ("down-one", ExitSpec(ExitKind.DOWN_ONE, x=2.0, b=0.5), 1.5, 0.6, 0.3,
+     ("0x1.7b282ab1642dfp-3", "0x1.e18bd1c22be57p-11", 0)),
+]
+
+
+class TestPinnedMultiChunk:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("spec, lam, p, w, expected", [
+        pytest.param(*case[1:], id=case[0]) for case in PINNED_MULTI_CHUNK])
+    def test_estimate_is_bit_identical_to_the_recorded_one(
+            self, spec, lam, p, w, expected, threads):
+        cfg = _cfg(w, 2 * _CHUNK + 1, lam=lam, seed=4242)
         est = mc_lst(spec, ModelParams(lam=lam, p=p), cfg, threads=threads)
         mean, se, n_cens = expected
         assert (est.mean, est.std_error, est.n_censored) == \
