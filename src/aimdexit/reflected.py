@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .model import ConvergenceError, _require
 from .scalefn import _k_log_slope, l_down, l_up, z_down, z_down_slope
@@ -197,7 +196,8 @@ def _gauss_kronrod(n: int):
         if m % 2:
             b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
         s, t = t, s
-    nodes, vecs = eigh_tridiagonal(np.zeros(2 * n + 1), np.sqrt(b[1:]))
+    off = np.sqrt(b[1:])
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     nodes[1::2] = np.polynomial.legendre.leggauss(n)[0]
     return nodes, b[0] * vecs[0] ** 2
 

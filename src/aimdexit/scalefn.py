@@ -11,15 +11,19 @@ Notation used throughout (all levels positive unless stated otherwise):
 * ``l_down(w; x, a, b)`` — the matching down-exit part.
 
 Everything here runs at jump rate 1, so ``gamma = w + 1``: a problem at rate
-``lam`` is posed as ``(w/lam, p, lam*levels)``, with the same values.  The
+``lam`` is posed as ``(w/lam, p, lam*levels)``, with the same values.
+
+Signed log space: a real number ``v`` travels as the plain pair
+``(sign, log |v|)``, sign in {-1, 0, 1} and zero as ``(0, -inf)``; products
+add the logs, and :func:`_log_add` and :func:`_signed_logsumexp` sum.  The
 ``l_up`` evaluator is built on interval coefficient tables for the reciprocal
-scale function ``K`` (``l_up_from_b = 1/K``), kept in signed log space so
-that deep intervals neither overflow nor lose their sign pattern.  ``z_down``
-combines a geometric closed form with two finite exponential sums whose
-coefficients involve alternating q-products; those products are likewise
-accumulated in signed log space, and the final signed summation escalates to
-arbitrary precision when the float64 cancellation estimate exceeds its
-tolerance.
+scale function ``K`` (``l_up_from_b = 1/K``), kept as such pairs so that deep
+intervals neither overflow nor lose their sign pattern.  ``z_down`` combines a
+geometric closed form with two finite exponential sums whose coefficients
+involve the alternating q-products ``prod (1 - p^{-i})`` and
+``prod (p^i - p^j)``; their signs are closed-form, their magnitudes are sums of
+logarithms, and the final signed summation escalates to arbitrary precision
+when the float64 cancellation estimate exceeds its tolerance.
 """
 
 from __future__ import annotations
@@ -27,14 +31,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, ClassVar, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import mpmath as mp
 
 from .model import ConvergenceError, ValidationError, _require
 
 __all__ = [
-    "SignedLogProduct",
     "KCoefficients",
     "z_up_zero",
     "z_up",
@@ -63,79 +66,40 @@ _MAX_DPS = 400
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignedLogProduct:
-    """A real number stored as ``sign * exp(log_magnitude)``.
-
-    Exact in sign, accurate in magnitude to floating rounding; the zero
-    element is ``sign == 0`` with ``log_magnitude == -inf``.  Used for the
-    alternating q-products ``prod (1 - p^{-i})`` and ``prod (p^i - p^j)``
-    whose magnitudes overflow float64 long before the final expressions do.
-    """
-
-    sign: int
-    log_magnitude: float
-
-    ZERO: ClassVar["SignedLogProduct"]  # bound after class definition
-    ONE: ClassVar["SignedLogProduct"]
-
-    @staticmethod
-    def from_float(value: float) -> "SignedLogProduct":
-        if value == 0.0:
-            return SignedLogProduct.ZERO
-        return SignedLogProduct(1 if value > 0 else -1, math.log(abs(value)))
-
-    def times(self, other: "SignedLogProduct") -> "SignedLogProduct":
-        if self.sign == 0 or other.sign == 0:
-            return SignedLogProduct.ZERO
-        return SignedLogProduct(self.sign * other.sign,
-                                self.log_magnitude + other.log_magnitude)
-
-    def times_float(self, value: float) -> "SignedLogProduct":
-        return self.times(SignedLogProduct.from_float(value))
-
-    def plus(self, other: "SignedLogProduct") -> "SignedLogProduct":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        hi, lo = (self, other) if self.log_magnitude >= other.log_magnitude else (other, self)
-        diff = lo.log_magnitude - hi.log_magnitude  # <= 0
-        if self.sign == other.sign:
-            return SignedLogProduct(hi.sign, hi.log_magnitude + math.log1p(math.exp(diff)))
-        rem = -math.expm1(diff)  # 1 - e^{diff} in [0, 1)
-        if rem == 0.0:
-            return SignedLogProduct.ZERO
-        return SignedLogProduct(hi.sign, hi.log_magnitude + math.log(rem))
-
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        if self.log_magnitude > _LOG_HUGE:
-            raise OverflowError(f"signed-log value exp({self.log_magnitude:.3g}) exceeds float64")
-        return self.sign * math.exp(self.log_magnitude)
+def _log_add(s1: int, l1: float, s2: int, l2: float) -> Tuple[int, float]:
+    """``(sign, log)`` of ``s1 e^{l1} + s2 e^{l2}``; on equal logs the first
+    argument counts as the larger."""
+    if s1 == 0:
+        return s2, l2
+    if s2 == 0:
+        return s1, l1
+    if not l1 >= l2:
+        s1, l1, s2, l2 = s2, l2, s1, l1
+    diff = l2 - l1  # <= 0
+    if s1 == s2:
+        return s1, l1 + math.log1p(math.exp(diff))
+    rem = -math.expm1(diff)  # 1 - e^{diff} in [0, 1)
+    if rem == 0.0:
+        return 0, -math.inf
+    return s1, l1 + math.log(rem)
 
 
-SignedLogProduct.ZERO = SignedLogProduct(0, float("-inf"))
-SignedLogProduct.ONE = SignedLogProduct(1, 0.0)
-
-
-def _signed_logsumexp(signs, logmags) -> SignedLogProduct:
-    """Sum of ``sign_i * exp(logmag_i)`` as a SignedLogProduct.
+def _signed_logsumexp(signs, logmags) -> Tuple[int, float]:
+    """``(sign, log)`` of the sum of ``sign_i * exp(logmag_i)``.
 
     Callers that need the cancellation compare the result's log magnitude
     with the largest ``logmag_i`` themselves (:func:`_log_sum_loss`).
     """
-    m = max(logmags, default=float("-inf"))
-    if m == float("-inf"):
-        return SignedLogProduct.ZERO
+    m = max(logmags, default=-math.inf)
+    if m == -math.inf:
+        return 0, -math.inf
     acc = 0.0
     for s, L in zip(signs, logmags):
         if s != 0:
             acc += s * math.exp(L - m)
     if acc == 0.0:
-        return SignedLogProduct.ZERO
-    return SignedLogProduct(1 if acc > 0 else -1, m + math.log(abs(acc)))
+        return 0, -math.inf
+    return (1 if acc > 0 else -1), m + math.log(abs(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -214,32 +178,32 @@ def c_tilde(w: float, p: float, b: float) -> float:
     Evaluated in the algebraically equivalent cancellation-free form
     ``(A - B)/B``, whose numerator sums ``t_l (1 - p^{-l})`` term by term;
     both series decay super-geometrically thanks to the ``e^{-b gamma p^{-l}}``
-    factor, and the alternating q-products are kept in signed log space.
+    factor.  The q-product ``prod_{i<=l}(1 - p^{-i})`` has sign ``(-1)^l``;
+    its log magnitude and both running sums are kept in signed log space.
     """
     _require(b > 0.0, f"c_tilde needs b > 0, got {b}")
     _require(w > 0.0, f"c_tilde needs w > 0, got {w}")
     g = w + 1.0
     log_rate = math.log(1.0 / g)
     log_p_inv = -math.log(p)
-    num = SignedLogProduct.ZERO  # sum_{l>=1} t_l * (1 - p^{-l})
-    den = SignedLogProduct.ZERO  # sum_{l>=0} t_l * p^{-l}
-    prod = SignedLogProduct.ONE  # prod_{i=1}^{l}(1 - p^{-i})
-    prev_prod = SignedLogProduct.ONE  # prod_{i=1}^{l-1}
-    peak_num = peak_den = float("-inf")
+    num_s, num_l = 0, -math.inf  # sum_{l>=1} t_l * (1 - p^{-l})
+    den_s, den_l = 0, -math.inf  # sum_{l>=0} t_l * p^{-l}
+    log_prod = 0.0  # log |prod_{i=1}^{l}(1 - p^{-i})|
+    peak_num = peak_den = -math.inf
     for l in range(_MAX_TERMS):
+        log_prev = log_prod  # the product up to l - 1
         if l > 0:
-            prev_prod = prod
-            prod = prod.times_float(1.0 - p ** (-l))
+            log_prod += math.log(abs(1.0 - p ** (-l)))
         base_log = -b * g * p ** (-l) + l * log_rate
-        den_term = SignedLogProduct(prod.sign, base_log + l * log_p_inv - prod.log_magnitude)
-        peak_den = max(peak_den, den_term.log_magnitude)
-        den = den.plus(den_term)
+        den_term = base_log + l * log_p_inv - log_prod
+        peak_den = max(peak_den, den_term)
+        den_s, den_l = _log_add(den_s, den_l, (-1) ** l, den_term)
         if l > 0:
-            num_term = SignedLogProduct(prev_prod.sign, base_log - prev_prod.log_magnitude)
-            peak_num = max(peak_num, num_term.log_magnitude)
-            num = num.plus(num_term)
-            if (num_term.log_magnitude < num.log_magnitude + math.log(_REL_TOL)
-                    and den_term.log_magnitude < den.log_magnitude + math.log(_REL_TOL)
+            num_term = base_log - log_prev
+            peak_num = max(peak_num, num_term)
+            num_s, num_l = _log_add(num_s, num_l, (-1) ** (l - 1), num_term)
+            if (num_term < num_l + math.log(_REL_TOL)
+                    and den_term < den_l + math.log(_REL_TOL)
                     and l >= 4):
                 break
     else:
@@ -247,17 +211,13 @@ def c_tilde(w: float, p: float, b: float) -> float:
     # the q-product denominators shrink as p -> 1, making the terms of both
     # sums huge and alternating while the sums stay moderate: measure the
     # cancellation and fall back to arbitrary precision when float64 thins out
-    if num.sign == 0 or den.sign == 0:
+    if num_s == 0 or den_s == 0:
         lost = 12.0  # cancelled to exactly zero; size the budget blind
     else:
-        lost = max(peak_num - num.log_magnitude,
-                   peak_den - den.log_magnitude) / math.log(10.0)
+        lost = max(peak_num - num_l, peak_den - den_l) / math.log(10.0)
     if lost > _K_EVAL_LOST_OK:
         return _c_tilde_escalated(w, p, b, lost)
-    if num.sign == 0:
-        return 0.0
-    ratio = num.times(SignedLogProduct(den.sign, -den.log_magnitude))
-    return ratio.to_float()
+    return num_s * den_s * math.exp(num_l - den_l)
 
 
 @lru_cache(maxsize=4096)
@@ -346,45 +306,44 @@ def _z_down_terms_float(w, p, x, b, ct):
     k0 = _down_interval_count(x, b, p)
     head = (1.0 / g) ** k0
     rates = [0.0]
-    tail = []  # SignedLogProduct terms
+    signs, logs = [], []  # the other terms, as signed logs
     # w may be subnormal, where the quotient w/g underflows before its log
     log_w_over_g = math.log(w) - math.log(g)
 
-    def add(k, n, base, first):
-        """``base e^{g p^i shift} / (first(i) prod_{j != i}(p^i - p^j))``, i < n."""
+    def add(k, n, sign, log_base, first):
+        """``sign e^{log_base} e^{g p^i shift} / (e^{first(i)} prod_{j != i}(p^i - p^j))``,
+        i < n; the product has sign ``(-1)^i``, as ``p^i < p^j`` exactly when ``j < i``."""
         shift = x - b * p ** (-k)
         for i in range(n):
-            denom = first(i)
+            log_denom = first(i)
             for j in range(n):
                 if j != i:
-                    denom = denom.times_float(p ** i - p ** j)
+                    log_denom += math.log(abs(p ** i - p ** j))
             rate = g * p ** i
-            tail.append(base.times(SignedLogProduct(denom.sign,
-                                                    rate * shift - denom.log_magnitude)))
+            signs.append(sign * (-1) ** i)
+            logs.append(log_base + (rate * shift - log_denom))
             rates.append(rate)
 
     for k in range(1, k0):
         # -(w/g) (-1)^k p^{k(k-1)/2} sum_i e^{g p^i (x - b p^{-k})}
         #                                   / (g^k p^i prod_{j != i}(p^i - p^j))
-        add(k, k, SignedLogProduct((-1) ** (k + 1),  # -(w/g)(-1)^k sign
-                                   log_w_over_g
-                                   + (k * (k - 1) // 2) * math.log(p) - k * math.log(g)),
-            lambda i: SignedLogProduct(1, i * math.log(p)))
+        add(k, k, (-1) ** (k + 1),  # -(w/g)(-1)^k sign
+            log_w_over_g + (k * (k - 1) // 2) * math.log(p) - k * math.log(g),
+            lambda i: i * math.log(p))
     if ct != 0.0:
         log_ct = math.log(abs(ct))
         sign_ct = 1 if ct > 0 else -1
         for k in range(k0):
             # +(w/g) C~ (-1)^{k+1} p^{-k} p^{k(k+1)/2} sum_i e^{g p^i shift}
             #                                         / (g^k prod_{j != i}(p^i - p^j))
-            add(k, k + 1, SignedLogProduct(sign_ct * (-1) ** (k + 1),
-                                           log_w_over_g + log_ct - k * math.log(p)
-                                           + (k * (k + 1) // 2) * math.log(p)
-                                           - k * math.log(g)),
-                lambda i: SignedLogProduct.ONE)
-    log_peak = max((t.log_magnitude for t in tail), default=-math.inf)
+            add(k, k + 1, sign_ct * (-1) ** (k + 1),
+                log_w_over_g + log_ct - k * math.log(p)
+                + (k * (k + 1) // 2) * math.log(p) - k * math.log(g),
+                lambda i: 0.0)
+    log_peak = max(logs, default=-math.inf)
     if log_peak > _LOG_HUGE:
         return None, rates, log_peak / _LN10
-    terms = [head] + [t.to_float() for t in tail]
+    terms = [head] + [s * math.exp(L) for s, L in zip(signs, logs)]
     return terms, rates, _log10_or_zero(max(abs(v) for v in terms))
 
 
@@ -560,11 +519,11 @@ class KCoefficients:
     def eval_log(self, gamma: float, p: float, x: float) -> float:
         """``log K(x)`` via signed log-sum-exp; K >= 1 on its interval."""
         logs = [L + gamma * p ** n * x for n, L in enumerate(self.logmags)]
-        out = _signed_logsumexp(self.signs, logs)
-        if out.sign <= 0:
+        sign, log_k = _signed_logsumexp(self.signs, logs)
+        if sign <= 0:
             raise ConvergenceError(
                 f"reciprocal scale function lost positivity at x={x} (interval {self.k})")
-        return out.log_magnitude
+        return log_k
 
 
 @lru_cache(maxsize=100_000)
@@ -583,20 +542,16 @@ def _k_tables(w: float, p: float, b: float, kmax: int) -> Tuple[KCoefficients, .
             logmags[m] = prev.logmags[m - 1] - math.log(g) - math.log1p(-p ** m)
         xk = b * p ** (-k)
         log_K_xk = prev.eval_log(g, p, xk)
-        first = SignedLogProduct(1, -g * xk + log_K_xk)
-        acc = SignedLogProduct.ZERO
+        acc_s, acc_l = 0, -math.inf
         for n in range(k):
             if prev.signs[n] == 0:
                 continue
             mu = g * (p ** n - 1.0 / p)  # < 0 always
-            term = SignedLogProduct(-prev.signs[n],
+            acc_s, acc_l = _log_add(acc_s, acc_l, -prev.signs[n],
                                     prev.logmags[n] + mu * b * p ** (-(k - 1))
                                     - math.log(-mu))
-            acc = acc.plus(term)
-        acc = acc.times(SignedLogProduct(1, -math.log(p)))
-        head = first.plus(acc)
-        signs[0] = head.sign
-        logmags[0] = head.log_magnitude
+        # head = K(x_k) e^{-g x_k} + acc / p
+        signs[0], logmags[0] = _log_add(1, -g * xk + log_K_xk, acc_s, acc_l - math.log(p))
         tabs.append(KCoefficients(k, tuple(signs), tuple(logmags)))
     return tuple(tabs)
 
@@ -731,9 +686,9 @@ def _log_sum_loss(signs, logs) -> Tuple[Optional[float], float]:
     arbitrary-precision budget, which the escalation then checks.
     """
     peak = max(logs)
-    out = _signed_logsumexp(signs, logs)
-    if out.sign > 0:
-        return out.log_magnitude, (peak - out.log_magnitude) / _LN10
+    sign, log_sum = _signed_logsumexp(signs, logs)
+    if sign > 0:
+        return log_sum, (peak - log_sum) / _LN10
     return None, peak / _LN10
 
 

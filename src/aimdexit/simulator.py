@@ -179,6 +179,8 @@ def _run_kernel(kind: ExitKind, keys, lam, p, spec: ExitSpec, cap: float):
         out = lambda st: (st[1] - st[0]) > c
     elif kind is ExitKind.DRAWUP:
         start = [x, spec.u]
+        if x >= spec.u + c:  # the start already lies a drawup of c above u
+            return np.zeros(keys.size), np.ones(keys.size, dtype=np.int8)
         gap = lambda st: c - (st[0] - st[1])  # shrinks at slope 1
 
         def jump(st, E):

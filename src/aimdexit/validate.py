@@ -28,7 +28,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import mpmath as mp
 import numpy as np
-from scipy import integrate
 
 from .evaluate import evaluate
 from .model import AimdError, ExitKind, ExitSpec, ModelParams, ValidationError, _require
@@ -122,6 +121,8 @@ def quadrature_oracle_lup(w: float, lam: float, p: float, b: float, x: float,
     the integral done by adaptive quadrature.  Independent of the
     closed-form coefficient tables.
     """
+    from scipy import integrate  # kept off the package's import path
+
     _require(b > 0.0 and x >= b, f"oracle needs x >= b > 0, got x={x}, b={b}")
     g_ = w + lam
     if x <= b / p:
@@ -197,6 +198,8 @@ def z_down_renewal_residual(w: float, lam: float, p: float, x: float, b: float) 
     the equation's two sides are differenced — an oracle that assumes
     nothing about the production series.
     """
+    from scipy import integrate  # kept off the package's import path
+
     g_ = w + lam
     lhs = z_down(w / lam, p, lam * x, lam * b)
     t_star = max(b / p - x, 0.0)

@@ -2,7 +2,11 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +47,17 @@ def test_evaluators_work_at_unit_jump_rate(module):
                     and "lam" in inspect.signature(fn).parameters:
                 found.append(fn.__qualname__)
     assert found == []
+
+
+def test_import_does_not_load_scipy():
+    # scipy serves only two oracles and the tests; this test process has it
+    # loaded already, so a fresh interpreter imports the package
+    src = str(Path(aimdexit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, aimdexit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

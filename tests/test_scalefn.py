@@ -7,44 +7,42 @@ import pytest
 
 from aimdexit import (ConvergenceError, ExitKind, ExitSpec, ModelParams,
                       ValidationError, c_tilde, c_tilde_statement_oracle,
-                      evaluate, interval_index, k_up_coeffs, l_down, l_up,
-                      l_up_from_b, z_down, z_down_renewal_residual, z_up,
-                      z_up_zero)
-from aimdexit.scalefn import (SignedLogProduct, _signed_logsumexp, _z_down_mp,
+                      evaluate, hazard, interval_index, k_up_coeffs, l_down,
+                      l_up, l_up_from_b, scalefn, z_down,
+                      z_down_renewal_residual, z_up, z_up_zero)
+from aimdexit.scalefn import (_log_add, _signed_logsumexp, _z_down_mp,
                               z_down_slope)
 from unit_rate import at_rate
 
 
-class TestSignedLogProduct:
-    def test_round_trip(self):
-        # exp(log(v)) costs about |log(v)| * eps in relative error
-        for v in (2.5, -3.75e-200, 1e250, -1.0):
-            got = SignedLogProduct.from_float(v).to_float()
-            assert math.isclose(got, v, rel_tol=1e-12)
+class TestSignedLogArithmetic:
+    @staticmethod
+    def pair(v):
+        return (0, -math.inf) if v == 0.0 else ((1 if v > 0 else -1), math.log(abs(v)))
 
-    def test_zero(self):
-        assert SignedLogProduct.from_float(0.0).sign == 0
-        assert SignedLogProduct.ZERO.to_float() == 0.0
-        assert SignedLogProduct.ONE.to_float() == 1.0
+    def test_log_add_matches_direct_sum(self):
+        for a, b in [(2.5, 0.75), (2.5, -0.75), (-0.75, 2.5), (-3.0, -1e-200), (1e-300, 4.0)]:
+            s, L = _log_add(*self.pair(a), *self.pair(b))
+            assert s == (1 if a + b > 0 else -1)
+            assert math.isclose(s * math.exp(L), a + b, rel_tol=1e-14), (a, b)
 
-    def test_products_avoid_overflow(self):
-        big = SignedLogProduct.from_float(1e300)
-        sq = big.times(big)  # 1e600 overflows float64, not the log form
-        assert sq.sign == 1
-        assert math.isclose(sq.log_magnitude, 600 * math.log(10), rel_tol=1e-12)
+    def test_log_add_cancels_to_zero_and_zero_is_the_identity(self):
+        assert _log_add(1, 0.0, -1, 0.0) == (0, -math.inf)
+        assert _log_add(0, -math.inf, -1, 2.0) == (-1, 2.0)
+        assert _log_add(1, 2.0, 0, -math.inf) == (1, 2.0)
 
-    def test_signed_sum_cancellation(self):
-        a = SignedLogProduct.from_float(1.0)
-        b = SignedLogProduct.from_float(-1.0)
-        assert a.plus(b).sign == 0
+    def test_log_add_beyond_float64(self):
+        # 1e600 - 1e599 overflows float64, not the log form
+        s, L = _log_add(1, 600 * math.log(10), -1, 599 * math.log(10))
+        assert s == 1
+        assert math.isclose(L, 600 * math.log(10) + math.log(0.9), rel_tol=1e-14)
 
     def test_signed_logsumexp_matches_direct(self):
         vals = [3.0, -1.25, 0.5, -2.0]
-        out = _signed_logsumexp([1 if v > 0 else -1 for v in vals],
-                                [math.log(abs(v)) for v in vals])
+        sign, log_sum = _signed_logsumexp([1 if v > 0 else -1 for v in vals],
+                                          [math.log(abs(v)) for v in vals])
         direct = sum(vals)
-        assert math.isclose(out.sign * math.exp(out.log_magnitude), direct,
-                            rel_tol=1e-14)
+        assert math.isclose(sign * math.exp(log_sum), direct, rel_tol=1e-14)
 
 
 class TestZUp:
@@ -254,6 +252,16 @@ class TestZDownSlope:
         assert diag["escalated_digits"] > 0
         assert tuple(v.hex() for v in z_down_slope(w, p, x, b)) == expected
 
+    def test_breakpoint_ties_to_the_lower_interval(self):
+        # at x = b/p the value is continuous but the slope jumps: x itself
+        # takes the left slope, the next float up the right one
+        w, p, b = 0.5, 0.5, 1.0
+        left = z_down_slope(w, p, 2.0, b)
+        right = z_down_slope(w, p, math.nextafter(2.0, math.inf), b)
+        assert left[1] == -0.45450268140970507
+        assert right[1] == -0.05356051068247958
+        assert math.isclose(left[0], right[0], rel_tol=0.0, abs_tol=1e-15)
+
     def test_generator_identity_past_the_first_breakpoint(self):
         # for b < x <= b/p every jump lands below b, so the generator gives
         # (w+1) Z - Z' = 1 exactly at jump rate 1; these are the drawdown
@@ -264,6 +272,61 @@ class TestZDownSlope:
                 y *= c / (1.0 - p)
                 value, slope = at_rate(z_down_slope, w, lam, p, y, y - c)
                 assert lam * abs((w / lam + 1.0) * value - slope - 1.0) <= 1e-12
+
+
+class TestFloatPathPins:
+    """``float.hex`` pins of points that stay on the float64 signed-log path.
+
+    Every arbitrary-precision twin is replaced by a failure, so each pin
+    also checks that its point never escalates; any change to the float
+    arithmetic that moves a bit shows up here.
+    """
+
+    @pytest.fixture(autouse=True)
+    def float_only(self, monkeypatch):
+        def escalated(*args, **kwargs):
+            raise AssertionError("escalated to arbitrary precision")
+        for name in ("_c_tilde_escalated", "_z_down_mp", "_log_k_mp"):
+            monkeypatch.setattr(scalefn, name, escalated)
+
+    @pytest.mark.parametrize("w, p, b, expected", [
+        (1.0, 0.5, 1.0, "0x1.3d4f4067079f0p-4"),
+        (0.5, 0.8, 0.3, "0x1.c6ff41c139ef4p+0"),
+        (0.25, 0.7, 0.5, "0x1.727fb17c714b0p+1"),
+        (3.0, 0.3, 2.0, "0x1.0cab931e46f80p-29"),
+    ])
+    def test_c_tilde(self, w, p, b, expected):
+        assert c_tilde(w, p, b).hex() == expected
+
+    @pytest.mark.parametrize("w, p, x, b, expected", [
+        (1.0, 0.5, 2.9, 1.0, ("0x1.5c2e0cf8df138p-3", "-0x1.090d7a4ed0c49p-4")),
+        (0.25, 0.6, 2.9, 1.0, ("0x1.16527d874c25ep-2", "-0x1.b7e903de86b40p-5")),
+        (0.1, 0.6, 3.3, 1.0, ("0x1.ea56e39822909p-2", "-0x1.5daff24c91f58p-5")),
+        # four intervals, and a value small enough that the order of the
+        # q-product's log terms shows in its last bits
+        (4.9, 0.85, 0.36, 0.2, ("0x1.b88a7e6730000p-27", "-0x1.24821e29c0000p-20")),
+    ])
+    def test_z_down_value_and_slope(self, w, p, x, b, expected):
+        diag = {}
+        z_down(w, p, x, b, diagnostics=diag)
+        assert diag["escalated_digits"] == 0
+        assert tuple(v.hex() for v in z_down_slope(w, p, x, b)) == expected
+
+    @pytest.mark.parametrize("w, p, x, a, b, expected", [
+        (1.0, 0.5, 3.0, 7.0, 1.0, "0x1.734f94fe5af1fp-12"),
+        (0.5, 0.8, 2.0, 4.0, 1.0, "0x1.51c11c20bb3cfp-3"),
+        (0.5, 0.7, 3.5, 9.0, 1.0, "0x1.ea2832e9b02cfp-12"),
+    ])
+    def test_l_up(self, w, p, x, a, b, expected):
+        assert l_up(w, p, x, a, b).hex() == expected
+
+    @pytest.mark.parametrize("w, p, z, c, expected", [
+        (0.5, 0.5, 5.0, 4.0, "0x1.78931d8b0004cp+0"),
+        (1.0, 0.8, 3.0, 2.5, "0x1.9b6146b76b934p+0"),
+        (0.5, 0.7, 6.0, 5.0, "0x1.69ad14dc1a791p+0"),
+    ])
+    def test_hazard(self, w, p, z, c, expected):
+        assert hazard(w, p, z, c).hex() == expected
 
 
 class TestIntervalIndex:

@@ -8,7 +8,7 @@ from scipy import stats
 
 from aimdexit import (ExitKind, ExitSpec, McConfig, ModelParams, Side,
                       ValidationError, default_horizon_cap, evaluate, mc_lst,
-                      simulate_exit, z_up)
+                      run_suite, simulate_exit, z_up)
 from aimdexit.rng import exponentials, path_keys, uniforms
 from aimdexit.simulator import _CHUNK
 
@@ -287,6 +287,21 @@ class TestMcLst:
             assert (est.mean, est.std_error, est.n_censored) == (1.0, 0.0, 0)
             assert est.mean == evaluate(params, spec, 0.5)
             assert simulate_exit(spec, params, 7, 1, w=0.5) == (0.0, Side.DOWN)
+
+    @pytest.mark.parametrize("u", [0.0, 1.0])
+    def test_drawup_past_its_window_stops_at_time_zero(self, u):
+        # x - u already exceeds c before any jump: every path exits upward at
+        # once, as evaluate() says (the creeping gap was negative and gave
+        # negative exit times)
+        params = ModelParams(lam=1.0, p=0.5)
+        spec = ExitSpec(ExitKind.DRAWUP, x=3.0, u=u, c=0.5)
+        for threads in (1, 2):
+            est = mc_lst(spec, params, _cfg(0.5, 1000, seed=1), threads=threads)
+            assert (est.mean, est.std_error, est.n_censored) == (1.0, 0.0, 0)
+        assert est.mean == evaluate(params, spec, 0.5)
+        assert simulate_exit(spec, params, 7, 1, w=0.5) == (0.0, Side.UP)
+        (row,) = run_suite([(params, spec, 0.5)], n_paths=1000)
+        assert row.verdict == "pass"
 
     def test_slope_parameter_reduces_to_normalized_run(self):
         spec = ExitSpec(ExitKind.TWO_SIDED_UP, x=1.0, a=2.0, b=0.5)
