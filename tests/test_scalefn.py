@@ -26,11 +26,6 @@ class TestSignedLogArithmetic:
             assert s == (1 if a + b > 0 else -1)
             assert math.isclose(s * math.exp(L), a + b, rel_tol=1e-14), (a, b)
 
-    def test_log_add_cancels_to_zero_and_zero_is_the_identity(self):
-        assert _log_add(1, 0.0, -1, 0.0) == (0, -math.inf)
-        assert _log_add(0, -math.inf, -1, 2.0) == (-1, 2.0)
-        assert _log_add(1, 2.0, 0, -math.inf) == (1, 2.0)
-
     def test_log_add_beyond_float64(self):
         # 1e600 - 1e599 overflows float64, not the log form
         s, L = _log_add(1, 600 * math.log(10), -1, 599 * math.log(10))
@@ -43,6 +38,24 @@ class TestSignedLogArithmetic:
                                           [math.log(abs(v)) for v in vals])
         direct = sum(vals)
         assert math.isclose(sign * math.exp(log_sum), direct, rel_tol=1e-14)
+
+
+class TestSignedLogProduct:
+    """The zero and the exact cancellation of ``(sign, log)`` pairs."""
+
+    def test_zero(self):
+        # (0, -inf) is the zero: the identity of _log_add on either side,
+        # and what an empty or all-zero signed sum returns
+        assert _log_add(0, -math.inf, -1, 2.0) == (-1, 2.0)
+        assert _log_add(1, 2.0, 0, -math.inf) == (1, 2.0)
+        assert _log_add(0, -math.inf, 0, -math.inf) == (0, -math.inf)
+        assert _signed_logsumexp([], []) == (0, -math.inf)
+        assert _signed_logsumexp([0, 0], [-math.inf, -math.inf]) == (0, -math.inf)
+
+    def test_signed_sum_cancellation(self):
+        assert _log_add(1, 0.0, -1, 0.0) == (0, -math.inf)
+        assert _log_add(-1, 5.0, 1, 5.0) == (0, -math.inf)
+        assert _signed_logsumexp([1, -1], [0.0, 0.0]) == (0, -math.inf)
 
 
 class TestZUp:
