@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .model import ExitKind, ExitSpec, ModelParams, normalize
+from .model import ExitKind, ExitSpec, ModelParams, _require, normalize
 from .reflected import (DEFAULT_QUAD, QuadratureControl, lst_drawdown,
                         lst_drawdown_general_start, lst_drawup,
                         lst_reflected_lower, lst_reflected_upper)
@@ -25,7 +25,10 @@ def evaluate(params: ModelParams, spec: ExitSpec, w: float,
     ``1/lam``: the evaluators take ``w/lam`` and ``lam`` times each level.
     Without jumps (``lam == 0``, or ``w/lam`` overflowing, where an exit
     that needs a jump weighs below ``lam/w < 1e-308``) the exit is the
-    drift-only one: ``e^{-w tau}`` on the wanted side, else 0.  ``qctrl``
+    drift-only one: ``e^{-w tau}`` on the wanted side, else 0.  At ``w == 0``
+    every kind but the two-sided ones returns 1 before the levels are
+    folded; a positive level that ``lam`` scales to 0 is a
+    ``ValidationError``.  ``qctrl``
     governs the drawdown quadrature and ``drawup_tol`` the drawup cascade depth.
     ``diagnostics``, when given a dict, is filled with evaluator internals
     where the kind reports them: series terms used (up-one), interval
@@ -40,9 +43,15 @@ def evaluate(params: ModelParams, spec: ExitSpec, w: float,
         if side is Side.CENSORED or kind is ExitKind.TWO_SIDED_DOWN:
             return 0.0  # no exit, or the upward one where the lower end is wanted
         return math.exp(-w * tau)
+    if w == 0.0 and kind not in (ExitKind.TWO_SIDED_UP, ExitKind.TWO_SIDED_DOWN):
+        return 1.0  # the exit's probability: 1 wherever there is one exit to take
     w /= lam
-    x, a, b, c, u, xbar0 = (None if v is None else lam * v for v in
-                            (spec.x, spec.a, spec.b, spec.c, spec.u, spec.xbar0))
+    levels = {}
+    for name, v in spec.levels().items():
+        levels[name] = lam * v
+        _require(levels[name] > 0.0 or v == 0.0,
+                 f"level {name}={v} underflows to 0 at jump rate lam={lam}")
+    x, a, b, c, u, xbar0 = map(levels.get, ("x", "a", "b", "c", "u", "xbar0"))
     if kind is ExitKind.UP_ONE:
         return z_up(w, p, x, a, diagnostics=diagnostics)
     if kind is ExitKind.DOWN_ONE:

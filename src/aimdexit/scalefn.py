@@ -351,13 +351,16 @@ def _log10_or_zero(v: float) -> float:
     return math.log10(abs(v)) if v != 0.0 else 0.0
 
 
-def _z_down_mp(w, p, x, b, dps: int, slope: bool = False) -> Tuple[float, ...]:
-    """Arbitrary-precision downward transform: ``(value,)``, or with ``slope``
-    ``(value, d/dx value)`` from the same pass over the terms."""
+@lru_cache(maxsize=4096)
+def _c_tilde_guarded(w, p, b, dps: int):
+    """:func:`_c_tilde_mp` good to ``dps`` digits (cached per barrier and budget).
+
+    The constant's own sums cancel too: they are re-run with as many guard
+    digits as they lost, or every escalated value would keep only the digits
+    that survived there.  Escalations at other ``x`` on the same barrier and
+    budget share the result.
+    """
     with mp.workdps(dps):
-        # the constant's own sums cancel too: re-run them with as many guard
-        # digits as they lost, or every escalated value keeps only the
-        # digits that survived there
         ct, lost = _c_tilde_mp(w, p, b)
         guard = 0
         while lost > guard + 4:
@@ -367,6 +370,14 @@ def _z_down_mp(w, p, x, b, dps: int, slope: bool = False) -> Tuple[float, ...]:
                                        f"{_MAX_DPS} digits at w={w}, p={p}, b={b}")
             with mp.workdps(dps + guard):
                 ct, lost = _c_tilde_mp(w, p, b)
+        return ct
+
+
+def _z_down_mp(w, p, x, b, dps: int, slope: bool = False) -> Tuple[float, ...]:
+    """Arbitrary-precision downward transform: ``(value,)``, or with ``slope``
+    ``(value, d/dx value)`` from the same pass over the terms."""
+    with mp.workdps(dps):
+        ct = _c_tilde_guarded(w, p, b, dps)
         w_, p_, x_, b_ = map(mp.mpf, (w, p, x, b))
         g = w_ + 1
         k0 = _down_interval_count(x, b, p)
@@ -422,7 +433,10 @@ def z_down(w: float, p: float, x: float, b: float, *,
         return 1.0
     if x == b:
         x = b * (1.0 + 1e-12)
-    return _z_down_eval(w, p, x, b, diagnostics, slope=False)[0]
+    vals, diag = _z_down_eval(w, p, x, b, slope=False)
+    if diagnostics is not None:
+        diagnostics.update(diag)
+    return vals[0]
 
 
 def z_down_slope(w: float, p: float, x: float, b: float) -> Tuple[float, float]:
@@ -437,11 +451,19 @@ def z_down_slope(w: float, p: float, x: float, b: float) -> Tuple[float, float]:
     _require(x > b, f"z_down needs x > b, got x={x}, b={b}")
     if w == 0.0:
         return 1.0, 0.0
-    return _z_down_eval(w, p, x, b, None, slope=True)
+    return _z_down_eval(w, p, x, b, slope=True)[0]
 
 
-def _z_down_eval(w, p, x, b, diagnostics, slope: bool) -> Tuple[float, ...]:
-    """``(value,)`` or ``(value, slope)`` of the downward transform, with escalation."""
+@lru_cache(maxsize=4096)
+def _z_down_eval(w, p, x, b, slope: bool) -> Tuple[Tuple[float, ...], tuple]:
+    """``(value,)`` or ``(value, slope)`` of the downward transform, with
+    escalation, and the diagnostics items of the evaluation.
+
+    Memoized on the exact arguments: ``l_down`` and the reflected kinds use
+    ``z_down`` at a fixed barrier level for every start, so an ``x`` sweep
+    would otherwise repeat the same escalation at each point.  A
+    ``ConvergenceError`` is raised afresh on every call, never stored.
+    """
     ct = c_tilde(w, p, b)
     terms, rates, lpk = _z_down_terms_float(w, p, x, b, ct)
     # (log10 peak |term|, float sum) per returned quantity, the slope with its
@@ -459,11 +481,11 @@ def _z_down_eval(w, p, x, b, diagnostics, slope: bool) -> Tuple[float, ...]:
             dtotal = math.fsum(dterms)
             ok = ok and 8.0 * 2.2e-16 * dpeak <= max(1e-15 * (w + 1.0), 1e-13 * abs(dtotal))
             parts[1] = (_log10_or_zero(dpeak), dtotal)
-    if diagnostics is not None:
-        diagnostics.update(interval_count=_down_interval_count(x, b, p),
-                           float_error_estimate=err_est, escalated_digits=0)
+    info = (("interval_count", _down_interval_count(x, b, p)),
+            ("float_error_estimate", err_est))
     if ok:
-        return (min(total, 1.0), dtotal) if slope else (min(total, 1.0),)
+        vals = (min(total, 1.0), dtotal) if slope else (min(total, 1.0),)
+        return vals, info + (("escalated_digits", 0),)
     # Escalate to arbitrary precision.  The needed digit count is
     # log10(peak / |value|) plus working margin, but the true value's
     # magnitude is only learned from the evaluation itself (the float total
@@ -493,9 +515,7 @@ def _z_down_eval(w, p, x, b, diagnostics, slope: bool) -> Tuple[float, ...]:
                 f"z_down cancellation exceeds {_MAX_DPS} digits "
                 f"at w={w}, p={p}, x={x}, b={b}", partial=vals[0])
         digits = min(_MAX_DPS, need)
-    if diagnostics is not None:
-        diagnostics["escalated_digits"] = digits
-    return (min(max(vals[0], 0.0), 1.0),) + vals[1:]
+    return (min(max(vals[0], 0.0), 1.0),) + vals[1:], info + (("escalated_digits", digits),)
 
 
 # ---------------------------------------------------------------------------

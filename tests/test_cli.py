@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import aimdexit
+from aimdexit import scalefn
 from aimdexit.cli import main
 
 UP_ONE_GOLDEN = 0.18710800316525594  # E[e^-tau] for lam=1, p=0.5, x=1 -> a=2
@@ -192,6 +193,29 @@ class TestSweep:
         _, header, rows, _ = parse_csv(out)
         assert [r[header.index("z_score")] for r in rows] == ["inf", "inf"]
         assert all(r[header.index("verdict")] == "fail" for r in rows)
+
+    def test_x_sweep_with_a_warm_memo_prints_the_cold_bytes(self, capsys):
+        # a p = 0.9 refl-upper-down strip of depth 7, where every start
+        # shares the escalated z_down at the reflecting level: the memo
+        # serves those, and the output must not change by a byte
+        strip = ("--kind", "refl-upper-down", "--lambda", "1", "--p", "0.9",
+                 "--w", "0.5", "--a", repr(5.0 * 0.9 ** -7), "--c", "5")
+        xs = ["5.2", "5.9", "6.6", "7.3", "8.0", "8.7", "9.4", "10.1"]
+        cold = []
+        for x in xs:
+            scalefn._z_down_eval.cache_clear()
+            scalefn._c_tilde_guarded.cache_clear()
+            rc, out, _ = run(capsys, "sweep", "--sweep", "x", "--values", x, *strip)
+            assert rc == 0
+            data = [line for line in out.splitlines() if not line.startswith("#")]
+            cold += data if not cold else data[1:]  # the header once
+        assert len(cold) == 1 + len(xs)
+        for _ in range(2):  # the second pass is served from the memo throughout
+            rc, out, _ = run(capsys, "sweep", "--sweep", "x", "--values", ",".join(xs), *strip)
+            assert rc == 0
+            assert [line for line in out.splitlines()
+                    if not line.startswith("#")] == cold
+        assert scalefn._z_down_eval.cache_info().hits > 0
 
     def test_unknown_sweep_variable_is_rejected(self, capsys):
         rc, _, err = run(capsys, "sweep", "--sweep", "q", "--values", "1,2",

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from aimdexit import (ExitKind, ExitSpec, McConfig, ModelParams, default_grid,
-                      default_horizon_cap, evaluate, mc_lst)
+from aimdexit import (ExitKind, ExitSpec, McConfig, ModelParams, ValidationError,
+                      default_grid, default_horizon_cap, evaluate, mc_lst)
 
 # (id, spec, lam, p, w, value as float.hex).  The escalated cases reach the
 # arbitrary-precision paths: the downward-series constant and z_down
@@ -95,6 +95,40 @@ class TestDriftOnly:
         expected = 0.0 if tau is None else math.exp(-w * tau)
         assert math.isclose(evaluate(ModelParams(lam=lam, p=0.5), spec, w), expected,
                             rel_tol=1e-14)
+
+
+# each kind with a level (0.05) that lam = 5e-324 scales to 0
+UNDERFLOWING = [
+    ("up-one", ExitSpec(ExitKind.UP_ONE, x=0.05, a=2.0)),
+    ("down-one", ExitSpec(ExitKind.DOWN_ONE, x=2.0, b=0.05)),
+    ("refl-upper-down", ExitSpec(ExitKind.REFL_UPPER_DOWN, x=1.5, a=2.0, c=0.05)),
+    ("refl-lower-up", ExitSpec(ExitKind.REFL_LOWER_UP, x=1.0, c=2.0, b=0.05)),
+    ("drawdown", ExitSpec(ExitKind.DRAWDOWN, x=2.0, c=0.05)),
+    ("drawdown-xbar0", ExitSpec(ExitKind.DRAWDOWN, x=2.0, c=0.05, xbar0=2.01)),
+    ("drawup", ExitSpec(ExitKind.DRAWUP, x=1.0, u=0.05, c=2.0)),
+]
+TWO_SIDED = [
+    ("two-sided-up", ExitSpec(ExitKind.TWO_SIDED_UP, x=1.5, a=2.5, b=0.05)),
+    ("two-sided-down", ExitSpec(ExitKind.TWO_SIDED_DOWN, x=1.5, a=2.5, b=0.05)),
+]
+
+
+class TestLevelUnderflow:
+    @pytest.mark.parametrize("spec", [pytest.param(s, id=i) for i, s in UNDERFLOWING])
+    def test_single_exit_at_w_zero_is_certain_before_the_fold(self, spec):
+        # the exit happens almost surely, whatever the levels scale to
+        assert evaluate(ModelParams(lam=5e-324, p=0.5), spec, 0.0) == 1.0
+        assert evaluate(ModelParams(lam=1.0, p=0.5), spec, 0.0) == 1.0
+
+    @pytest.mark.parametrize("spec", [pytest.param(s, id=i) for i, s in TWO_SIDED])
+    def test_two_sided_split_names_the_underflow(self, spec):
+        with pytest.raises(ValidationError, match="b=0.05 underflows"):
+            evaluate(ModelParams(lam=5e-324, p=0.5), spec, 0.0)
+
+    def test_positive_w_names_the_underflow(self):
+        # w/lam = 2 is finite, so the levels are folded, and b folds to 0
+        with pytest.raises(ValidationError, match="b=0.05 underflows"):
+            evaluate(ModelParams(lam=5e-324, p=0.5), UNDERFLOWING[1][1], 1e-323)
 
 
 class TestDownOneAtBarrier:

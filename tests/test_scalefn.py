@@ -1,13 +1,16 @@
 """One-sided and two-sided scale-function evaluators."""
 
+import importlib
 import math
+import pkgutil
 
 import mpmath as mp
 import pytest
 
+import aimdexit
 from aimdexit import (ConvergenceError, ExitKind, ExitSpec, ModelParams,
                       ValidationError, c_tilde, c_tilde_statement_oracle,
-                      evaluate, hazard, interval_index, k_up_coeffs, l_down,
+                      default_grid, evaluate, hazard, interval_index, k_up_coeffs, l_down,
                       l_up, l_up_from_b, scalefn, z_down,
                       z_down_renewal_residual, z_up, z_up_zero)
 from aimdexit.scalefn import (_log_add, _signed_logsumexp, _z_down_mp,
@@ -287,18 +290,26 @@ class TestZDownSlope:
                 assert lam * abs((w / lam + 1.0) * value - slope - 1.0) <= 1e-12
 
 
+def _clear_z_down_memo():
+    scalefn._z_down_eval.cache_clear()
+    scalefn._c_tilde_guarded.cache_clear()
+
+
 class TestFloatPathPins:
     """``float.hex`` pins of points that stay on the float64 signed-log path.
 
     Every arbitrary-precision twin is replaced by a failure, so each pin
     also checks that its point never escalates; any change to the float
-    arithmetic that moves a bit shows up here.
+    arithmetic that moves a bit shows up here.  The ``z_down`` memo is
+    emptied first: a value an earlier test left there would answer without
+    reaching the twins.
     """
 
     @pytest.fixture(autouse=True)
     def float_only(self, monkeypatch):
         def escalated(*args, **kwargs):
             raise AssertionError("escalated to arbitrary precision")
+        _clear_z_down_memo()
         for name in ("_c_tilde_escalated", "_z_down_mp", "_log_k_mp"):
             monkeypatch.setattr(scalefn, name, escalated)
 
@@ -340,6 +351,76 @@ class TestFloatPathPins:
     ])
     def test_hazard(self, w, p, z, c, expected):
         assert hazard(w, p, z, c).hex() == expected
+
+
+class TestZDownMemo:
+    """The memo of ``_z_down_eval`` and of the guarded constant under it."""
+
+    def test_hit_replays_the_value_and_the_diagnostics(self):
+        # the down-one-escalated pin of tests/test_evaluate.py
+        params = ModelParams(lam=1.5, p=0.9)
+        spec = ExitSpec(ExitKind.DOWN_ONE, x=3.0, b=1.0)
+        _clear_z_down_memo()
+        cold, warm = {}, {}
+        first = evaluate(params, spec, 0.6, diagnostics=cold)
+        info = scalefn._z_down_eval.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
+        second = evaluate(params, spec, 0.6, diagnostics=warm)
+        info = scalefn._z_down_eval.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert first.hex() == second.hex() == "0x1.31d142b4eda73p-34"
+        assert cold == warm
+        assert cold["escalated_digits"] > 0
+
+    def test_sweep_escalates_each_point_once(self, monkeypatch):
+        # the sweep workload's refl-upper-down shape at p = 0.9, depth 7:
+        # every start shares z_down(a; c) and z_down(p a; c), and every
+        # escalation on the barrier c shares the constant C~(c)
+        lam, p, w = 1.0, 0.9, 0.5
+        c = 0.5 / (lam * (1.0 - p))
+        a = c * p ** -7
+        real = scalefn._z_down_mp
+        calls = []  # (x, b, dps) of each call
+
+        def counted(*args):
+            calls.append(args[2:5])
+            return real(*args)
+        monkeypatch.setattr(scalefn, "_z_down_mp", counted)
+        _clear_z_down_memo()
+        for j in range(24):
+            x = c + (a - c) * (j + 0.5) / 24
+            evaluate(ModelParams(lam=lam, p=p), ExitSpec(ExitKind.REFL_UPPER_DOWN,
+                                                         x=x, a=a, c=c), w)
+        starts = [(x, b) for x, b, _ in calls]
+        assert len(calls) > 2
+        assert len(starts) == len(set(starts))
+        budgets = {(w, p, b, dps) for _, b, dps in calls}
+        assert scalefn._c_tilde_guarded.cache_info().misses == len(budgets)
+
+    def test_convergence_error_is_raised_afresh(self):
+        # the series needs more than the digit cap: the failure is not
+        # stored as a value, and a second call fails the same way
+        params, spec = ModelParams(lam=1.0, p=0.3), ExitSpec(ExitKind.DOWN_ONE, x=300.0, b=1.5)
+        partials = []
+        for _ in range(2):
+            with pytest.raises(ConvergenceError) as info:
+                evaluate(params, spec, 2.0)
+            partials.append(info.value.partial)
+        assert partials[0] is not None and partials[0] == partials[1]
+
+    def test_every_cache_is_bounded(self):
+        modules = [importlib.import_module(f"aimdexit.{info.name}")
+                   for info in pkgutil.iter_modules(aimdexit.__path__)]
+        caches = [(mod.__name__, name, fn) for mod in modules
+                  for name, fn in vars(mod).items() if hasattr(fn, "cache_parameters")]
+        assert ("aimdexit.scalefn", "_z_down_eval", scalefn._z_down_eval) in caches
+        for where, name, fn in caches:
+            assert fn.cache_parameters()["maxsize"] is not None, (where, name)
+        _clear_z_down_memo()
+        for params, spec, w in default_grid():
+            evaluate(params, spec, w)
+        info = scalefn._z_down_eval.cache_info()
+        assert 0 < info.currsize <= info.maxsize
 
 
 class TestIntervalIndex:
