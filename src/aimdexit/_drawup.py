@@ -108,19 +108,21 @@ class _StripSolver:
         edges.append(top)
         edges = np.array(edges)
         npan = edges.size - 1
-        M = npan * _NN
-        V = (edges[:-1, None] + np.diff(edges)[:, None] * (_CHX + 1.0) / 2.0).ravel()
+        # consecutive panels share their edge node: one unknown per abscissa
+        M = npan * (_NN - 1) + 1
+        V = np.append((edges[:-1, None] + np.diff(edges)[:, None]
+                       * (_CHX[:-1] + 1.0) / 2.0).ravel(), top)
         self.edges, self.V, self.npan = edges, V, npan
         self.m, self.top = m, top
 
-        # Rows 0..npan-1 hold the panel integrals C_q = int_{a_q}^{b_q}
-        # e^{-gw (s - a_q)} chi(p s) ds, rows npan + i the partial integral
-        # from node v_i to its panel's top b_q.  Each row is a constant (psi
-        # side of chi) plus a weight row on the unknown nodes (g side).
-        qn = np.repeat(np.arange(npan), _NN)  # panel of each node
-        lo = np.concatenate([edges[:-1], V])
-        hi = np.concatenate([edges[1:], edges[qn + 1]])
-        live = np.flatnonzero(hi - lo > 1e-300)  # no partial integral from b_q
+        # Row i holds the partial integral from node v_i to the top b_q of
+        # its panel, int_{v_i}^{b_q} e^{-gw (s - v_i)} chi(p s) ds, so the row
+        # of a panel's first node is the whole panel integral.  Each row is a
+        # constant (psi side of chi) plus a weight row on the unknown nodes
+        # (g side).
+        qn = np.minimum(np.arange(M) // (_NN - 1), npan - 1)  # panel of each node
+        lo, hi = V, edges[qn + 1]
+        live = np.flatnonzero(hi - lo > 1e-300)  # no partial integral from the top
         lo, hi = lo[live, None], hi[live, None]
         half = (hi - lo) / 2.0
         s = lo + half * (_GLX + 1.0)
@@ -129,27 +131,28 @@ class _StripSolver:
         row = np.repeat(live, _GLX.size)
         below = ps <= m
         cst = np.bincount(row[below], weights=wq[below] * psi_eval(ps[below]),
-                          minlength=npan + M)
+                          minlength=M)
         ya, wa, ra = ps[~below], wq[~below], row[~below]
         pan = np.clip(np.searchsorted(edges, ya, side="right") - 1, 0, npan - 1)
-        col = (ra * M + pan * _NN)[:, None] + np.arange(_NN)
+        col = (ra * M + pan * (_NN - 1))[:, None] + np.arange(_NN)
         wrow = wa[:, None] * _interp_rows(ya, edges[pan], edges[pan + 1])
         A = np.bincount(col.ravel(), weights=wrow.ravel(),
-                        minlength=(npan + M) * M).reshape(npan + M, M)
+                        minlength=M * M).reshape(M, M)
 
-        # suffix sums S_q = C_q + link_q S_{q+1}, so the tail of the integral
-        # from any panel boundary upward is available in closed row form
+        # suffix sums S_q = C_q + link_q S_{q+1}, C_q the row of panel q's
+        # first node, so the tail of the integral from any panel boundary
+        # upward is available in closed row form
         link = np.exp(-gw * np.diff(edges))  # e^{-gw (b_q - a_q)}
         Srow = np.zeros((npan + 1, M))
         Scst = np.zeros(npan + 1)
         for q in range(npan - 1, -1, -1):
-            Srow[q] = A[q] + link[q] * Srow[q + 1]
-            Scst[q] = cst[q] + link[q] * Scst[q + 1]
+            Srow[q] = A[q * (_NN - 1)] + link[q] * Srow[q + 1]
+            Scst[q] = cst[q * (_NN - 1)] + link[q] * Scst[q + 1]
 
         # assemble (I - K) g = rhs over all collocation nodes
         fac = np.exp(-gw * (edges[qn + 1] - V))
-        K = A[npan:] + fac[:, None] * Srow[qn + 1]
-        rhs = np.exp(-gw * (top - V)) + cst[npan:] + fac * Scst[qn + 1]
+        K = A + fac[:, None] * Srow[qn + 1]
+        rhs = np.exp(-gw * (top - V)) + cst + fac * Scst[qn + 1]
         self.g = np.linalg.solve(np.eye(M) - K, rhs)
 
     def eval(self, y: float) -> float:
@@ -157,7 +160,7 @@ class _StripSolver:
             return 1.0
         q = int(np.clip(np.searchsorted(self.edges, y, side="right") - 1, 0, self.npan - 1))
         row = _interp_rows(np.array([float(y)]), self.edges[q], self.edges[q + 1])[0]
-        return float(row @ self.g[q * _NN:(q + 1) * _NN])
+        return float(row @ self.g[q * (_NN - 1):q * (_NN - 1) + _NN])
 
     @property
     def bottom(self) -> float:

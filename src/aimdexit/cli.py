@@ -48,7 +48,8 @@ def _float_list(text: str) -> List[float]:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-# key -> (converter, default); defaults of None mean "not set"
+# key -> (converter, default), in the order of the config echo; defaults of
+# None mean "not set"
 _KEYS = {
     "kind": (str, None),
     "lambda": (float, None),
@@ -61,14 +62,14 @@ _KEYS = {
     "c": (float, None),
     "u": (float, None),
     "xbar0": (float, None),
+    "sweep": (str, None),
+    "values": (_float_list, None),
     "seed": (int, 20260815),
     "paths": (int, None),  # per-command default applied later
     "cap": (float, None),  # None -> horizon cap chosen from (w, lambda)
     "quad_abs_tol": (float, 1e-8),
     "quad_rel_tol": (float, 1e-7),
     "drawup_tol": (float, 1e-7),
-    "sweep": (str, None),
-    "values": (_float_list, None),
     "format": (str, "csv"),
 }
 
@@ -88,7 +89,7 @@ def _build_parser() -> _Parser:
 
     def add_common(sp, with_mc: bool):
         sp.add_argument("--kind", type=str, help="exit kind, e.g. up-one, drawdown")
-        sp.add_argument("--lambda", dest="lambda_", type=float, help="jump intensity")
+        sp.add_argument("--lambda", type=float, help="jump intensity")
         sp.add_argument("--p", type=float, help="retention factor in (0,1)")
         sp.add_argument("--beta", type=float, help="drift slope (default 1)")
         sp.add_argument("--w", type=_float_list, help="Laplace argument(s), comma separated")
@@ -160,16 +161,11 @@ def _resolve(args: argparse.Namespace) -> Dict[str, object]:
             except ValueError:
                 raise ValidationError(f"config key {key!r}: cannot parse {raw!r}")
     for key in _KEYS:
-        attr = "lambda_" if key == "lambda" else key
-        val = getattr(args, attr, None)
+        val = getattr(args, key, None)
         if val is not None:
             resolved[key] = val
     resolved["command"] = args.command
     return resolved
-
-
-def _have_point(res: Dict[str, object]) -> bool:
-    return res.get("kind") is not None
 
 
 def _make_point(res: Dict[str, object]):
@@ -193,16 +189,10 @@ def _quad_control(res: Dict[str, object]) -> QuadratureControl:
 # output plumbing
 # ---------------------------------------------------------------------------
 
-_CONFIG_ECHO_ORDER = ("command", "kind", "lambda", "p", "beta", "w", "x", "a",
-                      "b", "c", "u", "xbar0", "sweep", "values", "seed",
-                      "paths", "cap", "quad_abs_tol", "quad_rel_tol",
-                      "drawup_tol", "format")
-
-
 def _echo_config(res: Dict[str, object]) -> Dict[str, object]:
     """The reproducibility header: resolved values, thread count excluded."""
     out = {}
-    for key in _CONFIG_ECHO_ORDER:
+    for key in ("command", *_KEYS):
         if key in ("seed", "paths", "cap") and res.get("paths") is None:
             continue  # analytic-only command
         out[key] = res.get(key)
@@ -302,7 +292,6 @@ def _cmd_simulate(res: Dict[str, object]) -> int:
 
 def _comparison_cells(row) -> Dict[str, object]:
     cells = _spec_cells(row.params, row.spec, row.w)
-    cells.pop("xbar0", None)
     cells.update(analytic=row.analytic,
                  mc_mean=row.mc.mean if row.mc else None,
                  mc_stderr=row.mc.std_error if row.mc else None,
@@ -312,7 +301,7 @@ def _comparison_cells(row) -> Dict[str, object]:
 
 
 def _cmd_compare(res: Dict[str, object]) -> int:
-    if _have_point(res):
+    if res.get("kind") is not None:
         params, spec = _make_point(res)
         ws = res.get("w") or [0.0]
         grid = [(params, spec, w) for w in ws]
@@ -350,7 +339,6 @@ def _cmd_sweep(res: Dict[str, object]) -> int:
         analytic = evaluate(params, point, w, qctrl=qctrl,
                             drawup_tol=res["drawup_tol"])
         cells = _spec_cells(params, point, w)
-        cells.pop("xbar0", None)
         cells.update(analytic=analytic, mc_mean=None, mc_stderr=None,
                      z_score=None, verdict=None)
         if res["paths"]:

@@ -216,18 +216,9 @@ def c_tilde(w: float, p: float, b: float) -> float:
     else:
         lost = max(peak_num - num_l, peak_den - den_l) / math.log(10.0)
     if lost > _K_EVAL_LOST_OK:
-        return _c_tilde_escalated(w, p, b, lost)
+        digits = min(_MAX_DPS, 30 + int(math.ceil(2.5 * lost)))
+        return float(_c_tilde_escalated(w, p, b, digits))
     return num_s * den_s * math.exp(num_l - den_l)
-
-
-@lru_cache(maxsize=4096)
-def _c_tilde_escalated(w, p, b, lost: float) -> float:
-    """Arbitrary-precision rescue of :func:`c_tilde`, digits sized to the loss."""
-    def at(digits):
-        with mp.workdps(digits):
-            return (float(_c_tilde_mp(w, p, b)[0]),)
-    return _settled_mp(at, lost, "downward-series constant",
-                       f"w={w}, p={p}, b={b}")[0]
 
 
 def _settled_mp(at: Callable[[int], Optional[Tuple[float, ...]]], lost: float,
@@ -352,13 +343,14 @@ def _log10_or_zero(v: float) -> float:
 
 
 @lru_cache(maxsize=4096)
-def _c_tilde_guarded(w, p, b, dps: int):
+def _c_tilde_escalated(w, p, b, dps: int):
     """:func:`_c_tilde_mp` good to ``dps`` digits (cached per barrier and budget).
 
     The constant's own sums cancel too: they are re-run with as many guard
     digits as they lost, or every escalated value would keep only the digits
-    that survived there.  Escalations at other ``x`` on the same barrier and
-    budget share the result.
+    that survived there.  Serves both the rescue of :func:`c_tilde` and the
+    escalated series, where escalations at other ``x`` on the same barrier
+    and budget share the result.
     """
     with mp.workdps(dps):
         ct, lost = _c_tilde_mp(w, p, b)
@@ -377,7 +369,7 @@ def _z_down_mp(w, p, x, b, dps: int, slope: bool = False) -> Tuple[float, ...]:
     """Arbitrary-precision downward transform: ``(value,)``, or with ``slope``
     ``(value, d/dx value)`` from the same pass over the terms."""
     with mp.workdps(dps):
-        ct = _c_tilde_guarded(w, p, b, dps)
+        ct = _c_tilde_escalated(w, p, b, dps)
         w_, p_, x_, b_ = map(mp.mpf, (w, p, x, b))
         g = w_ + 1
         k0 = _down_interval_count(x, b, p)
@@ -546,13 +538,14 @@ class KCoefficients:
         return log_k
 
 
-@lru_cache(maxsize=100_000)
-def _k_tables(w: float, p: float, b: float, kmax: int) -> Tuple[KCoefficients, ...]:
-    """Interval tables 0..kmax for barrier ``b`` (cached; exact recursion)."""
+@lru_cache(maxsize=4096)
+def _k_tables(w: float, p: float, b: float, kmax: int) -> KCoefficients:
+    """Interval table ``kmax`` for barrier ``b``, by the exact recursion over
+    intervals 0..kmax (cached; the memo keeps the last table only)."""
     g = w + 1.0
-    tabs = [KCoefficients(0, (1,), (-g * b,))]
+    tab = KCoefficients(0, (1,), (-g * b,))
     for k in range(1, kmax + 1):
-        prev = tabs[k - 1]
+        prev = tab
         signs = [0] * (k + 1)
         logmags = [float("-inf")] * (k + 1)
         for m in range(1, k + 1):
@@ -572,8 +565,8 @@ def _k_tables(w: float, p: float, b: float, kmax: int) -> Tuple[KCoefficients, .
                                     - math.log(-mu))
         # head = K(x_k) e^{-g x_k} + acc / p
         signs[0], logmags[0] = _log_add(1, -g * xk + log_K_xk, acc_s, acc_l - math.log(p))
-        tabs.append(KCoefficients(k, tuple(signs), tuple(logmags)))
-    return tuple(tabs)
+        tab = KCoefficients(k, tuple(signs), tuple(logmags))
+    return tab
 
 
 def interval_index(x: float, b: float, p: float) -> int:
@@ -593,7 +586,7 @@ def k_up_coeffs(w: float, p: float, b: float, k: int) -> KCoefficients:
     """Coefficient table of the reciprocal scale function on interval ``k``."""
     _require(b > 0.0, f"k_up_coeffs needs b > 0, got {b}")
     _require(k >= 0, f"interval index must be >= 0, got {k}")
-    return _k_tables(w, p, b, k)[k]
+    return _k_tables(w, p, b, k)
 
 
 # eval-time digits of cancellation beyond which the float64 tables are no
@@ -603,15 +596,16 @@ _K_EVAL_LOST_OK = 3.0
 
 @lru_cache(maxsize=4096)
 def _k_tables_mp(w: float, p: float, b: float, kmax: int, dps: int):
-    """The interval coefficient recursion re-run in arbitrary precision."""
+    """The interval coefficient recursion re-run in arbitrary precision: the
+    coefficients of interval ``kmax``."""
     with mp.workdps(dps):
         w_, p_, b_ = map(mp.mpf, (w, p, b))
         g = w_ + 1
         pw = [p_ ** n for n in range(kmax + 1)]
         p_inv = 1 / p_
-        tabs = [(mp.exp(-g * b_),)]
+        tab = (mp.exp(-g * b_),)
         for k in range(1, kmax + 1):
-            prev = tabs[k - 1]
+            prev = tab
             coeffs = [mp.mpf(0)] * (k + 1)
             for m in range(1, k + 1):
                 coeffs[m] = prev[m - 1] / (g * (1 - pw[m]))
@@ -622,15 +616,15 @@ def _k_tables_mp(w: float, p: float, b: float, kmax: int, dps: int):
             acc = mp.fsum(prev[n] * mp.exp(g * (pw[n] - p_inv) * xk1)
                           / (g * (pw[n] - p_inv)) for n in range(k))
             coeffs[0] = mp.exp(-g * xk) * k_at_break + p_inv * acc
-            tabs.append(tuple(coeffs))
-        return tuple(tabs)
+            tab = tuple(coeffs)
+        return tab
 
 
 def _log_k_mp(w: float, p: float, b: float, x: float,
               k: int, dps: int, slope: bool = False) -> Optional[Tuple[float, ...]]:
     """``(log K(x),)``, or with ``slope`` ``(log K(x), log K'(x))``, from the
     arbitrary-precision table of interval ``k``; None while still noise."""
-    tab = _k_tables_mp(w, p, b, k, dps)[k]
+    tab = _k_tables_mp(w, p, b, k, dps)
     with mp.workdps(dps):
         g = mp.mpf(w) + 1
         p_, x_ = mp.mpf(p), mp.mpf(x)
@@ -677,7 +671,7 @@ def _log_k_sums(w: float, p: float, b: float, x: float, k: int,
     returned logarithm.
     """
     try:
-        tab = _k_tables(w, p, b, k)[k]
+        tab = _k_tables(w, p, b, k)
         g = w + 1.0
         logs = [L + g * p ** n * x for n, L in enumerate(tab.logmags)]
         log_k, lost = _log_sum_loss(tab.signs, logs)

@@ -152,6 +152,10 @@ def _paths(keys, lam, start, cap, gap, jump, out):
 
 
 def _run_kernel(kind: ExitKind, keys, lam, p, spec: ExitSpec, cap: float):
+    tau0, side0 = _drift_only_exit(kind, spec, cap)
+    if tau0 == 0.0:  # the start already lies on the exit: every path leaves at once
+        return np.zeros(keys.size), np.full(keys.size, 1 if side0 is Side.UP else -1,
+                                            dtype=np.int8)
     x, a, b, c = spec.x, spec.a, spec.b, spec.c
     start, gap, out = [x], None, None
     jump = lambda st, E: [p * (st[0] + E)]
@@ -170,8 +174,6 @@ def _run_kernel(kind: ExitKind, keys, lam, p, spec: ExitSpec, cap: float):
         jump = lambda st, E: [np.maximum(p * (st[0] + E), b)]  # jump floored at b
     elif kind is ExitKind.DRAWDOWN:
         start = [x, spec.xbar0 if spec.xbar0 is not None else x]
-        if start[1] - c >= x:  # the recorded drawdown already reaches c
-            return np.zeros(keys.size), np.full(keys.size, -1, dtype=np.int8)
 
         def jump(st, E):
             pre = st[0] + E
@@ -179,8 +181,6 @@ def _run_kernel(kind: ExitKind, keys, lam, p, spec: ExitSpec, cap: float):
         out = lambda st: (st[1] - st[0]) > c
     elif kind is ExitKind.DRAWUP:
         start = [x, spec.u]
-        if x >= spec.u + c:  # the start already lies a drawup of c above u
-            return np.zeros(keys.size), np.ones(keys.size, dtype=np.int8)
         gap = lambda st: c - (st[0] - st[1])  # shrinks at slope 1
 
         def jump(st, E):

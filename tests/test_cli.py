@@ -204,7 +204,7 @@ class TestSweep:
         cold = []
         for x in xs:
             scalefn._z_down_eval.cache_clear()
-            scalefn._c_tilde_guarded.cache_clear()
+            scalefn._c_tilde_escalated.cache_clear()
             rc, out, _ = run(capsys, "sweep", "--sweep", "x", "--values", x, *strip)
             assert rc == 0
             data = [line for line in out.splitlines() if not line.startswith("#")]

@@ -35,12 +35,12 @@ class TestStripSolver:
 
     @pytest.mark.parametrize("w, p, m, c, x", STRIPS)
     def test_eval_returns_the_collocation_value_at_every_node(self, w, p, m, c, x):
-        # a panel edge is a node of both panels it bounds; eval reads it
-        # from the upper one, the last node at that abscissa
+        # a panel edge is one node shared by the two panels it bounds
         strip = _solve(w, p, m, c, 1.0)
-        for v in strip.V:
+        assert np.unique(strip.V).size == strip.V.size
+        for i, v in enumerate(strip.V):
             if v < strip.top:
-                assert strip.eval(v) == strip.g[np.flatnonzero(strip.V == v)[-1]]
+                assert strip.eval(v) == strip.g[i]
 
     def test_interp_rows_per_point_panels_match_scalar_panels(self):
         edges = np.array([0.3, 0.45, 0.9, 1.7])

@@ -32,7 +32,7 @@ PINNED = [
     ("drawdown-xbar0", ExitSpec(ExitKind.DRAWDOWN, x=2.0, c=1.2, xbar0=2.3),
      0.7, 0.5, 0.5, "0x1.1536b6d2082a4p-1"),
     ("drawup", ExitSpec(ExitKind.DRAWUP, x=1.5, u=0.8, c=1.5), 1.5, 0.5, 0.5,
-     "0x1.4c95b3d3d596cp-2"),
+     "0x1.4c95b3d3d596dp-2"),
 ]
 
 

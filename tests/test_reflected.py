@@ -106,7 +106,7 @@ class TestHazard:
         def exact_mp(w, z):
             b = z - c
             k = interval_index(z, b, p)
-            tab = _k_tables_mp(w, p, b, k, 60)[k]
+            tab = _k_tables_mp(w, p, b, k, 60)
             with mp.workdps(60):
                 g, p_ = mp.mpf(w) + 1, mp.mpf(p)
                 terms = [a * mp.e ** (g * p_ ** n * z) for n, a in enumerate(tab)]

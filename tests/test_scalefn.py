@@ -3,6 +3,7 @@
 import importlib
 import math
 import pkgutil
+import tracemalloc
 
 import mpmath as mp
 import pytest
@@ -138,6 +139,13 @@ class TestCTilde:
         # that the old float path still agreed to ~1e-8 with the truth
         assert math.isclose(at_rate(c_tilde, 0.125, 2.0, 0.9, 1.0),
                             12.194374179792973, rel_tol=1e-11)
+
+    def test_rescue_fills_one_entry_of_the_escalated_memo(self):
+        # the rescue and the escalated z_down series share one memo
+        scalefn._c_tilde_escalated.cache_clear()
+        c_tilde(0.0625, 0.95, 2.0)
+        info = scalefn._c_tilde_escalated.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
 
 
 class TestZDown:
@@ -292,7 +300,7 @@ class TestZDownSlope:
 
 def _clear_z_down_memo():
     scalefn._z_down_eval.cache_clear()
-    scalefn._c_tilde_guarded.cache_clear()
+    scalefn._c_tilde_escalated.cache_clear()
 
 
 class TestFloatPathPins:
@@ -395,7 +403,7 @@ class TestZDownMemo:
         assert len(calls) > 2
         assert len(starts) == len(set(starts))
         budgets = {(w, p, b, dps) for _, b, dps in calls}
-        assert scalefn._c_tilde_guarded.cache_info().misses == len(budgets)
+        assert scalefn._c_tilde_escalated.cache_info().misses == len(budgets)
 
     def test_convergence_error_is_raised_afresh(self):
         # the series needs more than the digit cap: the failure is not
@@ -415,7 +423,8 @@ class TestZDownMemo:
                   for name, fn in vars(mod).items() if hasattr(fn, "cache_parameters")]
         assert ("aimdexit.scalefn", "_z_down_eval", scalefn._z_down_eval) in caches
         for where, name, fn in caches:
-            assert fn.cache_parameters()["maxsize"] is not None, (where, name)
+            maxsize = fn.cache_parameters()["maxsize"]
+            assert maxsize is not None and maxsize <= 4096, (where, name)
         _clear_z_down_memo()
         for params, spec, w in default_grid():
             evaluate(params, spec, w)
@@ -484,6 +493,32 @@ class TestTwoSidedUp:
         # undiscounted, nearly-certain upward exit: must not exceed one
         lu = l_up(0.0, 0.9453125, 2.0, 3.0, 1.0)
         assert 0.999999 < lu <= 1.0
+
+    def test_memo_entry_is_the_table_of_its_interval(self):
+        w, p, b = 0.5, 0.8, 0.7
+        for k in (0, 1, 5, 40):
+            tab = scalefn._k_tables(w, p, b, k)
+            assert tab == k_up_coeffs(w, p, b, k)
+            assert (tab.k, len(tab.signs), len(tab.logmags)) == (k, k + 1, k + 1)
+
+    def test_deep_barrier_sweep_keeps_one_table_per_memo_entry(self):
+        # 150 intervals deep at p = 0.95 one table takes under 10 KB, the
+        # prefix of tables 0..149 some 480 KB; the bound is 5 MB per 200
+        # barriers.  tracemalloc slows the recursion some twentyfold, so
+        # the sweep takes five barriers
+        w, p, n = 0.5, 0.95, 5
+        scalefn._k_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            for j in range(n):
+                b = 1.0 + j / 200
+                a = b * p ** -150
+                l_up(w, p, a * p ** 0.5, a, b)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert scalefn._k_tables.cache_info().currsize == n
+        assert retained <= n * 5e6 / 200
 
     def test_nearly_certain_up_exit_is_capped_at_one(self):
         # ten intervals deep the two logarithms of K agree to their rounding;
