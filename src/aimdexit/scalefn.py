@@ -286,56 +286,61 @@ def _down_interval_count(x: float, b: float, p: float) -> int:
     return k
 
 
-def _z_down_terms_float(w, p, x, b, ct):
-    """Signed float64 terms of the downward transform, their rates and the
-    log10 of the largest |term|; the terms are None when it is past float64.
+def _z_down_terms(w, p, x, b, ct, k0: int, num):
+    """Signs, log magnitudes and rates of the exponential terms of the
+    downward transform on interval ``k0``, in the number type of the
+    arguments: ``num`` is :mod:`math` or :mod:`mpmath`.
 
     Every term is a constant times ``e^{rate * x}``, so the slope in ``x`` is
-    ``sum(term * rate)``; the constant head term has rate 0.
+    ``sum(term * rate)``; the constant head term ``(1/g)^k0`` (rate 0) is
+    left to the caller.
     """
-    g = w + 1.0
-    k0 = _down_interval_count(x, b, p)
-    head = (1.0 / g) ** k0
-    rates = [0.0]
-    signs, logs = [], []  # the other terms, as signed logs
+    g = w + 1
+    log_p, log_g = num.log(p), num.log(g)
     # w may be subnormal, where the quotient w/g underflows before its log
-    log_w_over_g = math.log(w) - math.log(g)
+    log_w_over_g = num.log(w) - log_g
+    pw = [p ** i for i in range(k0)]
+    log_gap = [[None] * k0 for _ in range(k0)]  # log |p^i - p^j|, i != j
+    for i in range(k0):
+        for j in range(i + 1, k0):
+            log_gap[i][j] = log_gap[j][i] = num.log(abs(pw[i] - pw[j]))
+    signs, logs, rates = [], [], []
 
-    def add(k, n, sign, log_base, first):
-        """``sign e^{log_base} e^{g p^i shift} / (e^{first(i)} prod_{j != i}(p^i - p^j))``,
-        i < n; the product has sign ``(-1)^i``, as ``p^i < p^j`` exactly when ``j < i``."""
+    def add(k, n, sign, log_base, acc, log_first):
+        """``sign e^{log_base} e^{g p^i shift} / (e^{first_i} prod_{j != i}(p^i - p^j))``,
+        i < n; the product has sign ``(-1)^i``, as ``p^i < p^j`` exactly when ``j < i``.
+        ``acc`` holds the log denominators of the previous call, ``n - 1`` of
+        them: each gains the factor ``j = n - 1``, and the new one, ``i = n - 1``,
+        starts at ``log_first``; every sum runs over ``j`` in ascending order."""
+        for i in range(n - 1):
+            acc[i] += log_gap[i][n - 1]
+        for j in range(n - 1):
+            log_first += log_gap[n - 1][j]
+        acc.append(log_first)
         shift = x - b * p ** (-k)
         for i in range(n):
-            log_denom = first(i)
-            for j in range(n):
-                if j != i:
-                    log_denom += math.log(abs(p ** i - p ** j))
-            rate = g * p ** i
+            rate = g * pw[i]
             signs.append(sign * (-1) ** i)
-            logs.append(log_base + (rate * shift - log_denom))
+            logs.append(log_base + (rate * shift - acc[i]))
             rates.append(rate)
 
+    acc = []
     for k in range(1, k0):
         # -(w/g) (-1)^k p^{k(k-1)/2} sum_i e^{g p^i (x - b p^{-k})}
         #                                   / (g^k p^i prod_{j != i}(p^i - p^j))
         add(k, k, (-1) ** (k + 1),  # -(w/g)(-1)^k sign
-            log_w_over_g + (k * (k - 1) // 2) * math.log(p) - k * math.log(g),
-            lambda i: i * math.log(p))
-    if ct != 0.0:
-        log_ct = math.log(abs(ct))
+            log_w_over_g + (k * (k - 1) // 2) * log_p - k * log_g, acc, (k - 1) * log_p)
+    if ct != 0:
+        log_ct = num.log(abs(ct))
         sign_ct = 1 if ct > 0 else -1
+        acc = []
         for k in range(k0):
             # +(w/g) C~ (-1)^{k+1} p^{-k} p^{k(k+1)/2} sum_i e^{g p^i shift}
             #                                         / (g^k prod_{j != i}(p^i - p^j))
             add(k, k + 1, sign_ct * (-1) ** (k + 1),
-                log_w_over_g + log_ct - k * math.log(p)
-                + (k * (k + 1) // 2) * math.log(p) - k * math.log(g),
-                lambda i: 0.0)
-    log_peak = max(logs, default=-math.inf)
-    if log_peak > _LOG_HUGE:
-        return None, rates, log_peak / _LN10
-    terms = [head] + [s * math.exp(L) for s, L in zip(signs, logs)]
-    return terms, rates, _log10_or_zero(max(abs(v) for v in terms))
+                log_w_over_g + log_ct - k * log_p
+                + (k * (k + 1) // 2) * log_p - k * log_g, acc, 0.0)
+    return signs, logs, rates
 
 
 def _log10_or_zero(v: float) -> float:
@@ -367,45 +372,17 @@ def _c_tilde_escalated(w, p, b, dps: int):
 
 def _z_down_mp(w, p, x, b, dps: int, slope: bool = False) -> Tuple[float, ...]:
     """Arbitrary-precision downward transform: ``(value,)``, or with ``slope``
-    ``(value, d/dx value)`` from the same pass over the terms."""
+    ``(value, d/dx value)``, from the same terms as the float64 sums."""
     with mp.workdps(dps):
         ct = _c_tilde_escalated(w, p, b, dps)
         w_, p_, x_, b_ = map(mp.mpf, (w, p, x, b))
-        g = w_ + 1
         k0 = _down_interval_count(x, b, p)
-        tot = (1 / g) ** k0
-        dtot = mp.mpf(0)
-        pw = [p_ ** i for i in range(k0)]
-
-        def sums(k, n, denom0):
-            """``sum_i e^{g p^i shift} / denom_i`` over ``i < n``, and its slope."""
-            shift = x_ - b_ * p_ ** (-k)
-            s = ds = mp.mpf(0)
-            for i in range(n):
-                denom = denom0(i)
-                for j in range(n):
-                    if j != i:
-                        denom *= (pw[i] - pw[j])
-                e = mp.exp(g * pw[i] * shift)
-                s += e / denom
-                if slope:
-                    ds += g * pw[i] * e / denom
-            return s, ds
-
-        for k in range(1, k0):
-            s, ds = sums(k, k, lambda i: g ** k * pw[i])
-            pre = (w_ / g) * (-1) ** k * p_ ** (k * (k - 1) // 2)
-            tot -= pre * s
-            if slope:
-                dtot -= pre * ds
-        for k in range(k0):
-            s, ds = sums(k, k + 1, lambda i: g ** k)
-            pre = (w_ / g) * ct * (-1) ** (k + 1) * (1 / p_) ** k \
-                * p_ ** (k * (k + 1) // 2)
-            tot += pre * s
-            if slope:
-                dtot += pre * ds
-        return (float(tot), float(dtot)) if slope else (float(tot),)
+        signs, logs, rates = _z_down_terms(w_, p_, x_, b_, ct, k0, mp)
+        terms = [s * mp.exp(L) for s, L in zip(signs, logs)]
+        value = float(mp.fsum([(1 / (w_ + 1)) ** k0] + terms))
+        if not slope:
+            return (value,)
+        return value, float(mp.fsum(t * r for t, r in zip(terms, rates)))
 
 
 def z_down(w: float, p: float, x: float, b: float, *,
@@ -457,7 +434,16 @@ def _z_down_eval(w, p, x, b, slope: bool) -> Tuple[Tuple[float, ...], tuple]:
     ``ConvergenceError`` is raised afresh on every call, never stored.
     """
     ct = c_tilde(w, p, b)
-    terms, rates, lpk = _z_down_terms_float(w, p, x, b, ct)
+    k0 = _down_interval_count(x, b, p)
+    signs, logs, rates = _z_down_terms(w, p, x, b, ct, k0, math)
+    log_peak = max(logs, default=-math.inf)
+    terms = None
+    if log_peak > _LOG_HUGE:
+        lpk = log_peak / _LN10
+    else:
+        terms = [(1.0 / (w + 1.0)) ** k0] + [s * math.exp(L) for s, L in zip(signs, logs)]
+        rates = [0.0] + rates
+        lpk = _log10_or_zero(max(abs(v) for v in terms))
     # (log10 peak |term|, float sum) per returned quantity, the slope with its
     # own check; a term past float64 fails it, its slope term <= (w + 1) x it
     parts = [(lpk, 0.0), (lpk + math.log10(w + 1.0), 0.0)][:1 + slope]
@@ -473,7 +459,7 @@ def _z_down_eval(w, p, x, b, slope: bool) -> Tuple[Tuple[float, ...], tuple]:
             dtotal = math.fsum(dterms)
             ok = ok and 8.0 * 2.2e-16 * dpeak <= max(1e-15 * (w + 1.0), 1e-13 * abs(dtotal))
             parts[1] = (_log10_or_zero(dpeak), dtotal)
-    info = (("interval_count", _down_interval_count(x, b, p)),
+    info = (("interval_count", k0),
             ("float_error_estimate", err_est))
     if ok:
         vals = (min(total, 1.0), dtotal) if slope else (min(total, 1.0),)

@@ -5,6 +5,7 @@ import filecmp
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -351,3 +352,143 @@ class TestConsoleScript:
                         reason="aimdexit console script not installed")
     def test_console_script_on_path_runs(self):
         self.check_run(["aimdexit", *self.ARGV])
+
+
+class TestOutputFile:
+    def test_unopenable_output_is_a_single_line_validation_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.csv"
+        rc, out, err = run(capsys, "eval", "--kind", "up-one", "--lambda", "1", "--p", "0.5",
+                           "--w", "1", "--x", "1", "--a", "2", "--output", str(target))
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("aimdexit: error: validation:")
+        assert not target.parent.exists()
+
+
+UP_ONE_POINT = ("--kind", "up-one", "--lambda", "1", "--p", "0.5", "--w", "1",
+                "--x", "1", "--a", "2")
+TOLERANCES = ("quad_abs_tol", "quad_rel_tol", "drawup_tol")
+
+
+def command_keys(command):
+    """The table keys ``command`` reads, in table order."""
+    return [k for k, (_, _, commands, _) in aimdexit.cli._KEYS.items() if command in commands]
+
+
+class TestKeysPerCommand:
+    """A command accepts, as flag or config entry, and echoes only the keys it reads."""
+
+    @pytest.mark.parametrize("command, flag", [("compare", "--drawup-tol"),
+                                               ("compare", "--quad-rel-tol"),
+                                               ("simulate", "--quad-abs-tol")])
+    def test_tolerance_flag_of_a_command_that_ignores_it_is_rejected(self, capsys, command, flag):
+        rc, out, err = run(capsys, command, *UP_ONE_POINT, "--paths", "10", flag, "5")
+        assert rc == 2 and out == ""
+        assert err.startswith("aimdexit: error: validation: usage: unrecognized arguments")
+        assert flag in err
+
+    def test_config_key_the_command_does_not_read_is_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("drawup_tol = 1e-3\n")
+        rc, out, err = run(capsys, "compare", *UP_ONE_POINT, "--paths", "10",
+                           "--config", str(cfg))
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("aimdexit: error: validation:")
+        assert "drawup_tol" in err and "compare" in err
+
+    def test_point_flag_on_the_grid_compare_is_rejected(self, capsys):
+        # without --kind, compare runs the built-in grid, which sets every point
+        rc, out, err = run(capsys, "compare", "--lambda", "2", "--paths", "10")
+        assert rc == 2 and out == ""
+        assert err.startswith("aimdexit: error: validation:")
+        assert "--lambda" in err
+
+    @pytest.mark.parametrize("command, extra", [("eval", ()),
+                                                ("simulate", ("--paths", "10")),
+                                                ("compare", ("--paths", "10")),
+                                                ("sweep", ("--sweep", "w", "--values", "1"))])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_echo_lists_exactly_the_command_keys(self, capsys, command, extra, fmt):
+        rc, out, _ = run(capsys, command, *UP_ONE_POINT, *extra, "--format", fmt)
+        assert rc == 0
+        config = json.loads(out)["config"] if fmt == "json" else parse_csv(out)[0]
+        assert list(config) == ["command", *command_keys(command)]
+        if command == "eval":
+            assert "sweep" not in config and "values" not in config
+        if command in ("simulate", "compare"):
+            assert not set(TOLERANCES) & set(config)
+
+
+# one point per level that reads it, and for every key a value off its default
+# with its echo: {flag: value} overrides of the up-one point (None drops a flag)
+OFF_DEFAULT = {
+    "kind": ({}, "up-one"),
+    "lambda": ({"lambda": "1.5"}, 1.5),
+    "p": ({"p": "0.6"}, 0.6),
+    "beta": ({"beta": "2"}, 2.0),
+    "w": ({"w": "0.5,1"}, [0.5, 1.0]),
+    "x": ({"x": "0.5"}, 0.5),
+    "a": ({"a": "3"}, 3.0),
+    "b": ({"kind": "down-one", "x": "2", "a": None, "b": "0.5"}, 0.5),
+    "c": ({"kind": "drawup", "x": "1.2", "a": None, "u": "1", "c": "0.8"}, 0.8),
+    "u": ({"kind": "drawup", "x": "1.2", "a": None, "u": "0.9", "c": "1"}, 0.9),
+    "xbar0": ({"kind": "drawdown", "x": "2", "a": None, "c": "1", "xbar0": "2.5"}, 2.5),
+    "sweep": ({"sweep": "x", "values": "0.5,0.75"}, "x"),
+    "values": ({"values": "0.25,0.75"}, [0.25, 0.75]),
+    "seed": ({"seed": "7"}, 7),
+    "paths": ({"paths": "300"}, 300),
+    "cap": ({"cap": "400"}, 400.0),
+    "quad_abs_tol": ({"quad_abs_tol": "1e-9"}, 1e-9),
+    "quad_rel_tol": ({"quad_rel_tol": "1e-8"}, 1e-8),
+    "drawup_tol": ({"drawup_tol": "1e-6"}, 1e-6),
+    "format": ({"format": "json"}, "json"),
+}
+
+
+class TestKeyTableGuard:
+    """Every (command, key) pair of the one key table is accepted, echoed and used."""
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for key, (_, _, commands, _) in aimdexit.cli._KEYS.items()
+        for command in commands])
+    def test_key_is_echoed_and_passed_on(self, capsys, monkeypatch, command, key):
+        flags = {"kind": "up-one", "lambda": "1", "p": "0.5", "w": "1", "x": "1", "a": "2",
+                 "format": "json"}
+        if command == "sweep":
+            flags.update(sweep="w", values="0.5,1")
+        if command in ("simulate", "compare"):
+            flags["paths"] = "100"
+        overrides, echoed = OFF_DEFAULT[key]
+        flags.update(overrides)
+        argv = [command]
+        for name, value in flags.items():
+            if value is not None:
+                argv += ["--" + name.replace("_", "-"), value]
+        real, calls = aimdexit.cli.evaluate, []
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(aimdexit.cli, "evaluate", recording)
+        rc, out, err = run(capsys, *argv)
+        assert err == "" and rc in (0, 1)  # 1: a Monte Carlo verdict of "fail"
+        assert json.loads(out)["config"][key] == echoed
+        if key in TOLERANCES:
+            assert calls
+            for kwargs in calls:
+                qctrl = kwargs["qctrl"]
+                assert {"quad_abs_tol": qctrl.abs_tol, "quad_rel_tol": qctrl.rel_tol,
+                        "drawup_tol": kwargs["drawup_tol"]}[key] == echoed
+
+    @pytest.mark.parametrize("command", ["eval", "simulate", "compare", "sweep"])
+    def test_help_lists_exactly_the_command_keys(self, capsys, command):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        flags = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
+        expected = {"--" + k.replace("_", "-") for k in command_keys(command)}
+        expected |= {"--help", "--config", "--output"}
+        if command != "eval":  # Monte Carlo runs
+            expected.add("--threads")
+        assert flags == expected
