@@ -20,6 +20,7 @@ and exit non-zero (2 validation/usage, 3 convergence, 1 other failures).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -58,6 +59,7 @@ _COMMANDS = {"eval": "evaluate a transform analytically",
 _ALL = tuple(_COMMANDS)
 _MC = ("simulate", "compare", "sweep")
 _TOLS = ("eval", "sweep")  # compare evaluates at the default tolerances
+_FORMATS = ("csv", "json")
 
 # key -> (converter, default, commands that read it, help), in the order of
 # the config echo; a default of None means "not set"
@@ -107,7 +109,7 @@ def _build_parser() -> _Parser:
             if command in commands:
                 sp.add_argument("--" + key.replace("_", "-"), dest=key, type=conv,
                                 help=text,
-                                choices=("csv", "json") if key == "format" else None)
+                                choices=_FORMATS if key == "format" else None)
         sp.add_argument("--config", type=str, help="key=value config file")
         sp.add_argument("--output", type=str, help="write table here instead of stdout")
         if command in _MC:
@@ -161,6 +163,9 @@ def _resolve(args: argparse.Namespace) -> Dict[str, object]:
         val = getattr(args, key, None)
         if val is not None:
             res[key] = val
+    if res["format"] not in _FORMATS:
+        raise ValidationError(f"format must be one of {', '.join(_FORMATS)}, "
+                              f"got {res['format']!r}")
     return res
 
 
@@ -224,33 +229,36 @@ def _emit(res: Dict[str, object], columns: Sequence[str],
     # the reproducibility header: the command and its keys, thread count and
     # output destination excluded
     config = {k: res[k] for k in ("command", *_KEYS) if k in res}
-    out = sys.stdout
-    if res["output"]:
-        try:
-            out = open(res["output"], "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise ValidationError(f"output file {res['output']}: {exc}") from exc
-    try:
-        if res["format"] == "json":
-            payload = {"config": config,
-                       "rows": [{c: r.get(c) for c in columns} for r in rows],
-                       "summary": summary}
-            json.dump(payload, out, indent=2, allow_nan=True)
-            out.write("\n")
-        else:
-            for key, val in config.items():
-                out.write(f"# {key}={_cell(val) if not isinstance(val, list) else ','.join(map(repr, val))}\n")
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_cell(row.get(c)) for c in columns])
-            if summary is not None:
-                out.write(f"# {summary}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    out = res["out"]
+    if res["format"] == "json":
+        payload = {"config": config,
+                   "rows": [{c: r.get(c) for c in columns} for r in rows],
+                   "summary": summary}
+        json.dump(payload, out, indent=2, allow_nan=True)
+        out.write("\n")
+    else:
+        for key, val in config.items():
+            out.write(f"# {key}={_cell(val) if not isinstance(val, list) else ','.join(map(repr, val))}\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_cell(row.get(c)) for c in columns])
+        if summary is not None:
+            out.write(f"# {summary}\n")
     if out is not sys.stdout and summary is not None:
         print(summary)
+
+
+def _open_output(path: Optional[str]):
+    """The table's destination, opened before any work so that a path that
+    cannot be written fails at once: a context manager over ``path``, or
+    over stdout when no path is given."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValidationError(f"output file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +323,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _build_parser().parse_args(argv)
         res = _resolve(args)
         res["threads"] = getattr(args, "threads", 1)
-        res["output"] = args.output
         points = _points(res)
-        return (_cmd_compare if args.command == "compare" else _cmd_points)(res, points)
+        with _open_output(args.output) as out:
+            res["out"] = out
+            return (_cmd_compare if args.command == "compare" else _cmd_points)(res, points)
     except ValidationError as exc:
         print(f"aimdexit: error: validation: {exc}", file=sys.stderr)
         return 2

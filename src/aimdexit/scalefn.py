@@ -24,6 +24,14 @@ involve the alternating q-products ``prod (1 - p^{-i})`` and
 ``prod (p^i - p^j)``; their signs are closed-form, their magnitudes are sums of
 logarithms, and the final signed summation escalates to arbitrary precision
 when the float64 cancellation estimate exceeds its tolerance.
+
+The escalated route does not rebuild those logarithms.  On interval ``k0``
+it writes the transform as ``g^{-k0} + sum_i e^{g p^i x} S_i(b)``, where each
+``S_i`` sums fixed coefficients times ``e^{-g b p^{-m}}``, the constant ``C~``
+entering linearly.  The coefficients depend on ``(w, p, k0)`` alone, and
+those of ``C~``'s own series on ``(w, p)``; both are built once per digit
+budget, rounded up to a multiple of 20 digits, and held in bounded memos.  An
+escalated point then costs ``2 k0`` exponentials and O(k0^2) products.
 """
 
 from __future__ import annotations
@@ -238,38 +246,70 @@ def _settled_mp(at: Callable[[int], Optional[Tuple[float, ...]]], lost: float,
     raise ConvergenceError(f"{what} cancellation exceeds {_MAX_DPS} digits at {where}")
 
 
+def _table_dps(dps: int) -> int:
+    """Digits of the coefficient tables that serve a working budget of
+    ``dps``: rounded up to a multiple of 20, so that neighbouring budgets
+    share one table."""
+    return -(-dps // 20) * 20
+
+
+# an entry is at most 2,048 terms of three numbers (some 2.5 MB at 400
+# digits), typically 32 to 128 (under 50 KB); a table that is outrun is
+# replaced by one twice as long, so one (w, p, digits) may hold a few
+@lru_cache(maxsize=64)
+def _c_tilde_coeffs(w, p, n: int, dps: int):
+    """The ``x``- and ``b``-free parts of the first ``n`` terms of the
+    series of :func:`c_tilde`, at ``dps`` digits: per ``l``, the rate
+    ``g p^{-l}`` of ``e^{-b g p^{-l}}``, the numerator coefficient
+    ``g^{-l} / prod_{i<l}(1 - p^{-i})`` and the denominator coefficient
+    ``g^{-l} p^{-l} / prod_{i<=l}(1 - p^{-i})``.  Built inside the caller's
+    working precision."""
+    with mp.workdps(dps):
+        p_inv, g = 1 / mp.mpf(p), mp.mpf(w) + 1
+        g_inv = 1 / g
+        rates, nums, dens = [], [], []
+        prod = prev = mp.mpf(1)
+        p_inv_l = g_inv_l = mp.mpf(1)  # p^{-l} and g^{-l}, built term by term
+        for l in range(n):
+            if l > 0:
+                p_inv_l *= p_inv
+                g_inv_l *= g_inv
+                prev = prod
+                prod *= (1 - p_inv_l)
+            rates.append(g * p_inv_l)
+            nums.append(g_inv_l / prev)
+            dens.append(g_inv_l * p_inv_l / prod)
+        return tuple(rates), tuple(nums), tuple(dens)
+
+
 def _c_tilde_mp(w, p, b):
     """Arbitrary-precision twin of :func:`c_tilde` (same cancellation-free form),
     at the working precision of the caller: ``(value, lost)``, with ``lost``
-    the decimal digits the alternating sums cancelled."""
-    w, p, b = map(mp.mpf, (w, p, b))
-    g = w + 1
-    p_inv, g_inv = 1 / p, 1 / g
+    the decimal digits the alternating sums cancelled.  Each term is one
+    ``mp.exp`` times a coefficient of :func:`_c_tilde_coeffs`, whose table
+    doubles in length whenever the series outruns it."""
+    dps = mp.mp.dps
+    b = mp.mpf(b)
+    rates = ()
     num = mp.mpf(0)
     den = mp.mpf(0)
     peak = mp.mpf(0)  # largest |term| of either sum
-    prod = mp.mpf(1)
-    prev = mp.mpf(1)
-    p_inv_l = g_inv_l = mp.mpf(1)  # p^{-l} and g^{-l}, built term by term
-    tol = mp.mpf(10) ** (-(mp.mp.dps + 5))
+    tol = mp.mpf(10) ** (-(dps + 5))
     for l in range(2000):
-        if l > 0:
-            p_inv_l *= p_inv
-            g_inv_l *= g_inv
-            prev = prod
-            prod *= (1 - p_inv_l)
-        t_base = mp.exp(-b * g * p_inv_l) * g_inv_l
-        den_term = t_base * p_inv_l / prod
+        if l == len(rates):
+            rates, nums, dens = _c_tilde_coeffs(w, p, max(32, 2 * l), _table_dps(dps))
+        fall = mp.exp(-b * rates[l])
+        den_term = fall * dens[l]
         den += den_term
         peak = max(peak, abs(den_term))
         if l > 0:
-            num_term = t_base / prev
+            num_term = fall * nums[l]
             num += num_term
             peak = max(peak, abs(num_term))
             if abs(num_term) < tol * abs(num) and abs(den_term) < tol * abs(den) and l >= 4:
                 break
     smaller = min(abs(num), abs(den))
-    lost = float(mp.log10(peak / smaller)) if smaller else float(mp.mp.dps)
+    lost = float(mp.log10(peak / smaller)) if smaller else float(dps)
     return num / den, lost
 
 
@@ -286,24 +326,23 @@ def _down_interval_count(x: float, b: float, p: float) -> int:
     return k
 
 
-def _z_down_terms(w, p, x, b, ct, k0: int, num):
+def _z_down_terms(w, p, x, b, ct, k0: int):
     """Signs, log magnitudes and rates of the exponential terms of the
-    downward transform on interval ``k0``, in the number type of the
-    arguments: ``num`` is :mod:`math` or :mod:`mpmath`.
+    downward transform on interval ``k0``, in float64.
 
     Every term is a constant times ``e^{rate * x}``, so the slope in ``x`` is
     ``sum(term * rate)``; the constant head term ``(1/g)^k0`` (rate 0) is
     left to the caller.
     """
     g = w + 1
-    log_p, log_g = num.log(p), num.log(g)
+    log_p, log_g = math.log(p), math.log(g)
     # w may be subnormal, where the quotient w/g underflows before its log
-    log_w_over_g = num.log(w) - log_g
+    log_w_over_g = math.log(w) - log_g
     pw = [p ** i for i in range(k0)]
     log_gap = [[None] * k0 for _ in range(k0)]  # log |p^i - p^j|, i != j
     for i in range(k0):
         for j in range(i + 1, k0):
-            log_gap[i][j] = log_gap[j][i] = num.log(abs(pw[i] - pw[j]))
+            log_gap[i][j] = log_gap[j][i] = math.log(abs(pw[i] - pw[j]))
     signs, logs, rates = [], [], []
 
     def add(k, n, sign, log_base, acc, log_first):
@@ -331,7 +370,7 @@ def _z_down_terms(w, p, x, b, ct, k0: int, num):
         add(k, k, (-1) ** (k + 1),  # -(w/g)(-1)^k sign
             log_w_over_g + (k * (k - 1) // 2) * log_p - k * log_g, acc, (k - 1) * log_p)
     if ct != 0:
-        log_ct = num.log(abs(ct))
+        log_ct = math.log(abs(ct))
         sign_ct = 1 if ct > 0 else -1
         acc = []
         for k in range(k0):
@@ -370,19 +409,69 @@ def _c_tilde_escalated(w, p, b, dps: int):
         return ct
 
 
+# an entry holds some k0^2 numbers: 100 intervals deep some 2.5 MB at 40
+# digits (4 MB at 400), ten deep some 30 KB; one pass over the default grid
+# builds 21 tables, one x sweep one per interval it crosses
+@lru_cache(maxsize=32)
+def _z_down_coeffs(w, p, k0: int, dps: int):
+    """The ``x``- and ``b``-free parts of the downward transform on interval
+    ``k0``, at ``dps`` digits: ``(up, down, alpha, beta)``.
+
+    On that interval ``Z(x) = g^{-k0} + sum_{i<k0} E_i(x) S_i(b)`` with
+    ``E_i = e^{up_i x}``, ``up_i = g p^i``, and
+    ``S_i = sum_k (alpha_{k,i} + C~ beta_{k,i}) F_{k-i}``, where
+    ``F_m = e^{-b down_m}``, ``down_m = g p^{-m}``.  With
+    ``c_k = (w/g) (-1)^{k+1} p^{k(k-1)/2} g^{-k}`` and
+    ``D_n(i) = prod_{j<n, j != i}(p^i - p^j)``,
+    ``alpha_{k,i} = c_k / (p^i D_k(i))`` for ``i < k < k0`` and
+    ``beta_{k,i} = c_k / D_{k+1}(i)`` for ``i <= k < k0``; ``alpha[i]`` and
+    ``beta[i]`` list them in ascending ``k``.  The ``D_n`` are running
+    products, one factor per interval: O(k0^2) in all.  Built inside the
+    caller's working precision.
+    """
+    with mp.workdps(dps):
+        w, p = mp.mpf(w), mp.mpf(p)
+        g = w + 1
+        pw = [p ** i for i in range(k0)]
+        alpha = [[] for _ in range(k0)]
+        beta = [[] for _ in range(k0)]
+        dn = []  # D_k(i), i < k, at the top of step k
+        c = w / g
+        for k in range(k0):
+            if k > 0:
+                c *= pw[k - 1] / g
+            c_k = c if k % 2 else -c
+            for i in range(k):
+                alpha[i].append(c_k / (pw[i] * dn[i]))
+            for i in range(k):
+                dn[i] *= pw[i] - pw[k]
+            new = mp.mpf(1)
+            for j in range(k):
+                new *= pw[k] - pw[j]
+            dn.append(new)
+            for i in range(k + 1):
+                beta[i].append(c_k / dn[i])
+        return (tuple(g * v for v in pw), tuple(g / v for v in pw),
+                tuple(map(tuple, alpha)), tuple(map(tuple, beta)))
+
+
 def _z_down_mp(w, p, x, b, dps: int, slope: bool = False) -> Tuple[float, ...]:
     """Arbitrary-precision downward transform: ``(value,)``, or with ``slope``
-    ``(value, d/dx value)``, from the same terms as the float64 sums."""
+    ``(value, d/dx value)``, from the cached coefficients of
+    :func:`_z_down_coeffs`; a point costs ``2 k0`` exponentials."""
     with mp.workdps(dps):
         ct = _c_tilde_escalated(w, p, b, dps)
-        w_, p_, x_, b_ = map(mp.mpf, (w, p, x, b))
         k0 = _down_interval_count(x, b, p)
-        signs, logs, rates = _z_down_terms(w_, p_, x_, b_, ct, k0, mp)
-        terms = [s * mp.exp(L) for s, L in zip(signs, logs)]
-        value = float(mp.fsum([(1 / (w_ + 1)) ** k0] + terms))
+        up, down, alpha, beta = _z_down_coeffs(w, p, k0, _table_dps(dps))
+        x_, b_ = mp.mpf(x), mp.mpf(b)
+        fall = [mp.exp(-b_ * r) for r in down]
+        fall_ct = [ct * f for f in fall]
+        terms = [mp.exp(r * x_) * mp.fdot(alpha[i] + beta[i], fall[1:k0 - i] + fall_ct[:k0 - i])
+                 for i, r in enumerate(up)]
+        value = float(mp.fsum([(1 / (mp.mpf(w) + 1)) ** k0] + terms))
         if not slope:
             return (value,)
-        return value, float(mp.fsum(t * r for t, r in zip(terms, rates)))
+        return value, float(mp.fdot(terms, up))
 
 
 def z_down(w: float, p: float, x: float, b: float, *,
@@ -435,7 +524,7 @@ def _z_down_eval(w, p, x, b, slope: bool) -> Tuple[Tuple[float, ...], tuple]:
     """
     ct = c_tilde(w, p, b)
     k0 = _down_interval_count(x, b, p)
-    signs, logs, rates = _z_down_terms(w, p, x, b, ct, k0, math)
+    signs, logs, rates = _z_down_terms(w, p, x, b, ct, k0)
     log_peak = max(logs, default=-math.inf)
     terms = None
     if log_peak > _LOG_HUGE:

@@ -270,6 +270,21 @@ class TestPrecedenceAndConfig:
         assert rc == 2
         assert "frobnicate" in err
 
+    def test_config_format_is_checked_like_the_flag(self, capsys, tmp_path):
+        # the echo must name the format the output is in
+        cfg = tmp_path / "run.cfg"
+        point = ("eval", "--kind", "up-one", "--lambda", "1", "--p", "0.5",
+                 "--w", "1", "--x", "1", "--a", "2", "--config", str(cfg))
+        cfg.write_text("format = xml\n")
+        rc, out, err = run(capsys, *point)
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("aimdexit: error: validation: format must be one of csv, json")
+        cfg.write_text("format = json\n")
+        rc, out, _ = run(capsys, *point)
+        assert rc == 0
+        assert json.loads(out)["config"]["format"] == "json"
+
     @pytest.mark.parametrize("name, value", [("rel_tol", "1e-10"), ("max_terms", "20")])
     def test_removed_series_controls_are_rejected(self, capsys, tmp_path, name, value):
         # the series tolerance and term cap are fixed; neither flag nor
@@ -363,6 +378,19 @@ class TestOutputFile:
         assert err.count("\n") == 1
         assert err.startswith("aimdexit: error: validation:")
         assert not target.parent.exists()
+
+    @pytest.mark.parametrize("command, extra", [("eval", ()), ("simulate", ("--paths", "10")),
+                                                ("compare", ("--paths", "10"))])
+    def test_unopenable_output_fails_before_any_work(self, capsys, monkeypatch, tmp_path,
+                                                      command, extra):
+        def work(*args, **kwargs):
+            raise AssertionError("computed before the output was opened")
+        for name in ("evaluate", "run_suite", "mc_lst"):
+            monkeypatch.setattr(aimdexit.cli, name, work)
+        target = tmp_path / "missing" / "out.csv"
+        rc, out, err = run(capsys, command, *UP_ONE_POINT, *extra, "--output", str(target))
+        assert rc == 2 and out == ""
+        assert err.startswith(f"aimdexit: error: validation: output file {target}")
 
 
 UP_ONE_POINT = ("--kind", "up-one", "--lambda", "1", "--p", "0.5", "--w", "1",

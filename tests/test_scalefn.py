@@ -1,9 +1,11 @@
 """One-sided and two-sided scale-function evaluators."""
 
+import contextlib
 import importlib
 import math
 import pkgutil
 import tracemalloc
+import types
 
 import mpmath as mp
 import pytest
@@ -299,8 +301,9 @@ class TestZDownSlope:
 
 
 def _clear_z_down_memo():
-    scalefn._z_down_eval.cache_clear()
-    scalefn._c_tilde_escalated.cache_clear()
+    for memo in (scalefn._z_down_eval, scalefn._c_tilde_escalated,
+                 scalefn._z_down_coeffs, scalefn._c_tilde_coeffs):
+        memo.cache_clear()
 
 
 class TestFloatPathPins:
@@ -359,6 +362,115 @@ class TestFloatPathPins:
     ])
     def test_hazard(self, w, p, z, c, expected):
         assert hazard(w, p, z, c).hex() == expected
+
+
+class TestEscalatedPins:
+    """``float.hex`` pins of points that take the arbitrary-precision route.
+
+    Each value is rounded from a sum of many alternating terms, so a change
+    to the order or the precision of the escalated arithmetic that moves a
+    bit shows up here.  The memos are emptied first, so that every pin is
+    computed afresh.
+    """
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        _clear_z_down_memo()
+
+    @pytest.mark.parametrize("w, p, x, b, expected", [
+        # Kronrod nodes of the p = 0.8 drawdown rows of default_grid()
+        (2.0, 0.8, 5.250358542481988, 2.250358542481987,
+         ("0x1.5a871a663ab5cp-10", "-0x1.7ed231248b53ap-10")),
+        (0.5, 0.8, 4.3500448051281415, 1.350044805128141,
+         ("0x1.9b1abb0d333ecp-11", "-0x1.46dae78b825cap-11")),
+    ])
+    def test_drawdown_node_value_and_slope(self, w, p, x, b, expected):
+        assert tuple(v.hex() for v in z_down_slope(w, p, x, b)) == expected
+        info = dict(scalefn._z_down_eval(w, p, x, b, True)[1])
+        assert info["escalated_digits"] > 0
+
+    def test_remote_level_of_a_deep_two_sided_sweep(self):
+        # z_down(a; b) at the top of the sweep workload's p = 0.9, depth-10
+        # two-sided-down sweep: ten intervals, 36 digits
+        p = 0.9
+        b = 0.5 / (1.0 - p)
+        a = b * p ** -10
+        diag = {}
+        assert z_down(0.5, p, a, b, diagnostics=diag).hex() == "0x1.25eaa1b059c78p-14"
+        assert (diag["interval_count"], diag["escalated_digits"]) == (10, 36)
+
+    def test_c_tilde_rescue(self):
+        assert c_tilde(0.0625, 0.95, 2.0).hex() == "0x1.c6c5367747febp+3"
+        assert scalefn._c_tilde_escalated.cache_info().misses == 1
+
+    def test_twin_at_150_digits(self):
+        got = _z_down_mp(0.02, 0.96, 1.02, 0.98, 150, True)
+        assert tuple(v.hex() for v in got) == ("0x1.c4866131a2dbbp-10",
+                                               "-0x1.ff193658abce4p-1")
+
+
+class TestCoefficientTables:
+    """The cached ``x``- and ``b``-free coefficients of the escalated route."""
+
+    # a p = 0.8 drawdown node that escalates once, at 31 digits, on four intervals
+    NODE = (2.0, 0.8, 5.250358542481988, 2.250358542481987)
+
+    def test_neighbouring_budgets_share_one_table(self):
+        _clear_z_down_memo()
+        first = _z_down_mp(*self.NODE, 31, True)
+        info = scalefn._z_down_coeffs.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
+        built = scalefn._c_tilde_coeffs.cache_info().misses
+        second = _z_down_mp(*self.NODE, 33, True)
+        info = scalefn._z_down_coeffs.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert scalefn._c_tilde_coeffs.cache_info().misses == built
+        assert first == second
+
+    def test_tables_are_built_inside_the_callers_precision(self, monkeypatch):
+        # a table is built at a rounded-up budget, nested in the working
+        # precision of the escalation that needs it: no outermost
+        # precision block, and no higher outermost budget, is added
+        outermost, depth = [], [0]
+        real = mp.workdps
+
+        @contextlib.contextmanager
+        def workdps(dps):
+            if depth[0] == 0:
+                outermost.append(dps)
+            depth[0] += 1
+            try:
+                with real(dps):
+                    yield
+            finally:
+                depth[0] -= 1
+        proxy = types.ModuleType("mpmath")
+        proxy.__dict__.update(vars(mp))
+        proxy.workdps = workdps
+        monkeypatch.setattr(scalefn, "mp", proxy)
+        _clear_z_down_memo()
+        assert dict(scalefn._z_down_eval(*self.NODE, True)[1])["escalated_digits"] == 31
+        assert outermost == [31]
+        assert scalefn._z_down_coeffs.cache_info().misses == 1
+        assert scalefn._c_tilde_coeffs.cache_info().misses >= 1
+
+    def test_deep_table_is_bounded(self):
+        # 100 intervals at p = 0.95: one table holds 10^4 coefficients, some
+        # 2.5 MB at 40 digits; the memo keeps 32 such entries.  The bound
+        # covers the constant's tables, built on the same call
+        w, p, b = 0.5, 0.95, 1.0
+        x = b * p ** -99.5
+        _clear_z_down_memo()
+        tracemalloc.start()
+        try:
+            _z_down_mp(w, p, x, b, 40)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        info = scalefn._z_down_coeffs.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert len(scalefn._z_down_coeffs(w, p, 100, 40)[2]) == 100
+        assert retained <= 3.5e6
 
 
 class TestZDownMemo:
