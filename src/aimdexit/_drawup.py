@@ -29,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ValidationError, _require
-from .scalefn import z_up
+from .model import _require
+from .scalefn import _log_up_denominators, z_up
 
 __all__ = ["drawup_lst"]
 
@@ -49,24 +49,36 @@ def _cheb_nodes(n: int):
 
 _GLX, _GLW = np.polynomial.legendre.leggauss(12)
 _CHX, _CHW = _cheb_nodes(_NN)
+# the 4-point stencil's weight of node k is prod_{l != k} (pos - l) / (k - l)
+_OTHERS = np.array([[l for l in range(4) if l != k] for k in range(4)])
+_GAPS = (np.arange(4)[:, None] - _OTHERS).astype(float)
 
 
-def _interp_rows(yq: np.ndarray, lo, hi) -> np.ndarray:
-    """Barycentric-interpolation weight rows at query points within [lo, hi].
+def _panel_nodes(lo, hi) -> np.ndarray:
+    """Chebyshev-Lobatto nodes of the panels ``[lo, hi]``, one column per panel."""
+    return lo + (hi - lo) * (_CHX[:, None] + 1.0) / 2.0
 
-    ``lo``/``hi`` are one panel for all points, or one panel per point.
+
+def _interp_rows(yq: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Barycentric-interpolation weights at query points ``yq``.
+
+    ``nodes`` (from :func:`_panel_nodes`) holds one panel for all points, or
+    one panel per point.  Column ``i`` of the ``(_NN, n)`` result is the
+    weight row of ``yq[i]``.
     """
-    lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
-    nodes = lo + (hi - lo) * (_CHX + 1.0) / 2.0
-    d = yq[:, None] - nodes
-    rows = np.zeros((yq.size, _NN))
-    hit = d == 0.0
-    anyhit = hit.any(axis=1)
+    d = yq - nodes
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = _CHW[None, :] / d
-        rows[:] = t / t.sum(axis=1, keepdims=True)
-    if anyhit.any():
-        rows[anyhit] = hit[anyhit].astype(float)
+        t = _CHW[:, None] / d
+        # numpy's pairwise order for a contiguous row of ten
+        total = ((((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7])))
+                 + t[8] + t[9])
+        rows = t / total
+    # a point on a node makes its sum infinite or nan
+    bad = np.flatnonzero(~np.isfinite(total))
+    if bad.size:
+        hit = d[:, bad] == 0.0
+        on = hit.any(axis=0)
+        rows[:, bad[on]] = hit[:, on]
     return rows
 
 
@@ -110,9 +122,9 @@ class _StripSolver:
         npan = edges.size - 1
         # consecutive panels share their edge node: one unknown per abscissa
         M = npan * (_NN - 1) + 1
-        V = np.append((edges[:-1, None] + np.diff(edges)[:, None]
-                       * (_CHX[:-1] + 1.0) / 2.0).ravel(), top)
-        self.edges, self.V, self.npan = edges, V, npan
+        nodes = _panel_nodes(edges[:-1], edges[1:])
+        V = np.append(nodes[:-1].T.ravel(), top)
+        self.edges, self.nodes, self.V, self.npan = edges, nodes, V, npan
         self.m, self.top = m, top
 
         # Row i holds the partial integral from node v_i to the top b_q of
@@ -134,10 +146,11 @@ class _StripSolver:
                           minlength=M)
         ya, wa, ra = ps[~below], wq[~below], row[~below]
         pan = np.clip(np.searchsorted(edges, ya, side="right") - 1, 0, npan - 1)
+        # the weights reach bincount point by point, in the order they sum
         col = (ra * M + pan * (_NN - 1))[:, None] + np.arange(_NN)
-        wrow = wa[:, None] * _interp_rows(ya, edges[pan], edges[pan + 1])
-        A = np.bincount(col.ravel(), weights=wrow.ravel(),
-                        minlength=M * M).reshape(M, M)
+        wrow = np.multiply(_interp_rows(ya, nodes.take(pan, axis=1)).T, wa[:, None],
+                           order="C")
+        A = np.bincount(col.ravel(), weights=wrow.ravel(), minlength=M * M).reshape(M, M)
 
         # suffix sums S_q = C_q + link_q S_{q+1}, C_q the row of panel q's
         # first node, so the tail of the integral from any panel boundary
@@ -151,15 +164,19 @@ class _StripSolver:
 
         # assemble (I - K) g = rhs over all collocation nodes
         fac = np.exp(-gw * (edges[qn + 1] - V))
-        K = A + fac[:, None] * Srow[qn + 1]
+        # I - K in place; an empty g side leaves bincount's int64 zeros in A
+        K = A.astype(float, copy=False)
+        K += fac[:, None] * Srow[qn + 1]
+        np.negative(K, out=K)
+        K.flat[::M + 1] += 1.0
         rhs = np.exp(-gw * (top - V)) + cst + fac * Scst[qn + 1]
-        self.g = np.linalg.solve(np.eye(M) - K, rhs)
+        self.g = np.linalg.solve(K, rhs)
 
     def eval(self, y: float) -> float:
         if y >= self.top:
             return 1.0
         q = int(np.clip(np.searchsorted(self.edges, y, side="right") - 1, 0, self.npan - 1))
-        row = _interp_rows(np.array([float(y)]), self.edges[q], self.edges[q + 1])[0]
+        row = _interp_rows(np.array([float(y)]), self.nodes[:, q:q + 1])[:, 0]
         return float(row @ self.g[q * (_NN - 1):q * (_NN - 1) + _NN])
 
     @property
@@ -206,30 +223,31 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
     ycut = levels[J]
     for jj in range(J + 1, J + 4):
         psi[jj] = z_up(w, p, levels[jj], levels[jj] + c)
-    min_idx = [J + 1]  # lowest index already computed (shrinks as cascade ascends)
+    lowest = J + 1  # lowest index already solved (falls as the cascade ascends)
 
     def psi_eval(ys):
-        # 4-point Lagrange stencil in log level on solved levels j0..j0+3
-        pos = (logu - np.log(ys)) / h
-        j0 = np.minimum(np.maximum(np.floor(pos).astype(int) - 1, min_idx[0]), J)
-        out = 0.0
-        for k in range(4):
-            lk = 1.0
-            for l in range(4):
-                if l != k:
-                    lk = lk * ((pos - (j0 + l)) / (k - l))
-            out = out + lk * psi[j0 + k]
-        for i in np.flatnonzero(ys <= ycut):
-            out[i] = z_up(w, p, ys[i], ys[i] + c)
+        out = np.empty(ys.size)
+        deep = ys <= ycut
+        if not deep.all():
+            # 4-point Lagrange stencil in log level on solved levels j0..j0+3
+            pos = (logu - np.log(ys[~deep])) / h
+            j0 = np.minimum(np.maximum(np.floor(pos).astype(int) - 1, lowest), J)
+            q = (pos - (j0 + _OTHERS[:, :, None])) / _GAPS[:, :, None]
+            t = (q[:, 0] * q[:, 1]) * q[:, 2] * psi[j0 + np.arange(4)[:, None]]
+            out[~deep] = t[0] + t[1] + t[2] + t[3]
+        if deep.any():
+            # below the cutoff psi is z_up(y, y + c): one ascent pass for both levels
+            yd = ys[deep]
+            logs = _log_up_denominators(w, p, np.concatenate([yd, yd + c])).tolist()
+            out[deep] = [math.exp(a - b) for a, b in zip(logs[:yd.size], logs[yd.size:])]
         return out
 
-    for j in range(J, -1, -1):
-        min_idx[0] = j + 1
-        strip = _StripSolver(w, p, float(levels[j]), c, psi_eval)
-        psi[j] = strip.bottom
-        if j == 0:
-            if diagnostics is not None:
-                diagnostics.update(generations=G, grid_levels=J + 1,
-                                   panels_final=strip.npan, tol=tol)
-            return strip.eval(x) if x > u else strip.bottom
-    raise ValidationError("drawup cascade underflow (unreachable)")
+    for j in range(J, 0, -1):
+        lowest = j + 1
+        psi[j] = _StripSolver(w, p, float(levels[j]), c, psi_eval).bottom
+    lowest = 1
+    strip = _StripSolver(w, p, float(levels[0]), c, psi_eval)
+    if diagnostics is not None:
+        diagnostics.update(generations=G, grid_levels=J + 1,
+                           panels_final=strip.npan, tol=tol)
+    return strip.eval(x) if x > u else strip.bottom

@@ -1,11 +1,14 @@
-"""The strip collocation solver behind drawup, checked without pinned values."""
+"""The strip collocation solver behind drawup, and `float.hex` pins of its values."""
+
+import math
 
 import numpy as np
 import pytest
 
 import aimdexit._drawup as drawup
-from aimdexit import ExitKind, ExitSpec, ModelParams, evaluate, l_down, l_up
-from aimdexit._drawup import _StripSolver, _interp_rows
+from aimdexit import (ExitKind, ExitSpec, ModelParams, default_grid, evaluate, l_down,
+                      l_up)
+from aimdexit._drawup import _panel_nodes, _StripSolver, _interp_rows
 from aimdexit.reflected import lst_drawup
 
 from unit_rate import at_rate
@@ -47,27 +50,34 @@ class TestStripSolver:
         rng = np.random.default_rng(7)
         pan = rng.integers(0, 3, 40)
         yq = edges[pan] + rng.random(40) * np.diff(edges)[pan]
-        nodes = edges[:-1, None] + np.diff(edges)[:, None] * (drawup._CHX + 1.0) / 2.0
-        yq[:6] = nodes[pan[:6], [0, 3, 9, 1, 5, 8]]  # exact node hits
-        batched = _interp_rows(yq, edges[pan], edges[pan + 1])
+        nodes = _panel_nodes(edges[:-1], edges[1:])  # one column per panel
+        yq[:6] = nodes[[0, 3, 9, 1, 5, 8], pan[:6]]  # exact node hits
+        batched = _interp_rows(yq, _panel_nodes(edges[pan], edges[pan + 1])).T  # row per point
         for y, q, row in zip(yq, pan, batched):
-            assert np.array_equal(row, _interp_rows(np.array([y]), edges[q], edges[q + 1])[0])
+            assert np.array_equal(row, _interp_rows(np.array([y]), nodes[:, q:q + 1])[:, 0])
         assert np.array_equal(batched[:6] != 0.0, np.eye(10, dtype=bool)[[0, 3, 9, 1, 5, 8]])
 
 
 class TestCascade:
     def test_deep_levels_take_the_ascent_transform_and_keep_the_frozen_value(self, monkeypatch):
-        # the three virtual levels below the cutoff call z_up once each; any
-        # further call is psi_eval's branch for landings below the cutoff
+        # the three virtual levels below the cutoff call z_up once each;
+        # landings below the cutoff go through the array ascent series
         calls, z_up = [], drawup.z_up
+        batches, series = [], drawup._log_up_denominators
 
         def counted(*args, **kwargs):
             calls.append(args)
             return z_up(*args, **kwargs)
 
+        def counted_series(w, p, xs):
+            batches.append(xs.size)
+            return series(w, p, xs)
+
         monkeypatch.setattr(drawup, "z_up", counted)
+        monkeypatch.setattr(drawup, "_log_up_denominators", counted_series)
         value = at_rate(lst_drawup, 3.0, 0.5, 0.3, 2.1, 2.0, 1.0)
-        assert len(calls) > 3
+        assert len(calls) == 3
+        assert batches and min(batches) >= 1
         assert abs(value - 0.047648) <= 1.5e-6  # TestDrawup's frozen value
 
     def test_pinned_case_solves_the_recorded_number_of_strips(self):
@@ -75,3 +85,38 @@ class TestCascade:
         evaluate(ModelParams(lam=1.5, p=0.5), ExitSpec(ExitKind.DRAWUP, x=1.5, u=0.8, c=1.5),
                  0.5, diagnostics=diag)
         assert (diag["generations"], diag["grid_levels"], diag["panels_final"]) == (18, 127, 2)
+
+
+class TestBitPins:
+    """``float.hex`` pins of the strip solve and the cascade.
+
+    Recorded before the strip assembly, the stencil and the deep landings
+    were rewritten along the long axis; each rewrite keeps every bit.
+    """
+
+    @pytest.mark.parametrize("w, p, m, c, size, expected", [
+        # deep: 15 panels
+        (0.5, 0.8, 0.01, 1.75, 136, ("0x1.66ab49cb4db32p-2", "0x1.b74250e8f4491p-2",
+                                     "0x1.ff459919fd61cp-1", "0x1.16668e74a2ee9p+6")),
+        # every landing falls below m: no weight reaches the g side
+        (0.5, 0.3, 1.0, 1.0, 10, ("0x1.2221d9127c554p-1", "0x1.7033e9b9b2612p-1",
+                                  "0x1.f1ae0f5abc89bp-1", "0x1.d7fed8f3b21d0p+2")),
+        (0.5, 0.95, 2.0, 1.0, 73, ("0x1.0c8e31a63d3b0p-1", "0x1.76515e46cc585p-1",
+                                   "0x1.fec6a6db67d19p-1", "0x1.b402c1976e9b0p+5")),
+    ])
+    def test_strip_solution(self, w, p, m, c, size, expected):
+        # three nodes, and the correctly rounded sum of all of them
+        g = _StripSolver(w, p, m, c, lambda ys: np.exp(-ys)).g
+        assert g.size == size
+        assert (g[0].hex(), g[size // 2].hex(), g[size - 2].hex(),
+                math.fsum(g).hex()) == expected
+
+    @pytest.mark.parametrize("row, expected", [
+        (152, "0x1.dc887165f8957p-2"),  # p = 0.3, x = u
+        (141, "0x1.0a75e3fc0d9dcp-3"),  # p = 0.5, x > u
+        (145, "0x1.3520b669b84adp-2"),  # p = 0.8, x > u
+    ])
+    def test_default_grid_rows(self, row, expected):
+        params, spec, w = default_grid()[row]
+        assert spec.kind is ExitKind.DRAWUP
+        assert evaluate(params, spec, w).hex() == expected

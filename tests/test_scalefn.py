@@ -8,6 +8,7 @@ import tracemalloc
 import types
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import aimdexit
@@ -16,8 +17,8 @@ from aimdexit import (ConvergenceError, ExitKind, ExitSpec, ModelParams,
                       default_grid, evaluate, hazard, interval_index, k_up_coeffs, l_down,
                       l_up, l_up_from_b, scalefn, z_down,
                       z_down_renewal_residual, z_up, z_up_zero)
-from aimdexit.scalefn import (_log_add, _signed_logsumexp, _z_down_mp,
-                              z_down_slope)
+from aimdexit.scalefn import (_log_add, _log_up_denominator, _log_up_denominators,
+                              _signed_logsumexp, _z_down_mp, z_down_slope)
 from unit_rate import at_rate
 
 
@@ -108,6 +109,26 @@ class TestZUp:
         diag = {}
         z_up_zero(1.0, 0.5, 1.0, diagnostics=diag)
         assert diag["series_terms"] > 4
+
+
+class TestAscentSeriesArray:
+    """The array ascent series against the scalar one, bit for bit."""
+
+    @pytest.mark.parametrize("w, p", [(0.5, 0.3), (3.0, 0.9), (0.01, 0.5)])
+    def test_every_level_matches_the_scalar_series(self, w, p):
+        xs = np.geomspace(1e-9, 2000.0, 160)
+        expected = [_log_up_denominator(w, p, x) for x in xs.tolist()]
+        # the largest levels pass the scalar's rescaling guard
+        assert max(expected) > math.log(1e280)
+        got = _log_up_denominators(w, p, xs)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
+
+    def test_a_level_that_does_not_converge_raises_as_the_scalar_does(self):
+        with pytest.raises(ConvergenceError) as scalar:
+            _log_up_denominator(10.0, 0.95, 2000.0)
+        with pytest.raises(ConvergenceError) as batched:
+            _log_up_denominators(10.0, 0.95, np.array([0.5, 2000.0]))
+        assert str(batched.value) == str(scalar.value)
 
 
 class TestCTilde:
