@@ -69,7 +69,8 @@ def _interp_rows(yq: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     d = yq - nodes
     with np.errstate(divide="ignore", invalid="ignore"):
         t = _CHW[:, None] / d
-        # numpy's pairwise order for a contiguous row of ten
+        # numpy's pairwise order for a contiguous row of ten, the order the
+        # pinned values were computed in
         total = ((((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7])))
                  + t[8] + t[9])
         rows = t / total
