@@ -20,6 +20,14 @@ below the start the jump rate out of a strip of width ``c`` is negligible
 the cascade.  Each level is then solved by piecewise-Chebyshev collocation
 of the renewal equation, with panel edges on the kink set ``{m p^{-j}}``
 where ``chi`` switches branch.
+
+Only the constant that ``psi`` contributes to each strip's system depends
+on the levels below.  So the cascade builds everything else first, for a
+window of consecutive levels at a time: the panels, the landings, the
+matrix ``I - K``, and for each landing the stencil that interpolates
+``psi`` there.  Strips with equal panel counts are stacked and assembled in
+one pass (:class:`_Strips`).  The level loop is then left with ``psi``'s
+part alone: the stencil, the constant and one linear solve per level.
 """
 
 from __future__ import annotations
@@ -36,6 +44,10 @@ __all__ = ["drawup_lst"]
 
 _NN = 10  # Chebyshev-Lobatto nodes per panel
 _KINK_CAP = 14  # branch-switch kinks kept as panel edges per strip
+# the cascade's assembled, unsolved systems hold at most about this many
+# matrix entries; the strips of one assembly pass, this many Gauss points
+_HELD_ENTRIES = 1 << 17
+_CHUNK_POINTS = 4608
 
 
 def _cheb_nodes(n: int):
@@ -59,21 +71,20 @@ def _panel_nodes(lo, hi) -> np.ndarray:
     return lo + (hi - lo) * (_CHX[:, None] + 1.0) / 2.0
 
 
-def _interp_rows(yq: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Barycentric-interpolation weights at query points ``yq``.
+def _interp_rows(d: np.ndarray) -> np.ndarray:
+    """Barycentric-interpolation weights from the differences ``d = y - nodes``.
 
-    ``nodes`` (from :func:`_panel_nodes`) holds one panel for all points, or
-    one panel per point.  Column ``i`` of the ``(_NN, n)`` result is the
-    weight row of ``yq[i]``.
+    ``nodes`` (from :func:`_panel_nodes`) holds one panel for all query
+    points ``y``, or one panel per point.  Column ``i`` of the ``(_NN, n)``
+    result is the weight row of ``y[i]``.
     """
-    d = yq - nodes
     with np.errstate(divide="ignore", invalid="ignore"):
         t = _CHW[:, None] / d
         # numpy's pairwise order for a contiguous row of ten, the order the
         # pinned values were computed in
         total = ((((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7])))
                  + t[8] + t[9])
-        rows = t / total
+        rows = np.divide(t, total, out=t)
     # a point on a node makes its sum infinite or nan
     bad = np.flatnonzero(~np.isfinite(total))
     if bad.size:
@@ -83,101 +94,142 @@ def _interp_rows(yq: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return rows
 
 
-class _StripSolver:
-    """Collocation solve of the strip renewal equation on ``[m, m + c]``.
+def _strip_edges(gw, p, m, top) -> np.ndarray:
+    """Panel edges of the strip ``[m, top]``.
 
-    ``psi_eval`` supplies the fresh-start value for jump landings at or
-    below ``m``.  Panels are anchored at the branch-switch kinks
-    ``m p^{-j}`` (capped at ``_KINK_CAP``, always keeping ``m / p`` where the
-    integrand's first branch switch occurs — deeper kinks are only
-    C^1-discontinuities of already-solved levels and merge safely), then
-    refined so no panel is wider than ``2.5 / (1 + w)``.  The system is
-    assembled in one pass over the Gauss points of every integral at once.
+    Panels are anchored at the branch-switch kinks ``m p^{-j}``: always
+    ``m / p``, where the integrand's first branch switch occurs, and the
+    top-most ``_KINK_CAP - 1`` of the others (deeper kinks are only
+    C^1-discontinuities of already-solved levels and merge safely).  They
+    are then refined so no panel is wider than ``2.5 / (1 + w)``.
+    """
+    kinks = []
+    e, lim = m / p, top * (1.0 - 1e-13)
+    while e < lim:
+        kinks.append(e)
+        e /= p
+    if len(kinks) > _KINK_CAP:
+        kinks = [kinks[0]] + kinks[1 - _KINK_CAP:]
+    raw = [m] + kinks + [top]
+    hmax = 2.5 / gw
+    edges = []
+    for a0, b0 in zip(raw[:-1], raw[1:]):
+        if b0 - a0 < 1e-13 * top:
+            continue
+        nsub = min(max(1, int(math.ceil((b0 - a0) / hmax))), 8)
+        for i in range(nsub):
+            edges.append(a0 + (b0 - a0) * i / nsub)
+    edges.append(top)
+    return np.array(edges)
+
+
+class _Strips:
+    """Collocation systems of strips ``[m, m + c]`` with equal panel counts.
+
+    Row ``i`` of a strip's system holds the partial integral from node
+    ``v_i`` to the top ``b_q`` of its panel,
+    ``int_{v_i}^{b_q} e^{-gw (s - v_i)} chi(p s) ds``, so the row of a
+    panel's first node is the whole panel integral.  Each row is a constant
+    (the ``psi`` side of ``chi``) plus a weight row on the unknown nodes
+    (the ``g`` side).  Everything but the constant is assembled here, in one
+    pass over the Gauss points of every integral of every strip; strip
+    ``b``'s bins are offset by ``b`` strips, so each bin sums its points in
+    the order a lone strip would.  :meth:`solve` adds the constant from
+    ``psi`` at the strip's landings at or below ``m`` and solves.
     """
 
-    def __init__(self, w, p, m, c, psi_eval):
-        gw = 1.0 + w
-        top = m + c
-        kinks = []
-        e = m
-        while True:
-            e /= p
-            if e >= top * (1.0 - 1e-13):
-                break
-            kinks.append(e)
-            if len(kinks) >= 240:
-                break
-        if len(kinks) > _KINK_CAP:
-            kinks = [kinks[0]] + kinks[len(kinks) - (_KINK_CAP - 1):]
-        raw = [m] + kinks + [top]
-        hmax = 2.5 / gw
-        edges = []
-        for a0, b0 in zip(raw[:-1], raw[1:]):
-            if b0 - a0 < 1e-13 * top:
-                continue
-            nsub = min(max(1, int(math.ceil((b0 - a0) / hmax))), 8)
-            for i in range(nsub):
-                edges.append(a0 + (b0 - a0) * i / nsub)
-        edges.append(top)
-        edges = np.array(edges)
-        npan = edges.size - 1
+    def __init__(self, gw, p, ms, edges):
+        nb, npan = edges.shape[0], edges.shape[1] - 1
         # consecutive panels share their edge node: one unknown per abscissa
         M = npan * (_NN - 1) + 1
-        nodes = _panel_nodes(edges[:-1], edges[1:])
-        V = np.append(nodes[:-1].T.ravel(), top)
-        self.edges, self.nodes, self.V, self.npan = edges, nodes, V, npan
-        self.m, self.top = m, top
-
-        # Row i holds the partial integral from node v_i to the top b_q of
-        # its panel, int_{v_i}^{b_q} e^{-gw (s - v_i)} chi(p s) ds, so the row
-        # of a panel's first node is the whole panel integral.  Each row is a
-        # constant (psi side of chi) plus a weight row on the unknown nodes
-        # (g side).
+        nodes = _panel_nodes(edges[:, :-1].ravel(), edges[:, 1:].ravel())
+        V = np.hstack([nodes[:-1].T.reshape(nb, M - 1), edges[:, -1:]])
         qn = np.minimum(np.arange(M) // (_NN - 1), npan - 1)  # panel of each node
-        lo, hi = V, edges[qn + 1]
-        live = np.flatnonzero(hi - lo > 1e-300)  # no partial integral from the top
-        lo, hi = lo[live, None], hi[live, None]
+        top_q = edges[:, qn + 1]  # the top of each node's panel
+        live = np.flatnonzero(top_q - V > 1e-300)  # no partial integral from the top
+        lo, hi = V.ravel()[live, None], top_q.ravel()[live, None]
         half = (hi - lo) / 2.0
         s = lo + half * (_GLX + 1.0)
         ps = (p * s).ravel()
         wq = (_GLW * half * np.exp(-gw * (s - lo))).ravel()
-        row = np.repeat(live, _GLX.size)
-        below = ps <= m
-        cst = np.bincount(row[below], weights=wq[below] * psi_eval(ps[below]),
-                          minlength=M)
-        ya, wa, ra = ps[~below], wq[~below], row[~below]
-        pan = np.clip(np.searchsorted(edges, ya, side="right") - 1, 0, npan - 1)
-        # the weights reach bincount point by point, in the order they sum
-        col = (ra * M + pan * (_NN - 1))[:, None] + np.arange(_NN)
-        wrow = np.multiply(_interp_rows(ya, nodes.take(pan, axis=1)).T, wa[:, None],
-                           order="C")
-        A = np.bincount(col.ravel(), weights=wrow.ravel(), minlength=M * M).reshape(M, M)
+        row = np.repeat(live, _GLX.size)  # node i of strip b is bin b M + i
+        sb = row // M
+        below = ps <= ms[sb]
+        self.ys, self.wl, lrow = ps[below], wq[below], row[below]
+        self.bounds = np.searchsorted(lrow, np.arange(nb + 1) * M).tolist()
+        self.lrow = lrow % M
+        above = ~below
+        ya, wa, ra, sa = ps[above], wq[above], row[above], sb[above]
+        cuts = np.searchsorted(sa, np.arange(nb + 1)).tolist()
+        pan = np.concatenate([np.searchsorted(e, ya[i:k], side="right")
+                              for e, i, k in zip(edges, cuts, cuts[1:])]) - 1
+        d = nodes.take(sa * npan + pan, axis=1)
+        wrow = _interp_rows(np.subtract(ya, d, out=d))
+        wrow *= wa
+        del d
+        # node-major, so each bin sums its points in their own order: an
+        # edge node takes the panel below it (as its node 9) from bincount,
+        # then the panel above (as its node 0) from add.at.  An empty g side
+        # leaves bincount's int64 zeros.
+        col = (ra * M + pan * (_NN - 1)) + np.arange(_NN)[:, None]
+        A = np.bincount(col[1:].ravel(), weights=wrow[1:].ravel(),
+                        minlength=nb * M * M).astype(float, copy=False)
+        np.add.at(A, col[0], wrow[0])
 
-        # suffix sums S_q = C_q + link_q S_{q+1}, C_q the row of panel q's
-        # first node, so the tail of the integral from any panel boundary
-        # upward is available in closed row form
-        link = np.exp(-gw * np.diff(edges))  # e^{-gw (b_q - a_q)}
-        Srow = np.zeros((npan + 1, M))
-        Scst = np.zeros(npan + 1)
-        for q in range(npan - 1, -1, -1):
-            Srow[q] = A[q * (_NN - 1)] + link[q] * Srow[q + 1]
-            Scst[q] = cst[q * (_NN - 1)] + link[q] * Scst[q + 1]
-
-        # assemble (I - K) g = rhs over all collocation nodes
-        fac = np.exp(-gw * (edges[qn + 1] - V))
-        # I - K in place; an empty g side leaves bincount's int64 zeros in A
-        K = A.astype(float, copy=False)
-        K += fac[:, None] * Srow[qn + 1]
+        # I - K over all collocation nodes, in place.  Row i takes
+        # fac_i S_{q+1}, q its panel, where the suffix sum
+        # S_q = C_q + link_q S_{q+1} (C_q the row of panel q's first node) is
+        # the integral from panel q's bottom edge upward, and
+        # link_q = e^{-gw (b_q - a_q)} is that node's fac.  So S_q is the
+        # finished first row of panel q, and the panels are done from the
+        # top down.  The top panel's rows take S_npan = 0: adding 0.0 changes
+        # no entry, as these sums are never -0.0.
+        fac = np.exp(-gw * (top_q - V))
+        K = A.reshape(nb, M, M)
+        for q in range(npan - 2, -1, -1):
+            r = slice(q * (_NN - 1), (q + 1) * (_NN - 1))
+            K[:, r] += fac[:, r, None] * K[:, r.stop, None, :]
         np.negative(K, out=K)
-        K.flat[::M + 1] += 1.0
-        rhs = np.exp(-gw * (top - V)) + cst + fac * Scst[qn + 1]
-        self.g = np.linalg.solve(K, rhs)
+        K.reshape(nb, M * M)[:, ::M + 1] += 1.0
+        self.K, self.fac, self.links = K, fac, fac[:, :-1:_NN - 1].tolist()
+        self.next_q = qn + 1  # the panel above each node's own
+        self.nojump = np.exp(-gw * (edges[:, -1:] - V))  # e^{-gw (top - v)}
+        self.edges, self.nodes, self.V, self.npan, self.M = edges, nodes, V, npan, M
+
+    def solve(self, b: int, vals: np.ndarray) -> np.ndarray:
+        """Nodal values of strip ``b``, from ``psi`` at the landings ``ys``
+        (strip ``b``'s are ``ys[bounds[b]:bounds[b + 1]]``)."""
+        lo, hi = self.bounds[b], self.bounds[b + 1]
+        cst = np.bincount(self.lrow[lo:hi], weights=self.wl[lo:hi] * vals[lo:hi],
+                          minlength=self.M)
+        heads, link = cst[::_NN - 1].tolist(), self.links[b]
+        Scst = [0.0] * (self.npan + 1)
+        for q in range(self.npan - 1, -1, -1):
+            Scst[q] = heads[q] + link[q] * Scst[q + 1]
+        rhs = self.nojump[b] + cst + self.fac[b] * np.array(Scst)[self.next_q]
+        return np.linalg.solve(self.K[b], rhs)
+
+
+class _StripSolver:
+    """Collocation solve of the strip renewal equation on ``[m, m + c]``.
+
+    :class:`_Strips` with one strip; ``psi_eval`` supplies the fresh-start
+    value for jump landings at or below ``m``.  :meth:`eval` interpolates
+    the solution anywhere in the strip.
+    """
+
+    def __init__(self, w, p, m, c, psi_eval):
+        gw, top = 1.0 + w, m + c
+        strip = _Strips(gw, p, np.array([m]), _strip_edges(gw, p, m, top)[None])
+        self.g = strip.solve(0, psi_eval(strip.ys))
+        self.edges, self.nodes, self.V = strip.edges[0], strip.nodes, strip.V[0]
+        self.npan, self.top = strip.npan, top
 
     def eval(self, y: float) -> float:
         if y >= self.top:
             return 1.0
         q = int(np.clip(np.searchsorted(self.edges, y, side="right") - 1, 0, self.npan - 1))
-        row = _interp_rows(np.array([float(y)]), self.nodes[:, q:q + 1])[:, 0]
+        row = _interp_rows(float(y) - self.nodes[:, q:q + 1])[:, 0]
         return float(row @ self.g[q * (_NN - 1):q * (_NN - 1) + _NN])
 
     @property
@@ -224,29 +276,69 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
     ycut = levels[J]
     for jj in range(J + 1, J + 4):
         psi[jj] = z_up(w, p, levels[jj], levels[jj] + c)
-    lowest = J + 1  # lowest index already solved (falls as the cascade ascends)
 
-    def psi_eval(ys):
-        out = np.empty(ys.size)
+    def landings(ys, lowest):
+        """``psi`` at the landings ``ys``, as far as it is known before the loop.
+
+        Returns the values, final below the cutoff; and for the landings
+        ``at`` above it, the 4-point Lagrange stencil in log level on solved
+        levels ``j0..j0+3`` (``j0`` no lower than ``lowest``, per landing):
+        its level indices and weights.
+        """
+        vals = np.empty(ys.size)
         deep = ys <= ycut
-        if not deep.all():
-            # 4-point Lagrange stencil in log level on solved levels j0..j0+3
-            pos = (logu - np.log(ys[~deep])) / h
-            j0 = np.minimum(np.maximum(np.floor(pos).astype(int) - 1, lowest), J)
-            q = (pos - (j0 + _OTHERS[:, :, None])) / _GAPS[:, :, None]
-            t = (q[:, 0] * q[:, 1]) * q[:, 2] * psi[j0 + np.arange(4)[:, None]]
-            out[~deep] = t[0] + t[1] + t[2] + t[3]
+        at = np.flatnonzero(~deep)
+        pos = (logu - np.log(ys[at])) / h
+        j0 = np.minimum(np.maximum(np.floor(pos).astype(int) - 1, lowest[at]), J)
+        idx = j0 + np.arange(4)[:, None]
+        q = (pos - idx)[_OTHERS] / _GAPS[:, :, None]
         if deep.any():
             # below the cutoff psi is z_up(y, y + c): one ascent pass for both levels
             yd = ys[deep]
             logs = _log_up_denominators(w, p, np.concatenate([yd, yd + c])).tolist()
-            out[deep] = [math.exp(a - b) for a, b in zip(logs[:yd.size], logs[yd.size:])]
-        return out
+            vals[deep] = [math.exp(a - b) for a, b in zip(logs[:yd.size], logs[yd.size:])]
+        return vals, at, idx, (q[:, 0] * q[:, 1]) * q[:, 2]
 
-    for j in range(J, 0, -1):
-        lowest = j + 1
-        psi[j] = _StripSolver(w, p, float(levels[j]), c, psi_eval).bottom
-    lowest = 1
+    def stencil(idx, wts):
+        t = wts * psi[idx]
+        return t[0] + t[1] + t[2] + t[3]
+
+    gw = 1.0 + w
+    j = J
+    while j > 0:
+        # a window of consecutive levels, whose systems are held at once;
+        # its strips with equal panel counts are assembled together, in
+        # chunks of at most _CHUNK_POINTS Gauss points (or one strip)
+        window, held = {}, 0
+        while j > 0 and held < _HELD_ENTRIES:
+            m = float(levels[j])
+            window[j] = _strip_edges(gw, p, m, m + c)
+            held += ((window[j].size - 1) * (_NN - 1) + 1) ** 2
+            j -= 1
+        slots = {}
+        for size in {e.size for e in window.values()}:
+            same = [jj for jj, e in window.items() if e.size == size]
+            per = max(1, _CHUNK_POINTS // ((size - 1) * (_NN - 1) * _GLX.size))
+            for k in range(0, len(same), per):
+                js = same[k:k + per]
+                strips = _Strips(gw, p, levels[js], np.array([window[jj] for jj in js]))
+                vals, at, idx, wts = landings(
+                    strips.ys, np.repeat(np.array(js) + 1, np.diff(strips.bounds)))
+                cuts = np.searchsorted(at, strips.bounds).tolist()
+                for b, jj in enumerate(js):
+                    ab = slice(cuts[b], cuts[b + 1])
+                    slots[jj] = (strips, b, vals, at[ab], idx[:, ab], wts[:, ab])
+        # the level loop: psi's part of each system, and its solve
+        for jj in window:
+            strips, b, vals, at, idx, wts = slots.pop(jj)
+            vals[at] = stencil(idx, wts)
+            psi[jj] = strips.solve(b, vals)[0]
+
+    def psi_eval(ys):
+        vals, at, idx, wts = landings(ys, np.ones(ys.size, dtype=int))
+        vals[at] = stencil(idx, wts)
+        return vals
+
     strip = _StripSolver(w, p, float(levels[0]), c, psi_eval)
     if diagnostics is not None:
         diagnostics.update(generations=G, grid_levels=J + 1,

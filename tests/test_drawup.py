@@ -1,6 +1,9 @@
 """The strip collocation solver behind drawup, and `float.hex` pins of its values."""
 
+import hashlib
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ import pytest
 import aimdexit._drawup as drawup
 from aimdexit import (ExitKind, ExitSpec, ModelParams, default_grid, evaluate, l_down,
                       l_up)
-from aimdexit._drawup import _panel_nodes, _StripSolver, _interp_rows
+from aimdexit._drawup import (_interp_rows, _panel_nodes, _strip_edges, _Strips,
+                              _StripSolver)
 from aimdexit.reflected import lst_drawup
 
 from unit_rate import at_rate
@@ -21,6 +25,22 @@ STRIPS = [
     (0.3, 0.6, 0.7, 1.2, 1.1),
     (1.0, 0.8, 0.4, 2.0, 1.9),
 ]
+
+
+def _numpy_spying_on_solve(spy):
+    """A copy of the ``numpy`` namespace whose ``linalg.solve`` first hands
+    its matrix to ``spy``, as the benchmark's layer trace patches it."""
+    linalg = types.ModuleType("numpy.linalg")
+    linalg.__dict__.update(vars(np.linalg))
+
+    def solve(K, rhs):
+        spy(K)
+        return np.linalg.solve(K, rhs)
+    linalg.solve = solve
+    proxy = types.ModuleType("numpy")
+    proxy.__dict__.update(vars(np))
+    proxy.linalg = linalg
+    return proxy
 
 
 def _solve(w, p, m, c, fresh):
@@ -52,10 +72,42 @@ class TestStripSolver:
         yq = edges[pan] + rng.random(40) * np.diff(edges)[pan]
         nodes = _panel_nodes(edges[:-1], edges[1:])  # one column per panel
         yq[:6] = nodes[[0, 3, 9, 1, 5, 8], pan[:6]]  # exact node hits
-        batched = _interp_rows(yq, _panel_nodes(edges[pan], edges[pan + 1])).T  # row per point
+        batched = _interp_rows(yq - _panel_nodes(edges[pan], edges[pan + 1])).T  # row per point
         for y, q, row in zip(yq, pan, batched):
-            assert np.array_equal(row, _interp_rows(np.array([y]), nodes[:, q:q + 1])[:, 0])
+            assert np.array_equal(row, _interp_rows(np.array([y]) - nodes[:, q:q + 1])[:, 0])
         assert np.array_equal(batched[:6] != 0.0, np.eye(10, dtype=bool)[[0, 3, 9, 1, 5, 8]])
+
+    def test_top_most_kinks_are_kept_past_any_count(self):
+        # 269 kinks m p^-j lie inside this strip; the cap keeps m / p and the
+        # 13 top-most, found by the same repeated division
+        w, p, m, c = 0.02, 0.95, 1e-6, 1.0
+        kinks, e = [], m / p
+        while e < (m + c) * (1.0 - 1e-13):
+            kinks.append(e)
+            e /= p
+        assert len(kinks) == 269
+        edges = _strip_edges(1.0 + w, p, m, m + c)
+        assert edges.tolist() == [m] + kinks[:1] + kinks[-13:] + [m + c]
+        # the top panel is one kink gap wide (it covered 78 % of the strip
+        # when the scan stopped at 240 kinks)
+        assert edges[-1] - edges[-2] < 0.02 * c
+
+    def test_stacked_strips_solve_as_lone_strips(self):
+        # three deep levels of the p = 0.8 cascade, 15 panels each, assembled
+        # together: every matrix entry and every solution keeps the bits of
+        # the strip assembled alone
+        w, p, c = 0.5, 0.8, 1.75
+        ms = 4.0 * 0.8 ** (np.arange(100, 103) / 4.0)
+        edges = np.array([_strip_edges(1.0 + w, p, m, m + c) for m in ms])
+        assert edges.shape == (3, 16)
+        stacked = _Strips(1.0 + w, p, ms, edges)
+        fresh = np.exp(-stacked.ys)
+        for b in range(ms.size):
+            lone = _Strips(1.0 + w, p, ms[b:b + 1], edges[b:b + 1])
+            assert np.array_equal(stacked.K[b], lone.K[0])
+            ys = stacked.ys[stacked.bounds[b]:stacked.bounds[b + 1]]
+            assert np.array_equal(ys, lone.ys)
+            assert np.array_equal(stacked.solve(b, fresh), lone.solve(0, np.exp(-ys)))
 
 
 class TestCascade:
@@ -80,6 +132,29 @@ class TestCascade:
         assert batches and min(batches) >= 1
         assert abs(value - 0.047648) <= 1.5e-6  # TestDrawup's frozen value
 
+    def test_one_linear_solve_per_level_through_the_module_numpy(self, monkeypatch):
+        # the benchmark counts strip solves and times np.linalg.solve through
+        # the module's ``np``; every level costs exactly one solve
+        solves = []
+        monkeypatch.setattr(drawup, "np", _numpy_spying_on_solve(solves.append))
+        for args in [(0.5, 0.8, 4.6125, 4.0, 1.75), (1.0, 0.3, 1.2, 1.1, 1.0)]:
+            solves.clear()
+            diag = {}
+            drawup.drawup_lst(*args, diagnostics=diag)
+            assert len(solves) == diag["grid_levels"]
+
+    def test_assembly_memory_is_bounded(self):
+        # the deepest default-grid cascade (p = 0.8, 15-panel strips) holds
+        # a bounded window of assembled systems, not the whole cascade
+        drawup.drawup_lst(0.5, 0.8, 4.6125, 4.0, 1.75)
+        tracemalloc.start()
+        try:
+            drawup.drawup_lst(0.5, 0.8, 4.6125, 4.0, 1.75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_pinned_case_solves_the_recorded_number_of_strips(self):
         diag = {}
         evaluate(ModelParams(lam=1.5, p=0.5), ExitSpec(ExitKind.DRAWUP, x=1.5, u=0.8, c=1.5),
@@ -91,7 +166,10 @@ class TestBitPins:
     """``float.hex`` pins of the strip solve and the cascade.
 
     Recorded before the strip assembly, the stencil and the deep landings
-    were rewritten along the long axis; each rewrite keeps every bit.
+    were rewritten along the long axis; the 20 drawup rows of
+    ``default_grid()``, the matrix and the two random cascade points were
+    recorded before the strips were assembled in stacked batches.  Each
+    rewrite keeps every bit.
     """
 
     @pytest.mark.parametrize("w, p, m, c, size, expected", [
@@ -111,10 +189,50 @@ class TestBitPins:
         assert (g[0].hex(), g[size // 2].hex(), g[size - 2].hex(),
                 math.fsum(g).hex()) == expected
 
+    def test_matrix_handed_to_the_solver(self, monkeypatch):
+        # I - K itself, taken from the solve call: in this strip 12 entries
+        # would move if bincount summed the weights node by node with each
+        # panel's first node first, though the solution would not
+        matrices = []
+        spy = _numpy_spying_on_solve(lambda K: matrices.append(K.copy()))
+        monkeypatch.setattr(drawup, "np", spy)
+        _StripSolver(1.0, 0.5, 4.882812500000002e-05, 1.75, lambda ys: np.exp(-ys))
+        (K,) = matrices
+        assert K.shape == (136, 136)
+        assert hashlib.sha256(K.tobytes()).hexdigest()[:16] == "cb86b64911d4baae"
+
+    @pytest.mark.parametrize("args, expected", [
+        # seeded random points whose values move if the stencil's four terms
+        # are summed in another order
+        ((0.024406226487371546, 0.6979662243079519, 2.6137717643834018,
+          2.6137717643834018, 3.002461737758588), "0x1.8bb444914a6b3p-1"),
+        ((1.0580743891889413, 0.24704402566564101, 0.04455528215381194,
+          0.04455528215381194, 0.4366351862759115), "0x1.2794d13752bb6p-1"),
+    ])
+    def test_cascade_value(self, args, expected):
+        assert drawup.drawup_lst(*args).hex() == expected
+
     @pytest.mark.parametrize("row, expected", [
-        (152, "0x1.dc887165f8957p-2"),  # p = 0.3, x = u
+        (140, "0x1.0000000000000p+0"),  # w = 0
         (141, "0x1.0a75e3fc0d9dcp-3"),  # p = 0.5, x > u
+        (142, "0x1.b89f7f0d44a92p-4"),
+        (143, "0x1.33252bbd7a56ep-6"),  # u = 0: plain ascent
+        (144, "0x1.0000000000000p+0"),
         (145, "0x1.3520b669b84adp-2"),  # p = 0.8, x > u
+        (146, "0x1.6d4ff8a712efdp-2"),
+        (147, "0x1.c6ded7a90191ap-2"),
+        (148, "0x1.0000000000000p+0"),
+        (149, "0x1.22f168c5c8e63p-5"),
+        (150, "0x1.57e6f2d28531dp-8"),
+        (151, "0x1.0000000000000p+0"),
+        (152, "0x1.dc887165f8957p-2"),  # p = 0.3, x = u
+        (153, "0x1.7f327b13512e2p-3"),
+        (154, "0x1.9a396bef609acp-5"),
+        (155, "0x1.0000000000000p+0"),
+        (156, "0x1.5781d48e6a5cep-1"),
+        (157, "0x1.3520b669b84adp-2"),  # row 145 rescaled to lam = 2
+        (158, "0x1.0000000000000p+0"),
+        (159, "0x1.0c4c5ceecc576p-1"),
     ])
     def test_default_grid_rows(self, row, expected):
         params, spec, w = default_grid()[row]
