@@ -11,8 +11,8 @@ Four first-passage problems built on the two-sided exit parts from
   supremum, resolved through the supremum's exit distribution (hazard of
   losing the race to a new maximum) and the down-exit slope at the level
   where the supremum stops; both come from exact scale-function slopes,
-  taken once per node of a Gauss-Kronrod 24/49 pass, and the cumulative
-  hazard is integrated from the same nodes.
+  taken once per node of a Gauss-Kronrod 10/21 pass (``_GAUSS_N`` = 10),
+  and the cumulative hazard is integrated from the same nodes.
 * ``lst_drawup`` — first time the process rises ``c`` above its running
   infimum, via the infimum-cascade renewal in :mod:`._drawup`.
 
@@ -52,14 +52,14 @@ __all__ = [
 class QuadratureControl:
     """Accuracy policy for the drawdown integral.
 
-    The integral is taken in one Gauss-Kronrod pass over kink-aware panels:
-    the 49-point Kronrod value is the result, and ``|Kronrod - Gauss|``
-    against the embedded 24-point Gauss rule, summed over the panels, is the
-    error estimate (``quad_error``).  While the estimate misses
-    ``max(abs_tol, rel_tol * |value|)`` the panels are halved and the pass
-    repeated, at most ``_MAX_ROUNDS`` passes in all.  Past the last kink
-    level the integrand is known in closed form, so the integral needs no
-    cutoff.
+    The integral is taken in one Gauss-Kronrod 10/21 pass over kink-aware
+    panels: the ``2 _GAUSS_N + 1``-point Kronrod value is the result, and
+    ``|Kronrod - Gauss|`` against the embedded ``_GAUSS_N``-point Gauss
+    rule, summed over the panels, is the error estimate (``quad_error``).
+    While it misses ``max(abs_tol, rel_tol * |value|)`` the panels are
+    halved and the pass repeated, at most ``_MAX_ROUNDS`` passes in all.
+    Past the last kink level the integrand is known in closed form, so the
+    integral needs no cutoff.
     """
 
     abs_tol: float = 1e-8
@@ -148,23 +148,6 @@ def hazard(w: float, p: float, z: float, c: float) -> float:
     return _k_log_slope(w, p, z - c, z)
 
 
-def _supremum_breakpoints(x: float, c: float, p: float) -> list:
-    """Kink levels ``c / (1 - p^k)`` above ``x``, ascending.
-
-    At these levels the interval index of the strip ``(z - c, z)`` changes,
-    so the hazard is only piecewise-smooth across them.
-    """
-    bps = []
-    k = 1
-    while True:
-        zk = c / (1.0 - p ** k)
-        if zk <= x:
-            break
-        bps.append(zk)
-        k += 1
-    return sorted(bps)
-
-
 def _gauss_kronrod(n: int):
     """Nodes and weights, ascending, of the ``2n+1``-point Kronrod extension
     of the ``n``-point Gauss-Legendre rule on ``[-1, 1]``.
@@ -202,8 +185,10 @@ def _gauss_kronrod(n: int):
     return nodes, b[0] * vecs[0] ** 2
 
 
-_GL24 = np.polynomial.legendre.leggauss(24)
-_GK49 = _gauss_kronrod(24)  # the Gauss-24 nodes are _GK49[0][1::2]
+# the drawdown rule, QUADPACK's QK21 pair: grid values within 1.1e-16 of 24/49
+_GAUSS_N = 10
+_GAUSS = np.polynomial.legendre.leggauss(_GAUSS_N)
+_KRONROD = _gauss_kronrod(_GAUSS_N)  # the Gauss nodes are _KRONROD[0][1::2]
 
 
 def _cumulative_matrix(nodes: np.ndarray) -> np.ndarray:
@@ -214,8 +199,8 @@ def _cumulative_matrix(nodes: np.ndarray) -> np.ndarray:
     return leg.legval(nodes, leg.legint(coeffs, lbnd=-1)).T
 
 
-_CUM24 = _cumulative_matrix(_GL24[0])
-_CUM49 = _cumulative_matrix(_GK49[0])
+_CUM_GAUSS = _cumulative_matrix(_GAUSS[0])
+_CUM_KRONROD = _cumulative_matrix(_KRONROD[0])
 
 
 def _drawdown_value(w: float, p: float, x: float, c: float, split: int) -> tuple:
@@ -224,20 +209,26 @@ def _drawdown_value(w: float, p: float, x: float, c: float, split: int) -> tuple
 
     Integrates ``exp(-H_w(y)) [h_w(y) Z(y) - Z'(y)]`` over ``(x, z1)``, with
     ``Z`` the downward transform for the barrier ``y - c`` and ``z1 =
-    c/(1-p)`` the knee (``x < z1`` here).  The hazard and ``Z`` are
-    evaluated once at each of a panel's 49 Kronrod nodes; ``H_w`` at the
-    nodes is the integral of the hazard's interpolant through them, and at
-    the panel end their Kronrod sum.  Past the knee ``h_w = w + 1`` and
-    ``h_w Z - Z' = 1``, so the rest of the integral is ``exp(-H_w(z1)) /
-    (w + 1)``.  The value is the Kronrod one.  The same integral is also
-    taken with the embedded 24-point Gauss rule alone, ``H_w`` included,
-    and the error estimate is ``|Kronrod - Gauss|`` summed over the panels
-    and the tail.
+    c/(1-p)`` the knee (``x < z1`` here).  The rule is Gauss-Kronrod
+    10/21: the hazard and ``Z`` are evaluated once at each of a panel's
+    ``2 _GAUSS_N + 1`` Kronrod nodes; ``H_w`` at the nodes is the integral
+    of the hazard's interpolant through them, and at the panel end their
+    Kronrod sum.  Past the knee ``h_w = w + 1`` and ``h_w Z - Z' = 1``, so
+    the rest of the integral is ``exp(-H_w(z1)) / (w + 1)``.  The value is
+    the Kronrod one.  The same integral is also taken with the embedded
+    ``_GAUSS_N``-point Gauss rule alone, ``H_w`` included, and the error
+    estimate is ``|Kronrod - Gauss|`` summed over the panels and the tail.
     """
-    nodes, wk = _GK49
-    wg = _GL24[1]
+    nodes, wk = _KRONROD
+    wg = _GAUSS[1]
+    # panels end at the kink levels c/(1-p^k) above x (falling with k from
+    # z1), where the strip (y - c, y) changes interval and the hazard kinks
+    kinks, k = [], 1
+    while (zk := c / (1.0 - p ** k)) > x:
+        kinks.append(zk)
+        k += 1
     ends = [x]
-    for e in _supremum_breakpoints(x, c, p):  # ascending; the last is z1
+    for e in reversed(kinks):
         if e > ends[-1] + 1e-15:
             ends.append(e)
     H_k = H_g = 0.0  # cumulative hazard to the panel start: Kronrod, Gauss
@@ -251,8 +242,8 @@ def _drawdown_value(w: float, p: float, x: float, c: float, split: int) -> tuple
             hs = np.array([hazard(w, p, y, c) for y in ys])
             zd, dzd = np.array([z_down_slope(w, p, y, y - c) for y in ys]).T
             f = hs * zd - dzd
-            kronrod = half * (wk @ (np.exp(-(H_k + half * (_CUM49 @ hs))) * f))
-            gauss = half * (wg @ (np.exp(-(H_g + half * (_CUM24 @ hs[1::2]))) * f[1::2]))
+            kronrod = half * (wk @ (np.exp(-(H_k + half * (_CUM_KRONROD @ hs))) * f))
+            gauss = half * (wg @ (np.exp(-(H_g + half * (_CUM_GAUSS @ hs[1::2]))) * f[1::2]))
             total += kronrod
             err += abs(kronrod - gauss)
             H_k += half * (wk @ hs)
@@ -274,10 +265,10 @@ def lst_drawdown(w: float, p: float, x: float, c: float,
     from ``x`` and ``Z`` the downward transform.  Both slopes are exact
     sums from the scale-function tables.  The stretch past the knee
     ``c/(1-p)`` is closed form, and the head integral is one Gauss-Kronrod
-    24/49 pass per kink-free panel, repeated on halved panels while
-    ``|Kronrod - Gauss|`` misses the tolerance.  ``diagnostics`` receives
-    that estimate as ``quad_error`` and the number of passes as
-    ``refinement_rounds``.
+    10/21 pass per kink-free panel (``2 _GAUSS_N + 1`` nodes), repeated on
+    halved panels while ``|Kronrod - Gauss|`` misses the tolerance.
+    ``diagnostics`` receives that estimate as ``quad_error`` and the number
+    of passes as ``refinement_rounds``.
     """
     _require(x > c > 0.0, f"drawdown needs x > c > 0, got x={x}, c={c}")
     if w == 0.0:

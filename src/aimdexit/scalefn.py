@@ -31,7 +31,8 @@ it writes the transform as ``g^{-k0} + sum_i e^{g p^i x} S_i(b)``, where each
 entering linearly.  The coefficients depend on ``(w, p, k0)`` alone, and
 those of ``C~``'s own series on ``(w, p)``; both are built once per digit
 budget, rounded up to a multiple of 20 digits, and held in bounded memos.  An
-escalated point then costs ``2 k0`` exponentials and O(k0^2) products.
+escalated point then costs ``k0`` exponentials (the ``e^{-g b p^{-m}}`` come
+with ``C~``) and O(k0^2) products.
 """
 
 from __future__ import annotations
@@ -271,7 +272,7 @@ def c_tilde(w: float, p: float, b: float) -> float:
         lost = max(peak_num - num_l, peak_den - den_l) / math.log(10.0)
     if lost > _K_EVAL_LOST_OK:
         digits = min(_MAX_DPS, 30 + int(math.ceil(2.5 * lost)))
-        return float(_c_tilde_escalated(w, p, b, digits))
+        return float(_c_tilde_escalated(w, p, b, digits)[0])
     return num_s * den_s * math.exp(num_l - den_l)
 
 
@@ -308,8 +309,9 @@ def _c_tilde_coeffs(w, p, n: int, dps: int):
     series of :func:`c_tilde`, at ``dps`` digits: per ``l``, the rate
     ``g p^{-l}`` of ``e^{-b g p^{-l}}``, the numerator coefficient
     ``g^{-l} / prod_{i<l}(1 - p^{-i})`` and the denominator coefficient
-    ``g^{-l} p^{-l} / prod_{i<=l}(1 - p^{-i})``.  Built inside the caller's
-    working precision."""
+    ``g^{-l} p^{-l} / prod_{i<=l}(1 - p^{-i})``; and, in float64, the rate
+    and the log magnitude of the larger coefficient, which size the series.
+    Built inside the caller's working precision."""
     with mp.workdps(dps):
         p_inv, g = 1 / mp.mpf(p), mp.mpf(w) + 1
         g_inv = 1 / g
@@ -325,38 +327,39 @@ def _c_tilde_coeffs(w, p, n: int, dps: int):
             rates.append(g * p_inv_l)
             nums.append(g_inv_l / prev)
             dens.append(g_inv_l * p_inv_l / prod)
-        return tuple(rates), tuple(nums), tuple(dens)
+        with mp.workdps(15):
+            sizes = tuple((float(r), float(mp.log(max(abs(a), abs(d)))))
+                          for r, a, d in zip(rates, nums, dens))
+        return tuple(rates), tuple(nums), tuple(dens), sizes
 
 
 def _c_tilde_mp(w, p, b):
     """Arbitrary-precision twin of :func:`c_tilde` (same cancellation-free form),
-    at the working precision of the caller: ``(value, lost)``, with ``lost``
-    the decimal digits the alternating sums cancelled.  Each term is one
-    ``mp.exp`` times a coefficient of :func:`_c_tilde_coeffs`, whose table
-    doubles in length whenever the series outruns it."""
+    at the working precision of the caller: ``(value, lost, falls)``, with
+    ``lost`` the decimal digits the alternating sums cancelled and ``falls``
+    the factors ``e^{-b g p^{-l}}`` of the terms.  The float64 log magnitudes
+    of the terms size the series: it ends at the first term past the fifth
+    that lies ``dps + 9`` digits below the peak term, so the tail is below
+    ``10^-(dps+5)`` of both sums while they cancel at most the 4 digits that
+    :func:`_c_tilde_escalated` allows past its guard.  Each sum is one
+    ``mp.fdot`` with the coefficients of :func:`_c_tilde_coeffs`."""
     dps = mp.mp.dps
+    rates, n, log_peak = (), 0, -math.inf
+    while n < 2000:
+        if n == len(rates):
+            rates, nums, dens, sizes = _c_tilde_coeffs(w, p, max(32, 2 * n), _table_dps(dps))
+        rate, log_coeff = sizes[n]
+        log_term = log_coeff - b * rate
+        log_peak = max(log_peak, log_term)
+        n += 1
+        if n > 4 and log_term < log_peak - (dps + 9) * _LN10:
+            break
     b = mp.mpf(b)
-    rates = ()
-    num = mp.mpf(0)
-    den = mp.mpf(0)
-    peak = mp.mpf(0)  # largest |term| of either sum
-    tol = mp.mpf(10) ** (-(dps + 5))
-    for l in range(2000):
-        if l == len(rates):
-            rates, nums, dens = _c_tilde_coeffs(w, p, max(32, 2 * l), _table_dps(dps))
-        fall = mp.exp(-b * rates[l])
-        den_term = fall * dens[l]
-        den += den_term
-        peak = max(peak, abs(den_term))
-        if l > 0:
-            num_term = fall * nums[l]
-            num += num_term
-            peak = max(peak, abs(num_term))
-            if abs(num_term) < tol * abs(num) and abs(den_term) < tol * abs(den) and l >= 4:
-                break
+    falls = tuple(mp.exp(-b * r) for r in rates[:n])
+    num, den = mp.fdot(falls[1:], nums[1:n]), mp.fdot(falls, dens[:n])
     smaller = min(abs(num), abs(den))
-    lost = float(mp.log10(peak / smaller)) if smaller else float(dps)
-    return num / den, lost
+    lost = (log_peak - float(mp.log(smaller))) / _LN10 if smaller else float(dps)
+    return num / den, lost, falls
 
 
 def _down_interval_count(x: float, b: float, p: float) -> int:
@@ -432,18 +435,21 @@ def _log10_or_zero(v: float) -> float:
     return math.log10(abs(v)) if v != 0.0 else 0.0
 
 
-@lru_cache(maxsize=4096)
+# an entry is some 2 KB at the 30-80 digits of the default grid's drawdown
+# nodes, up to some 130 KB at 400 digits near p = 1; only starts on a shared
+# barrier hit it (each drawdown node has its own), so 1,024 entries serve
+@lru_cache(maxsize=1024)
 def _c_tilde_escalated(w, p, b, dps: int):
-    """:func:`_c_tilde_mp` good to ``dps`` digits (cached per barrier and budget).
+    """:func:`_c_tilde_mp` good to ``dps`` digits (cached per barrier and
+    budget): ``(value, falls)``, ``falls`` the barrier's ``e^{-b g p^{-l}}``.
 
     The constant's own sums cancel too: they are re-run with as many guard
     digits as they lost, or every escalated value would keep only the digits
-    that survived there.  Serves both the rescue of :func:`c_tilde` and the
-    escalated series, where escalations at other ``x`` on the same barrier
-    and budget share the result.
+    that survived there.  Serves the rescue of :func:`c_tilde` and the
+    escalated series, whose other ``x`` on the barrier share the result.
     """
     with mp.workdps(dps):
-        ct, lost = _c_tilde_mp(w, p, b)
+        ct, lost, falls = _c_tilde_mp(w, p, b)
         guard = 0
         while lost > guard + 4:
             guard = int(math.ceil(lost))
@@ -451,8 +457,8 @@ def _c_tilde_escalated(w, p, b, dps: int):
                 raise ConvergenceError(f"downward-series constant cancellation exceeds "
                                        f"{_MAX_DPS} digits at w={w}, p={p}, b={b}")
             with mp.workdps(dps + guard):
-                ct, lost = _c_tilde_mp(w, p, b)
-        return ct
+                ct, lost, falls = _c_tilde_mp(w, p, b)
+        return ct, falls
 
 
 # an entry holds some k0^2 numbers: 100 intervals deep some 2.5 MB at 40
@@ -504,13 +510,15 @@ def _z_down_coeffs(w, p, k0: int, dps: int):
 def _z_down_mp(w, p, x, b, dps: int, slope: bool = False) -> Tuple[float, ...]:
     """Arbitrary-precision downward transform: ``(value,)``, or with ``slope``
     ``(value, d/dx value)``, from the cached coefficients of
-    :func:`_z_down_coeffs`; a point costs ``2 k0`` exponentials."""
+    :func:`_z_down_coeffs`; the ``F_m`` come with the barrier's ``C~`` as
+    far as its series ran, so a point costs ``k0`` exponentials plus any
+    ``F_m`` past it."""
     with mp.workdps(dps):
-        ct = _c_tilde_escalated(w, p, b, dps)
+        ct, falls = _c_tilde_escalated(w, p, b, dps)
         k0 = _down_interval_count(x, b, p)
         up, down, alpha, beta = _z_down_coeffs(w, p, k0, _table_dps(dps))
         x_, b_ = mp.mpf(x), mp.mpf(b)
-        fall = [mp.exp(-b_ * r) for r in down]
+        fall = list(falls[:k0]) + [mp.exp(-b_ * r) for r in down[len(falls):]]
         fall_ct = [ct * f for f in fall]
         terms = [mp.exp(r * x_) * mp.fdot(alpha[i] + beta[i], fall[1:k0 - i] + fall_ct[:k0 - i])
                  for i, r in enumerate(up)]

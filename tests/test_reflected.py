@@ -8,10 +8,10 @@ import pytest
 
 from aimdexit import (ConvergenceError, ExitKind, ExitSpec, McConfig,
                       ModelParams, QuadratureControl, ValidationError,
-                      default_horizon_cap, evaluate, hazard, l_down, l_up,
-                      lst_drawdown, lst_drawdown_general_start, lst_drawup,
-                      lst_reflected_lower, lst_reflected_upper, mc_lst,
-                      solve_a, z_down, z_up)
+                      default_grid, default_horizon_cap, evaluate, hazard,
+                      l_down, l_up, lst_drawdown, lst_drawdown_general_start,
+                      lst_drawup, lst_reflected_lower, lst_reflected_upper,
+                      mc_lst, solve_a, z_down, z_up)
 from aimdexit import reflected
 from aimdexit.scalefn import (_k_tables_mp, _log_k_from_b, interval_index,
                               z_down_slope)
@@ -213,8 +213,8 @@ class TestDrawdown:
     @pytest.mark.parametrize("x, p, c, panels", [(1.5, 0.5, 1.0, 1), (3.0, 0.8, 1.5, 3)])
     def test_one_hazard_call_per_gauss_node(self, monkeypatch, x, p, c, panels):
         # the cumulative hazard comes from the hazard values at the panel's
-        # own 49 Kronrod nodes, whose odd members are the 24 Gauss nodes of
-        # the error estimate; a round-1 answer is one pass, 49 nodes a panel
+        # own Kronrod nodes, whose odd members are the Gauss nodes of the
+        # error estimate; a round-1 answer is one pass, one call a node
         calls = []
 
         def counted(*args):
@@ -224,7 +224,7 @@ class TestDrawdown:
         diags = {}
         lst_drawdown(0.5, p, x, c, diagnostics=diags)
         assert diags["refinement_rounds"] == 1
-        assert len(calls) == 49 * panels
+        assert len(calls) == len(reflected._KRONROD[0]) * panels
 
     def test_unsettled_refinement_raises_with_the_last_raw_integral(self, monkeypatch):
         # an integral whose error estimate never shrinks never settles: after
@@ -237,9 +237,10 @@ class TestDrawdown:
         assert info.value.partial == 0.5 / 2 ** (reflected._MAX_ROUNDS - 1)
 
     def test_the_user_tolerance_governs_the_kronrod_estimate(self):
-        # |Kronrod - Gauss| is an ulp or two here, never below 1e-300 times
-        # the value, so that tolerance exhausts every pass; the defaults
-        # settle in the first
+        # |Kronrod - Gauss| is rounding alone here, 4.2e-17 to 2.4e-16 over
+        # the six passes (0.4 to 2.1 ulps of the value), never below 1e-300
+        # times the value, so that tolerance exhausts every pass; the
+        # defaults settle in the first
         args = (0.5, 0.5, 1.5, 1.0)
         strict = QuadratureControl(abs_tol=1e-300, rel_tol=1e-300)
         with pytest.raises(ConvergenceError) as info:
@@ -261,32 +262,72 @@ class TestDrawdown:
         assert type(diags["quad_error"]) is float
 
 
+class TestDrawdownReference:
+    def test_grid_rows_match_the_24_49_rule_on_panels_split_4_fold(self, monkeypatch):
+        # every default-grid drawdown row that reaches the quadrature (nine,
+        # one of them an xbar0 row through its inner lst_drawdown) against a
+        # reference with more than twice the rule's nodes on four times the
+        # panels
+        rows = [row for row in default_grid() if row[1].kind is ExitKind.DRAWDOWN]
+        values = [evaluate(*row) for row in rows]
+        nodes, weights = reflected._gauss_kronrod(24)
+        gauss = np.polynomial.legendre.leggauss(24)
+        for name, value in [("_KRONROD", (nodes, weights)), ("_GAUSS", gauss),
+                            ("_CUM_KRONROD", reflected._cumulative_matrix(nodes)),
+                            ("_CUM_GAUSS", reflected._cumulative_matrix(gauss[0]))]:
+            monkeypatch.setattr(reflected, name, value)
+        real, passes = reflected._drawdown_value, []
+
+        def refined(w, p, x, c, split):
+            passes.append(split)
+            return real(w, p, x, c, 4 * split)
+        monkeypatch.setattr(reflected, "_drawdown_value", refined)
+        reached = []  # whether each row that reached the quadrature has xbar0
+        for row, value in zip(rows, values):
+            before = len(passes)
+            reference = evaluate(*row)
+            if len(passes) > before:
+                reached.append(row[1].xbar0 is not None)
+                assert abs(value - reference) <= 1e-13, row
+        assert (len(reached), reached.count(True)) == (9, 1)
+
+
 class TestGaussKronrodRule:
-    """The 24/49-point Gauss-Kronrod pair behind the drawdown quadrature."""
+    """Laurie's Gauss-Kronrod construction: the rule behind the drawdown
+    quadrature, and the 24/49 pair that the refined reference uses."""
 
-    nodes, weights = reflected._GK49
+    @pytest.fixture(params=[reflected._GAUSS_N, 24], scope="class")
+    def rule(self, request):
+        """``(n, nodes, weights, cumulative matrix)`` of the ``2n+1``-point rule."""
+        n = request.param
+        if n == reflected._GAUSS_N:
+            return (n, *reflected._KRONROD, reflected._CUM_KRONROD)
+        nodes, weights = reflected._gauss_kronrod(n)
+        return n, nodes, weights, reflected._cumulative_matrix(nodes)
 
-    def test_has_the_gauss_nodes_among_its_nodes(self):
-        gauss = np.polynomial.legendre.leggauss(24)[0]
-        assert len(self.nodes) == 49
-        assert np.all(np.diff(self.nodes) > 0.0)
-        assert np.max(np.abs(self.nodes[1::2] - gauss)) <= 1e-15
+    def test_has_the_gauss_nodes_among_its_nodes(self, rule):
+        n, nodes, _, _ = rule
+        gauss = np.polynomial.legendre.leggauss(n)[0]
+        assert len(nodes) == 2 * n + 1
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.max(np.abs(nodes[1::2] - gauss)) <= 1e-15
 
-    def test_weights_are_positive_and_sum_to_two(self):
-        assert np.all(self.weights > 0.0)
-        assert abs(self.weights.sum() - 2.0) <= 1e-14
+    def test_weights_are_positive_and_sum_to_two(self, rule):
+        _, _, weights, _ = rule
+        assert np.all(weights > 0.0)
+        assert abs(weights.sum() - 2.0) <= 1e-14
 
-    def test_integrates_every_monomial_to_degree_73(self):
-        # 3n + 1 = 73 for n = 24
-        for d in range(74):
+    def test_integrates_every_monomial_to_degree_3n_plus_1(self, rule):
+        n, nodes, weights, _ = rule
+        for d in range(3 * n + 2):
             exact = (1.0 - (-1.0) ** (d + 1)) / (d + 1)
-            assert abs(self.weights @ self.nodes ** d - exact) <= 1e-14, d
+            assert abs(weights @ nodes ** d - exact) <= 1e-14, d
 
-    def test_cumulative_matrix_integrates_every_degree_48_polynomial(self):
-        x = self.nodes
-        for d in range(49):
+    def test_cumulative_matrix_is_exact_to_degree_2n(self, rule):
+        n, x, _, cum = rule
+        for d in range(2 * n + 1):
             exact = (x ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
-            assert np.max(np.abs(reflected._CUM49 @ x ** d - exact)) <= 1e-14, d
+            assert np.max(np.abs(cum @ x ** d - exact)) <= 1e-14, d
 
 
 class TestDrawdownGeneralStart:

@@ -399,7 +399,8 @@ class TestEscalatedPins:
         _clear_z_down_memo()
 
     @pytest.mark.parametrize("w, p, x, b, expected", [
-        # Kronrod nodes of the p = 0.8 drawdown rows of default_grid()
+        # nodes of the 24/49 Gauss-Kronrod rule on the p = 0.8 drawdown rows
+        # of default_grid()
         (2.0, 0.8, 5.250358542481988, 2.250358542481987,
          ("0x1.5a871a663ab5cp-10", "-0x1.7ed231248b53ap-10")),
         (0.5, 0.8, 4.3500448051281415, 1.350044805128141,
