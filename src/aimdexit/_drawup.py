@@ -24,10 +24,12 @@ where ``chi`` switches branch.
 Only the constant that ``psi`` contributes to each strip's system depends
 on the levels below.  So the cascade builds everything else first, for a
 window of consecutive levels at a time: the panels, the landings, the
-matrix ``I - K``, and for each landing the stencil that interpolates
-``psi`` there.  Strips with equal panel counts are stacked and assembled in
-one pass (:class:`_Strips`).  The level loop is then left with ``psi``'s
-part alone: the stencil, the constant and one linear solve per level.
+matrix ``I - K``, and for each landing the 4-point Lagrange weights that
+interpolate ``psi`` there.  Strips with equal panel counts are stacked and
+assembled in one pass (:class:`_Strips`).  The level loop is then left with
+``psi``'s part alone: the interpolation, the constant and one linear solve
+per level.  Level 0 is the start's own strip ``[u, u + c]``: the loop ends
+there, and its solution is interpolated at the start.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _cheb_nodes(n: int):
 
 _GLX, _GLW = np.polynomial.legendre.leggauss(12)
 _CHX, _CHW = _cheb_nodes(_NN)
-# the 4-point stencil's weight of node k is prod_{l != k} (pos - l) / (k - l)
+# the 4-point Lagrange weight of node k is prod_{l != k} (pos - l) / (k - l)
 _OTHERS = np.array([[l for l in range(4) if l != k] for k in range(4)])
 _GAPS = (np.arange(4)[:, None] - _OTHERS).astype(float)
 
@@ -209,32 +211,14 @@ class _Strips:
         rhs = self.nojump[b] + cst + self.fac[b] * np.array(Scst)[self.next_q]
         return np.linalg.solve(self.K[b], rhs)
 
-
-class _StripSolver:
-    """Collocation solve of the strip renewal equation on ``[m, m + c]``.
-
-    :class:`_Strips` with one strip; ``psi_eval`` supplies the fresh-start
-    value for jump landings at or below ``m``.  :meth:`eval` interpolates
-    the solution anywhere in the strip.
-    """
-
-    def __init__(self, w, p, m, c, psi_eval):
-        gw, top = 1.0 + w, m + c
-        strip = _Strips(gw, p, np.array([m]), _strip_edges(gw, p, m, top)[None])
-        self.g = strip.solve(0, psi_eval(strip.ys))
-        self.edges, self.nodes, self.V = strip.edges[0], strip.nodes, strip.V[0]
-        self.npan, self.top = strip.npan, top
-
-    def eval(self, y: float) -> float:
-        if y >= self.top:
+    def value(self, b: int, g: np.ndarray, y: float) -> float:
+        """Strip ``b``'s nodal solution ``g`` interpolated at ``y`` on its panel."""
+        edges = self.edges[b]
+        if y >= edges[-1]:
             return 1.0
-        q = int(np.clip(np.searchsorted(self.edges, y, side="right") - 1, 0, self.npan - 1))
-        row = _interp_rows(float(y) - self.nodes[:, q:q + 1])[:, 0]
-        return float(row @ self.g[q * (_NN - 1):q * (_NN - 1) + _NN])
-
-    @property
-    def bottom(self) -> float:
-        return float(self.g[0])
+        q = min(max(int(np.searchsorted(edges, y, side="right")) - 1, 0), self.npan - 1)
+        row = _interp_rows(float(y) - self.nodes[:, b * self.npan + q, None])[:, 0]
+        return float(row @ g[q * (_NN - 1):q * (_NN - 1) + _NN])
 
 
 def drawup_lst(w: float, p: float, x: float, u: float, c: float,
@@ -253,7 +237,7 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
     jump activity at depth ``G`` falls below it.  The infimum grid has
     ``max(4, ceil(10 log(1/p)))`` levels per factor ``1/p`` of depth.
     """
-    _require(u <= x, f"drawup needs u <= x, got u={u}, x={x}")
+    _require(0.0 <= u <= x, f"drawup needs 0 <= u <= x, got u={u}, x={x}")
     _require(c > 0.0, f"drawup needs c > 0, got {c}")
     if w == 0.0 or x >= u + c:
         return 1.0
@@ -270,7 +254,7 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
     h = math.log(1.0 / p) / n_per
     J = G * n_per
     logu = math.log(u)
-    # three virtual levels below the cutoff keep the 4-point stencil in range
+    # three virtual levels below the cutoff keep the 4-point interpolation in range
     levels = np.exp(logu - h * np.arange(J + 4))
     psi = np.full(J + 4, np.nan)
     ycut = levels[J]
@@ -281,7 +265,7 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
         """``psi`` at the landings ``ys``, as far as it is known before the loop.
 
         Returns the values, final below the cutoff; and for the landings
-        ``at`` above it, the 4-point Lagrange stencil in log level on solved
+        ``at`` above it, the 4-point Lagrange interpolation in log level on solved
         levels ``j0..j0+3`` (``j0`` no lower than ``lowest``, per landing):
         its level indices and weights.
         """
@@ -299,18 +283,14 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
             vals[deep] = [math.exp(a - b) for a, b in zip(logs[:yd.size], logs[yd.size:])]
         return vals, at, idx, (q[:, 0] * q[:, 1]) * q[:, 2]
 
-    def stencil(idx, wts):
-        t = wts * psi[idx]
-        return t[0] + t[1] + t[2] + t[3]
-
     gw = 1.0 + w
     j = J
-    while j > 0:
+    while j >= 0:
         # a window of consecutive levels, whose systems are held at once;
         # its strips with equal panel counts are assembled together, in
         # chunks of at most _CHUNK_POINTS Gauss points (or one strip)
         window, held = {}, 0
-        while j > 0 and held < _HELD_ENTRIES:
+        while j >= 0 and held < _HELD_ENTRIES:
             m = float(levels[j])
             window[j] = _strip_edges(gw, p, m, m + c)
             held += ((window[j].size - 1) * (_NN - 1) + 1) ** 2
@@ -331,16 +311,13 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
         # the level loop: psi's part of each system, and its solve
         for jj in window:
             strips, b, vals, at, idx, wts = slots.pop(jj)
-            vals[at] = stencil(idx, wts)
-            psi[jj] = strips.solve(b, vals)[0]
+            t = wts * psi[idx]
+            vals[at] = t[0] + t[1] + t[2] + t[3]
+            g = strips.solve(b, vals)
+            psi[jj] = g[0]
 
-    def psi_eval(ys):
-        vals, at, idx, wts = landings(ys, np.ones(ys.size, dtype=int))
-        vals[at] = stencil(idx, wts)
-        return vals
-
-    strip = _StripSolver(w, p, float(levels[0]), c, psi_eval)
+    # the loop ends on level 0, the start's own strip
     if diagnostics is not None:
         diagnostics.update(generations=G, grid_levels=J + 1,
-                           panels_final=strip.npan, tol=tol)
-    return strip.eval(x) if x > u else strip.bottom
+                           panels_final=strips.npan, tol=tol)
+    return strips.value(b, g, x) if x > u else float(g[0])

@@ -34,8 +34,9 @@ def evaluate(params: ModelParams, spec: ExitSpec, w: float,
     where the kind reports them: series terms used (up-one), interval
     index and escalated digits (down-one), quadrature error and refinement
     rounds (drawdown: ``|Kronrod - Gauss|`` of the Gauss-Kronrod 10/21
-    pass, ``2 _GAUSS_N + 1`` nodes a panel, and the passes), and cascade
-    depth (drawup).
+    pass, ``2 _GAUSS_N + 1`` nodes a panel, and the passes; that is the
+    embedded Gauss value's error, a conservative estimate of the error of
+    the Kronrod value returned), and cascade depth (drawup).
     """
     nparams, spec, w = normalize(params, spec, w)
     lam, p, kind = nparams.lam, nparams.p, spec.kind

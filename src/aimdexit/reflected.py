@@ -56,8 +56,11 @@ class QuadratureControl:
     panels: the ``2 _GAUSS_N + 1``-point Kronrod value is the result, and
     ``|Kronrod - Gauss|`` against the embedded ``_GAUSS_N``-point Gauss
     rule, summed over the panels, is the error estimate (``quad_error``).
-    While it misses ``max(abs_tol, rel_tol * |value|)`` the panels are
-    halved and the pass repeated, at most ``_MAX_ROUNDS`` passes in all.
+    That difference is the error of the embedded Gauss value, so it is a
+    conservative estimate: it overstates the error of the Kronrod value
+    returned, often by orders of magnitude.  While it misses
+    ``max(abs_tol, rel_tol * |value|)`` the panels are halved and the pass
+    repeated, at most ``_MAX_ROUNDS`` passes in all.
     Past the last kink level the integrand is known in closed form, so the
     integral needs no cutoff.
     """
@@ -217,7 +220,9 @@ def _drawdown_value(w: float, p: float, x: float, c: float, split: int) -> tuple
     the rest of the integral is ``exp(-H_w(z1)) / (w + 1)``.  The value is
     the Kronrod one.  The same integral is also taken with the embedded
     ``_GAUSS_N``-point Gauss rule alone, ``H_w`` included, and the error
-    estimate is ``|Kronrod - Gauss|`` summed over the panels and the tail.
+    estimate is ``|Kronrod - Gauss|`` summed over the panels and the tail:
+    the Gauss value's error, a conservative estimate of the Kronrod
+    value's.
     """
     nodes, wk = _KRONROD
     wg = _GAUSS[1]
@@ -268,7 +273,9 @@ def lst_drawdown(w: float, p: float, x: float, c: float,
     10/21 pass per kink-free panel (``2 _GAUSS_N + 1`` nodes), repeated on
     halved panels while ``|Kronrod - Gauss|`` misses the tolerance.
     ``diagnostics`` receives that estimate as ``quad_error`` and the number
-    of passes as ``refinement_rounds``.
+    of passes as ``refinement_rounds``.  ``quad_error`` is the error of the
+    embedded Gauss value, so it overstates the error of the Kronrod value
+    returned: a conservative estimate.
     """
     _require(x > c > 0.0, f"drawdown needs x > c > 0, got x={x}, c={c}")
     if w == 0.0:

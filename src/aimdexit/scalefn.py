@@ -49,7 +49,6 @@ from .model import ConvergenceError, ValidationError, _require
 
 __all__ = [
     "KCoefficients",
-    "z_up_zero",
     "z_up",
     "c_tilde",
     "z_down",
@@ -198,12 +197,6 @@ def _log_up_denominators(w: float, p: float, xs: np.ndarray) -> np.ndarray:
     for i in idx.tolist():  # not stopped after _MAX_TERMS terms: the scalar raises
         out[i] = _log_up_denominator(w, p, float(xs[i]))
     return out
-
-
-def z_up_zero(w: float, p: float, x: float, *,
-              diagnostics: Optional[dict] = None) -> float:
-    """LST of the passage time from level 0 up over ``x`` (x >= 0)."""
-    return math.exp(-_log_up_denominator(w, p, x, diagnostics=diagnostics))
 
 
 def z_up(w: float, p: float, x: float, a: float, *,

@@ -53,7 +53,7 @@ __all__ = [
 def volterra_oracle_zup(w: float, lam: float, p: float, a: float, grid_n: int) -> float:
     """Ascent transform from level 0 over ``a`` via its renewal equation.
 
-    ``g(t) := 1 / z_up_zero(w; t)`` satisfies
+    ``g(t) := 1 / z_up(w; 0, t)`` satisfies
 
         1 = e^{-(lam+w) t} g(t) + lam * integral_0^t e^{-(lam+w) s} g(p s) ds,
 
@@ -79,7 +79,7 @@ def volterra_oracle_zup(w: float, lam: float, p: float, a: float, grid_n: int) -
         decay = math.exp(-g_ * t_m)
         s_known = lam * dt * (f0_half + f_run)
         if j + 1 >= m:
-            # interpolation stencil touches the unknown g[m]
+            # the interpolation touches the unknown g[m]
             known_part = (1.0 - theta) * g[j]
             rhs = 1.0 - s_known - lam * dt * 0.5 * decay * known_part
             g[m] = rhs / (decay * (1.0 + lam * dt * 0.5 * theta))

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 import aimdexit._drawup as drawup
-from aimdexit import (ExitKind, ExitSpec, ModelParams, default_grid, evaluate, l_down,
-                      l_up)
-from aimdexit._drawup import (_interp_rows, _panel_nodes, _strip_edges, _Strips,
-                              _StripSolver)
+from aimdexit import (ExitKind, ExitSpec, ModelParams, ValidationError, default_grid,
+                      evaluate, l_down, l_up)
+from aimdexit._drawup import _interp_rows, _panel_nodes, _strip_edges, _Strips
 from aimdexit.reflected import lst_drawup
 
 from unit_rate import at_rate
@@ -44,7 +43,10 @@ def _numpy_spying_on_solve(spy):
 
 
 def _solve(w, p, m, c, fresh):
-    return _StripSolver(w, p, m, c, lambda ys: np.full(ys.size, fresh))
+    """The strip [m, m + c] as a one-strip ``_Strips``, and its nodal
+    solution with the fresh-start values ``fresh(ys)`` at its landings."""
+    strip = _Strips(1.0 + w, p, np.array([m]), _strip_edges(1.0 + w, p, m, m + c)[None])
+    return strip, strip.solve(0, fresh(strip.ys))
 
 
 class TestStripSolver:
@@ -53,17 +55,20 @@ class TestStripSolver:
         # a landing at or below m scores psi: psi = 0 leaves the up exit of
         # (m, m + c), psi = 1 adds the down exit to it
         up = l_up(w, p, x, m + c, m)
-        assert abs(_solve(w, p, m, c, 0.0).eval(x) - up) <= 1e-10
-        assert abs(_solve(w, p, m, c, 1.0).eval(x) - (up + l_down(w, p, x, m + c, m))) <= 1e-10
+        strip, g = _solve(w, p, m, c, np.zeros_like)
+        assert abs(strip.value(0, g, x) - up) <= 1e-10
+        strip, g = _solve(w, p, m, c, np.ones_like)
+        assert abs(strip.value(0, g, x) - (up + l_down(w, p, x, m + c, m))) <= 1e-10
 
     @pytest.mark.parametrize("w, p, m, c, x", STRIPS)
     def test_eval_returns_the_collocation_value_at_every_node(self, w, p, m, c, x):
         # a panel edge is one node shared by the two panels it bounds
-        strip = _solve(w, p, m, c, 1.0)
-        assert np.unique(strip.V).size == strip.V.size
-        for i, v in enumerate(strip.V):
-            if v < strip.top:
-                assert strip.eval(v) == strip.g[i]
+        strip, g = _solve(w, p, m, c, np.ones_like)
+        (V,) = strip.V
+        assert np.unique(V).size == V.size
+        for i, v in enumerate(V):
+            if v < m + c:
+                assert strip.value(0, g, v) == g[i]
 
     def test_interp_rows_per_point_panels_match_scalar_panels(self):
         edges = np.array([0.3, 0.45, 0.9, 1.7])
@@ -155,6 +160,13 @@ class TestCascade:
             tracemalloc.stop()
         assert peak < 4e6
 
+    @pytest.mark.parametrize("x, u, c", [(1.0, -1.0, 3.0), (-2.0, -3.0, 1.0)])
+    def test_a_negative_infimum_is_rejected(self, x, u, c):
+        # the infimum of a path on [0, inf) is never below 0, with x above
+        # 0 or not
+        with pytest.raises(ValidationError, match="0 <= u <= x"):
+            lst_drawup(0.5, 0.5, x, u, c)
+
     def test_pinned_case_solves_the_recorded_number_of_strips(self):
         diag = {}
         evaluate(ModelParams(lam=1.5, p=0.5), ExitSpec(ExitKind.DRAWUP, x=1.5, u=0.8, c=1.5),
@@ -184,7 +196,7 @@ class TestBitPins:
     ])
     def test_strip_solution(self, w, p, m, c, size, expected):
         # three nodes, and the correctly rounded sum of all of them
-        g = _StripSolver(w, p, m, c, lambda ys: np.exp(-ys)).g
+        g = _solve(w, p, m, c, lambda ys: np.exp(-ys))[1]
         assert g.size == size
         assert (g[0].hex(), g[size // 2].hex(), g[size - 2].hex(),
                 math.fsum(g).hex()) == expected
@@ -196,7 +208,7 @@ class TestBitPins:
         matrices = []
         spy = _numpy_spying_on_solve(lambda K: matrices.append(K.copy()))
         monkeypatch.setattr(drawup, "np", spy)
-        _StripSolver(1.0, 0.5, 4.882812500000002e-05, 1.75, lambda ys: np.exp(-ys))
+        _solve(1.0, 0.5, 4.882812500000002e-05, 1.75, lambda ys: np.exp(-ys))
         (K,) = matrices
         assert K.shape == (136, 136)
         assert hashlib.sha256(K.tobytes()).hexdigest()[:16] == "cb86b64911d4baae"

@@ -16,7 +16,7 @@ from aimdexit import (ConvergenceError, ExitKind, ExitSpec, ModelParams,
                       ValidationError, c_tilde, c_tilde_statement_oracle,
                       default_grid, evaluate, hazard, interval_index, k_up_coeffs, l_down,
                       l_up, l_up_from_b, scalefn, z_down,
-                      z_down_renewal_residual, z_up, z_up_zero)
+                      z_down_renewal_residual, z_up)
 from aimdexit.scalefn import (_log_add, _log_up_denominator, _log_up_denominators,
                               _signed_logsumexp, _z_down_mp, z_down_slope)
 from unit_rate import at_rate
@@ -68,7 +68,7 @@ class TestSignedLogProduct:
 class TestZUp:
     def test_golden_value_ascent_from_zero(self):
         # frozen from an arbitrary-precision evaluation of the ascent series
-        assert math.isclose(z_up_zero(1.0, 0.5, 1.0),
+        assert math.isclose(z_up(1.0, 0.5, 0.0, 1.0),
                             0.28507397014103575, rel_tol=1e-13)
 
     def test_matches_arbitrary_precision_series(self):
@@ -85,7 +85,7 @@ class TestZUp:
                     if term < mp.mpf(10) ** -50 * series and n > 8:
                         break
                 ref = float(1 / (1 + w * series))
-            assert math.isclose(at_rate(z_up_zero, w, lam, p, x), ref,
+            assert math.isclose(at_rate(z_up, w, lam, p, 0.0, x), ref,
                                 rel_tol=1e-12), (w, lam, p, x)
 
     def test_w_zero_is_one(self):
@@ -107,7 +107,7 @@ class TestZUp:
 
     def test_series_diagnostics_reported(self):
         diag = {}
-        z_up_zero(1.0, 0.5, 1.0, diagnostics=diag)
+        z_up(1.0, 0.5, 0.0, 1.0, diagnostics=diag)
         assert diag["series_terms"] > 4
 
 
