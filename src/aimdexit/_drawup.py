@@ -17,7 +17,8 @@ definition of a restart at the bottom of a fresh strip.
 below the start the jump rate out of a strip of width ``c`` is negligible
 (reaching ``m + c`` needs no jumps once ``m`` is tiny), so
 ``psi(y) -> z_up(w; y, y + c)``, the jump-free ascent transform, which seeds
-the cascade.  Each level is then solved by piecewise-Chebyshev collocation
+the cascade: the virtual levels below its cutoff, down to where the lowest
+strip lands.  Each level is then solved by piecewise-Chebyshev collocation
 of the renewal equation, with panel edges on the kink set ``{m p^{-j}}``
 where ``chi`` switches branch.
 
@@ -40,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .model import _require
-from .scalefn import _log_up_denominators, z_up
+from .scalefn import z_up
 
 __all__ = ["drawup_lst"]
 
@@ -232,17 +233,18 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
     Otherwise the value is obtained from the infimum-cascade renewal
     described in the module docstring.
 
-    ``tol`` controls the cascade truncation depth: generation ``G`` is
+    ``tol > 0`` controls the cascade truncation depth: generation ``G`` is
     chosen so the remaining mass ``(1/(1+w))^G`` times a bound on the
     jump activity at depth ``G`` falls below it.  The infimum grid has
     ``max(4, ceil(10 log(1/p)))`` levels per factor ``1/p`` of depth.
     """
     _require(0.0 <= u <= x, f"drawup needs 0 <= u <= x, got u={u}, x={x}")
     _require(c > 0.0, f"drawup needs c > 0, got {c}")
+    _require(tol > 0.0, f"drawup tol must be > 0, got {tol}")
     if w == 0.0 or x >= u + c:
         return 1.0
     if u == 0.0:
-        return z_up(w, p, x, c) if x < c else 1.0
+        return z_up(w, p, x, c)
     eta = 1.0 / (1.0 + w)
     G, cap = 1, 160
     while G < cap:
@@ -254,34 +256,22 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
     h = math.log(1.0 / p) / n_per
     J = G * n_per
     logu = math.log(u)
-    # three virtual levels below the cutoff keep the 4-point interpolation in range
-    levels = np.exp(logu - h * np.arange(J + 4))
-    psi = np.full(J + 4, np.nan)
-    ycut = levels[J]
-    for jj in range(J + 1, J + 4):
+    # the lowest strip's landings reach p levels[J], n_per levels below the
+    # cutoff, and the stencil of a landing at level position pos reaches
+    # floor(pos) + 2: so n_per + 2 virtual levels, each seeded by z_up
+    levels = np.exp(logu - h * np.arange(J + n_per + 3))
+    psi = np.full(levels.size, np.nan)
+    for jj in range(J + 1, levels.size):
         psi[jj] = z_up(w, p, levels[jj], levels[jj] + c)
 
     def landings(ys, lowest):
-        """``psi`` at the landings ``ys``, as far as it is known before the loop.
-
-        Returns the values, final below the cutoff; and for the landings
-        ``at`` above it, the 4-point Lagrange interpolation in log level on solved
-        levels ``j0..j0+3`` (``j0`` no lower than ``lowest``, per landing):
-        its level indices and weights.
-        """
-        vals = np.empty(ys.size)
-        deep = ys <= ycut
-        at = np.flatnonzero(~deep)
-        pos = (logu - np.log(ys[at])) / h
-        j0 = np.minimum(np.maximum(np.floor(pos).astype(int) - 1, lowest[at]), J)
-        idx = j0 + np.arange(4)[:, None]
+        """The 4-point Lagrange interpolation of ``psi`` at the landings ``ys``,
+        in log level on solved levels ``j0..j0+3`` (``j0`` no lower than
+        ``lowest``, per landing): its level indices and weights."""
+        pos = (logu - np.log(ys)) / h
+        idx = np.maximum(np.floor(pos).astype(int) - 1, lowest) + np.arange(4)[:, None]
         q = (pos - idx)[_OTHERS] / _GAPS[:, :, None]
-        if deep.any():
-            # below the cutoff psi is z_up(y, y + c): one ascent pass for both levels
-            yd = ys[deep]
-            logs = _log_up_denominators(w, p, np.concatenate([yd, yd + c])).tolist()
-            vals[deep] = [math.exp(a - b) for a, b in zip(logs[:yd.size], logs[yd.size:])]
-        return vals, at, idx, (q[:, 0] * q[:, 1]) * q[:, 2]
+        return idx, (q[:, 0] * q[:, 1]) * q[:, 2]
 
     gw = 1.0 + w
     j = J
@@ -302,12 +292,12 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
             for k in range(0, len(same), per):
                 js = same[k:k + per]
                 strips = _Strips(gw, p, levels[js], np.array([window[jj] for jj in js]))
-                vals, at, idx, wts = landings(
+                idx, wts = landings(
                     strips.ys, np.repeat(np.array(js) + 1, np.diff(strips.bounds)))
-                cuts = np.searchsorted(at, strips.bounds).tolist()
+                vals = np.empty(strips.ys.size)
                 for b, jj in enumerate(js):
-                    ab = slice(cuts[b], cuts[b + 1])
-                    slots[jj] = (strips, b, vals, at[ab], idx[:, ab], wts[:, ab])
+                    at = slice(strips.bounds[b], strips.bounds[b + 1])
+                    slots[jj] = (strips, b, vals, at, idx[:, at], wts[:, at])
         # the level loop: psi's part of each system, and its solve
         for jj in window:
             strips, b, vals, at, idx, wts = slots.pop(jj)

@@ -336,9 +336,13 @@ def solve_a(w: float, p: float, c: float, u: float, tol: float = 1e-12) -> float
 
     Solves ``l_up(w; u+c, a, u) = 1 - z_down(w; u+c, u)`` by bracket
     doubling and bisection; the map is strictly decreasing in ``a`` (larger
-    targets are harder to reach first), so the root is unique.
+    targets are harder to reach first), so the root is unique.  Raises
+    :class:`ConvergenceError`, with the final bracket's midpoint as
+    ``partial``, if no midpoint's residual is within ``tol`` after 200
+    halvings.
     """
     _require(w > 0.0, f"solve_a needs w > 0, got {w}")
+    _require(tol > 0.0, f"solve_a tol must be > 0, got {tol}")
     _require(c > 0.0 and u > 0.0, f"solve_a needs c > 0 and u > 0, got c={c}, u={u}")
     target = 1.0 - z_down(w, p, u + c, u)
     _require(0.0 < target < 1.0, f"degenerate drawup balance target {target}")
@@ -364,7 +368,9 @@ def solve_a(w: float, p: float, c: float, u: float, tol: float = 1e-12) -> float
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    raise ConvergenceError(
+        f"drawup balance residual not within tol={tol} after 200 halvings "
+        f"at w={w}, p={p}, c={c}, u={u}", partial=0.5 * (lo + hi))
 
 
 def lst_drawup(w: float, p: float, x: float, u: float, c: float,

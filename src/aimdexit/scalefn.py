@@ -43,7 +43,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import mpmath as mp
-import numpy as np
 
 from .model import ConvergenceError, ValidationError, _require
 
@@ -66,8 +65,6 @@ _LN10 = math.log(10.0)
 # running sum; _MAX_TERMS bounds every summation loop
 _REL_TOL = 1e-14
 _MAX_TERMS = 10_000
-# terms per array pass of _log_up_denominators
-_TERM_BLOCK = 64
 # digit cap of every arbitrary-precision escalation
 _MAX_DPS = 400
 
@@ -154,49 +151,6 @@ def _log_up_denominator(w: float, p: float, x: float, *,
         f"upward series not converged after {_MAX_TERMS} terms "
         f"(w={w}, p={p}, x={x})",
         partial=log_scale + math.log1p(total))
-
-
-def _log_up_denominators(w: float, p: float, xs: np.ndarray) -> np.ndarray:
-    """:func:`_log_up_denominator` at every level of ``xs``, bit for bit.
-
-    The recurrence runs on all levels at once, ``_TERM_BLOCK`` terms at a
-    time: the term products and the running sums are sequential
-    ``accumulate`` passes, so each level sees the scalar's operations in the
-    scalar's order.  A level stops at its first term under the scalar rule,
-    and its ``log1p`` is taken by ``math`` as there.  A level whose sum
-    passes the rescaling guard first, or that has not stopped after
-    ``_MAX_TERMS`` terms, is handed to the scalar routine.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if (xs < 0.0).any():
-        raise ValidationError(f"level must be >= 0, got {xs.min()}")
-    out = np.empty(xs.size)
-    idx = np.arange(xs.size)
-    term, total = np.full(xs.size, float(w)), np.zeros(xs.size)
-    n0 = 1
-    while idx.size and n0 <= _MAX_TERMS:
-        x = xs[idx]
-        n = np.arange(n0, min(n0 + _TERM_BLOCK, _MAX_TERMS + 1))
-        steps = np.multiply.outer([w + 1.0 - p ** (k - 1) for k in n.tolist()], x) / n[:, None]
-        if n0 == 1:
-            steps[0] = x  # the first term is w times x
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = np.multiply.accumulate(np.vstack([term, steps]))[1:]
-            sums = np.add.accumulate(np.vstack([total, terms]))[1:]
-        stop = (terms <= _REL_TOL * sums) & (x * (w + 1.0) < n[:, None]) & (n[:, None] > 4)
-        first_stop = np.where(stop.any(axis=0), stop.argmax(axis=0), n.size)
-        far = sums > 1e280
-        first_far = np.where(far.any(axis=0), far.argmax(axis=0), n.size)
-        cols = np.flatnonzero((first_stop < n.size) & (first_stop <= first_far))
-        out[idx[cols]] = [math.log1p(t) for t in sums[first_stop[cols], cols].tolist()]
-        for i in idx[first_far < first_stop].tolist():
-            out[i] = _log_up_denominator(w, p, float(xs[i]))
-        keep = (first_stop == n.size) & (first_far == n.size)
-        idx, term, total = idx[keep], terms[-1, keep], sums[-1, keep]
-        n0 += n.size
-    for i in idx.tolist():  # not stopped after _MAX_TERMS terms: the scalar raises
-        out[i] = _log_up_denominator(w, p, float(xs[i]))
-    return out
 
 
 def z_up(w: float, p: float, x: float, a: float, *,

@@ -314,6 +314,15 @@ class TestErrorReporting:
         assert rc == 2
         assert "p" in err
 
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_drawup_tolerance_that_is_not_positive_maps_to_exit_two(self, capsys, tol):
+        rc, out, err = run(capsys, "eval", "--kind", "drawup", "--lambda", "1",
+                           "--p", "0.5", "--w", "0.5", "--x", "0.8", "--u", "0.8",
+                           "--c", "0.5", "--drawup-tol", tol)
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("aimdexit: error: validation: drawup tol must be > 0")
+
     def test_convergence_failure_maps_to_exit_three(self, capsys):
         # the upward series needs more than its 10,000-term cap here
         rc, _, err = run(capsys, "eval", "--kind", "up-one", "--lambda", "2",

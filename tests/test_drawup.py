@@ -28,12 +28,13 @@ STRIPS = [
 
 def _numpy_spying_on_solve(spy):
     """A copy of the ``numpy`` namespace whose ``linalg.solve`` first hands
-    its matrix to ``spy``, as the benchmark's layer trace patches it."""
+    its matrix and right-hand side to ``spy``, as the benchmark's layer
+    trace patches it."""
     linalg = types.ModuleType("numpy.linalg")
     linalg.__dict__.update(vars(np.linalg))
 
     def solve(K, rhs):
-        spy(K)
+        spy(K, rhs)
         return np.linalg.solve(K, rhs)
     linalg.solve = solve
     proxy = types.ModuleType("numpy")
@@ -117,31 +118,60 @@ class TestStripSolver:
 
 class TestCascade:
     def test_deep_levels_take_the_ascent_transform_and_keep_the_frozen_value(self, monkeypatch):
-        # the three virtual levels below the cutoff call z_up once each;
-        # landings below the cutoff go through the array ascent series
+        # at p = 0.3 a factor 1/p of depth is n_per = 13 levels: the lowest
+        # strip lands down to 13 levels below the cutoff, and the 4-point
+        # stencil reaches two more, so z_up seeds 15 virtual levels, once each
         calls, z_up = [], drawup.z_up
-        batches, series = [], drawup._log_up_denominators
 
         def counted(*args, **kwargs):
             calls.append(args)
             return z_up(*args, **kwargs)
 
-        def counted_series(w, p, xs):
-            batches.append(xs.size)
-            return series(w, p, xs)
-
         monkeypatch.setattr(drawup, "z_up", counted)
-        monkeypatch.setattr(drawup, "_log_up_denominators", counted_series)
         value = at_rate(lst_drawup, 3.0, 0.5, 0.3, 2.1, 2.0, 1.0)
-        assert len(calls) == 3
-        assert batches and min(batches) >= 1
+        assert len(calls) == 15
+        # psi(y) = z_up(y, y + c) at 15 distinct levels (c = 0.5 at rate 1)
+        assert len({y for _, _, y, _ in calls}) == 15
+        assert all(a == y + 0.5 for _, _, y, a in calls)
         assert abs(value - 0.047648) <= 1.5e-6  # TestDrawup's frozen value
+
+    def test_lowest_strip_landings_are_interpolated_within_1e8_of_the_ascent(self, monkeypatch):
+        # the lowest strip [m, m + c], m = levels[J], lands on [p m, m] and
+        # takes psi there from the 4-point stencil on the virtual levels
+        # alone, where psi(y) is z_up(y, y + c); the interpolation stays
+        # within 1e-8 of z_up itself on every default-grid cascade.  (Higher
+        # strips landing just below m also weigh the solved psi at m.)
+        lowest, solve = [], _Strips.solve
+
+        def spied(strips, b, vals):
+            if not lowest:  # the first strip solved is the lowest
+                lo, hi = strips.bounds[b], strips.bounds[b + 1]
+                lowest.append((strips.edges[b][0], strips.ys[lo:hi], vals[lo:hi].copy()))
+            return solve(strips, b, vals)
+
+        monkeypatch.setattr(_Strips, "solve", spied)
+        # the default-grid drawup rows that run the cascade, at rate 1
+        cascades = [at_rate(lambda *args: args, w, params.lam, params.p,
+                            spec.x, spec.u, spec.c)
+                    for params, spec, w in default_grid()
+                    if spec.kind is ExitKind.DRAWUP and w > 0.0
+                    and 0.0 < spec.u and spec.x < spec.u + spec.c]
+        assert len(cascades) == 12
+        worst = 0.0
+        for w, p, x, u, c in cascades:
+            lowest.clear()
+            drawup.drawup_lst(w, p, x, u, c)
+            ((m, ys, vals),) = lowest
+            assert p * m < ys.min() and ys.max() <= m
+            worst = max(worst, max(abs(v - drawup.z_up(w, p, y, y + c))
+                                   for y, v in zip(ys.tolist(), vals.tolist())))
+        assert worst <= 1e-8
 
     def test_one_linear_solve_per_level_through_the_module_numpy(self, monkeypatch):
         # the benchmark counts strip solves and times np.linalg.solve through
         # the module's ``np``; every level costs exactly one solve
         solves = []
-        monkeypatch.setattr(drawup, "np", _numpy_spying_on_solve(solves.append))
+        monkeypatch.setattr(drawup, "np", _numpy_spying_on_solve(lambda K, rhs: solves.append(K)))
         for args in [(0.5, 0.8, 4.6125, 4.0, 1.75), (1.0, 0.3, 1.2, 1.1, 1.0)]:
             solves.clear()
             diag = {}
@@ -167,6 +197,12 @@ class TestCascade:
         with pytest.raises(ValidationError, match="0 <= u <= x"):
             lst_drawup(0.5, 0.5, x, u, c)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_a_tolerance_that_is_not_positive_is_rejected(self, tol):
+        # no generation meets it: the cascade would run to its 160-generation cap
+        with pytest.raises(ValidationError, match="tol must be > 0"):
+            lst_drawup(0.5, 0.5, 0.8, 0.8, 0.5, tol=tol)
+
     def test_pinned_case_solves_the_recorded_number_of_strips(self):
         diag = {}
         evaluate(ModelParams(lam=1.5, p=0.5), ExitSpec(ExitKind.DRAWUP, x=1.5, u=0.8, c=1.5),
@@ -181,32 +217,45 @@ class TestBitPins:
     were rewritten along the long axis; the 20 drawup rows of
     ``default_grid()``, the matrix and the two random cascade points were
     recorded before the strips were assembled in stacked batches.  Each
-    rewrite keeps every bit.
+    rewrite keeps every bit, as does interpolating every landing, when the
+    deep strip's system hashes were recorded.
     """
 
     @pytest.mark.parametrize("w, p, m, c, size, expected", [
-        # deep: 15 panels
-        (0.5, 0.8, 0.01, 1.75, 136, ("0x1.66ab49cb4db32p-2", "0x1.b74250e8f4491p-2",
-                                     "0x1.ff459919fd61cp-1", "0x1.16668e74a2ee9p+6")),
+        # deep: 15 panels.  The last bit of its solution follows OpenBLAS's
+        # thread count (g[0] ends in ...31p-2 on one thread, ...32p-2 on
+        # two), so its pin is the system handed to the solver: sha256
+        # prefixes of I - K and of the right-hand side
+        (0.5, 0.8, 0.01, 1.75, 136, ("b90d2cc6bb9104aa", "54ef34d477401b5c")),
         # every landing falls below m: no weight reaches the g side
         (0.5, 0.3, 1.0, 1.0, 10, ("0x1.2221d9127c554p-1", "0x1.7033e9b9b2612p-1",
                                   "0x1.f1ae0f5abc89bp-1", "0x1.d7fed8f3b21d0p+2")),
         (0.5, 0.95, 2.0, 1.0, 73, ("0x1.0c8e31a63d3b0p-1", "0x1.76515e46cc585p-1",
                                    "0x1.fec6a6db67d19p-1", "0x1.b402c1976e9b0p+5")),
     ])
-    def test_strip_solution(self, w, p, m, c, size, expected):
-        # three nodes, and the correctly rounded sum of all of them
+    def test_strip_solution(self, monkeypatch, w, p, m, c, size, expected):
+        # the nodes are np.linalg.solve of the system handed to it, in this
+        # process; pinned are three nodes and the correctly rounded sum of
+        # all of them, or for the deep strip the system itself
+        systems = []
+        monkeypatch.setattr(drawup, "np", _numpy_spying_on_solve(
+            lambda K, rhs: systems.append((K.copy(), rhs.copy()))))
         g = _solve(w, p, m, c, lambda ys: np.exp(-ys))[1]
+        ((K, rhs),) = systems
         assert g.size == size
-        assert (g[0].hex(), g[size // 2].hex(), g[size - 2].hex(),
-                math.fsum(g).hex()) == expected
+        assert np.array_equal(g, np.linalg.solve(K, rhs))
+        if len(expected) == 2:
+            pinned = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (K, rhs))
+        else:
+            pinned = (g[0].hex(), g[size // 2].hex(), g[size - 2].hex(), math.fsum(g).hex())
+        assert pinned == expected
 
     def test_matrix_handed_to_the_solver(self, monkeypatch):
         # I - K itself, taken from the solve call: in this strip 12 entries
         # would move if bincount summed the weights node by node with each
         # panel's first node first, though the solution would not
         matrices = []
-        spy = _numpy_spying_on_solve(lambda K: matrices.append(K.copy()))
+        spy = _numpy_spying_on_solve(lambda K, rhs: matrices.append(K.copy()))
         monkeypatch.setattr(drawup, "np", spy)
         _solve(1.0, 0.5, 4.882812500000002e-05, 1.75, lambda ys: np.exp(-ys))
         (K,) = matrices

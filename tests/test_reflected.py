@@ -458,6 +458,18 @@ class TestSolveA:
         with pytest.raises(ValidationError):
             solve_a(0.0, 0.5, 1.0, 1.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-12])
+    def test_rejects_a_tolerance_that_is_not_positive(self, tol):
+        with pytest.raises(ValidationError, match="tol must be > 0"):
+            solve_a(0.5, 0.5, 1.0, 1.0, tol=tol)
+
+    def test_a_tolerance_no_float_root_meets_raises_with_the_midpoint(self):
+        # the residual near the root is 2.2e-16 at best: 200 halvings end
+        # without meeting 1e-17, and the final bracket's midpoint is the partial result
+        with pytest.raises(ConvergenceError, match="after 200 halvings") as err:
+            solve_a(0.5, 0.5, 1.0, 1.0, tol=1e-17)
+        assert abs(err.value.partial - solve_a(0.5, 0.5, 1.0, 1.0)) <= 1e-10
+
 
 class TestControls:
     def test_quadrature_control_validation(self):
