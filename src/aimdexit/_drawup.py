@@ -18,9 +18,10 @@ below the start the jump rate out of a strip of width ``c`` is negligible
 (reaching ``m + c`` needs no jumps once ``m`` is tiny), so
 ``psi(y) -> z_up(w; y, y + c)``, the jump-free ascent transform, which seeds
 the cascade: the virtual levels below its cutoff, down to where the lowest
-strip lands.  Each level is then solved by piecewise-Chebyshev collocation
-of the renewal equation, with panel edges on the kink set ``{m p^{-j}}``
-where ``chi`` switches branch.
+strip lands.  The cutoff's depth comes from a bound on how rarely a path
+lands that deep at all (:func:`_generations`).  Each level is then solved
+by piecewise-Chebyshev collocation of the renewal equation, with panel
+edges on the kink set ``{m p^{-j}}`` where ``chi`` switches branch.
 
 Only the constant that ``psi`` contributes to each strip's system depends
 on the levels below.  So the cascade builds everything else first, for a
@@ -222,6 +223,72 @@ class _Strips:
         return float(row @ g[q * (_NN - 1):q * (_NN - 1) + _NN])
 
 
+def _generations(w: float, p: float, u: float, tol: float, cap: int = 160):
+    """Cascade depth ``G`` for ``tol``, and the truncation bound reached there.
+
+    Below the cutoff ``levels[J] = u p^G`` (``J = G n_per``) the cascade
+    seeds ``psi(y)`` with ``z_up(y, y + c)``.  The depth is the first
+    ``G >= 1`` with ``15 reach(G) gap(G) <= tol``, or ``cap``:
+
+        eta = 1/(1+w),   f(a) = eta (1 - e^{-(1+w) a}) = E[e^{-wT}; T <= a]
+        reach(G) = min(eta^(G-1), (1+w)/w prod_{i=0}^{G-2} f(u p^i))
+        gap(G)   = min(1, (1 - e^{-(1+w) y (1/p - 1)}) / w),   y = u p^G
+
+    ``T ~ Exp(1)`` is an inter-jump time at jump rate 1.  The jump that
+    ends ``T_k`` maps the level ``X_{k-1} + T_k`` to
+    ``X_k = p (X_{k-1} + T_k) >= 0``; a new infimum is such a landing.
+
+    * Where the seeds enter.  A landing at position ``pos`` on the level
+      grid, in the strip of level ``j``, takes ``psi`` from levels
+      ``max(floor(pos) - 1, j + 1)`` and the three above them.  That
+      reaches a seed (past ``J``) only if ``pos >= J - 1`` or
+      ``j >= J - 3``: only for a landing at or below ``levels[J - 3]``,
+      which is at most ``u p^(G-1)`` as ``n_per >= 4``.
+    * Reach.  A landing ``X_k <= u p^(G-1)`` needs
+      ``X_{k-1} + T_k <= u p^(G-2)``, so ``T_k <= u p^(G-2)`` and
+      ``X_{k-1} <= u p^(G-2)``, and so on down: the ``G - 1`` inter-jump
+      times before it are at most ``u p^(G-2), ..., u p^0``, and as the
+      start is at least ``u`` it takes at least ``G - 1`` jumps.  So the
+      first such landing weighs at most ``eta^(G-1)``, discounted, and
+      summed over the ``n >= 0`` unconstrained jumps before the chain,
+      all of them weigh at most ``sum_n eta^n prod f = (1+w)/w prod f``.
+    * Gap.  A fresh start at ``y`` rises ``c`` no later than it reaches
+      ``y + c``, so ``psi(y) >= z_up(y, y + c)``, and the two differ only
+      where a new infimum comes first, at a time ``sigma`` that weighs
+      ``e^{-w sigma}``.  Until then every post-jump level is at least
+      ``y``, so the inter-jump time before that jump is below
+      ``y (1/p - 1)``; summed over which jump it is,
+      ``0 <= psi(y) - z_up(y, y + c) <= f(y (1/p - 1)) (1+w)/w``, and at
+      most 1.  The seeds lie below ``u p^G``, where the bound is smaller.
+    * 15.  A stencil's weights sum in absolute value to at most
+      ``|4| + |-6| + |4| + |-1| = 15``, at the clamped extrapolation
+      ``t = -1``; elsewhere to at most 1.25.
+
+    By the strong Markov property at the first landing at or below
+    ``u p^(G-1)``, the result moves by at most ``reach * 15 * gap``, with
+    the solved levels ``J - 3..J`` among a stencil's nodes (fresh starts
+    fed by the same seeds) taken within the seeds' bound.  This counts the
+    truncation alone; the strips and the level grid carry their own
+    discretization error.  ``(1+w)/w`` overflows at tiny ``w``: there
+    ``eta^(G-1)`` alone is the reach, so ``inf * 0`` never forms.
+    """
+    gw = 1.0 + w
+    eta = 1.0 / gw
+    count = gw / w
+    chain = 1.0  # prod_{i=0}^{G-2} f(u p^i)
+    for G in range(1, cap + 1):
+        if G > 1:
+            chain *= -eta * math.expm1(-gw * u * p ** (G - 2))
+        reach = eta ** (G - 1)
+        if count < math.inf:
+            reach = min(reach, count * chain)
+        gap = min(1.0, -math.expm1(-gw * u * p ** G * (1.0 / p - 1.0)) / w)
+        bound = 15.0 * reach * gap
+        if bound <= tol:
+            break
+    return G, bound
+
+
 def drawup_lst(w: float, p: float, x: float, u: float, c: float,
                tol: float = 1e-7, *, diagnostics: Optional[dict] = None) -> float:
     """LST of the first time the process rises ``c`` above its running infimum.
@@ -233,10 +300,15 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
     Otherwise the value is obtained from the infimum-cascade renewal
     described in the module docstring.
 
-    ``tol > 0`` controls the cascade truncation depth: generation ``G`` is
-    chosen so the remaining mass ``(1/(1+w))^G`` times a bound on the
-    jump activity at depth ``G`` falls below it.  The infimum grid has
-    ``max(4, ceil(10 log(1/p)))`` levels per factor ``1/p`` of depth.
+    ``tol > 0`` bounds the cascade truncation error: the cascade stops at
+    the first generation ``G`` (a factor ``1/p`` of depth each) whose
+    bound from :func:`_generations` (the chance that a path ever lands
+    where the ascent seeds enter, times what they can be off by there) is
+    at most ``tol``, or at 160 generations.  The infimum grid has
+    ``max(4, ceil(10 log(1/p)))`` levels per generation.
+    ``diagnostics`` receives ``generations``, the ``truncation_bound``
+    reached there (above ``tol`` only where the cap stopped the cascade),
+    ``grid_levels`` (one strip solve each), ``panels_final`` and ``tol``.
     """
     _require(0.0 <= u <= x, f"drawup needs 0 <= u <= x, got u={u}, x={x}")
     _require(c > 0.0, f"drawup needs c > 0, got {c}")
@@ -245,13 +317,7 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
         return 1.0
     if u == 0.0:
         return z_up(w, p, x, c)
-    eta = 1.0 / (1.0 + w)
-    G, cap = 1, 160
-    while G < cap:
-        y = u * p ** G
-        if eta ** G * min(1.0, 3.0 * y * (1.0 / p - 1.0)) <= tol:
-            break
-        G += 1
+    G, bound = _generations(w, p, u, tol)
     n_per = max(4, int(math.ceil(math.log(1.0 / p) / 0.1)))
     h = math.log(1.0 / p) / n_per
     J = G * n_per
@@ -308,6 +374,6 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
 
     # the loop ends on level 0, the start's own strip
     if diagnostics is not None:
-        diagnostics.update(generations=G, grid_levels=J + 1,
+        diagnostics.update(generations=G, truncation_bound=bound, grid_levels=J + 1,
                            panels_final=strips.npan, tol=tol)
     return strips.value(b, g, x) if x > u else float(g[0])

@@ -29,14 +29,17 @@ def evaluate(params: ModelParams, spec: ExitSpec, w: float,
     every kind but the two-sided ones returns 1 before the levels are
     folded; a positive level that ``lam`` scales to 0 is a
     ``ValidationError``.  ``qctrl``
-    governs the drawdown quadrature and ``drawup_tol`` the drawup cascade depth.
+    governs the drawdown quadrature and ``drawup_tol`` the drawup cascade
+    depth, by bounding its truncation error.
     ``diagnostics``, when given a dict, is filled with evaluator internals
     where the kind reports them: series terms used (up-one), interval
     index and escalated digits (down-one), quadrature error and refinement
     rounds (drawdown: ``|Kronrod - Gauss|`` of the Gauss-Kronrod 10/21
     pass, ``2 _GAUSS_N + 1`` nodes a panel, and the passes; that is the
     embedded Gauss value's error, a conservative estimate of the error of
-    the Kronrod value returned), and cascade depth (drawup).
+    the Kronrod value returned), and cascade depth (drawup: ``generations``
+    and the ``truncation_bound`` reached there, at most ``drawup_tol``
+    unless the 160-generation cap ended the cascade first).
     """
     nparams, spec, w = normalize(params, spec, w)
     lam, p, kind = nparams.lam, nparams.p, spec.kind

@@ -338,8 +338,8 @@ def solve_a(w: float, p: float, c: float, u: float, tol: float = 1e-12) -> float
     doubling and bisection; the map is strictly decreasing in ``a`` (larger
     targets are harder to reach first), so the root is unique.  Raises
     :class:`ConvergenceError`, with the final bracket's midpoint as
-    ``partial``, if no midpoint's residual is within ``tol`` after 200
-    halvings.
+    ``partial``, if no midpoint's residual is within ``tol`` by the time
+    the bracket closes to adjacent floats, or after 200 halvings.
     """
     _require(w > 0.0, f"solve_a needs w > 0, got {w}")
     _require(tol > 0.0, f"solve_a tol must be > 0, got {tol}")
@@ -359,8 +359,11 @@ def solve_a(w: float, p: float, c: float, u: float, tol: float = 1e-12) -> float
         if d > 1e12:
             raise ConvergenceError(
                 f"drawup balance bracket exceeded 1e12 at w={w}, p={p}, c={c}, u={u}")
-    for _ in range(200):
+    halvings = 0
+    while halvings < 200:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent floats: no level left between them to try
         fm = f(mid)
         if abs(fm) <= tol:
             return mid
@@ -368,8 +371,9 @@ def solve_a(w: float, p: float, c: float, u: float, tol: float = 1e-12) -> float
             lo = mid
         else:
             hi = mid
+        halvings += 1
     raise ConvergenceError(
-        f"drawup balance residual not within tol={tol} after 200 halvings "
+        f"drawup balance residual not within tol={tol} after {halvings} halvings "
         f"at w={w}, p={p}, c={c}, u={u}", partial=0.5 * (lo + hi))
 
 
@@ -380,6 +384,10 @@ def lst_drawup(w: float, p: float, x: float, u: float, c: float,
     ``u`` is the infimum on record at time zero.  With ``u = 0`` no jump
     can create a new infimum below the floor and the event is a plain
     ascent over ``c``; otherwise the infimum-cascade renewal solver of
-    :mod:`._drawup` applies.  ``tol`` bounds the cascade truncation error.
+    :mod:`._drawup` applies.  ``tol`` bounds the cascade truncation error:
+    the cascade stops at the first depth where the chance that a path lands
+    on the ascent-seeded levels, times what the seeds can be off by there,
+    is at most ``tol`` (``_drawup._generations``), or at its 160-generation
+    cap; ``diagnostics`` receives that bound as ``truncation_bound``.
     """
     return drawup_lst(w, p, x, u, c, tol=tol, diagnostics=diagnostics)

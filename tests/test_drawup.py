@@ -135,37 +135,20 @@ class TestCascade:
         assert all(a == y + 0.5 for _, _, y, a in calls)
         assert abs(value - 0.047648) <= 1.5e-6  # TestDrawup's frozen value
 
-    def test_lowest_strip_landings_are_interpolated_within_1e8_of_the_ascent(self, monkeypatch):
-        # the lowest strip [m, m + c], m = levels[J], lands on [p m, m] and
-        # takes psi there from the 4-point stencil on the virtual levels
-        # alone, where psi(y) is z_up(y, y + c); the interpolation stays
-        # within 1e-8 of z_up itself on every default-grid cascade.  (Higher
-        # strips landing just below m also weigh the solved psi at m.)
-        lowest, solve = [], _Strips.solve
-
-        def spied(strips, b, vals):
-            if not lowest:  # the first strip solved is the lowest
-                lo, hi = strips.bounds[b], strips.bounds[b + 1]
-                lowest.append((strips.edges[b][0], strips.ys[lo:hi], vals[lo:hi].copy()))
-            return solve(strips, b, vals)
-
-        monkeypatch.setattr(_Strips, "solve", spied)
-        # the default-grid drawup rows that run the cascade, at rate 1
+    def test_the_cutoff_leaves_every_default_grid_cascade_at_its_tol_1e12_bits(self):
+        # the depth the truncation bound picks at the default tol moves no
+        # bit of any default-grid cascade against a far deeper one
         cascades = [at_rate(lambda *args: args, w, params.lam, params.p,
                             spec.x, spec.u, spec.c)
                     for params, spec, w in default_grid()
                     if spec.kind is ExitKind.DRAWUP and w > 0.0
                     and 0.0 < spec.u and spec.x < spec.u + spec.c]
         assert len(cascades) == 12
-        worst = 0.0
-        for w, p, x, u, c in cascades:
-            lowest.clear()
-            drawup.drawup_lst(w, p, x, u, c)
-            ((m, ys, vals),) = lowest
-            assert p * m < ys.min() and ys.max() <= m
-            worst = max(worst, max(abs(v - drawup.z_up(w, p, y, y + c))
-                                   for y, v in zip(ys.tolist(), vals.tolist())))
-        assert worst <= 1e-8
+        for args in cascades:
+            shallow, deep = {}, {}
+            value = drawup.drawup_lst(*args, diagnostics=shallow)
+            assert drawup.drawup_lst(*args, tol=1e-12, diagnostics=deep).hex() == value.hex()
+            assert deep["grid_levels"] > shallow["grid_levels"]
 
     def test_one_linear_solve_per_level_through_the_module_numpy(self, monkeypatch):
         # the benchmark counts strip solves and times np.linalg.solve through
@@ -207,7 +190,49 @@ class TestCascade:
         diag = {}
         evaluate(ModelParams(lam=1.5, p=0.5), ExitSpec(ExitKind.DRAWUP, x=1.5, u=0.8, c=1.5),
                  0.5, diagnostics=diag)
-        assert (diag["generations"], diag["grid_levels"], diag["panels_final"]) == (18, 127, 2)
+        assert (diag["generations"], diag["grid_levels"], diag["panels_final"]) == (9, 64, 2)
+        assert diag["truncation_bound"] <= diag["tol"] == 1e-7
+
+    def test_a_capped_cascade_reports_the_bound_it_reached(self):
+        # at p = 0.99 and w = 0.05 from u = 10 the bound is still 8.6e-4 at
+        # the 160-generation cap (641 levels, kept cheap by narrow strips);
+        # the cascade ends there without an error
+        diag = {}
+        value = drawup.drawup_lst(0.05, 0.99, 10.02, 10.0, 0.05, diagnostics=diag)
+        assert 0.0 < value < 1.0
+        assert (diag["generations"], diag["grid_levels"]) == (160, 641)
+        assert 1e-4 < diag["truncation_bound"] < 1e-3
+
+
+class TestGenerations:
+    """The cascade depth from the descent-chain truncation bound."""
+
+    @pytest.mark.parametrize("w, p, u, depth", [
+        (1e-3, 0.95, 1.0, 29),  # the discount-only rule ran to its cap, 160
+        (0.05, 0.3, 1.0, 7),  # it took 15
+        (0.5, 0.95, 100.0, 48),  # it took 40: the stencil's 15 costs depth
+        (3.0, 0.8, 10.0, 14),  # it took 12
+    ])
+    def test_pinned_depths(self, w, p, u, depth):
+        G, bound = drawup._generations(w, p, u, 1e-7)
+        assert G == depth
+        assert bound <= 1e-7 < drawup._generations(w, p, u, 1e-7, cap=G - 1)[1]
+
+    @pytest.mark.parametrize("w", [1e-300, 5e-324])
+    def test_a_tiny_discount_gives_a_finite_bound(self, w):
+        # (1+w)/w is 1e300, or overflows at 5e-324, where the chain product
+        # is not used: no inf * 0
+        G, bound = drawup._generations(w, 0.5, 1.0, 1e-7)
+        assert math.isfinite(bound) and 0.0 <= bound
+        assert bound <= 1e-7 if w == 1e-300 else (G, bound) == (160, 15.0)
+
+    @pytest.mark.parametrize("w, p, u", [(1e-3, 0.95, 1.0), (0.5, 0.3, 1000.0),
+                                         (0.05, 0.99, 10.0), (3.0, 0.8, 0.01)])
+    def test_the_bound_does_not_rise_with_depth(self, w, p, u):
+        # tol = 0 is met only by a bound of 0, so cap = G gives bound(G)
+        bounds = [drawup._generations(w, p, u, 0.0, cap=G)[1] for G in range(1, 161)]
+        assert all(b1 <= b0 for b0, b1 in zip(bounds, bounds[1:]))
+        assert bounds[-1] < bounds[0]
 
 
 class TestBitPins:

@@ -1,6 +1,7 @@
 """Property-based invariants of the transform evaluators."""
 
 import math
+import sys
 
 from hypothesis import given, settings, strategies as st
 
@@ -9,8 +10,10 @@ from aimdexit import (ExitKind, ExitSpec, ModelParams, c_tilde, evaluate,
 from unit_rate import at_rate
 
 # parameter ranges chosen so every evaluation stays cheap: jump-rate and
-# discount bounded, level gaps bounded in units of 1/(w + lam)
-lam_s = st.floats(0.0, 4.0, allow_nan=False)
+# discount bounded, level gaps bounded in units of 1/(w + lam).  A positive
+# lam is normal, so lam times any level drawn here stays above 0: a level
+# that lam scales to 0 is rejected by contract (TestLevelUnderflow)
+lam_s = st.just(0.0) | st.floats(sys.float_info.min, 4.0, allow_nan=False)
 lam_pos_s = st.floats(0.05, 4.0, allow_nan=False)
 p_s = st.floats(0.05, 0.95, allow_nan=False)
 w_s = st.floats(0.0, 4.0, allow_nan=False)

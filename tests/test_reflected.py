@@ -464,11 +464,26 @@ class TestSolveA:
             solve_a(0.5, 0.5, 1.0, 1.0, tol=tol)
 
     def test_a_tolerance_no_float_root_meets_raises_with_the_midpoint(self):
-        # the residual near the root is 2.2e-16 at best: 200 halvings end
-        # without meeting 1e-17, and the final bracket's midpoint is the partial result
-        with pytest.raises(ConvergenceError, match="after 200 halvings") as err:
+        # the residual near the root is 2.2e-16 at best: the bracket closes
+        # to adjacent floats without meeting 1e-17, and the final bracket's
+        # midpoint is the partial result
+        with pytest.raises(ConvergenceError, match="after 51 halvings") as err:
             solve_a(0.5, 0.5, 1.0, 1.0, tol=1e-17)
         assert abs(err.value.partial - solve_a(0.5, 0.5, 1.0, 1.0)) <= 1e-10
+
+    def test_each_level_is_tried_at_most_once(self, monkeypatch):
+        # bisection stops once the bracket holds no float between its ends,
+        # so no l_up call repeats a level
+        levels, l_up_ = [], reflected.l_up
+
+        def counted(w, p, x, a, b):
+            levels.append(a)
+            return l_up_(w, p, x, a, b)
+
+        monkeypatch.setattr(reflected, "l_up", counted)
+        with pytest.raises(ConvergenceError):
+            solve_a(0.5, 0.5, 1.0, 1.0, tol=1e-17)
+        assert len(levels) == len(set(levels)) == 52
 
 
 class TestControls:
