@@ -22,24 +22,25 @@ intervals neither overflow nor lose their sign pattern.  ``z_down`` combines a
 geometric closed form with two finite exponential sums whose coefficients
 involve the alternating q-products ``prod (1 - p^{-i})`` and
 ``prod (p^i - p^j)``; their signs are closed-form, their magnitudes are sums of
-logarithms, and the final signed summation escalates to arbitrary precision
-when the float64 cancellation estimate exceeds its tolerance.
+logarithms.
 
-The escalated route does not rebuild those logarithms.  On interval ``k0``
-it writes the transform as ``g^{-k0} + sum_i e^{g p^i x} S_i(b)``, where each
-``S_i`` sums fixed coefficients times ``e^{-g b p^{-m}}``, the constant ``C~``
-entering linearly.  The coefficients depend on ``(w, p, k0)`` alone, and
-those of ``C~``'s own series on ``(w, p)``; both are built once per digit
-budget, rounded up to a multiple of 20 digits, and held in bounded memos.  An
-escalated point then costs ``k0`` exponentials (the ``e^{-g b p^{-m}}`` come
-with ``C~``) and O(k0^2) products.
+Each float64 evaluation measures the digits its sums cancelled (for ``K``,
+those of its recursion too) and past its tolerance escalates to arbitrary
+precision under one rule, :func:`_escalated`: a first budget sized by the
+caller, kept once the run's own measured loss leaves the digits needed.
+The escalated ``z_down`` writes the transform on interval ``k0`` as
+``g^{-k0} + sum_i e^{g p^i x} S_i(b)``, each ``S_i`` a sum of coefficients
+of ``(w, p, k0)`` times ``e^{-g b p^{-m}}``, ``C~`` entering linearly; those
+coefficients, and ``C~``'s of ``(w, p)``, are built once per digit budget
+(rounded up to a multiple of 20) in bounded memos.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add, sub
 from typing import Callable, Optional, Tuple
 
 import mpmath as mp
@@ -60,12 +61,13 @@ __all__ = [
 
 _LOG_HUGE = 690.0  # ln(max float64) with margin
 _LN10 = math.log(10.0)
+_LN2 = math.log(2.0)
 
 # a convergent series is cut once its term falls below _REL_TOL times the
 # running sum; _MAX_TERMS bounds every summation loop
 _REL_TOL = 1e-14
 _MAX_TERMS = 10_000
-# digit cap of every arbitrary-precision escalation
+# digit cap of an arbitrary-precision escalation that needs 16 digits
 _MAX_DPS = 400
 
 
@@ -223,21 +225,25 @@ def c_tilde(w: float, p: float, b: float) -> float:
     return num_s * den_s * math.exp(num_l - den_l)
 
 
-def _settled_mp(at: Callable[[int], Optional[Tuple[float, ...]]], lost: float,
-                what: str, where: str) -> Tuple[float, ...]:
-    """``at(digits)`` at a digit budget sized to ``lost`` decimal digits of
-    cancellation, raised until two successive budgets agree to 1e-12 on
-    every value; ``at`` returns None while its result is still noise."""
-    digits = 30 + int(math.ceil(2.5 * lost))
-    prev = None
-    while digits <= _MAX_DPS:
-        cur = at(digits)
-        if cur is not None and prev is not None and all(
-                abs(c - q) <= 1e-12 * max(1.0, abs(c)) for c, q in zip(cur, prev)):
-            return cur
-        prev = cur
-        digits = int(digits * 1.5) + 10
-    raise ConvergenceError(f"{what} cancellation exceeds {_MAX_DPS} digits at {where}")
+def _escalated(run: Callable[[int], Tuple[Optional[tuple], float]], digits: int,
+               need: int, what: str) -> Tuple[tuple, int]:
+    """``(values, dps)`` at the first budget ``dps``, from ``digits`` up, at
+    which ``run(dps) -> (values, lost)`` loses few enough decimal digits (its
+    whole budget for noise) to leave ``need``.  The next budget is ``need +
+    lost + 4``, and at least 1.5 times the last after a run left with at most
+    4 digits, which measured only a floor of its loss; the cap is ``_MAX_DPS``
+    for the 16 digits of ``z_down`` and ``K``, more for a caller needing more.
+    """
+    cap = _MAX_DPS + need - 16
+    while True:
+        vals, lost = run(digits)
+        if digits - lost >= need:
+            return vals, digits
+        if digits >= cap:
+            raise ConvergenceError(f"{what}: cancellation exceeds {cap} digits",
+                                   partial=None if vals is None else float(vals[0]))
+        step = need + 4 + math.ceil(min(lost, cap))
+        digits = min(cap, max(step, int(1.5 * digits)) if lost > digits - 4 else step)
 
 
 def _table_dps(dps: int) -> int:
@@ -280,17 +286,16 @@ def _c_tilde_coeffs(w, p, n: int, dps: int):
         return tuple(rates), tuple(nums), tuple(dens), sizes
 
 
-def _c_tilde_mp(w, p, b):
-    """Arbitrary-precision twin of :func:`c_tilde` (same cancellation-free form),
-    at the working precision of the caller: ``(value, lost, falls)``, with
-    ``lost`` the decimal digits the alternating sums cancelled and ``falls``
-    the factors ``e^{-b g p^{-l}}`` of the terms.  The float64 log magnitudes
-    of the terms size the series: it ends at the first term past the fifth
-    that lies ``dps + 9`` digits below the peak term, so the tail is below
-    ``10^-(dps+5)`` of both sums while they cancel at most the 4 digits that
-    :func:`_c_tilde_escalated` allows past its guard.  Each sum is one
-    ``mp.fdot`` with the coefficients of :func:`_c_tilde_coeffs`."""
-    dps = mp.mp.dps
+def _c_tilde_mp(w, p, b, dps: int):
+    """Arbitrary-precision twin of :func:`c_tilde` (same cancellation-free form)
+    at ``dps`` digits: ``((value, falls), lost)``, with ``falls`` the factors
+    ``e^{-b g p^{-l}}`` of the terms and ``lost`` the decimal digits the
+    alternating sums cancelled (all ``dps`` if one came out 0).  The float64
+    log magnitudes of the terms size the series: it ends at the first term
+    past the fifth that lies ``dps + 9`` digits below the peak term, so the
+    tail is below ``10^-(dps+5)`` of both sums, past the digits that
+    :func:`_c_tilde_escalated` keeps.  Each sum is one ``mp.fdot`` with the
+    coefficients of :func:`_c_tilde_coeffs`."""
     rates, n, log_peak = (), 0, -math.inf
     while n < 2000:
         if n == len(rates):
@@ -301,12 +306,13 @@ def _c_tilde_mp(w, p, b):
         n += 1
         if n > 4 and log_term < log_peak - (dps + 9) * _LN10:
             break
-    b = mp.mpf(b)
-    falls = tuple(mp.exp(-b * r) for r in rates[:n])
-    num, den = mp.fdot(falls[1:], nums[1:n]), mp.fdot(falls, dens[:n])
-    smaller = min(abs(num), abs(den))
-    lost = (log_peak - float(mp.log(smaller))) / _LN10 if smaller else float(dps)
-    return num / den, lost, falls
+    with mp.workdps(dps):
+        b = mp.mpf(b)
+        falls = tuple(mp.exp(-b * r) for r in rates[:n])
+        num, den = mp.fdot(falls[1:], nums[1:n]), mp.fdot(falls, dens[:n])
+        smaller = min(abs(num), abs(den))
+        lost = (log_peak - float(mp.log(smaller))) / _LN10 if smaller else float(dps)
+        return (num / den, falls), lost
 
 
 def _down_interval_count(x: float, b: float, p: float) -> int:
@@ -387,25 +393,12 @@ def _log10_or_zero(v: float) -> float:
 # barrier hit it (each drawdown node has its own), so 1,024 entries serve
 @lru_cache(maxsize=1024)
 def _c_tilde_escalated(w, p, b, dps: int):
-    """:func:`_c_tilde_mp` good to ``dps`` digits (cached per barrier and
-    budget): ``(value, falls)``, ``falls`` the barrier's ``e^{-b g p^{-l}}``.
-
-    The constant's own sums cancel too: they are re-run with as many guard
-    digits as they lost, or every escalated value would keep only the digits
-    that survived there.  Serves the rescue of :func:`c_tilde` and the
-    escalated series, whose other ``x`` on the barrier share the result.
-    """
+    """:func:`_c_tilde_mp` good to the ``dps - 4`` digits an escalated value at
+    ``dps`` needs, per barrier and budget: ``(value, falls)``, ``falls`` the
+    ``e^{-b g p^{-l}}``.  Serves :func:`c_tilde` and the escalated series."""
     with mp.workdps(dps):
-        ct, lost, falls = _c_tilde_mp(w, p, b)
-        guard = 0
-        while lost > guard + 4:
-            guard = int(math.ceil(lost))
-            if guard > _MAX_DPS:
-                raise ConvergenceError(f"downward-series constant cancellation exceeds "
-                                       f"{_MAX_DPS} digits at w={w}, p={p}, b={b}")
-            with mp.workdps(dps + guard):
-                ct, lost, falls = _c_tilde_mp(w, p, b)
-        return ct, falls
+        return _escalated(lambda digits: _c_tilde_mp(w, p, b, digits), dps, dps - 4,
+                          f"downward-series constant at w={w}, p={p}, b={b}")[0]
 
 
 # an entry holds some k0^2 numbers: 100 intervals deep some 2.5 MB at 40
@@ -482,9 +475,8 @@ def z_down(w: float, p: float, x: float, b: float, *,
     ``w == 0`` returns 1 exactly (the crossing is a.s. finite; the series
     representation degenerates there); ``x == b`` takes the right limit (a
     crossing needs a jump).  The signed exponential sums are evaluated in
-    float64 with a cancellation estimate; when the estimated error exceeds
-    the tolerance the whole expression is re-summed in arbitrary precision
-    with a digit budget matched to the peak term.
+    float64 with a cancellation estimate; past its tolerance they are summed
+    in arbitrary precision (:func:`_escalated`) to 1e-12 relative.
     """
     _require(b > 0.0, f"z_down needs b > 0, got b={b}")
     _require(x >= b, f"z_down needs x >= b, got x={x}, b={b}")
@@ -537,7 +529,7 @@ def _z_down_eval(w, p, x, b, slope: bool) -> Tuple[Tuple[float, ...], tuple]:
     # (log10 peak |term|, float sum) per returned quantity, the slope with its
     # own check; a term past float64 fails it, its slope term <= (w + 1) x it
     parts = [(lpk, 0.0), (lpk + math.log10(w + 1.0), 0.0)][:1 + slope]
-    ok, err_est = False, math.inf
+    ok = False
     if terms is not None:
         total = math.fsum(terms)
         err_est = 8.0 * 2.2e-16 * max(abs(v) for v in terms)
@@ -549,41 +541,30 @@ def _z_down_eval(w, p, x, b, slope: bool) -> Tuple[Tuple[float, ...], tuple]:
             dtotal = math.fsum(dterms)
             ok = ok and 8.0 * 2.2e-16 * dpeak <= max(1e-15 * (w + 1.0), 1e-13 * abs(dtotal))
             parts[1] = (_log10_or_zero(dpeak), dtotal)
-    info = (("interval_count", k0),
-            ("float_error_estimate", err_est))
     if ok:
         vals = (min(total, 1.0), dtotal) if slope else (min(total, 1.0),)
-        return vals, info + (("escalated_digits", 0),)
-    # Escalate to arbitrary precision.  The needed digit count is
-    # log10(peak / |value|) plus working margin, but the true value's
-    # magnitude is only learned from the evaluation itself (the float total
-    # may be pure cancellation noise), so iterate: evaluate, bound the
-    # summation noise by peak * 10^(4 - digits), and re-raise the budget
-    # until the bound is beaten or the hard cap trips (in log10: the peak may
-    # be past float64).
-    digits = min(_MAX_DPS, max(
-        25 + max(0, int(math.ceil(pk - _log10_or_zero(tot)))) for pk, tot in parts))
-    for _ in range(8):
-        vals = _z_down_mp(w, p, x, b, digits, slope)
-        # a sum past float64 is noise of a peak term past it
-        need = digits if all(map(math.isfinite, vals)) else int(digits * 1.6) + 10
-        for (pk, _), val in zip(parts, vals):
-            lnoise = pk + 4 - digits
-            lval = math.log10(abs(val)) if val != 0.0 else -math.inf
-            if lnoise <= max(-300.0, lval - 12.0):
-                continue
-            if lval <= -60.0 and lnoise <= -60.0:
-                continue  # genuinely negligible value; sign noise is irrelevant
-            need = max(need, 25 + int(math.ceil(pk - max(lval, lnoise - 1.0))),
-                       int(digits * 1.6) + 10)
-        if need == digits:
-            break
-        if digits >= _MAX_DPS:
-            raise ConvergenceError(
-                f"z_down cancellation exceeds {_MAX_DPS} digits "
-                f"at w={w}, p={p}, x={x}, b={b}", partial=vals[0])
-        digits = min(_MAX_DPS, need)
-    return (min(max(vals[0], 0.0), 1.0),) + vals[1:], info + (("escalated_digits", digits),)
+        return vals, (("interval_count", k0), ("float_error_estimate", err_est),
+                      ("escalated_digits", 0))
+
+    # a run at dps digits (C~ good to dps - 4) is noise of peak 10^(4 - dps) and
+    # keeps 16 digits, 1e-12 past it; z_down > 0, so a value <= 0 is noise.
+    # Any value also settles once that noise is below the smallest subnormal,
+    # 5e-324 (a loss of at most pk - log10(5e-312)): float64 then holds it as
+    # well as it can hold anything so small
+    def run(dps):
+        vals = _z_down_mp(w, p, x, b, dps, slope)
+        signed = (vals[0] if vals[0] > 0.0 else 0.0,) + vals[1:]
+        return vals, max(min(pk - math.log10(abs(v)) if 0.0 < abs(v) < math.inf else dps,
+                             pk - math.log10(5e-312))
+                         for (pk, _), v in zip(parts, signed))
+
+    vals, digits = _escalated(
+        run, min(_MAX_DPS, max(25 + max(0, int(math.ceil(pk - _log10_or_zero(tot))))
+                               for pk, tot in parts)),
+        16, f"z_down at w={w}, p={p}, x={x}, b={b}")
+    return (min(max(0.0, vals[0]), 1.0),) + vals[1:], (
+        ("interval_count", k0), ("float_error_estimate", 10.0 ** (lpk + 4 - digits)),
+        ("escalated_digits", digits))
 
 
 # ---------------------------------------------------------------------------
@@ -597,12 +578,15 @@ class KCoefficients:
 
     On ``x`` in ``(b p^{-k}, b p^{-(k+1)}]`` the reciprocal ``K = 1/l_up_from_b``
     is ``sum_{n=0}^{k} a_{n,k} e^{gamma p^n x}``; the ``a_{n,k}`` are stored in
-    signed log space (``signs[n] * exp(logmags[n])``).
+    signed log space (``signs[n] * exp(logmags[n])``).  ``_lost[n]`` is the
+    log of the factor by which the recursion's cancellation amplified the
+    rounding of ``a_{n,k}`` (see :func:`_k_tables`).
     """
 
     k: int
     signs: Tuple[int, ...]
     logmags: Tuple[float, ...]
+    _lost: Tuple[float, ...] = field(default=(), repr=False)
 
     def eval_log(self, gamma: float, p: float, x: float) -> float:
         """``log K(x)`` via signed log-sum-exp; K >= 1 on its interval."""
@@ -617,9 +601,18 @@ class KCoefficients:
 @lru_cache(maxsize=4096)
 def _k_tables(w: float, p: float, b: float, kmax: int) -> KCoefficients:
     """Interval table ``kmax`` for barrier ``b``, by the exact recursion over
-    intervals 0..kmax (cached; the memo keeps the last table only)."""
-    g = w + 1.0
-    tab = KCoefficients(0, (1,), (-g * b,))
+    intervals 0..kmax (cached; the memo keeps the last table only).
+
+    Coefficient ``n`` of interval ``k`` is the head of interval ``k - n``
+    times a product of exact factors, so it carries that head's loss.  A
+    head sums, over the coefficients of the interval below, the terms
+    ``a_n e^{g (p^n - 1) x_k}`` and ``-a_n e^{mu x_{k-1}} / (-mu p)``; it
+    loses its largest term over ``|head|``, or an ``a_n``'s own loss times
+    its net term over ``|head|`` if more (a running error estimate with
+    maxima for sums, Higham, *Accuracy and Stability*, ch. 4).
+    """
+    g, log_p = w + 1.0, math.log(p)
+    tab = KCoefficients(0, (1,), (-g * b,), (0.0,))
     for k in range(1, kmax + 1):
         prev = tab
         signs = [0] * (k + 1)
@@ -629,19 +622,30 @@ def _k_tables(w: float, p: float, b: float, kmax: int) -> KCoefficients:
                 continue
             signs[m] = prev.signs[m - 1]
             logmags[m] = prev.logmags[m - 1] - math.log(g) - math.log1p(-p ** m)
-        xk = b * p ** (-k)
+        xk, rise = b * p ** (-k), p ** (-(k - 1))
         log_K_xk = prev.eval_log(g, p, xk)
         acc_s, acc_l = 0, -math.inf
+        peak = -math.inf  # log of the head's largest term or carried error
         for n in range(k):
             if prev.signs[n] == 0:
                 continue
-            mu = g * (p ** n - 1.0 / p)  # < 0 always
-            acc_s, acc_l = _log_add(acc_s, acc_l, -prev.signs[n],
-                                    prev.logmags[n] + mu * b * p ** (-(k - 1))
-                                    - math.log(-mu))
+            pn = p ** n
+            mu = g * (pn - 1.0 / p)  # < 0 always
+            down = prev.logmags[n] + mu * b * rise - math.log(-mu)
+            acc_s, acc_l = _log_add(acc_s, acc_l, -prev.signs[n], down)
+            up, down = prev.logmags[n] + g * (pn - 1.0) * xk, down - log_p
+            top = up if up > down else down
+            carried = prev._lost[n] + top
+            if carried > peak and up != down:
+                carried += math.log(-math.expm1(-abs(up - down)))
+            peak = max(peak, top, carried)
         # head = K(x_k) e^{-g x_k} + acc / p
-        signs[0], logmags[0] = _log_add(1, -g * xk + log_K_xk, acc_s, acc_l - math.log(p))
-        tab = KCoefficients(k, tuple(signs), tuple(logmags))
+        signs[0], logmags[0] = _log_add(1, -g * xk + log_K_xk, acc_s, acc_l - log_p)
+        if signs[0] == 0:
+            raise ConvergenceError(
+                f"reciprocal scale function recursion cancelled out at interval {k}")
+        tab = KCoefficients(k, tuple(signs), tuple(logmags),
+                            (max(0.0, peak - logmags[0]),) + prev._lost)
     return tab
 
 
@@ -670,48 +674,67 @@ def k_up_coeffs(w: float, p: float, b: float, k: int) -> KCoefficients:
 _K_EVAL_LOST_OK = 3.0
 
 
-@lru_cache(maxsize=4096)
-def _k_tables_mp(w: float, p: float, b: float, kmax: int, dps: int):
+class _MpTable(tuple):
+    """The coefficients of an arbitrary-precision interval table, with
+    ``lost`` as ``KCoefficients._lost``."""
+
+
+# an entry holds k + 1 coefficients: 150 intervals deep at 165 digits some
+# 40 KB; the workloads build none, a barrier sweep one per barrier
+@lru_cache(maxsize=256)
+def _k_tables_mp(w: float, p: float, b: float, kmax: int, dps: int) -> _MpTable:
     """The interval coefficient recursion re-run in arbitrary precision: the
-    coefficients of interval ``kmax``."""
+    coefficients of interval ``kmax``, with their losses measured as
+    :func:`_k_tables` measures them (from binary exponents, to a bit).
+
+    With ``E_m = e^{g b p^{-m}}`` the head of interval ``k`` is
+    ``(sum_n a_n E_{k-n} - sum_n a'_{n+1} E_{k-1-n}) / E_k``, ``a`` the
+    coefficients of interval ``k - 1`` and ``a'`` those of ``k``: the
+    recursion takes ``kmax + 1`` exponentials in all.
+    """
     with mp.workdps(dps):
         w_, p_, b_ = map(mp.mpf, (w, p, b))
         g = w_ + 1
         pw = [p_ ** n for n in range(kmax + 1)]
-        p_inv = 1 / p_
-        tab = (mp.exp(-g * b_),)
+        e = [mp.exp(g * b_ / v) for v in pw]
+        ratio = [1 / (g * (1 - v)) for v in pw[1:]]
+        tab, lost = (1 / e[0],), (0.0,)
         for k in range(1, kmax + 1):
             prev = tab
-            coeffs = [mp.mpf(0)] * (k + 1)
-            for m in range(1, k + 1):
-                coeffs[m] = prev[m - 1] / (g * (1 - pw[m]))
-            xk = b_ * p_ ** (-k)
-            xk1 = b_ * p_ ** (-(k - 1))
-            k_at_break = mp.fsum(prev[n] * mp.exp(g * pw[n] * xk)
-                                 for n in range(k))
-            acc = mp.fsum(prev[n] * mp.exp(g * (pw[n] - p_inv) * xk1)
-                          / (g * (pw[n] - p_inv)) for n in range(k))
-            coeffs[0] = mp.exp(-g * xk) * k_at_break + p_inv * acc
-            tab = tuple(coeffs)
-        return tab
+            coeffs = tuple(a * r for a, r in zip(prev, ratio))  # all but the head
+            ups = [a * e[k - n] for n, a in enumerate(prev)]
+            downs = [c * e[k - 1 - n] for n, c in enumerate(coeffs)]
+            head = mp.fsum(ups) - mp.fsum(downs)
+            peak = max(max(mp.mag(u), mp.mag(d), carried / _LN2 + mp.mag(u - d))
+                       for u, d, carried in zip(ups, downs, lost))
+            tab = (head / e[k],) + coeffs
+            lost = (max(0.0, (peak - mp.mag(head)) * _LN2),) + lost
+    out = _MpTable(tab)
+    out.lost = lost
+    return out
 
 
-def _log_k_mp(w: float, p: float, b: float, x: float,
-              k: int, dps: int, slope: bool = False) -> Optional[Tuple[float, ...]]:
+def _log_k_mp(w: float, p: float, b: float, x: float, k: int, dps: int,
+              slope: bool = False) -> Tuple[Optional[Tuple[float, ...]], float]:
     """``(log K(x),)``, or with ``slope`` ``(log K(x), log K'(x))``, from the
-    arbitrary-precision table of interval ``k``; None while still noise."""
+    arbitrary-precision table of interval ``k``, and the digits lost
+    (as :func:`_log_sum_loss` counts them); None and the whole budget while
+    a sum is <= 0."""
     tab = _k_tables_mp(w, p, b, k, dps)
     with mp.workdps(dps):
         g = mp.mpf(w) + 1
         p_, x_ = mp.mpf(p), mp.mpf(x)
         rates = [g * p_ ** n for n in range(k + 1)]
-        terms = [a * mp.exp(r * x_) for a, r in zip(tab, rates)]
-        sums = [mp.fsum(terms)]
+        rows = [[a * mp.exp(r * x_) for a, r in zip(tab, rates)]]
         if slope:
-            sums.append(mp.fsum(r * t for r, t in zip(rates, terms)))
+            rows.append([r * t for r, t in zip(rates, rows[0])])
+        sums = [mp.fsum(row) for row in rows]
         if any(v <= 0 for v in sums):
-            return None
-        return tuple(float(mp.log(v)) for v in sums)
+            return None, float(dps)
+        log_sums = tuple(float(mp.log(v)) for v in sums)
+        peaks = [max(float(mp.log(abs(t))) + carried if t else -math.inf
+                     for t, carried in zip(row, tab.lost)) for row in rows]
+    return log_sums, max(map(sub, peaks, log_sums)) / _LN10
 
 
 def _log_k_from_b(w: float, p: float, b: float, x: float) -> float:
@@ -740,21 +763,20 @@ def _log_k_sums(w: float, p: float, b: float, x: float, k: int,
     """``(log K(x),)``, or with ``slope`` ``(log K(x), log K'(x))``, on interval ``k``.
 
     The float64 signed-log evaluation reports how many digits each final
-    summation cancelled; past ``_K_EVAL_LOST_OK`` digits on either sum (the
-    coefficients carry compounded noise of the same origin, so the loss
-    estimate is a floor, not a ceiling) the table is rebuilt in arbitrary
-    precision and the digit budget raised until two budgets agree on every
-    returned logarithm.
+    summation lost, the recursion's cancellation included
+    (:func:`_log_sum_loss`); past ``_K_EVAL_LOST_OK`` digits on either sum
+    the table is rebuilt in arbitrary precision, first at a budget sized
+    from that loss, and kept once its own loss leaves 16 digits.
     """
     try:
         tab = _k_tables(w, p, b, k)
         g = w + 1.0
         logs = [L + g * p ** n * x for n, L in enumerate(tab.logmags)]
-        log_k, lost = _log_sum_loss(tab.signs, logs)
+        log_k, lost = _log_sum_loss(tab.signs, logs, tab._lost)
         if slope:
             log_g, log_p = math.log(g), math.log(p)
             log_dk, dlost = _log_sum_loss(
-                tab.signs, [L + log_g + n * log_p for n, L in enumerate(logs)])
+                tab.signs, [L + log_g + n * log_p for n, L in enumerate(logs)], tab._lost)
             if log_k is not None and log_dk is not None and max(lost, dlost) <= _K_EVAL_LOST_OK:
                 return log_k, log_dk
             lost = max(lost, dlost)
@@ -762,20 +784,22 @@ def _log_k_sums(w: float, p: float, b: float, x: float, k: int,
             return (log_k,)
     except ConvergenceError:
         lost = 12.0  # the recursion itself cancelled out; size the budget blind
-    return _settled_mp(lambda digits: _log_k_mp(w, p, b, x, k, digits, slope),
-                       lost, "reciprocal scale function",
-                       f"w={w}, p={p}, b={b}, x={x}")
+    digits = min(_MAX_DPS, 30 + int(math.ceil(2.5 * min(lost, _MAX_DPS))))
+    return _escalated(lambda dps: _log_k_mp(w, p, b, x, k, dps, slope), digits, 16,
+                      f"reciprocal scale function at w={w}, p={p}, b={b}, x={x}")[0]
 
 
-def _log_sum_loss(signs, logs) -> Tuple[Optional[float], float]:
+def _log_sum_loss(signs, logs, lost) -> Tuple[Optional[float], float]:
     """``log`` of a signed sum of ``exp(logs)`` (None unless positive) and the
-    decimal digits its summation cancelled.
+    decimal digits it lost: its largest term, times the loss that term's
+    coefficient carries from the recursion (``lost``), over the sum; a head
+    thus counts by its share of ``K``.
 
     A sum that came out non-positive gets its peak as the loss: ``K >= 1``
     makes that a bound for ``log K``, and for ``log K'`` it sizes the first
     arbitrary-precision budget, which the escalation then checks.
     """
-    peak = max(logs)
+    peak = max(map(add, logs, lost))
     sign, log_sum = _signed_logsumexp(signs, logs)
     if sign > 0:
         return log_sum, (peak - log_sum) / _LN10

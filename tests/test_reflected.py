@@ -213,6 +213,25 @@ class TestDrawdown:
         vals = [lst_drawdown(0.5, 0.5, 2.2, c) for c in (1.2, 1.5, 1.8, 2.1)]
         assert all(v0 > v1 for v0, v1 in zip(vals, vals[1:]))
 
+    def test_start_next_to_the_window_settles_past_underflowing_nodes(self, monkeypatch):
+        # a start 1e-18 above c: the Kronrod node nearest it puts the barrier
+        # y - c some 5e-18 above 0, 23 intervals below y, where z_down is
+        # below float64's range.  That node settles at 0 (its weight is
+        # negligible) instead of failing the whole integral.  A start 1e-16
+        # above c, whose nodes all stay in range, is the reference
+        w, p, c = 5.0, 0.4, 1e-8
+        zeros = []
+
+        def counted(*args):
+            out = z_down_slope(*args)
+            zeros.append(out[0] == 0.0)
+            return out
+        monkeypatch.setattr(reflected, "z_down_slope", counted)
+        near = lst_drawdown(w, p, c * (1.0 + 1e-10), c)
+        assert any(zeros)
+        monkeypatch.undo()
+        assert abs(near - lst_drawdown(w, p, c * (1.0 + 1e-8), c)) <= 1e-15
+
     def test_window_saturation_below_first_jump_knee(self):
         # for c <= (1-p)x the exit happens at the first jump whatever c is
         v1 = lst_drawdown(0.5, 0.5, 4.0, 0.5)

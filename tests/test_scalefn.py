@@ -4,6 +4,7 @@ import contextlib
 import importlib
 import math
 import pkgutil
+import random
 import tracemalloc
 import types
 
@@ -230,6 +231,34 @@ class TestZDown:
         except ConvergenceError:
             return
         assert 0.0 < value < 0.0041147607768808915
+
+    def test_tiny_values_settle_relatively(self):
+        # w = 0.5, p = 0.99, b = 1: 19 to 161 intervals.  References: the
+        # series at 700 and 900 digits (x = 5 rounds to 0 in float64).  No
+        # absolute floor: a value settles relatively, or, below float64's
+        # range, once its noise bound is below the smallest subnormal
+        refs = {1.2: 1.5522869373224454e-51, 1.5: 1.722262545150244e-110,
+                2.0: 1.0692439456833012e-182, 3.0: 4.0501401973106185e-277, 5.0: 0.0}
+        settled = []
+        for x, ref in refs.items():
+            diag = {}
+            value = z_down(0.5, 0.99, x, 1.0, diagnostics=diag)
+            assert abs(value - ref) <= 1e-12 * ref, x
+            # the escalated evaluation reports its own error bound
+            assert diag["escalated_digits"] > 0
+            assert diag["float_error_estimate"] <= max(1e-12 * value, 5e-324), x
+            settled.append(value)
+        assert settled == sorted(settled, reverse=True)
+
+    def test_value_below_float64_settles_at_zero(self):
+        # 50 intervals: the value is below 5e-324, and the 400-digit run
+        # bounds its noise below that; a loss measured against the value 0
+        # would never settle
+        diag = {}
+        assert z_down(20.0, 0.5, 1.0 + 1e-15, 1e-15, diagnostics=diag) == 0.0
+        assert diag["escalated_digits"] > 0
+        assert diag["float_error_estimate"] <= 5e-324
+        assert z_down_slope(20.0, 0.5, 1.0 + 1e-15, 1e-15) == (0.0, 0.0)
 
     def test_decreasing_in_start_level(self):
         vals = [z_down(1.0, 0.5, x, 1.0) for x in (1.1, 1.5, 2.5, 4.0, 8.0)]
@@ -549,6 +578,117 @@ class TestZDownMemo:
         assert 0 < info.currsize <= info.maxsize
 
 
+class TestErrorAudit:
+    """Every accepted value against a reference of at least 100 digits.
+
+    Seeded random points on the float64 and the escalated routes of
+    ``l_up_from_b``, ``hazard``, ``z_down`` and ``z_down_slope``, with
+    ``w = 0`` among them and ``p`` up to 0.95.  The stated bounds:
+
+    * ``K`` (``l_up_from_b = 1/K``, ``hazard = K'/K``): a float64 sum is
+      kept while it loses at most ``_K_EVAL_LOST_OK`` digits, the
+      recursion's included, and an escalated one keeps 16; the logarithms
+      then round to float64.  Bound: ``16 eps (10^3 + |log K| [+ |log K'|])``
+      relative, plus a few subnormal steps where ``1/K`` underflows.
+    * ``z_down``: its reported ``float_error_estimate`` on the escalated
+      route, and 128 times it on the float64 route, whose estimate does not
+      yet carry the error of the float64 ``C~`` (ROADMAP item 1, Gap A;
+      measured up to 101 times on 1,200 points of two other seeds).
+    * ``z_down_slope``: 1e-12 relative on the escalated route; on the float64
+      route 16 times the threshold of its check,
+      ``max(1e-15 (w + 1), 1e-13 |slope|)`` (Gap A again: up to 3.9 times).
+    """
+
+    EPS = 2.0 ** -52
+    N = 120
+
+    @staticmethod
+    def draws(seed, n):
+        rng = random.Random(seed)
+        for _ in range(n):
+            w = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-3.0, 1.0)
+            yield rng, w, rng.uniform(0.3, 0.95), rng.uniform(0.2, 3.0)
+
+    @staticmethod
+    def escalations(monkeypatch, name):
+        calls = []
+        real = getattr(scalefn, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(scalefn, name, counted)
+        return calls
+
+    @staticmethod
+    def log_k_reference(w, p, b, x, k, slope):
+        # the escalated evaluator at 120 digits or more, with 40 left
+        for dps in (120, 240, 400):
+            logs, lost = scalefn._log_k_mp(w, p, b, x, k, dps, slope)
+            if logs is not None and dps - lost >= 40:
+                return logs
+        raise AssertionError(("no reference", w, p, b, x))
+
+    def test_reciprocal_scale_function_and_hazard(self, monkeypatch):
+        calls = self.escalations(monkeypatch, "_log_k_mp")
+        routes = set()
+        for rng, w, p, b in self.draws(11, self.N):
+            k = rng.randint(0, 24)
+            x = b * p ** -(k + rng.uniform(0.05, 0.95))
+            before = len(calls)
+            value = l_up_from_b(w, p, b, x)
+            routes.add(("l_up", len(calls) > before))
+            (log_k,) = self.log_k_reference(w, p, b, x, interval_index(x, b, p), False)
+            with mp.workdps(30):
+                ref = float(mp.exp(-mp.mpf(log_k)))
+            bound = 16 * self.EPS * (1e3 + abs(log_k)) * ref + 4 * 5e-324
+            assert abs(value - ref) <= bound, (w, p, b, x)
+
+            z = b * p ** -(k + rng.uniform(0.05, 0.95))
+            before = len(calls)
+            h = hazard(w, p, z, z - b)
+            routes.add(("hazard", len(calls) > before))
+            log_k, log_dk = self.log_k_reference(w, p, b, z, interval_index(z, b, p), True)
+            ref = math.exp(log_dk - log_k)
+            bound = 16 * self.EPS * (1e3 + abs(log_k) + abs(log_dk)) * ref
+            assert abs(h - ref) <= bound, (w, p, b, z)
+        assert routes == {(f, esc) for f in ("l_up", "hazard") for esc in (False, True)}
+
+    def test_downward_transform_and_slope(self):
+        routes = set()
+        for rng, w, p, b in self.draws(12, self.N):
+            w = w or 1e-3  # z_down is 1 at w = 0
+            x = b * p ** -(rng.randint(1, 7) - rng.uniform(0.05, 0.95))
+            if x > 50.0:  # far starts need references past 400 digits
+                continue
+            _clear_z_down_memo()
+            diag = {}
+            try:
+                value = z_down(w, p, x, b, diagnostics=diag)
+                slope_info = dict(scalefn._z_down_eval(w, p, x, b, True)[1])
+                _, slope = z_down_slope(w, p, x, b)
+            except ConvergenceError:
+                continue
+            prev = None
+            for dps in (100, 150, 225, 340):
+                ref = _z_down_mp(w, p, x, b, dps, True)
+                if prev == ref:
+                    break
+                prev = ref
+            else:
+                raise AssertionError(("no reference", w, p, x, b))
+            escalated = diag["escalated_digits"] > 0
+            routes.add(("z_down", escalated))
+            assert abs(value - ref[0]) <= (1 if escalated else 128) * diag["float_error_estimate"]
+            escalated = slope_info["escalated_digits"] > 0
+            routes.add(("slope", escalated))
+            if escalated:
+                assert abs(slope - ref[1]) <= 1e-12 * abs(ref[1])
+            else:
+                assert abs(slope - ref[1]) <= 16 * max(1e-15 * (w + 1.0), 1e-13 * abs(ref[1]))
+        assert routes == {(f, esc) for f in ("z_down", "slope") for esc in (False, True)}
+
+
 class TestIntervalIndex:
     def test_basic_buckets(self):
         assert interval_index(1.5, 1.0, 0.5) == 0
@@ -619,23 +759,43 @@ class TestTwoSidedUp:
             assert (tab.k, len(tab.signs), len(tab.logmags)) == (k, k + 1, k + 1)
 
     def test_deep_barrier_sweep_keeps_one_table_per_memo_entry(self):
-        # 150 intervals deep at p = 0.95 one table takes under 10 KB, the
-        # prefix of tables 0..149 some 480 KB; the bound is 5 MB per 200
-        # barriers.  tracemalloc slows the recursion some twentyfold, so
-        # the sweep takes five barriers
-        w, p, n = 0.5, 0.95, 5
-        scalefn._k_tables.cache_clear()
-        tracemalloc.start()
-        try:
+        # 150 intervals deep at p = 0.95 one float64 table takes under 10 KB,
+        # the prefix of tables 0..149 some 480 KB; the bound is 5 MB per 200
+        # barriers.  Their heads carry 54 digits of the recursion's
+        # cancellation (the float64 1/K is 3.2e-5 off), so l_up rebuilds each
+        # at 165 digits: some 40 KB a table, some 3 MB the prefix; the
+        # bound adds 12 MB per 200 barriers.  tracemalloc slows the
+        # recursion some twentyfold, so the sweep takes two barriers; it runs
+        # once untraced first, to fill mpmath's own caches for its precisions
+        w, p, n = 0.5, 0.95, 2
+
+        def sweep():
+            scalefn._k_tables.cache_clear()
+            scalefn._k_tables_mp.cache_clear()
             for j in range(n):
                 b = 1.0 + j / 200
                 a = b * p ** -150
                 l_up(w, p, a * p ** 0.5, a, b)
+        sweep()
+        tracemalloc.start()
+        try:
+            sweep()
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert scalefn._k_tables.cache_info().currsize == n
-        assert retained <= n * 5e6 / 200
+        assert scalefn._k_tables_mp.cache_info().currsize == n
+        assert retained <= n * (5e6 + 12e6) / 200
+
+    def test_float_check_counts_the_recursions_cancellation(self):
+        # the final sum of K(a) cancels 2 digits, one head step of its
+        # recursion 14, which float64 cannot hold (it reads 0.95373).  The
+        # recursion at 60 to 400 digits reads 0.9472875737428642, and
+        # quadrature_oracle_lup (k_max=20), which does not use it, 0.9472781
+        value = evaluate(ModelParams(lam=1.0, p=0.7283080061539917),
+                         ExitSpec(ExitKind.TWO_SIDED_UP, x=0.09848203113195846,
+                                  a=29.335612518927686, b=0.09848203113195846), 0.0)
+        assert abs(value - 0.9472875737428642) <= 1e-12
 
     def test_nearly_certain_up_exit_is_capped_at_one(self):
         # ten intervals deep the two logarithms of K agree to their rounding;
