@@ -30,14 +30,18 @@ precision under one rule, :func:`_escalated`: a first budget sized by the
 caller, kept once the run's own measured loss leaves the digits needed.
 The escalated ``z_down`` writes the transform on interval ``k0`` as
 ``g^{-k0} + sum_i e^{g p^i x} S_i(b)``, each ``S_i`` a sum of coefficients
-of ``(w, p, k0)`` times ``e^{-g b p^{-m}}``, ``C~`` entering linearly; those
-coefficients, and ``C~``'s of ``(w, p)``, are built once per digit budget
-(rounded up to a multiple of 20) in bounded memos.
+of ``(w, p)`` times ``e^{-g b p^{-m}}``, ``C~`` entering linearly.  Bounded
+memos share the work that does not depend on the start: the coefficient
+tables, and ``C~``'s, once per ``(w, p)`` and digit budget (rounded up to a
+multiple of 20); ``C~`` and the ``S_i`` once per barrier and budget, a
+first budget being rounded up to a multiple of 10 so that the starts on one
+barrier share it; and ``log K`` per level.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add, sub
@@ -401,15 +405,12 @@ def _c_tilde_escalated(w, p, b, dps: int):
                           f"downward-series constant at w={w}, p={p}, b={b}")[0]
 
 
-# an entry holds some k0^2 numbers: 100 intervals deep some 2.5 MB at 40
-# digits (4 MB at 400), ten deep some 30 KB; one pass over the default grid
-# builds 21 tables, one x sweep one per interval it crosses
-@lru_cache(maxsize=32)
-def _z_down_coeffs(w, p, k0: int, dps: int):
-    """The ``x``- and ``b``-free parts of the downward transform on interval
-    ``k0``, at ``dps`` digits: ``(up, down, alpha, beta)``.
+class _DownCoeffs:
+    """The ``x``- and ``b``-free parts of the downward transform at ``dps``
+    digits, for the intervals built so far: ``up``, ``down``, ``alpha``,
+    ``beta``.
 
-    On that interval ``Z(x) = g^{-k0} + sum_{i<k0} E_i(x) S_i(b)`` with
+    On interval ``k0``, ``Z(x) = g^{-k0} + sum_{i<k0} E_i(x) S_i(b)`` with
     ``E_i = e^{up_i x}``, ``up_i = g p^i``, and
     ``S_i = sum_k (alpha_{k,i} + C~ beta_{k,i}) F_{k-i}``, where
     ``F_m = e^{-b down_m}``, ``down_m = g p^{-m}``.  With
@@ -418,21 +419,39 @@ def _z_down_coeffs(w, p, k0: int, dps: int):
     ``alpha_{k,i} = c_k / (p^i D_k(i))`` for ``i < k < k0`` and
     ``beta_{k,i} = c_k / D_{k+1}(i)`` for ``i <= k < k0``; ``alpha[i]`` and
     ``beta[i]`` list them in ascending ``k``.  The ``D_n`` are running
-    products, one factor per interval: O(k0^2) in all.  Built inside the
-    caller's working precision.
+    products, one factor per interval: O(k0^2) in all.  Nothing of interval
+    ``k`` depends on a later one, so the table of ``k0`` intervals is the
+    prefix of any longer table, and :meth:`upto` extends one in place.
     """
-    with mp.workdps(dps):
-        w, p = mp.mpf(w), mp.mpf(p)
-        g = w + 1
-        pw = [p ** i for i in range(k0)]
-        alpha = [[] for _ in range(k0)]
-        beta = [[] for _ in range(k0)]
-        dn = []  # D_k(i), i < k, at the top of step k
-        c = w / g
-        for k in range(k0):
+
+    def __init__(self, w, p, dps: int):
+        self.dps, self._lock = dps, threading.Lock()
+        with mp.workdps(dps):
+            self._p, g = mp.mpf(p), mp.mpf(w) + 1
+            self._g, self._c = g, mp.mpf(w) / g
+        self.up, self.down, self.alpha, self.beta = [], [], [], []
+        self._pw, self._dn = [], []  # p^k; D_k(i), i < k, at the top of step k
+
+    def upto(self, k0: int) -> "_DownCoeffs":
+        """This table, extended to at least ``k0`` intervals inside its own
+        precision, nested in the caller's."""
+        with self._lock:
+            if len(self._pw) < k0:
+                with mp.workdps(self.dps):
+                    self._extend(k0)
+        return self
+
+    def _extend(self, k0: int) -> None:
+        g, pw, dn, alpha, beta = self._g, self._pw, self._dn, self.alpha, self.beta
+        for k in range(len(pw), k0):
+            pw.append(self._p ** k)
+            self.up.append(g * pw[k])
+            self.down.append(g / pw[k])
+            alpha.append([])
+            beta.append([])
             if k > 0:
-                c *= pw[k - 1] / g
-            c_k = c if k % 2 else -c
+                self._c *= pw[k - 1] / g
+            c_k = self._c if k % 2 else -self._c
             for i in range(k):
                 alpha[i].append(c_k / (pw[i] * dn[i]))
             for i in range(k):
@@ -443,25 +462,50 @@ def _z_down_coeffs(w, p, k0: int, dps: int):
             dn.append(new)
             for i in range(k + 1):
                 beta[i].append(c_k / dn[i])
-        return (tuple(g * v for v in pw), tuple(g / v for v in pw),
-                tuple(map(tuple, alpha)), tuple(map(tuple, beta)))
+
+
+# an entry holds some k0^2 numbers for the deepest k0 asked: 100 intervals
+# deep some 2.5 MB at 40 digits (4 MB at 400), ten deep some 30 KB; one
+# table per (w, p, digits) serves every interval count
+@lru_cache(maxsize=32)
+def _z_down_coeffs(w, p, dps: int) -> _DownCoeffs:
+    """The coefficient table of the downward transform for ``(w, p)`` at
+    ``dps`` digits, empty until :meth:`_DownCoeffs.upto` extends it."""
+    return _DownCoeffs(w, p, dps)
+
+
+# an entry holds k0 sums and their rates, some 2 KB at 40 digits ten
+# intervals deep; the starts on one barrier share one entry per interval
+# and budget, while each drawdown node has a barrier of its own
+@lru_cache(maxsize=1024)
+def _z_down_sums(w, p, b, k0: int, dps: int):
+    """``(up, sums)`` of the escalated downward transform on interval ``k0``
+    at ``dps`` digits: the rates ``up_i`` and the ``x``-free sums ``S_i(b)``
+    of :class:`_DownCoeffs`, per barrier, interval and budget.  The ``F_m``
+    come with the barrier's ``C~`` as far as its series ran; any past it
+    cost one exponential each.  Computed inside the caller's working
+    precision."""
+    with mp.workdps(dps):
+        ct, falls = _c_tilde_escalated(w, p, b, dps)
+        tab = _z_down_coeffs(w, p, _table_dps(dps)).upto(k0)
+        b_ = mp.mpf(b)
+        fall = list(falls[:k0]) + [mp.exp(-b_ * r) for r in tab.down[len(falls):k0]]
+        fall_ct = [ct * f for f in fall]
+        return tuple(tab.up[:k0]), tuple(
+            mp.fdot(tab.alpha[i][:k0 - 1 - i] + tab.beta[i][:k0 - i],
+                    fall[1:k0 - i] + fall_ct[:k0 - i]) for i in range(k0))
 
 
 def _z_down_mp(w, p, x, b, dps: int, slope: bool = False) -> Tuple[float, ...]:
     """Arbitrary-precision downward transform: ``(value,)``, or with ``slope``
-    ``(value, d/dx value)``, from the cached coefficients of
-    :func:`_z_down_coeffs`; the ``F_m`` come with the barrier's ``C~`` as
-    far as its series ran, so a point costs ``k0`` exponentials plus any
-    ``F_m`` past it."""
+    ``(value, d/dx value)``, as ``g^{-k0} + sum_i e^{up_i x} S_i(b)`` from
+    the barrier's memoized sums (:func:`_z_down_sums`), so a start on a
+    barrier already seen costs ``k0`` exponentials."""
     with mp.workdps(dps):
-        ct, falls = _c_tilde_escalated(w, p, b, dps)
         k0 = _down_interval_count(x, b, p)
-        up, down, alpha, beta = _z_down_coeffs(w, p, k0, _table_dps(dps))
-        x_, b_ = mp.mpf(x), mp.mpf(b)
-        fall = list(falls[:k0]) + [mp.exp(-b_ * r) for r in down[len(falls):]]
-        fall_ct = [ct * f for f in fall]
-        terms = [mp.exp(r * x_) * mp.fdot(alpha[i] + beta[i], fall[1:k0 - i] + fall_ct[:k0 - i])
-                 for i, r in enumerate(up)]
+        up, sums = _z_down_sums(w, p, b, k0, dps)
+        x_ = mp.mpf(x)
+        terms = [mp.exp(r * x_) * s for r, s in zip(up, sums)]
         value = float(mp.fsum([(1 / (mp.mpf(w) + 1)) ** k0] + terms))
         if not slope:
             return (value,)
@@ -533,7 +577,7 @@ def _z_down_eval(w, p, x, b, slope: bool) -> Tuple[Tuple[float, ...], tuple]:
     if terms is not None:
         total = math.fsum(terms)
         err_est = 8.0 * 2.2e-16 * max(abs(v) for v in terms)
-        ok = err_est <= max(1e-15, 1e-13 * abs(total)) and total > 0.0
+        ok = err_est <= 1e-13 * abs(total) and total > 0.0
         parts[0] = (lpk, total)
         if slope:
             dterms = [t * r for t, r in zip(terms, rates)]
@@ -558,10 +602,11 @@ def _z_down_eval(w, p, x, b, slope: bool) -> Tuple[Tuple[float, ...], tuple]:
                              pk - math.log10(5e-312))
                          for (pk, _), v in zip(parts, signed))
 
-    vals, digits = _escalated(
-        run, min(_MAX_DPS, max(25 + max(0, int(math.ceil(pk - _log10_or_zero(tot))))
-                               for pk, tot in parts)),
-        16, f"z_down at w={w}, p={p}, x={x}, b={b}")
+    # the first budget is rounded up to a multiple of 10 digits, so that the
+    # starts on one barrier share it, and with it the barrier's C~ and sums
+    first = max(25 + max(0, math.ceil(pk - _log10_or_zero(tot))) for pk, tot in parts)
+    vals, digits = _escalated(run, min(_MAX_DPS, -(-first // 10) * 10), 16,
+                              f"z_down at w={w}, p={p}, x={x}, b={b}")
     return (min(max(0.0, vals[0]), 1.0),) + vals[1:], (
         ("interval_count", k0), ("float_error_estimate", 10.0 ** (lpk + 4 - digits)),
         ("escalated_digits", digits))
@@ -737,8 +782,12 @@ def _log_k_mp(w: float, p: float, b: float, x: float, k: int, dps: int,
     return log_sums, max(map(sub, peaks, log_sums)) / _LN10
 
 
+@lru_cache(maxsize=4096)
 def _log_k_from_b(w: float, p: float, b: float, x: float) -> float:
-    """``log K(x)``, escalating to arbitrary precision on deep cancellation."""
+    """``log K(x)``, escalating to arbitrary precision on deep cancellation.
+
+    Memoized on the exact arguments: ``l_up`` divides by ``K(a)`` at the
+    same top ``a`` for every start."""
     return _log_k_sums(w, p, b, x, interval_index(x, b, p), slope=False)[0]
 
 

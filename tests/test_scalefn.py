@@ -5,6 +5,8 @@ import importlib
 import math
 import pkgutil
 import random
+import sys
+import threading
 import tracemalloc
 import types
 
@@ -250,6 +252,15 @@ class TestZDown:
             settled.append(value)
         assert settled == sorted(settled, reverse=True)
 
+    def test_value_under_the_float_noise_settles_relatively(self):
+        # twelve intervals: the float sums cancel to 2.4e-17 of noise, which
+        # an absolute floor of 1e-15 once accepted; the value is 8.1e-68 at
+        # 100, 200 and 300 digits
+        diag = {}
+        value = z_down(5.0, 0.3, 0.01000001, 1e-8, diagnostics=diag)
+        assert diag["escalated_digits"] > 0
+        assert abs(value - 8.066658510788174e-68) <= 1e-12 * 8.066658510788174e-68
+
     def test_value_below_float64_settles_at_zero(self):
         # 50 intervals: the value is below 5e-324, and the 400-digit run
         # bounds its noise below that; a loss measured against the value 0
@@ -334,8 +345,8 @@ class TestZDownSlope:
 
 
 def _clear_z_down_memo():
-    for memo in (scalefn._z_down_eval, scalefn._c_tilde_escalated,
-                 scalefn._z_down_coeffs, scalefn._c_tilde_coeffs):
+    for memo in (scalefn._z_down_eval, scalefn._c_tilde_escalated, scalefn._z_down_sums,
+                 scalefn._z_down_coeffs, scalefn._c_tilde_coeffs, scalefn._log_k_from_b):
         memo.cache_clear()
 
 
@@ -370,9 +381,6 @@ class TestFloatPathPins:
         (1.0, 0.5, 2.9, 1.0, ("0x1.5c2e0cf8df138p-3", "-0x1.090d7a4ed0c49p-4")),
         (0.25, 0.6, 2.9, 1.0, ("0x1.16527d874c25ep-2", "-0x1.b7e903de86b40p-5")),
         (0.1, 0.6, 3.3, 1.0, ("0x1.ea56e39822909p-2", "-0x1.5daff24c91f58p-5")),
-        # four intervals, and a value small enough that the order of the
-        # q-product's log terms shows in its last bits
-        (4.9, 0.85, 0.36, 0.2, ("0x1.b88a7e6730000p-27", "-0x1.24821e29c0000p-20")),
     ])
     def test_z_down_value_and_slope(self, w, p, x, b, expected):
         diag = {}
@@ -423,15 +431,26 @@ class TestEscalatedPins:
         info = dict(scalefn._z_down_eval(w, p, x, b, True)[1])
         assert info["escalated_digits"] > 0
 
+    def test_small_value_past_the_float_check(self):
+        # four intervals: the float sums read 1.2821430318810632e-08, 2.8e-8
+        # relative off, and the float check measures that noise against the
+        # value; the value and slope agree with 100 and 200 digits
+        w, p, x, b = 4.9, 0.85, 0.36, 0.2
+        assert tuple(v.hex() for v in z_down_slope(w, p, x, b)) == (
+            "0x1.b88a7d9b8d0e1p-27", "-0x1.24821e3243284p-20")
+        assert dict(scalefn._z_down_eval(w, p, x, b, True)[1])["escalated_digits"] > 0
+        assert _z_down_mp(w, p, x, b, 100, True) == _z_down_mp(w, p, x, b, 200, True)
+        assert _z_down_mp(w, p, x, b, 100)[0] == 1.2821429965557608e-08
+
     def test_remote_level_of_a_deep_two_sided_sweep(self):
         # z_down(a; b) at the top of the sweep workload's p = 0.9, depth-10
-        # two-sided-down sweep: ten intervals, 36 digits
+        # two-sided-down sweep: ten intervals, a first budget of 40 digits
         p = 0.9
         b = 0.5 / (1.0 - p)
         a = b * p ** -10
         diag = {}
         assert z_down(0.5, p, a, b, diagnostics=diag).hex() == "0x1.25eaa1b059c78p-14"
-        assert (diag["interval_count"], diag["escalated_digits"]) == (10, 36)
+        assert (diag["interval_count"], diag["escalated_digits"]) == (10, 40)
 
     def test_c_tilde_rescue(self):
         assert c_tilde(0.0625, 0.95, 2.0).hex() == "0x1.c6c5367747febp+3"
@@ -446,7 +465,8 @@ class TestEscalatedPins:
 class TestCoefficientTables:
     """The cached ``x``- and ``b``-free coefficients of the escalated route."""
 
-    # a p = 0.8 drawdown node that escalates once, at 31 digits, on four intervals
+    # a p = 0.8 drawdown node that escalates once, at 40 digits (a first
+    # budget of 31 rounded up to a multiple of 10), on four intervals
     NODE = (2.0, 0.8, 5.250358542481988, 2.250358542481987)
 
     def test_neighbouring_budgets_share_one_table(self):
@@ -483,15 +503,16 @@ class TestCoefficientTables:
         proxy.workdps = workdps
         monkeypatch.setattr(scalefn, "mp", proxy)
         _clear_z_down_memo()
-        assert dict(scalefn._z_down_eval(*self.NODE, True)[1])["escalated_digits"] == 31
-        assert outermost == [31]
+        assert dict(scalefn._z_down_eval(*self.NODE, True)[1])["escalated_digits"] == 40
+        assert outermost == [40]
         assert scalefn._z_down_coeffs.cache_info().misses == 1
         assert scalefn._c_tilde_coeffs.cache_info().misses >= 1
 
     def test_deep_table_is_bounded(self):
         # 100 intervals at p = 0.95: one table holds 10^4 coefficients, some
-        # 2.5 MB at 40 digits; the memo keeps 32 such entries.  The bound
-        # covers the constant's tables, built on the same call
+        # 2.5 MB at 40 digits; the memo keeps 32 such entries, each extended
+        # to exactly the deepest interval asked.  The bound covers the
+        # constant's tables and the barrier's sums, built on the same call
         w, p, b = 0.5, 0.95, 1.0
         x = b * p ** -99.5
         _clear_z_down_memo()
@@ -503,8 +524,34 @@ class TestCoefficientTables:
             tracemalloc.stop()
         info = scalefn._z_down_coeffs.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
-        assert len(scalefn._z_down_coeffs(w, p, 100, 40)[2]) == 100
+        assert len(scalefn._z_down_coeffs(w, p, 40).alpha) == 100
         assert retained <= 3.5e6
+
+    def test_threads_extending_one_table_build_each_step_once(self):
+        # four threads extend one shared table to interleaved depths under a
+        # short switch interval; a lost or repeated step would leave it
+        # unlike the table built in one thread
+        w, p, dps = 0.5, 0.9, 40
+        _clear_z_down_memo()
+        serial = scalefn._DownCoeffs(w, p, dps).upto(16)
+        shared = scalefn._z_down_coeffs(w, p, dps)
+
+        def extend(first):
+            for k in range(first, 17, 4):
+                shared.upto(k)
+        threads = [threading.Thread(target=extend, args=(first,)) for first in range(1, 5)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert (shared.up, shared.down, shared.alpha, shared.beta) == \
+            (serial.up, serial.down, serial.alpha, serial.beta)
 
 
 class TestZDownMemo:
@@ -548,8 +595,36 @@ class TestZDownMemo:
         starts = [(x, b) for x, b, _ in calls]
         assert len(calls) > 2
         assert len(starts) == len(set(starts))
+        # the starts share their barrier-level work: C~ once per barrier and
+        # budget, the x-free sums once per barrier, interval and budget, and
+        # one coefficient table per table precision
         budgets = {(w, p, b, dps) for _, b, dps in calls}
-        assert scalefn._c_tilde_escalated.cache_info().misses == len(budgets)
+        assert scalefn._c_tilde_escalated.cache_info().misses == len(budgets) < len(calls)
+        sums = {(b, scalefn._down_interval_count(x, b, p), dps) for x, b, dps in calls}
+        assert scalefn._z_down_sums.cache_info().misses == len(sums) < len(calls)
+        tables = {scalefn._table_dps(dps) for _, _, dps in calls}
+        assert scalefn._z_down_coeffs.cache_info().misses == len(tables)
+
+    def test_sweep_order_keeps_each_points_cold_bits(self):
+        # the sweep workload's two-sided-down shape at p = 0.9, depth 10:
+        # each point's value, computed after the memos were emptied, has the
+        # bits it has in sweep order, where its barrier's constant, sums and
+        # table were built for other starts
+        p, w = 0.9, 0.5
+        b = 0.5 / (1.0 - p)
+        a = b * p ** -10
+        xs = [b + (a - b) * (j + 0.5) / 24 for j in range(24)]
+
+        def point(x):
+            diag = {}
+            return z_down(w, p, x, b, diagnostics=diag).hex(), l_down(w, p, x, a, b).hex(), \
+                diag["escalated_digits"]
+        _clear_z_down_memo()
+        in_order = [point(x) for x in xs]
+        assert sum(digits > 0 for _, _, digits in in_order) >= 12
+        for x, warm in zip(xs, in_order):
+            _clear_z_down_memo()
+            assert point(x) == warm, x
 
     def test_convergence_error_is_raised_afresh(self):
         # the series needs more than the digit cap: the failure is not
@@ -567,15 +642,17 @@ class TestZDownMemo:
                    for info in pkgutil.iter_modules(aimdexit.__path__)]
         caches = [(mod.__name__, name, fn) for mod in modules
                   for name, fn in vars(mod).items() if hasattr(fn, "cache_parameters")]
-        assert ("aimdexit.scalefn", "_z_down_eval", scalefn._z_down_eval) in caches
+        for name in ("_z_down_eval", "_z_down_sums", "_z_down_coeffs", "_log_k_from_b"):
+            assert ("aimdexit.scalefn", name, getattr(scalefn, name)) in caches
         for where, name, fn in caches:
             maxsize = fn.cache_parameters()["maxsize"]
             assert maxsize is not None and maxsize <= 4096, (where, name)
         _clear_z_down_memo()
         for params, spec, w in default_grid():
             evaluate(params, spec, w)
-        info = scalefn._z_down_eval.cache_info()
-        assert 0 < info.currsize <= info.maxsize
+        for memo in (scalefn._z_down_eval, scalefn._z_down_sums, scalefn._log_k_from_b):
+            info = memo.cache_info()
+            assert 0 < info.currsize <= info.maxsize
 
 
 class TestErrorAudit:
@@ -770,8 +847,8 @@ class TestTwoSidedUp:
         w, p, n = 0.5, 0.95, 2
 
         def sweep():
-            scalefn._k_tables.cache_clear()
-            scalefn._k_tables_mp.cache_clear()
+            for memo in (scalefn._log_k_from_b, scalefn._k_tables, scalefn._k_tables_mp):
+                memo.cache_clear()
             for j in range(n):
                 b = 1.0 + j / 200
                 a = b * p ** -150
@@ -786,6 +863,21 @@ class TestTwoSidedUp:
         assert scalefn._k_tables.cache_info().currsize == n
         assert scalefn._k_tables_mp.cache_info().currsize == n
         assert retained <= n * (5e6 + 12e6) / 200
+
+    def test_sweep_evaluates_the_top_once(self, monkeypatch):
+        # every start of a two-sided sweep divides by K(a) at the same top a
+        w, p, b = 0.5, 0.8, 1.0
+        a = b * p ** -7
+        real, tops = scalefn._log_k_sums, []
+
+        def counted(w_, p_, b_, x, *args, **kwargs):
+            tops.append(x == a)
+            return real(w_, p_, b_, x, *args, **kwargs)
+        monkeypatch.setattr(scalefn, "_log_k_sums", counted)
+        scalefn._log_k_from_b.cache_clear()
+        values = [l_up(w, p, b + (a - b) * (j + 0.5) / 24, a, b) for j in range(24)]
+        assert (len(tops), sum(tops)) == (25, 1)
+        assert values == sorted(values)
 
     def test_float_check_counts_the_recursions_cancellation(self):
         # the final sum of K(a) cancels 2 digits, one head step of its
