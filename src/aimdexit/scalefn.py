@@ -178,6 +178,22 @@ def z_up(w: float, p: float, x: float, a: float, *,
 # ---------------------------------------------------------------------------
 
 
+def _c_tilde_logs(w: float, p: float, b: float):
+    """Per term ``l`` of the series of :func:`c_tilde`, from ``l = 0``, the
+    float64 log magnitudes of its numerator term ``t_l (1 - p^{-l})`` and its
+    denominator term ``t_l p^{-l}`` (``_MAX_TERMS`` of them at most)."""
+    g = w + 1.0
+    log_rate = math.log(1.0 / g)
+    log_p_inv = -math.log(p)
+    log_prod = 0.0  # log |prod_{i=1}^{l}(1 - p^{-i})|
+    for l in range(_MAX_TERMS):
+        log_prev = log_prod  # the product up to l - 1
+        if l > 0:
+            log_prod += math.log(abs(1.0 - p ** (-l)))
+        base_log = -b * g * p ** (-l) + l * log_rate
+        yield base_log - log_prev, base_log + l * log_p_inv - log_prod
+
+
 def c_tilde(w: float, p: float, b: float) -> float:
     """The downward-exit series constant ``C~(w; b)``.
 
@@ -191,23 +207,13 @@ def c_tilde(w: float, p: float, b: float) -> float:
     """
     _require(b > 0.0, f"c_tilde needs b > 0, got {b}")
     _require(w > 0.0, f"c_tilde needs w > 0, got {w}")
-    g = w + 1.0
-    log_rate = math.log(1.0 / g)
-    log_p_inv = -math.log(p)
     num_s, num_l = 0, -math.inf  # sum_{l>=1} t_l * (1 - p^{-l})
     den_s, den_l = 0, -math.inf  # sum_{l>=0} t_l * p^{-l}
-    log_prod = 0.0  # log |prod_{i=1}^{l}(1 - p^{-i})|
     peak_num = peak_den = -math.inf
-    for l in range(_MAX_TERMS):
-        log_prev = log_prod  # the product up to l - 1
-        if l > 0:
-            log_prod += math.log(abs(1.0 - p ** (-l)))
-        base_log = -b * g * p ** (-l) + l * log_rate
-        den_term = base_log + l * log_p_inv - log_prod
+    for l, (num_term, den_term) in enumerate(_c_tilde_logs(w, p, b)):
         peak_den = max(peak_den, den_term)
         den_s, den_l = _log_add(den_s, den_l, (-1) ** l, den_term)
         if l > 0:
-            num_term = base_log - log_prev
             peak_num = max(peak_num, num_term)
             num_s, num_l = _log_add(num_s, num_l, (-1) ** (l - 1), num_term)
             if (num_term < num_l + math.log(_REL_TOL)
@@ -257,63 +263,29 @@ def _table_dps(dps: int) -> int:
     return -(-dps // 20) * 20
 
 
-# an entry is at most 2,048 terms of three numbers (some 2.5 MB at 400
-# digits), typically 32 to 128 (under 50 KB); a table that is outrun is
-# replaced by one twice as long, so one (w, p, digits) may hold a few
-@lru_cache(maxsize=64)
-def _c_tilde_coeffs(w, p, n: int, dps: int):
-    """The ``x``- and ``b``-free parts of the first ``n`` terms of the
-    series of :func:`c_tilde`, at ``dps`` digits: per ``l``, the rate
-    ``g p^{-l}`` of ``e^{-b g p^{-l}}``, the numerator coefficient
-    ``g^{-l} / prod_{i<l}(1 - p^{-i})`` and the denominator coefficient
-    ``g^{-l} p^{-l} / prod_{i<=l}(1 - p^{-i})``; and, in float64, the rate
-    and the log magnitude of the larger coefficient, which size the series.
-    Built inside the caller's working precision."""
-    with mp.workdps(dps):
-        p_inv, g = 1 / mp.mpf(p), mp.mpf(w) + 1
-        g_inv = 1 / g
-        rates, nums, dens = [], [], []
-        prod = prev = mp.mpf(1)
-        p_inv_l = g_inv_l = mp.mpf(1)  # p^{-l} and g^{-l}, built term by term
-        for l in range(n):
-            if l > 0:
-                p_inv_l *= p_inv
-                g_inv_l *= g_inv
-                prev = prod
-                prod *= (1 - p_inv_l)
-            rates.append(g * p_inv_l)
-            nums.append(g_inv_l / prev)
-            dens.append(g_inv_l * p_inv_l / prod)
-        with mp.workdps(15):
-            sizes = tuple((float(r), float(mp.log(max(abs(a), abs(d)))))
-                          for r, a, d in zip(rates, nums, dens))
-        return tuple(rates), tuple(nums), tuple(dens), sizes
-
-
 def _c_tilde_mp(w, p, b, dps: int):
     """Arbitrary-precision twin of :func:`c_tilde` (same cancellation-free form)
     at ``dps`` digits: ``((value, falls), lost)``, with ``falls`` the factors
     ``e^{-b g p^{-l}}`` of the terms and ``lost`` the decimal digits the
     alternating sums cancelled (all ``dps`` if one came out 0).  The float64
-    log magnitudes of the terms size the series: it ends at the first term
-    past the fifth that lies ``dps + 9`` digits below the peak term, so the
-    tail is below ``10^-(dps+5)`` of both sums, past the digits that
-    :func:`_c_tilde_escalated` keeps.  Each sum is one ``mp.fdot`` with the
-    coefficients of :func:`_c_tilde_coeffs`."""
-    rates, n, log_peak = (), 0, -math.inf
-    while n < 2000:
-        if n == len(rates):
-            rates, nums, dens, sizes = _c_tilde_coeffs(w, p, max(32, 2 * n), _table_dps(dps))
-        rate, log_coeff = sizes[n]
-        log_term = log_coeff - b * rate
+    log magnitudes of the terms, walked as :func:`c_tilde` walks them, size
+    the series: it ends at the first term past the fifth that lies ``dps +
+    9`` digits below the peak term, so the tail is below ``10^-(dps+5)`` of
+    both sums, past the digits that :func:`_c_tilde_escalated` keeps.  Each
+    sum is one ``mp.fdot`` with the coefficients of the ``(w, p)`` table
+    (:class:`_DownCoeffs`), extended to exactly that many terms."""
+    n, log_peak = 0, -math.inf
+    for terms in _c_tilde_logs(w, p, b):
+        log_term = max(terms)
         log_peak = max(log_peak, log_term)
         n += 1
-        if n > 4 and log_term < log_peak - (dps + 9) * _LN10:
+        if n == 2000 or n > 4 and log_term < log_peak - (dps + 9) * _LN10:
             break
+    tab = _z_down_coeffs(w, p, _table_dps(dps)).upto(0, n)
     with mp.workdps(dps):
         b = mp.mpf(b)
-        falls = tuple(mp.exp(-b * r) for r in rates[:n])
-        num, den = mp.fdot(falls[1:], nums[1:n]), mp.fdot(falls, dens[:n])
+        falls = tuple(mp.exp(-b * r) for r in tab.down[:n])
+        num, den = mp.fdot(falls[1:], tab.num[1:n]), mp.fdot(falls, tab.den[:n])
         smaller = min(abs(num), abs(den))
         lost = (log_peak - float(mp.log(smaller))) / _LN10 if smaller else float(dps)
         return (num / den, falls), lost
@@ -406,9 +378,9 @@ def _c_tilde_escalated(w, p, b, dps: int):
 
 
 class _DownCoeffs:
-    """The ``x``- and ``b``-free parts of the downward transform at ``dps``
-    digits, for the intervals built so far: ``up``, ``down``, ``alpha``,
-    ``beta``.
+    """The ``x``- and ``b``-free parts of the escalated downward series at
+    ``dps`` digits: per interval built so far ``up``, ``alpha`` and ``beta``;
+    per term built so far ``down`` and ``C~``'s ``num`` and ``den``.
 
     On interval ``k0``, ``Z(x) = g^{-k0} + sum_{i<k0} E_i(x) S_i(b)`` with
     ``E_i = e^{up_i x}``, ``up_i = g p^i``, and
@@ -419,9 +391,12 @@ class _DownCoeffs:
     ``alpha_{k,i} = c_k / (p^i D_k(i))`` for ``i < k < k0`` and
     ``beta_{k,i} = c_k / D_{k+1}(i)`` for ``i <= k < k0``; ``alpha[i]`` and
     ``beta[i]`` list them in ascending ``k``.  The ``D_n`` are running
-    products, one factor per interval: O(k0^2) in all.  Nothing of interval
-    ``k`` depends on a later one, so the table of ``k0`` intervals is the
-    prefix of any longer table, and :meth:`upto` extends one in place.
+    products, one factor per interval: O(k0^2) in all.  ``C~`` (:func:`c_tilde`)
+    is ``sum_m num_m F_m / sum_m den_m F_m``, the first sum from ``m = 1``,
+    with ``num_m = g^{-m} / prod_{i<m}(1 - p^{-i})`` and
+    ``den_m = g^{-m} p^{-m} / prod_{i<=m}(1 - p^{-i})``.  Nothing of interval
+    or term ``k`` depends on a later one, so a table is the prefix of any
+    longer one, and :meth:`upto` extends one in place.
     """
 
     def __init__(self, w, p, dps: int):
@@ -429,24 +404,26 @@ class _DownCoeffs:
         with mp.workdps(dps):
             self._p, g = mp.mpf(p), mp.mpf(w) + 1
             self._g, self._c = g, mp.mpf(w) / g
-        self.up, self.down, self.alpha, self.beta = [], [], [], []
+            self._p_inv, self._g_inv = 1 / self._p, 1 / g
+        self.up, self.alpha, self.beta = [], [], []
+        self.down, self.num, self.den = [], [], []
         self._pw, self._dn = [], []  # p^k; D_k(i), i < k, at the top of step k
+        self._run = (mp.mpf(1),) * 3  # p^{-m}, g^{-m}, prod_{i<=m}(1 - p^{-i})
 
-    def upto(self, k0: int) -> "_DownCoeffs":
-        """This table, extended to at least ``k0`` intervals inside its own
-        precision, nested in the caller's."""
+    def upto(self, k0: int, n: int = 0) -> "_DownCoeffs":
+        """This table, extended to at least ``k0`` intervals and ``n`` terms
+        inside its own precision, nested in the caller's."""
         with self._lock:
-            if len(self._pw) < k0:
+            if len(self._pw) < k0 or len(self.down) < n:
                 with mp.workdps(self.dps):
-                    self._extend(k0)
+                    self._extend(k0, n)
         return self
 
-    def _extend(self, k0: int) -> None:
+    def _extend(self, k0: int, n: int) -> None:
         g, pw, dn, alpha, beta = self._g, self._pw, self._dn, self.alpha, self.beta
         for k in range(len(pw), k0):
             pw.append(self._p ** k)
             self.up.append(g * pw[k])
-            self.down.append(g / pw[k])
             alpha.append([])
             beta.append([])
             if k > 0:
@@ -462,15 +439,26 @@ class _DownCoeffs:
             dn.append(new)
             for i in range(k + 1):
                 beta[i].append(c_k / dn[i])
+        for m in range(len(self.down), n):
+            p_inv_m, g_inv_m, prev = self._run
+            prod = prev
+            if m > 0:
+                p_inv_m, g_inv_m = p_inv_m * self._p_inv, g_inv_m * self._g_inv
+                prod = prev * (1 - p_inv_m)
+            self._run = p_inv_m, g_inv_m, prod
+            self.down.append(g * p_inv_m)
+            self.num.append(g_inv_m / prev)
+            self.den.append(g_inv_m * p_inv_m / prod)
 
 
-# an entry holds some k0^2 numbers for the deepest k0 asked: 100 intervals
-# deep some 2.5 MB at 40 digits (4 MB at 400), ten deep some 30 KB; one
-# table per (w, p, digits) serves every interval count
+# an entry holds some k0^2 numbers for the deepest k0 asked, and three per
+# term of C~'s longest series: 100 intervals deep some 2.5 MB at 40 digits
+# (4 MB at 400), ten deep some 30 KB; one table per (w, p, digits) serves
+# every interval and term count
 @lru_cache(maxsize=32)
 def _z_down_coeffs(w, p, dps: int) -> _DownCoeffs:
-    """The coefficient table of the downward transform for ``(w, p)`` at
-    ``dps`` digits, empty until :meth:`_DownCoeffs.upto` extends it."""
+    """The coefficient table of the escalated downward series for ``(w, p)``
+    at ``dps`` digits, empty until :meth:`_DownCoeffs.upto` extends it."""
     return _DownCoeffs(w, p, dps)
 
 
@@ -483,11 +471,11 @@ def _z_down_sums(w, p, b, k0: int, dps: int):
     at ``dps`` digits: the rates ``up_i`` and the ``x``-free sums ``S_i(b)``
     of :class:`_DownCoeffs`, per barrier, interval and budget.  The ``F_m``
     come with the barrier's ``C~`` as far as its series ran; any past it
-    cost one exponential each.  Computed inside the caller's working
-    precision."""
+    cost one exponential each, of the table's rate ``down_m``, the one
+    ``C~``'s series reads.  Computed inside the caller's working precision."""
     with mp.workdps(dps):
         ct, falls = _c_tilde_escalated(w, p, b, dps)
-        tab = _z_down_coeffs(w, p, _table_dps(dps)).upto(k0)
+        tab = _z_down_coeffs(w, p, _table_dps(dps)).upto(k0, k0)
         b_ = mp.mpf(b)
         fall = list(falls[:k0]) + [mp.exp(-b_ * r) for r in tab.down[len(falls):k0]]
         fall_ct = [ct * f for f in fall]

@@ -346,7 +346,7 @@ class TestZDownSlope:
 
 def _clear_z_down_memo():
     for memo in (scalefn._z_down_eval, scalefn._c_tilde_escalated, scalefn._z_down_sums,
-                 scalefn._z_down_coeffs, scalefn._c_tilde_coeffs, scalefn._log_k_from_b):
+                 scalefn._z_down_coeffs, scalefn._log_k_from_b):
         memo.cache_clear()
 
 
@@ -470,16 +470,39 @@ class TestCoefficientTables:
     NODE = (2.0, 0.8, 5.250358542481988, 2.250358542481987)
 
     def test_neighbouring_budgets_share_one_table(self):
+        # C~ and the sums read one table per (w, p) and table precision: the
+        # first call builds it for C~'s series and finds it for the sums
         _clear_z_down_memo()
         first = _z_down_mp(*self.NODE, 31, True)
         info = scalefn._z_down_coeffs.cache_info()
-        assert (info.hits, info.misses) == (0, 1)
-        built = scalefn._c_tilde_coeffs.cache_info().misses
+        assert (info.hits, info.misses) == (1, 1)
         second = _z_down_mp(*self.NODE, 33, True)
         info = scalefn._z_down_coeffs.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
-        assert scalefn._c_tilde_coeffs.cache_info().misses == built
+        assert (info.hits, info.misses) == (3, 1)
         assert first == second
+
+    def test_cold_node_builds_one_table_per_precision(self, monkeypatch):
+        # a cold escalated drawdown node: C~'s series and the sums share the
+        # one table of their precision, and C~ reads its rates and
+        # coefficients from it, extended to exactly its series' length
+        w, p = self.NODE[:2]
+        real, runs = scalefn._c_tilde_mp, []
+
+        def counted(*args):
+            out = real(*args)
+            runs.append((args[3], out))
+            return out
+        monkeypatch.setattr(scalefn, "_c_tilde_mp", counted)
+        _clear_z_down_memo()
+        assert dict(scalefn._z_down_eval(*self.NODE, True)[1])["escalated_digits"] == 40
+        tables = {scalefn._table_dps(dps) for dps, _ in runs} | {scalefn._table_dps(40)}
+        assert scalefn._z_down_coeffs.cache_info().misses == len(tables) == 1
+        (dps, ((ct, falls), _)), = runs
+        n, tab = len(falls), scalefn._z_down_coeffs(w, p, 40)
+        assert (len(tab.alpha), len(tab.down), len(tab.num), len(tab.den)) == (4, n, n, n)
+        with mp.workdps(dps):
+            assert falls == tuple(mp.exp(-mp.mpf(self.NODE[3]) * r) for r in tab.down)
+            assert ct == mp.fdot(falls[1:], tab.num[1:]) / mp.fdot(falls, tab.den)
 
     def test_tables_are_built_inside_the_callers_precision(self, monkeypatch):
         # a table is built at a rounded-up budget, nested in the working
@@ -506,13 +529,13 @@ class TestCoefficientTables:
         assert dict(scalefn._z_down_eval(*self.NODE, True)[1])["escalated_digits"] == 40
         assert outermost == [40]
         assert scalefn._z_down_coeffs.cache_info().misses == 1
-        assert scalefn._c_tilde_coeffs.cache_info().misses >= 1
 
     def test_deep_table_is_bounded(self):
         # 100 intervals at p = 0.95: one table holds 10^4 coefficients, some
         # 2.5 MB at 40 digits; the memo keeps 32 such entries, each extended
-        # to exactly the deepest interval asked.  The bound covers the
-        # constant's tables and the barrier's sums, built on the same call
+        # to exactly the deepest interval and term count asked.  C~ re-runs
+        # at 51 digits, so a second table, of its terms only, is built at 60.
+        # The bound covers both tables and the barrier's sums
         w, p, b = 0.5, 0.95, 1.0
         x = b * p ** -99.5
         _clear_z_down_memo()
@@ -523,22 +546,24 @@ class TestCoefficientTables:
         finally:
             tracemalloc.stop()
         info = scalefn._z_down_coeffs.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
+        assert (info.misses, info.currsize) == (2, 2)
         assert len(scalefn._z_down_coeffs(w, p, 40).alpha) == 100
+        assert len(scalefn._z_down_coeffs(w, p, 60).alpha) == 0
         assert retained <= 3.5e6
 
     def test_threads_extending_one_table_build_each_step_once(self):
-        # four threads extend one shared table to interleaved depths under a
-        # short switch interval; a lost or repeated step would leave it
-        # unlike the table built in one thread
+        # four threads extend one shared table to interleaved depths and term
+        # counts under a short switch interval; a lost or repeated step would
+        # leave it unlike the table built in one thread
         w, p, dps = 0.5, 0.9, 40
         _clear_z_down_memo()
-        serial = scalefn._DownCoeffs(w, p, dps).upto(16)
+        serial = scalefn._DownCoeffs(w, p, dps).upto(16, 40)
         shared = scalefn._z_down_coeffs(w, p, dps)
 
         def extend(first):
             for k in range(first, 17, 4):
-                shared.upto(k)
+                shared.upto(k, 41 - 2 * k)
+                shared.upto(0, 2 * k + 8)
         threads = [threading.Thread(target=extend, args=(first,)) for first in range(1, 5)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -550,8 +575,8 @@ class TestCoefficientTables:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert (shared.up, shared.down, shared.alpha, shared.beta) == \
-            (serial.up, serial.down, serial.alpha, serial.beta)
+        fields = ("up", "alpha", "beta", "down", "num", "den")
+        assert [getattr(shared, f) for f in fields] == [getattr(serial, f) for f in fields]
 
 
 class TestZDownMemo:
