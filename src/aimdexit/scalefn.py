@@ -30,12 +30,13 @@ precision under one rule, :func:`_escalated`: a first budget sized by the
 caller, kept once the run's own measured loss leaves the digits needed.
 The escalated ``z_down`` writes the transform on interval ``k0`` as
 ``g^{-k0} + sum_i e^{g p^i x} S_i(b)``, each ``S_i`` a sum of coefficients
-of ``(w, p)`` times ``e^{-g b p^{-m}}``, ``C~`` entering linearly.  Bounded
-memos share the work that does not depend on the start: the coefficient
-tables, and ``C~``'s, once per ``(w, p)`` and digit budget (rounded up to a
-multiple of 20); ``C~`` and the ``S_i`` once per barrier and budget, a
-first budget being rounded up to a multiple of 10 so that the starts on one
-barrier share it; and ``log K`` per level.
+of ``(w, p)`` times ``e^{-g b p^{-m}}``, ``C~`` entering linearly; ``C~``
+itself is a ratio of two such sums.  Bounded memos share the work that does
+not depend on the start: one coefficient table, of the intervals and of
+``C~``'s terms, per ``(w, p)`` and digit budget (rounded up to a multiple
+of 20); ``C~`` and the ``S_i`` once per barrier and budget, a first budget
+being rounded up to a multiple of 10 so that the starts on one barrier
+share it; and ``log K`` per level.
 """
 
 from __future__ import annotations
@@ -292,9 +293,11 @@ def _c_tilde_mp(w, p, b, dps: int):
 
 
 def _down_interval_count(x: float, b: float, p: float) -> int:
-    """Number of k >= 0 with ``b p^{-k} < x`` (equals min{k >= 1 : x <= b p^{-k}})."""
+    """``min{k >= 1 : x <= b p^{-k}}``: for ``x > b`` the number of k >= 0
+    with ``b p^{-k} < x``, and 1 at ``x == b``, the right limit (a crossing
+    needs a jump)."""
     if x <= b:
-        return 0
+        return 1
     k = int(math.floor(math.log(x / b) / math.log(1.0 / p))) + 1
     # float-robust adjustment around breakpoints
     while k > 0 and not b * p ** (-(k - 1)) < x:
@@ -505,17 +508,17 @@ def z_down(w: float, p: float, x: float, b: float, *,
     """LST of the passage time from ``x`` to a level ``<= b`` (jump crossing).
 
     ``w == 0`` returns 1 exactly (the crossing is a.s. finite; the series
-    representation degenerates there); ``x == b`` takes the right limit (a
-    crossing needs a jump).  The signed exponential sums are evaluated in
-    float64 with a cancellation estimate; past its tolerance they are summed
-    in arbitrary precision (:func:`_escalated`) to 1e-12 relative.
+    representation degenerates there); ``x == b`` is the right limit, the
+    series of the first interval at ``b`` itself (a crossing needs a jump).
+    A start so many intervals up that ``(w + 1)^-k0`` is below float64's
+    range returns 0.  The signed exponential sums are evaluated in float64
+    with a cancellation estimate; past its tolerance they are summed in
+    arbitrary precision (:func:`_escalated`) to 1e-12 relative.
     """
     _require(b > 0.0, f"z_down needs b > 0, got b={b}")
     _require(x >= b, f"z_down needs x >= b, got x={x}, b={b}")
     if w == 0.0:
         return 1.0
-    if x == b:
-        x = b * (1.0 + 1e-12)
     vals, diag = _z_down_eval(w, p, x, b, slope=False)
     if diagnostics is not None:
         diagnostics.update(diag)
@@ -547,8 +550,15 @@ def _z_down_eval(w, p, x, b, slope: bool) -> Tuple[Tuple[float, ...], tuple]:
     would otherwise repeat the same escalation at each point.  A
     ``ConvergenceError`` is raised afresh on every call, never stored.
     """
-    ct = c_tilde(w, p, b)
     k0 = _down_interval_count(x, b, p)
+    # crossing k0 intervals takes k0 jumps, so Z <= g^-k0, and the generator
+    # identity Z' = g Z(x) - Z(p x) bounds |Z'| by 2 g^(1-k0): once that bound
+    # is below 2^-1075, every float64 the quantity could round to is zero
+    log_g = math.log1p(w)
+    if k0 * log_g - slope * (log_g + _LN2) > 1075 * _LN2:
+        return (0.0, 0.0)[:1 + slope], (("interval_count", k0), ("float_error_estimate", 0.0),
+                                        ("escalated_digits", 0))
+    ct = c_tilde(w, p, b)
     signs, logs, rates = _z_down_terms(w, p, x, b, ct, k0)
     log_peak = max(logs, default=-math.inf)
     terms = None
@@ -872,8 +882,8 @@ def l_down(w: float, p: float, x: float, a: float, b: float) -> float:
     """Down-exit part of the two-sided exit from ``(b, a)`` started at ``x``.
 
     Evaluates ``z_down(w; x, b) - l_up(w; x, a, b) z_down(w; a, b)``.  At
-    ``x == b`` the value is taken by right limit (the crossing needs a
-    jump, so the transform is right-continuous there).  When the up-exit
+    ``x == b`` that is the right limit, as ``z_down`` takes it (the crossing
+    needs a jump, so the transform is right-continuous there).  When the up-exit
     weight is negligible relative to the leading term, the second term is
     dropped without evaluating the (possibly extremely ill-conditioned)
     transform at the remote level ``a``.
@@ -881,8 +891,6 @@ def l_down(w: float, p: float, x: float, a: float, b: float) -> float:
     _require(b <= x <= a, f"l_down needs b <= x <= a, got x={x}, a={a}, b={b}")
     if x == a:
         return 0.0
-    if x == b:
-        x = b * (1.0 + 1e-12)
     zd_x = z_down(w, p, x, b)
     lu = l_up(w, p, x, a, b)
     if lu <= _L_UP_NEGLIGIBLE * zd_x:

@@ -271,6 +271,18 @@ class TestZDown:
         assert diag["float_error_estimate"] <= 5e-324
         assert z_down_slope(20.0, 0.5, 1.0 + 1e-15, 1e-15) == (0.0, 0.0)
 
+    def test_value_below_float64_by_the_jump_count_is_zero(self):
+        # 60 intervals need 60 jumps, so the value is at most (w + 1)^-60,
+        # some 1e-360, and the slope at most twice (w + 1)^-59: both are
+        # zero in float64 before any series is summed (the series' peak
+        # term is beyond every digit budget)
+        diag = {}
+        assert z_down(1e6, 0.5, 2.0 ** 60, 1.0, diagnostics=diag) == 0.0
+        assert (diag["interval_count"], diag["escalated_digits"]) == (60, 0)
+        assert z_down_slope(1e6, 0.5, 2.0 ** 60, 1.0) == (0.0, 0.0)
+        spec = ExitSpec(ExitKind.DOWN_ONE, x=2.0 ** 60, b=1.0)
+        assert evaluate(ModelParams(lam=1.0, p=0.5), spec, 1e6) == 0.0
+
     def test_decreasing_in_start_level(self):
         vals = [z_down(1.0, 0.5, x, 1.0) for x in (1.1, 1.5, 2.5, 4.0, 8.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -684,9 +696,13 @@ class TestErrorAudit:
     """Every accepted value against a reference of at least 100 digits.
 
     Seeded random points on the float64 and the escalated routes of
-    ``l_up_from_b``, ``hazard``, ``z_down`` and ``z_down_slope``, with
-    ``w = 0`` among them and ``p`` up to 0.95.  The stated bounds:
+    ``c_tilde``, ``l_up_from_b``, ``hazard``, ``z_down`` and
+    ``z_down_slope``, with ``w = 0`` among them (but for ``c_tilde``) and
+    ``p`` up to 0.95.  The stated bounds:
 
+    * ``c_tilde``: a float64 sum is kept while it loses at most
+      ``_K_EVAL_LOST_OK`` digits, so ``16 eps 10^3`` relative; an escalated
+      one keeps ``dps - 4`` of its digits, so 2 eps, the rounding to float64.
     * ``K`` (``l_up_from_b = 1/K``, ``hazard = K'/K``): a float64 sum is
       kept while it loses at most ``_K_EVAL_LOST_OK`` digits, the
       recursion's included, and an escalated one keeps 16; the logarithms
@@ -730,6 +746,31 @@ class TestErrorAudit:
             if logs is not None and dps - lost >= 40:
                 return logs
         raise AssertionError(("no reference", w, p, b, x))
+
+    def test_downward_series_constant(self, monkeypatch):
+        # against the statement-form oracle, which sums A and B in their raw
+        # ratio form and shares no code with the series; at 100 digits and
+        # more, until two references agree
+        calls = self.escalations(monkeypatch, "_c_tilde_escalated")
+        routes = set()
+        rng = random.Random(7)
+        for _ in range(400):
+            w, p, b = 10.0 ** rng.uniform(-3.0, 1.0), rng.uniform(0.05, 0.95), \
+                10.0 ** rng.uniform(-2.0, 1.0)
+            before = len(calls)
+            value = c_tilde(w, p, b)
+            escalated = len(calls) > before
+            routes.add(escalated)
+            refs = [c_tilde_statement_oracle(w, 1.0, p, b, 100)]
+            for dps in (200, 400, 800):
+                refs.append(c_tilde_statement_oracle(w, 1.0, p, b, dps))
+                if refs[-1] == refs[-2]:
+                    break
+            else:
+                raise AssertionError(("no reference", w, p, b))
+            bound = (2 if escalated else 16 * 1e3) * self.EPS * abs(refs[-1])
+            assert abs(value - refs[-1]) <= bound, (w, p, b)
+        assert routes == {False, True}
 
     def test_reciprocal_scale_function_and_hazard(self, monkeypatch):
         calls = self.escalations(monkeypatch, "_log_k_mp")
