@@ -182,16 +182,22 @@ def z_up(w: float, p: float, x: float, a: float, *,
 def _c_tilde_logs(w: float, p: float, b: float):
     """Per term ``l`` of the series of :func:`c_tilde`, from ``l = 0``, the
     float64 log magnitudes of its numerator term ``t_l (1 - p^{-l})`` and its
-    denominator term ``t_l p^{-l}`` (``_MAX_TERMS`` of them at most)."""
+    denominator term ``t_l p^{-l}`` (``_MAX_TERMS`` of them at most); both
+    ``-inf`` once ``p^{-l}`` is past float64's range."""
     g = w + 1.0
     log_rate = math.log(1.0 / g)
     log_p_inv = -math.log(p)
     log_prod = 0.0  # log |prod_{i=1}^{l}(1 - p^{-i})|
     for l in range(_MAX_TERMS):
+        try:
+            p_inv = p ** (-l)
+        except OverflowError:  # then e^{-b g p^-l}, and so both terms, underflow to 0
+            yield -math.inf, -math.inf
+            continue
         log_prev = log_prod  # the product up to l - 1
         if l > 0:
-            log_prod += math.log(abs(1.0 - p ** (-l)))
-        base_log = -b * g * p ** (-l) + l * log_rate
+            log_prod += math.log(abs(1.0 - p_inv))
+        base_log = -b * g * p_inv + l * log_rate
         yield base_log - log_prev, base_log + l * log_p_inv - log_prod
 
 

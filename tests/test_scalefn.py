@@ -17,7 +17,7 @@ import aimdexit
 from aimdexit import (ConvergenceError, ExitKind, ExitSpec, ModelParams,
                       ValidationError, c_tilde, c_tilde_statement_oracle,
                       default_grid, evaluate, hazard, interval_index, k_up_coeffs, l_down,
-                      l_up, l_up_from_b, scalefn, z_down,
+                      l_up, l_up_from_b, scalefn, simulator, z_down,
                       z_down_renewal_residual, z_up)
 from aimdexit.scalefn import (_log_add, _log_up_denominator,
                               _signed_logsumexp, _z_down_mp, z_down_slope)
@@ -148,6 +148,20 @@ class TestCTilde:
         # that the old float path still agreed to ~1e-8 with the truth
         assert math.isclose(at_rate(c_tilde, 0.125, 2.0, 0.9, 1.0),
                             12.194374179792973, rel_tol=1e-11)
+
+    def test_p_inverse_past_float_range_is_a_zero_term(self):
+        # p^-l overflows float64 from l = 2 at p = 1e-200 (and l = 4 at
+        # 1e-100): those terms are zero, as are all but the first here
+        assert c_tilde(1.0, 1e-200, 1.0) == 0.0
+        # every start in (b, b/p] has the one-jump value 1/(w + 1)
+        assert evaluate(ModelParams(lam=1.0, p=1e-100),
+                        ExitSpec(ExitKind.DOWN_ONE, x=1.5, b=1.0), 1.0) == 0.5
+
+    def test_escalated_series_sizes_past_float_range(self):
+        # the arbitrary-precision twin sizes its series from the same float64
+        # logs, past p^-4 = 1e400 here, and agrees with the float64 value
+        (value, _), _ = scalefn._c_tilde_mp(1.0, 1e-100, 1e-100, 30)
+        assert math.isclose(float(value), c_tilde(1.0, 1e-100, 1e-100), rel_tol=1e-14)
 
     def test_rescue_fills_one_entry_of_the_escalated_memo(self):
         # the rescue and the escalated z_down series share one memo
@@ -690,6 +704,15 @@ class TestZDownMemo:
         for memo in (scalefn._z_down_eval, scalefn._z_down_sums, scalefn._log_k_from_b):
             info = memo.cache_info()
             assert 0 < info.currsize <= info.maxsize
+
+    def test_the_simulator_workspace_pool_is_bounded(self):
+        # the one module-level store that is not an lru_cache: a workspace
+        # handed back to a pool already holding one per CPU is dropped
+        with contextlib.ExitStack() as stack:
+            held = [stack.enter_context(simulator._workspace())
+                    for _ in range(simulator._POOL_MAX + 2)]
+            assert len({id(ws) for ws in held}) == len(held)
+        assert len(simulator._POOL) == simulator._POOL_MAX
 
 
 class TestErrorAudit:

@@ -1,6 +1,10 @@
 """Counter-based RNG streams and the event-driven Monte Carlo simulator."""
 
 import math
+import os
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from aimdexit import (ExitKind, ExitSpec, McConfig, ModelParams, Side,
                       ValidationError, default_horizon_cap, evaluate, mc_lst,
                       run_suite, simulate_exit, z_up)
 from aimdexit.rng import exponentials, path_keys, uniforms
+from aimdexit import simulator
 from aimdexit.simulator import _CHUNK
 
 SEED = 90210
@@ -57,6 +62,27 @@ class TestCounterRng:
         u = uniforms(path_keys(SEED, np.arange(100_001, dtype=np.uint64)), 0)
         r = np.corrcoef(u[:-1], u[1:])[0, 1]
         assert abs(r) < 0.01
+
+    @pytest.mark.parametrize("draw", [0, 1, 2**40])
+    def test_exponentials_into_a_buffer_match_the_allocating_call(self, draw):
+        keys = path_keys(SEED, np.arange(1000, dtype=np.uint64))
+        want = exponentials(keys, draw, 1.5).view(np.uint64)
+        buf, scratch = np.full(4096, np.nan), np.empty(4096, np.uint64)
+        for m in (1000, 37):  # slices of larger buffers, as the kernel hands them
+            got = exponentials(keys[:m], draw, 1.5, out=buf[:m], scratch=scratch[:m])
+            assert np.shares_memory(got, buf)
+            np.testing.assert_array_equal(got.view(np.uint64), want[:m])
+        assert np.isnan(buf[1000:]).all()
+        got = exponentials(keys, draw, 1.5, out=np.empty(1000))  # hash scratch allocated
+        np.testing.assert_array_equal(got.view(np.uint64), want)
+
+    def test_path_keys_into_a_buffer_match_the_allocating_call(self):
+        index = np.arange(2**40, 2**40 + 500, dtype=np.uint64)
+        want = path_keys(SEED, index)
+        out, scratch = np.empty(800, np.uint64), index.copy()
+        # the index array itself may be the scratch, as in mc_lst's chunks
+        np.testing.assert_array_equal(path_keys(SEED, scratch, out=out[:500], scratch=scratch),
+                                      want)
 
     def test_exponential_sample_mean(self):
         e = exponentials(path_keys(SEED + 2, np.arange(100_000, dtype=np.uint64)), 0, rate=0.5)
@@ -374,6 +400,64 @@ class TestPinnedMultiChunk:
         mean, se, n_cens = expected
         assert (est.mean, est.std_error, est.n_censored) == \
             (float.fromhex(mean), float.fromhex(se), n_cens)
+
+
+class TestWorkspacePool:
+    @staticmethod
+    def run(spec, lam, p, w):
+        cfg = _cfg(w, 2 * _CHUNK + 1, lam=lam, seed=4242)
+        return mc_lst(spec, ModelParams(lam=lam, p=p), cfg, threads=2)
+
+    def test_concurrent_callers_get_the_sequential_estimates(self):
+        # four callers at once, each with two chunk threads: more workspaces
+        # in use than the pool keeps, every one bit-identical to the pins
+        cases = [case[1:5] for case in PINNED_MULTI_CHUNK]
+        sequential = [self.run(*case) for case in cases]
+        for est, case in zip(sequential, PINNED_MULTI_CHUNK):
+            mean, se, n_cens = case[5]
+            assert (est.mean, est.std_error, est.n_censored) == \
+                (float.fromhex(mean), float.fromhex(se), n_cens)
+        barrier, results = threading.Barrier(4), {}
+
+        def caller(i):
+            order = cases if i % 2 == 0 else cases[::-1]
+            barrier.wait()
+            results[i] = [self.run(*case) for case in order]
+        workers = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the pool's lock too
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for i in range(4):
+            assert (results[i] if i % 2 == 0 else results[i][::-1]) == sequential, i
+
+    def test_warm_rounds_allocate_less_than_one_chunk_array(self):
+        # the rounds write into the pooled workspace: what numpy still
+        # allocates (nonzero's index arrays of the drops, its cast buffers)
+        # stays below one chunk-length float64 array at all times
+        spec, params = ExitSpec(ExitKind.UP_ONE, x=1.0, a=6.0), ModelParams(lam=1.0, p=0.7)
+        cfg = _cfg(0.5, _CHUNK)
+        mc_lst(spec, params, cfg)  # the pool holds a workspace from here on
+        tracemalloc.start()
+        try:
+            mc_lst(spec, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _CHUNK
+
+    def test_pool_keeps_at_most_one_idle_workspace_per_cpu(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count()
+        spec = ExitSpec(ExitKind.UP_ONE, x=1.0, a=1.5)
+        mc_lst(spec, ModelParams(lam=1.0, p=0.5), _cfg(1.0, 4 * _CHUNK), threads=4)
+        assert 1 <= len(simulator._POOL) <= cpus
 
 
 class TestDefaultHorizonCap:
