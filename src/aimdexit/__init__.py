@@ -20,32 +20,28 @@ Quick start::
 from .evaluate import evaluate
 from .model import (AimdError, ConvergenceError, ExitKind, ExitSpec,
                     ModelParams, ValidationError, normalize)
-from .reflected import (QuadratureControl, hazard, lst_drawdown,
-                        lst_drawdown_general_start, lst_drawup,
-                        lst_reflected_lower, lst_reflected_upper, solve_a)
-from .scalefn import (c_tilde, interval_index, k_up_coeffs, l_down, l_up,
-                      l_up_from_b, z_down, z_up)
-from .simulator import (McConfig, McEstimate, Side,
-                        default_horizon_cap, mc_lst, simulate_exit)
-from .validate import (ComparisonRow, c_tilde_statement_oracle, default_grid,
-                       quadrature_oracle_lup, run_suite, volterra_oracle_zup,
-                       z_down_renewal_residual)
+from .reflected import QuadratureControl, lst_drawup, solve_a
+from .scalefn import (interval_index, k_up_coeffs, l_down, l_up, l_up_from_b,
+                      z_down, z_up)
+from .simulator import McConfig, McEstimate, Side, default_horizon_cap, mc_lst
+from .validate import (ComparisonRow, default_grid, quadrature_oracle_lup,
+                       run_suite, volterra_oracle_zup)
 
 __version__ = "0.1.0"
 
+# what the acceptance criteria, the CLI and evaluate's signature, return and
+# exceptions name; every other evaluator stays public in its module
 __all__ = [
     "AimdError", "ValidationError", "ConvergenceError",
     "ExitKind", "ExitSpec", "ModelParams", "normalize",
     "QuadratureControl",
-    "z_up", "z_down", "c_tilde", "interval_index",
+    "z_up", "z_down", "interval_index",
     "k_up_coeffs", "l_up", "l_up_from_b", "l_down",
-    "lst_reflected_upper", "lst_reflected_lower", "hazard",
-    "lst_drawdown", "lst_drawdown_general_start", "lst_drawup", "solve_a",
+    "lst_drawup", "solve_a",
     "evaluate",
     "Side", "McConfig", "McEstimate",
-    "default_horizon_cap", "simulate_exit", "mc_lst",
+    "default_horizon_cap", "mc_lst",
     "ComparisonRow", "volterra_oracle_zup", "quadrature_oracle_lup",
-    "c_tilde_statement_oracle", "z_down_renewal_residual",
     "default_grid", "run_suite",
     "__version__",
 ]

@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import _require
+from .model import ConvergenceError, _require
 from .scalefn import z_up
 
 __all__ = ["drawup_lst"]
@@ -304,11 +304,13 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
     the first generation ``G`` (a factor ``1/p`` of depth each) whose
     bound from :func:`_generations` (the chance that a path ever lands
     where the ascent seeds enter, times what they can be off by there) is
-    at most ``tol``, or at 160 generations.  The infimum grid has
-    ``max(4, ceil(10 log(1/p)))`` levels per generation.
+    at most ``tol``.  Where the bound is still above ``tol`` at the
+    160-generation cap, the cascade is solved there and
+    :class:`ConvergenceError` is raised with its value as ``partial``.  The
+    infimum grid has ``max(4, ceil(10 log(1/p)))`` levels per generation.
     ``diagnostics`` receives ``generations``, the ``truncation_bound``
-    reached there (above ``tol`` only where the cap stopped the cascade),
-    ``grid_levels`` (one strip solve each), ``panels_final`` and ``tol``.
+    reached there, ``grid_levels`` (one strip solve each), ``panels_final``
+    and ``tol``.
     """
     _require(0.0 <= u <= x, f"drawup needs 0 <= u <= x, got u={u}, x={x}")
     _require(c > 0.0, f"drawup needs c > 0, got {c}")
@@ -376,4 +378,9 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
     if diagnostics is not None:
         diagnostics.update(generations=G, truncation_bound=bound, grid_levels=J + 1,
                            panels_final=strips.npan, tol=tol)
-    return strips.value(b, g, x) if x > u else float(g[0])
+    value = strips.value(b, g, x) if x > u else float(g[0])
+    if bound > tol:
+        raise ConvergenceError(
+            f"drawup cascade truncation bound {bound:.3g} exceeds tol={tol} at its "
+            f"{G}-generation cap (w={w}, p={p}, u={u})", partial=value)
+    return value

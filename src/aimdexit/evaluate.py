@@ -6,8 +6,7 @@ import math
 from typing import Optional
 
 from .model import ExitKind, ExitSpec, ModelParams, _require, normalize
-from .reflected import (DEFAULT_QUAD, QuadratureControl, lst_drawdown,
-                        lst_drawdown_general_start, lst_drawup,
+from .reflected import (DEFAULT_QUAD, QuadratureControl, lst_drawdown, lst_drawup,
                         lst_reflected_lower, lst_reflected_upper)
 from .scalefn import l_down, l_up, z_down, z_up
 from .simulator import Side, _drift_only_exit
@@ -38,8 +37,9 @@ def evaluate(params: ModelParams, spec: ExitSpec, w: float,
     pass, ``2 _GAUSS_N + 1`` nodes a panel, and the passes; that is the
     embedded Gauss value's error, a conservative estimate of the error of
     the Kronrod value returned), and cascade depth (drawup: ``generations``
-    and the ``truncation_bound`` reached there, at most ``drawup_tol``
-    unless the 160-generation cap ended the cascade first).
+    and the ``truncation_bound`` reached there, at most ``drawup_tol``; a
+    cascade that reaches its 160-generation cap with the bound still above
+    it raises ``ConvergenceError``).
     """
     nparams, spec, w = normalize(params, spec, w)
     lam, p, kind = nparams.lam, nparams.p, spec.kind
@@ -70,10 +70,16 @@ def evaluate(params: ModelParams, spec: ExitSpec, w: float,
     if kind is ExitKind.REFL_LOWER_UP:
         return lst_reflected_lower(w, p, x, c, b)
     if kind is ExitKind.DRAWDOWN:
-        if xbar0 is not None:
-            return lst_drawdown_general_start(w, p, x, xbar0, c, qctrl,
-                                              diagnostics=diagnostics)
-        return lst_drawdown(w, p, x, c, qctrl, diagnostics=diagnostics)
+        # a supremum xbar0 >= x on record stays the reference while the path
+        # is inside (xbar0 - c, xbar0): leaving below ends the drawdown,
+        # leaving above starts the fresh-supremum problem at xbar0
+        if xbar0 is None or xbar0 == x:
+            return lst_drawdown(w, p, x, c, qctrl, diagnostics=diagnostics)
+        floor = xbar0 - c
+        if floor >= x:
+            return 1.0  # the recorded drawdown already reaches c
+        return l_down(w, p, x, xbar0, floor) + l_up(w, p, x, xbar0, floor) \
+            * lst_drawdown(w, p, xbar0, c, qctrl, diagnostics=diagnostics)
     if kind is ExitKind.DRAWUP:
         return lst_drawup(w, p, x, u, c, tol=drawup_tol, diagnostics=diagnostics)
     raise AssertionError(f"unhandled kind {kind!r}")

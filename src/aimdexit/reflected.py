@@ -12,7 +12,9 @@ Four first-passage problems built on the two-sided exit parts from
   losing the race to a new maximum) and the down-exit slope at the level
   where the supremum stops; both come from exact scale-function slopes,
   taken once per node of a Gauss-Kronrod 10/21 pass (``_GAUSS_N`` = 10),
-  and the cumulative hazard is integrated from the same nodes.
+  and the cumulative hazard is integrated from the same nodes.  The start
+  is the supremum; :func:`~aimdexit.evaluate` composes a recorded one above
+  it from this and the two-sided parts.
 * ``lst_drawup`` — first time the process rises ``c`` above its running
   infimum, via the infimum-cascade renewal in :mod:`._drawup`.
 
@@ -42,7 +44,6 @@ __all__ = [
     "lst_reflected_lower",
     "hazard",
     "lst_drawdown",
-    "lst_drawdown_general_start",
     "solve_a",
     "lst_drawup",
 ]
@@ -298,34 +299,6 @@ def lst_drawdown(w: float, p: float, x: float, c: float,
     return min(max(value, 0.0), 1.0)
 
 
-def lst_drawdown_general_start(w: float, p: float, x: float, xbar0: float, c: float,
-                               qctrl: QuadratureControl = DEFAULT_QUAD, *,
-                               diagnostics: Optional[dict] = None) -> float:
-    """Drawdown LST when a supremum ``xbar0 >= x`` is already on record.
-
-    While the process stays inside ``(xbar0 - c, xbar0)`` the recorded
-    supremum is still the reference: exiting below ends the drawdown
-    immediately, exiting above restarts the fresh-supremum problem at
-    ``xbar0``.  If the recorded drawdown already reaches ``c`` the stop is
-    immediate.  The recorded supremum must stand above the window,
-    ``xbar0 > c``; otherwise the window floor sits at or below zero where
-    the level cannot reach it in finite time.
-    """
-    _require(xbar0 >= x, f"general start needs xbar0 >= x, got xbar0={xbar0}, x={x}")
-    _require(xbar0 > c > 0.0,
-             f"general start needs xbar0 > c > 0, got xbar0={xbar0}, c={c}")
-    if xbar0 - c >= x:
-        return 1.0
-    if xbar0 == x:
-        return lst_drawdown(w, p, x, c, qctrl, diagnostics=diagnostics)
-    if w == 0.0:
-        return 1.0
-    b0 = xbar0 - c
-    down = l_down(w, p, x, xbar0, b0)
-    up = l_up(w, p, x, xbar0, b0)
-    return down + up * lst_drawdown(w, p, xbar0, c, qctrl, diagnostics=diagnostics)
-
-
 # ---------------------------------------------------------------------------
 # drawup: implicit balancing level and the cascade transform
 # ---------------------------------------------------------------------------
@@ -387,7 +360,9 @@ def lst_drawup(w: float, p: float, x: float, u: float, c: float,
     :mod:`._drawup` applies.  ``tol`` bounds the cascade truncation error:
     the cascade stops at the first depth where the chance that a path lands
     on the ascent-seeded levels, times what the seeds can be off by there,
-    is at most ``tol`` (``_drawup._generations``), or at its 160-generation
-    cap; ``diagnostics`` receives that bound as ``truncation_bound``.
+    is at most ``tol`` (``_drawup._generations``); past its 160-generation
+    cap it raises :class:`ConvergenceError` with the value there as
+    ``partial``.  ``diagnostics`` receives that bound as
+    ``truncation_bound``.
     """
     return drawup_lst(w, p, x, u, c, tol=tol, diagnostics=diagnostics)

@@ -182,8 +182,9 @@ def z_up(w: float, p: float, x: float, a: float, *,
 def _c_tilde_logs(w: float, p: float, b: float):
     """Per term ``l`` of the series of :func:`c_tilde`, from ``l = 0``, the
     float64 log magnitudes of its numerator term ``t_l (1 - p^{-l})`` and its
-    denominator term ``t_l p^{-l}`` (``_MAX_TERMS`` of them at most); both
-    ``-inf`` once ``p^{-l}`` is past float64's range."""
+    denominator term ``t_l p^{-l}`` (``_MAX_TERMS`` of them at most); the
+    first ``-inf`` at ``l = 0``, both ``-inf`` once ``p^{-l}`` is past
+    float64's range."""
     g = w + 1.0
     log_rate = math.log(1.0 / g)
     log_p_inv = -math.log(p)
@@ -198,7 +199,7 @@ def _c_tilde_logs(w: float, p: float, b: float):
         if l > 0:
             log_prod += math.log(abs(1.0 - p_inv))
         base_log = -b * g * p_inv + l * log_rate
-        yield base_log - log_prev, base_log + l * log_p_inv - log_prod
+        yield base_log - log_prev if l else -math.inf, base_log + l * log_p_inv - log_prod
 
 
 def c_tilde(w: float, p: float, b: float) -> float:
@@ -274,27 +275,35 @@ def _c_tilde_mp(w, p, b, dps: int):
     """Arbitrary-precision twin of :func:`c_tilde` (same cancellation-free form)
     at ``dps`` digits: ``((value, falls), lost)``, with ``falls`` the factors
     ``e^{-b g p^{-l}}`` of the terms and ``lost`` the decimal digits the
-    alternating sums cancelled (all ``dps`` if one came out 0).  The float64
-    log magnitudes of the terms, walked as :func:`c_tilde` walks them, size
-    the series: it ends at the first term past the fifth that lies ``dps +
-    9`` digits below the peak term, so the tail is below ``10^-(dps+5)`` of
-    both sums, past the digits that :func:`_c_tilde_escalated` keeps.  Each
-    sum is one ``mp.fdot`` with the coefficients of the ``(w, p)`` table
-    (:class:`_DownCoeffs`), extended to exactly that many terms."""
-    n, log_peak = 0, -math.inf
-    for terms in _c_tilde_logs(w, p, b):
-        log_term = max(terms)
-        log_peak = max(log_peak, log_term)
-        n += 1
-        if n == 2000 or n > 4 and log_term < log_peak - (dps + 9) * _LN10:
+    alternating sums cancelled, each against its own peak term (all ``dps``
+    if one came out 0).  The float64 log magnitudes of the terms, walked as
+    :func:`c_tilde` walks them, size each sum: it ends at its first term
+    past the fifth that lies ``dps + 9`` digits below its own peak term, so
+    its tail is below ``10^-(dps+5)`` of it, past the digits that
+    :func:`_c_tilde_escalated` keeps.  The numerator can lie hundreds of
+    digits below the denominator (large ``w b``), so neither sum is sized
+    or measured by the other's peak.  Each sum is one ``mp.fdot`` with the
+    coefficients of the ``(w, p)`` table (:class:`_DownCoeffs`), extended
+    to exactly the longer sum's terms."""
+    # numerator, denominator: peak log term, terms taken, whether it ended
+    peak, size, done = [-math.inf, -math.inf], [0, 0], [False, False]
+    for l, terms in enumerate(_c_tilde_logs(w, p, b)):
+        for s, log_term in enumerate(terms):
+            if not done[s]:
+                peak[s] = max(peak[s], log_term)
+                size[s] = l + 1
+                done[s] = l > 3 and log_term < peak[s] - (dps + 9) * _LN10
+        if l == 1999 or all(done):
             break
-    tab = _z_down_coeffs(w, p, _table_dps(dps)).upto(0, n)
+    n_num, n_den = size
+    tab = _z_down_coeffs(w, p, _table_dps(dps)).upto(0, max(size))
     with mp.workdps(dps):
         b = mp.mpf(b)
-        falls = tuple(mp.exp(-b * r) for r in tab.down[:n])
-        num, den = mp.fdot(falls[1:], tab.num[1:n]), mp.fdot(falls, tab.den[:n])
-        smaller = min(abs(num), abs(den))
-        lost = (log_peak - float(mp.log(smaller))) / _LN10 if smaller else float(dps)
+        falls = tuple(mp.exp(-b * r) for r in tab.down[:max(size)])
+        num = mp.fdot(falls[1:n_num], tab.num[1:n_num])
+        den = mp.fdot(falls[:n_den], tab.den[:n_den])
+        lost = max(peak[0] - float(mp.log(abs(num))), peak[1] - float(mp.log(abs(den)))) \
+            / _LN10 if num and den else float(dps)
         return (num / den, falls), lost
 
 

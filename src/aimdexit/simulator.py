@@ -348,7 +348,9 @@ def mc_lst(spec: ExitSpec, params: ModelParams, cfg: McConfig, threads: int = 1)
     Two-sided kinds filter to their side (the complementary exit
     contributes zero, matching the joint-transform definition).  Paths are
     processed in fixed-size chunks whose partial sums are combined in
-    chunk order, so the result is bit-identical for any ``threads``.
+    chunk order, so the result is bit-identical for any ``threads``.  At
+    most ``_POOL_MAX`` threads run, one per CPU the process may use, so that
+    each holds a pooled workspace.
     ``cfg.horizon_cap`` is in the caller's clock (slope ``beta``).
     """
     scale = params.beta
@@ -389,8 +391,9 @@ def mc_lst(spec: ExitSpec, params: ModelParams, cfg: McConfig, threads: int = 1)
                     int(np.count_nonzero(np.equal(side, 0, out=flag))))
 
     starts = range(0, n, _CHUNK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, _POOL_MAX)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(work, starts))
     else:
         parts = [work(lo) for lo in starts]

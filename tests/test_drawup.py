@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import aimdexit._drawup as drawup
-from aimdexit import (ExitKind, ExitSpec, ModelParams, ValidationError, default_grid,
-                      evaluate, l_down, l_up)
+from aimdexit import (ConvergenceError, ExitKind, ExitSpec, ModelParams, ValidationError,
+                      default_grid, evaluate, l_down, l_up)
 from aimdexit._drawup import _interp_rows, _panel_nodes, _strip_edges, _Strips
 from aimdexit.reflected import lst_drawup
 
@@ -195,11 +195,13 @@ class TestCascade:
 
     def test_a_capped_cascade_reports_the_bound_it_reached(self):
         # at p = 0.99 and w = 0.05 from u = 10 the bound is still 8.6e-4 at
-        # the 160-generation cap (641 levels, kept cheap by narrow strips);
-        # the cascade ends there without an error
+        # the 160-generation cap (641 levels, kept cheap by narrow strips):
+        # the cascade raises, with the value there as the partial result
         diag = {}
-        value = drawup.drawup_lst(0.05, 0.99, 10.02, 10.0, 0.05, diagnostics=diag)
-        assert 0.0 < value < 1.0
+        with pytest.raises(ConvergenceError, match=r"bound 0\.00086 exceeds tol=1e-07 "
+                           r"at its 160-generation cap") as err:
+            drawup.drawup_lst(0.05, 0.99, 10.02, 10.0, 0.05, diagnostics=diag)
+        assert 0.0 < err.value.partial < 1.0
         assert (diag["generations"], diag["grid_levels"]) == (160, 641)
         assert 1e-4 < diag["truncation_bound"] < 1e-3
 

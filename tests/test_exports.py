@@ -1,4 +1,5 @@
-"""Every exported name resolves, in the package and in each of its modules."""
+"""The package exports a pinned set of names, and every exported name
+resolves, in the package and in each of its modules."""
 
 import importlib
 import inspect
@@ -13,6 +14,24 @@ import pytest
 import aimdexit
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(aimdexit.__path__))
+
+# what the acceptance criteria, the CLI and evaluate's signature, return and
+# exceptions name; the other evaluators are public in their modules only
+PACKAGE_EXPORTS = {
+    "AimdError", "ValidationError", "ConvergenceError",
+    "ExitKind", "ExitSpec", "ModelParams", "normalize", "QuadratureControl",
+    "z_up", "z_down", "interval_index", "k_up_coeffs",
+    "l_up", "l_up_from_b", "l_down", "lst_drawup", "solve_a", "evaluate",
+    "Side", "McConfig", "McEstimate", "default_horizon_cap", "mc_lst",
+    "ComparisonRow", "volterra_oracle_zup", "quadrature_oracle_lup",
+    "default_grid", "run_suite",
+    "__version__",
+}
+
+
+def test_package_exports_are_the_pinned_set():
+    assert len(aimdexit.__all__) == len(set(aimdexit.__all__))
+    assert set(aimdexit.__all__) == PACKAGE_EXPORTS
 
 
 def test_package_exports_resolve():
@@ -49,15 +68,28 @@ def test_evaluators_work_at_unit_jump_rate(module):
     assert found == []
 
 
-def test_import_does_not_load_scipy():
-    # scipy serves only two oracles and the tests; this test process has it
-    # loaded already, so a fresh interpreter imports the package
+def _fresh_interpreter(code: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter that imports
+    this package: this test process has scipy loaded already."""
     src = str(Path(aimdexit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, aimdexit.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_does_not_load_scipy():
+    # scipy serves only quadrature_oracle_lup (criterion 04) and the tests
+    code = ("import sys, aimdexit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_every_default_grid_row_evaluates_without_scipy():
+    # a None entry in sys.modules makes any import of scipy fail
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from aimdexit import default_grid, evaluate; "
+            "print(sum(0.0 <= evaluate(*row) <= 1.0 for row in default_grid()))")
+    assert _fresh_interpreter(code) == "160"

@@ -5,8 +5,9 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from aimdexit import (ExitKind, ExitSpec, ModelParams, c_tilde, evaluate,
+from aimdexit import (ExitKind, ExitSpec, ModelParams, evaluate,
                       interval_index, l_down, l_up, z_down)
+from aimdexit.scalefn import c_tilde
 from unit_rate import at_rate
 
 # parameter ranges chosen so every evaluation stays cheap: jump-rate and

@@ -10,11 +10,11 @@ from scipy.integrate import IntegrationWarning, quad
 
 from aimdexit import (ConvergenceError, ExitKind, ExitSpec, McConfig,
                       ModelParams, QuadratureControl, ValidationError,
-                      default_grid, default_horizon_cap, evaluate, hazard,
-                      l_down, l_up, lst_drawdown, lst_drawdown_general_start,
-                      lst_drawup, lst_reflected_lower, lst_reflected_upper,
-                      mc_lst, solve_a, z_down, z_up)
+                      default_grid, default_horizon_cap, evaluate,
+                      l_down, l_up, lst_drawup, mc_lst, solve_a, z_down, z_up)
 from aimdexit import reflected
+from aimdexit.reflected import (hazard, lst_drawdown, lst_reflected_lower,
+                                lst_reflected_upper)
 from aimdexit.scalefn import (_k_log_slope, _k_tables_mp, _log_k_from_b, interval_index,
                               z_down_slope)
 from unit_rate import at_rate
@@ -377,40 +377,57 @@ class TestGaussKronrodRule:
 
 
 class TestDrawdownGeneralStart:
+    """A supremum ``xbar0 >= x`` on record, which ``evaluate`` composes from
+    the fresh-supremum drawdown and the two-sided parts."""
+
+    @staticmethod
+    def general(w, p, x, xbar0, c):
+        return evaluate(ModelParams(lam=1.0, p=p),
+                        ExitSpec(ExitKind.DRAWDOWN, x=x, c=c, xbar0=xbar0), w)
+
     def test_plain_start_matches_specialization(self):
         w, p, x, c = 0.7, 0.5, 1.5, 1.0
-        general = lst_drawdown_general_start(w, p, x, x, c)
+        general = self.general(w, p, x, x, c)
         plain = lst_drawdown(w, p, x, c)
         assert math.isclose(general, plain, rel_tol=1e-12)
 
     def test_inherited_supremum_already_exceeded(self):
-        assert lst_drawdown_general_start(0.7, 0.5, 1.0, 2.2, 1.0) == 1.0
+        assert self.general(0.7, 0.5, 1.0, 2.2, 0.9) == 1.0
 
     def test_increasing_in_inherited_supremum(self):
         # keep (1-p)*xbar0 < c so no point saturates at the first-jump value
         w, p, x, c = 0.7, 0.5, 1.5, 1.0
-        vals = [lst_drawdown_general_start(w, p, x, xbar0, c)
+        vals = [self.general(w, p, x, xbar0, c)
                 for xbar0 in (1.5, 1.65, 1.8, 1.95)]
         assert all(v1 > v0 for v0, v1 in zip(vals, vals[1:]))
+
+    def test_composes_the_exit_from_the_recorded_window(self):
+        # leaving (xbar0 - c, xbar0) below ends the drawdown, leaving it
+        # above restarts the fresh-supremum problem at xbar0
+        w, p, x, xbar0, c = 0.7, 0.5, 1.5, 1.8, 1.0
+        want = l_down(w, p, x, xbar0, xbar0 - c) \
+            + l_up(w, p, x, xbar0, xbar0 - c) * lst_drawdown(w, p, xbar0, c)
+        assert self.general(w, p, x, xbar0, c) == want
 
     def test_saturates_at_first_jump_value_for_deep_supremum(self):
         # once (1-p)*xbar0 >= c every jump ends the race, whether it fires
         # during the inherited window or after a fresh supremum forms
         w, p, x, c = 0.7, 0.5, 1.5, 1.0
         for xbar0 in (2.0, 2.1, 2.4):
-            v = lst_drawdown_general_start(w, p, x, xbar0, c)
+            v = self.general(w, p, x, xbar0, c)
             assert math.isclose(v, 1.0 / (1.0 + w), rel_tol=1e-12)
 
     def test_supremum_at_or_below_window_is_rejected(self):
         # xbar0 <= c puts the window floor at or below zero, which the level
-        # never reaches in finite time; the evaluator refuses the corner
+        # never reaches in finite time; the start must lie above the window
+        # (x > c), so the spec refuses the corner
         with pytest.raises(ValidationError):
-            lst_drawdown_general_start(0.7, 0.5, 0.3, 0.5, 1.0)
+            self.general(0.7, 0.5, 0.3, 0.5, 1.0)
         with pytest.raises(ValidationError):
-            lst_drawdown_general_start(0.7, 0.5, 0.5, 1.0, 1.0)
+            self.general(0.7, 0.5, 0.5, 1.0, 1.0)
 
     def test_w_zero_is_one(self):
-        assert lst_drawdown_general_start(0.0, 0.5, 1.5, 2.0, 1.0) == 1.0
+        assert self.general(0.0, 0.5, 1.5, 2.0, 1.0) == 1.0
 
 
 class TestDrawup:

@@ -15,12 +15,13 @@ import pytest
 
 import aimdexit
 from aimdexit import (ConvergenceError, ExitKind, ExitSpec, ModelParams,
-                      ValidationError, c_tilde, c_tilde_statement_oracle,
-                      default_grid, evaluate, hazard, interval_index, k_up_coeffs, l_down,
-                      l_up, l_up_from_b, scalefn, simulator, z_down,
-                      z_down_renewal_residual, z_up)
+                      ValidationError, default_grid, evaluate, interval_index,
+                      k_up_coeffs, l_down, l_up, l_up_from_b, scalefn, simulator,
+                      z_down, z_up)
+from aimdexit.reflected import hazard
 from aimdexit.scalefn import (_log_add, _log_up_denominator,
-                              _signed_logsumexp, _z_down_mp, z_down_slope)
+                              _signed_logsumexp, _z_down_mp, c_tilde, z_down_slope)
+from oracles import c_tilde_statement_oracle, z_down_renewal_residual
 from unit_rate import at_rate
 
 
@@ -162,6 +163,15 @@ class TestCTilde:
         # logs, past p^-4 = 1e400 here, and agrees with the float64 value
         (value, _), _ = scalefn._c_tilde_mp(1.0, 1e-100, 1e-100, 30)
         assert math.isclose(float(value), c_tilde(1.0, 1e-100, 1e-100), rel_tol=1e-14)
+
+    def test_escalated_numerator_far_below_the_denominator_settles(self):
+        # at w b = 1e3 the numerator's terms lie some 435 digits below the
+        # denominator's; measured against its own peak neither sum cancels,
+        # and the value, e^-1001 / 1001 to ~435 digits, is 0.0 in float64
+        value, _ = scalefn._c_tilde_escalated(1e3, 0.5, 1.0, 30)
+        assert mp.almosteq(value, mp.exp(-1001) / 1001, rel_eps=mp.mpf(10) ** -25)
+        assert float(value) == 0.0
+        assert c_tilde(1e3, 0.5, 1.0) == 0.0
 
     def test_rescue_fills_one_entry_of_the_escalated_memo(self):
         # the rescue and the escalated z_down series share one memo

@@ -12,10 +12,10 @@ from scipy import stats
 
 from aimdexit import (ExitKind, ExitSpec, McConfig, ModelParams, Side,
                       ValidationError, default_horizon_cap, evaluate, mc_lst,
-                      run_suite, simulate_exit, z_up)
+                      run_suite, z_up)
 from aimdexit.rng import exponentials, path_keys, uniforms
 from aimdexit import simulator
-from aimdexit.simulator import _CHUNK
+from aimdexit.simulator import _CHUNK, simulate_exit
 
 SEED = 90210
 
@@ -458,6 +458,24 @@ class TestWorkspacePool:
         spec = ExitSpec(ExitKind.UP_ONE, x=1.0, a=1.5)
         mc_lst(spec, ModelParams(lam=1.0, p=0.5), _cfg(1.0, 4 * _CHUNK), threads=4)
         assert 1 <= len(simulator._POOL) <= cpus
+
+    def test_chunk_threads_are_capped_at_the_cpu_count(self, monkeypatch):
+        # past one thread per CPU each call would build fresh workspaces;
+        # the estimate is the same at any thread count
+        seen, real = [], simulator.ThreadPoolExecutor
+
+        def recording(max_workers):
+            seen.append(max_workers)
+            return real(max_workers=max_workers)
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", recording)
+        spec, params = ExitSpec(ExitKind.UP_ONE, x=1.0, a=1.5), ModelParams(lam=1.0, p=0.5)
+        cfg = _cfg(1.0, 3 * _CHUNK + 1)
+        cap = simulator._POOL_MAX
+        ests = {t: mc_lst(spec, params, cfg, threads=t) for t in (1, 2, cap + 2)}
+        # threads 1 runs in the caller, as does any count capped to one
+        assert seen == [n for n in (min(2, cap), cap) if n > 1]
+        hexes = {t: (e.mean.hex(), e.std_error.hex(), e.n_censored) for t, e in ests.items()}
+        assert len(set(hexes.values())) == 1, hexes
 
 
 class TestDefaultHorizonCap:

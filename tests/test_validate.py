@@ -6,10 +6,10 @@ from collections import Counter
 import pytest
 
 from aimdexit import (ComparisonRow, ExitKind, ExitSpec, ModelParams,
-                      ValidationError, c_tilde, c_tilde_statement_oracle,
-                      default_grid, l_up_from_b, quadrature_oracle_lup,
-                      run_suite, volterra_oracle_zup, z_down,
-                      z_down_renewal_residual, z_up)
+                      ValidationError, default_grid, l_up_from_b, quadrature_oracle_lup,
+                      run_suite, volterra_oracle_zup, z_down, z_up)
+from aimdexit.scalefn import c_tilde
+from oracles import c_tilde_statement_oracle, z_down_renewal_residual
 from unit_rate import at_rate
 
 
