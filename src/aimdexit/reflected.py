@@ -102,8 +102,12 @@ def lst_reflected_upper(w: float, p: float, x: float, a: float, c: float) -> flo
     if p * a > c:
         # post-jump level p*a is still inside (c, a): geometric recursion
         # over returns to the barrier
-        e_pa = l_down(w, p, p * a, a, c) / (1.0 - (1.0 / g) * l_up(w, p, p * a, a, c))
-        return ld + lu * (1.0 / g) * e_pa
+        ret = (1.0 / g) * l_up(w, p, p * a, a, c)
+        if 1.0 - ret < 1e-14:
+            raise ConvergenceError(
+                f"reflected-upper restart weight too close to 1 (1 - {ret}) at "
+                f"w={w}, p={p}, a={a}, c={c}")
+        return ld + lu * (1.0 / g) * (l_down(w, p, p * a, a, c) / (1.0 - ret))
     return ld + lu / g
 
 

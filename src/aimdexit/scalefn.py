@@ -215,6 +215,10 @@ def c_tilde(w: float, p: float, b: float) -> float:
     """
     _require(b > 0.0, f"c_tilde needs b > 0, got {b}")
     _require(w > 0.0, f"c_tilde needs w > 0, got {w}")
+    if math.isinf(b * (w + 1.0) * p ** -1):
+        # the numerator's terms, from e^{-b g / p} on, all underflow (the walk
+        # below could never end), and C~, near e^{-b g (1/p - 1)} / g, with them
+        return 0.0
     num_s, num_l = 0, -math.inf  # sum_{l>=1} t_l * (1 - p^{-l})
     den_s, den_l = 0, -math.inf  # sum_{l>=0} t_l * p^{-l}
     peak_num = peak_den = -math.inf
@@ -237,10 +241,16 @@ def c_tilde(w: float, p: float, b: float) -> float:
         lost = 12.0  # cancelled to exactly zero; size the budget blind
     else:
         lost = max(peak_num - num_l, peak_den - den_l) / math.log(10.0)
-    if lost > _K_EVAL_LOST_OK:
-        digits = min(_MAX_DPS, 30 + int(math.ceil(2.5 * lost)))
-        return float(_c_tilde_escalated(w, p, b, digits)[0])
+    if not lost <= _K_EVAL_LOST_OK:
+        return float(_c_tilde_escalated(w, p, b, _first_budget(lost))[0])
     return num_s * den_s * math.exp(num_l - den_l)
+
+
+def _first_budget(lost: float) -> int:
+    """The first digit budget after a float64 loss of ``lost`` digits: ``30 +
+    2.5 lost``, capped; a loss that is not finite (a NaN from ``inf - inf``
+    in the float64 logs) takes the cap."""
+    return min(_MAX_DPS, 30 + math.ceil(2.5 * lost)) if math.isfinite(lost) else _MAX_DPS
 
 
 def _escalated(run: Callable[[int], Tuple[Optional[tuple], float]], digits: int,
@@ -846,8 +856,7 @@ def _log_k_sums(w: float, p: float, b: float, x: float, k: int,
             return (log_k,)
     except ConvergenceError:
         lost = 12.0  # the recursion itself cancelled out; size the budget blind
-    digits = min(_MAX_DPS, 30 + int(math.ceil(2.5 * min(lost, _MAX_DPS))))
-    return _escalated(lambda dps: _log_k_mp(w, p, b, x, k, dps, slope), digits, 16,
+    return _escalated(lambda dps: _log_k_mp(w, p, b, x, k, dps, slope), _first_budget(lost), 16,
                       f"reciprocal scale function at w={w}, p={p}, b={b}, x={x}")[0]
 
 

@@ -53,6 +53,14 @@ class TestReflectedUpper:
         val = lst_reflected_upper(w, p, 1.5, a, 0.6)
         assert val < 1.0 / (1.0 + w) - 1e-3
 
+    @pytest.mark.parametrize("lam, w", [(0.5, 1e-300), (1.0, 1e-17)])
+    def test_restart_weight_at_one_raises(self, lam, w):
+        # l_up(p a) / (w + 1) rounds to 1, or to 1 - 2.2e-16: the restart
+        # denominator is zero, or rounding alone
+        spec = ExitSpec(ExitKind.REFL_UPPER_DOWN, x=0.1, a=1.0, c=0.001)
+        with pytest.raises(ConvergenceError, match="restart weight too close to 1"):
+            evaluate(ModelParams(lam=lam, p=0.5), spec, w)
+
     def test_decreasing_in_w(self):
         vals = [lst_reflected_upper(w, 0.5, 1.5, 2.0, 1.0)
                 for w in (0.25, 0.5, 1.0, 2.0)]

@@ -131,6 +131,17 @@ class TestCTilde:
             oracle = c_tilde_statement_oracle(w, lam, p, b)
             assert math.isclose(prod, oracle, rel_tol=1e-11), (w, lam, p, b)
 
+    def test_constant_past_float64_range_is_zero(self):
+        # b g / p overflows: every numerator term underflows, and the walk over
+        # them never ended (10,000 terms, then ConvergenceError); C~, near
+        # e^{-b g (1/p - 1)} / g, is 0.0 in float64
+        assert c_tilde(1e308, 0.5, 10.0) == 0.0
+        assert c_tilde(1e307, 0.5, 10.0) == 0.0
+        assert math.isclose(c_tilde(1e300, 0.5, 1e-300), math.exp(-1.0) / 1e300,
+                            rel_tol=1e-13)
+        spec = ExitSpec(ExitKind.DOWN_ONE, x=15.0, b=10.0)
+        assert 0.0 <= evaluate(ModelParams(lam=1.0, p=0.5), spec, 1e308) <= 1e-308
+
     def test_vanishes_without_jumps(self):
         # as lam -> 0 only the one-jump term is left: (lam/w) e^{-b w (1/p - 1)}
         w, p, b = 1.0, 0.5, 1.0
@@ -996,6 +1007,16 @@ class TestTwoSidedUp:
 
 
 class TestTwoSidedDown:
+    def test_non_finite_float_loss_takes_the_capped_budget(self):
+        # at jump rate 1 w = 1e306 and the levels are near 1e-301: the float64
+        # logs of K hold inf - inf, and their loss is NaN.  The first budget
+        # is then the cap, as for any loss past it; a finite loss keeps its own
+        budgets = [scalefn._first_budget(v) for v in (math.nan, math.inf, -math.inf, 500.0)]
+        assert budgets == [400] * 4
+        assert [scalefn._first_budget(v) for v in (3.5, 12.0, 100.0)] == [39, 60, 280]
+        spec = ExitSpec(ExitKind.TWO_SIDED_DOWN, x=0.1, a=0.5, b=1e-12)
+        assert evaluate(ModelParams(lam=1e-300, p=1e-5), spec, 1e6) == 0.0
+
     def test_complementarity_at_w_zero(self):
         for (lam, p, x, a, b) in [(1.0, 0.5, 1.5, 2.5, 1.0),
                                   (2.0, 0.8, 1.2, 2.0, 0.9),
