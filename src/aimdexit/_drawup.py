@@ -104,8 +104,10 @@ def _strip_edges(gw, p, m, top) -> np.ndarray:
     Panels are anchored at the branch-switch kinks ``m p^{-j}``: always
     ``m / p``, where the integrand's first branch switch occurs, and the
     top-most ``_KINK_CAP - 1`` of the others (deeper kinks are only
-    C^1-discontinuities of already-solved levels and merge safely).  They
-    are then refined so no panel is wider than ``2.5 / (1 + w)``.
+    C^1-discontinuities of already-solved levels and merge safely).  A kink
+    within ``1e-13 top`` of the edge below it is dropped, so the strip
+    always runs from ``m`` to ``top``.  The panels are then refined so no
+    panel is wider than ``2.5 / (1 + w)``.
     """
     kinks = []
     e, lim = m / p, top * (1.0 - 1e-13)
@@ -114,12 +116,14 @@ def _strip_edges(gw, p, m, top) -> np.ndarray:
         e /= p
     if len(kinks) > _KINK_CAP:
         kinks = [kinks[0]] + kinks[1 - _KINK_CAP:]
-    raw = [m] + kinks + [top]
+    raw = [m]
+    for e in kinks:
+        if e - raw[-1] >= 1e-13 * top:
+            raw.append(e)
+    raw.append(top)
     hmax = 2.5 / gw
     edges = []
     for a0, b0 in zip(raw[:-1], raw[1:]):
-        if b0 - a0 < 1e-13 * top:
-            continue
         nsub = min(max(1, int(math.ceil((b0 - a0) / hmax))), 8)
         for i in range(nsub):
             edges.append(a0 + (b0 - a0) * i / nsub)
@@ -211,7 +215,11 @@ class _Strips:
         for q in range(self.npan - 1, -1, -1):
             Scst[q] = heads[q] + link[q] * Scst[q + 1]
         rhs = self.nojump[b] + cst + self.fac[b] * np.array(Scst)[self.next_q]
-        return np.linalg.solve(self.K[b], rhs)
+        try:
+            return np.linalg.solve(self.K[b], rhs)
+        except np.linalg.LinAlgError as exc:  # levels so small their nodes collapse
+            raise ConvergenceError(f"drawup strip system at [{self.edges[b][0]}, "
+                                   f"{self.edges[b][-1]}]: {exc}") from None
 
     def value(self, b: int, g: np.ndarray, y: float) -> float:
         """Strip ``b``'s nodal solution ``g`` interpolated at ``y`` on its panel."""
@@ -306,8 +314,11 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
     where the ascent seeds enter, times what they can be off by there) is
     at most ``tol``.  Where the bound is still above ``tol`` at the
     160-generation cap, the cascade is solved there and
-    :class:`ConvergenceError` is raised with its value as ``partial``.  The
-    infimum grid has ``max(4, ceil(10 log(1/p)))`` levels per generation.
+    :class:`ConvergenceError` is raised with its value as ``partial``; so it
+    is, without one, where the cascade comes out non-finite or a strip's
+    system is singular (levels near 1e-300).  The value is clamped to
+    ``[0, 1]``.  The infimum grid has ``max(4, ceil(10 log(1/p)))`` levels
+    per generation.
     ``diagnostics`` receives ``generations``, the ``truncation_bound``
     reached there, ``grid_levels`` (one strip solve each), ``panels_final``
     and ``tol``.
@@ -379,8 +390,11 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
         diagnostics.update(generations=G, truncation_bound=bound, grid_levels=J + 1,
                            panels_final=strips.npan, tol=tol)
     value = strips.value(b, g, x) if x > u else float(g[0])
+    if not math.isfinite(value):
+        raise ConvergenceError(f"drawup cascade came out {value} (w={w}, p={p}, u={u}, c={c})")
     if bound > tol:
         raise ConvergenceError(
             f"drawup cascade truncation bound {bound:.3g} exceeds tol={tol} at its "
             f"{G}-generation cap (w={w}, p={p}, u={u})", partial=value)
-    return value
+    # rounding may put a value next to certainty a few ulps above it
+    return min(max(value, 0.0), 1.0)

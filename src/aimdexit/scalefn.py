@@ -18,11 +18,13 @@ Signed log space: a real number ``v`` travels as the plain pair
 add the logs, and :func:`_log_add` and :func:`_signed_logsumexp` sum.  The
 ``l_up`` evaluator is built on interval coefficient tables for the reciprocal
 scale function ``K`` (``l_up_from_b = 1/K``), kept as such pairs so that deep
-intervals neither overflow nor lose their sign pattern.  ``z_down`` combines a
+intervals neither overflow nor lose their sign pattern; the slope ``K'/K``
+is formed as a ratio before its logarithms round.  ``z_down`` combines a
 geometric closed form with two finite exponential sums whose coefficients
 involve the alternating q-products ``prod (1 - p^{-i})`` and
-``prod (p^i - p^j)``; their signs are closed-form, their magnitudes are sums of
-logarithms.
+``prod (p^i - p^j)``; their signs are closed-form.  Both precisions grow the
+products ``prod (p^i - p^j)`` by the one recurrence of :class:`_DownCoeffs`,
+the float64 route as sums of logarithms.
 
 Each float64 evaluation measures the digits its sums cancelled (for ``K``,
 those of its recursion too) and past its tolerance escalates to arbitrary
@@ -334,9 +336,14 @@ def _down_interval_count(x: float, b: float, p: float) -> int:
 
 def _z_down_terms(w, p, x, b, ct, k0: int):
     """Signs, log magnitudes and rates of the exponential terms of the
-    downward transform on interval ``k0``, in float64.
+    downward transform on interval ``k0``, in float64: the series of
+    :class:`_DownCoeffs`, built by its recurrence with each running product
+    ``D_k(i)`` kept as ``log |D_k(i)|``.
 
-    Every term is a constant times ``e^{rate * x}``, so the slope in ``x`` is
+    Per interval ``k < k0`` the terms are ``alpha_{k,i} e^{g p^i (x - b p^{-k})}``,
+    ``i < k``, then ``C~ beta_{k,i}`` times the same, ``i <= k``; ``D_k(i)``
+    has sign ``(-1)^i``, as ``p^i < p^j`` exactly when ``j < i``.  Every term
+    is a constant times ``e^{rate * x}``, so the slope in ``x`` is
     ``sum(term * rate)``; the constant head term ``(1/g)^k0`` (rate 0) is
     left to the caller.
     """
@@ -344,47 +351,24 @@ def _z_down_terms(w, p, x, b, ct, k0: int):
     log_p, log_g = math.log(p), math.log(g)
     # w may be subnormal, where the quotient w/g underflows before its log
     log_w_over_g = math.log(w) - log_g
-    pw = [p ** i for i in range(k0)]
-    log_gap = [[None] * k0 for _ in range(k0)]  # log |p^i - p^j|, i != j
-    for i in range(k0):
-        for j in range(i + 1, k0):
-            log_gap[i][j] = log_gap[j][i] = math.log(abs(pw[i] - pw[j]))
+    sign_ct, log_ct = (1 if ct > 0 else -1), math.log(abs(ct)) if ct != 0 else 0.0
+    pw, log_dn = [], []  # p^k; log |D_k(i)|, i < k, at the top of step k
     signs, logs, rates = [], [], []
-
-    def add(k, n, sign, log_base, acc, log_first):
-        """``sign e^{log_base} e^{g p^i shift} / (e^{first_i} prod_{j != i}(p^i - p^j))``,
-        i < n; the product has sign ``(-1)^i``, as ``p^i < p^j`` exactly when ``j < i``.
-        ``acc`` holds the log denominators of the previous call, ``n - 1`` of
-        them: each gains the factor ``j = n - 1``, and the new one, ``i = n - 1``,
-        starts at ``log_first``; every sum runs over ``j`` in ascending order."""
-        for i in range(n - 1):
-            acc[i] += log_gap[i][n - 1]
-        for j in range(n - 1):
-            log_first += log_gap[n - 1][j]
-        acc.append(log_first)
+    for k in range(k0):
+        pw.append(p ** k)
+        sign_c = (-1) ** (k + 1)
+        log_c = log_w_over_g + (k * (k - 1) // 2) * log_p - k * log_g  # log |c_k|
+        coeffs = [(i, sign_c, log_c, i * log_p + L) for i, L in enumerate(log_dn)]
+        for i in range(k):
+            log_dn[i] += math.log(abs(pw[i] - pw[k]))
+        log_dn.append(sum(math.log(pw[j] - pw[k]) for j in range(k)))
+        if ct != 0:
+            coeffs += [(i, sign_c * sign_ct, log_c + log_ct, L) for i, L in enumerate(log_dn)]
         shift = x - b * p ** (-k)
-        for i in range(n):
-            rate = g * pw[i]
+        for i, sign, log_num, log_den in coeffs:
+            rates.append(g * pw[i])
             signs.append(sign * (-1) ** i)
-            logs.append(log_base + (rate * shift - acc[i]))
-            rates.append(rate)
-
-    acc = []
-    for k in range(1, k0):
-        # -(w/g) (-1)^k p^{k(k-1)/2} sum_i e^{g p^i (x - b p^{-k})}
-        #                                   / (g^k p^i prod_{j != i}(p^i - p^j))
-        add(k, k, (-1) ** (k + 1),  # -(w/g)(-1)^k sign
-            log_w_over_g + (k * (k - 1) // 2) * log_p - k * log_g, acc, (k - 1) * log_p)
-    if ct != 0:
-        log_ct = math.log(abs(ct))
-        sign_ct = 1 if ct > 0 else -1
-        acc = []
-        for k in range(k0):
-            # +(w/g) C~ (-1)^{k+1} p^{-k} p^{k(k+1)/2} sum_i e^{g p^i shift}
-            #                                         / (g^k prod_{j != i}(p^i - p^j))
-            add(k, k + 1, sign_ct * (-1) ** (k + 1),
-                log_w_over_g + log_ct - k * log_p
-                + (k * (k + 1) // 2) * log_p - k * log_g, acc, 0.0)
+            logs.append(log_num + (rates[-1] * shift - log_den))
     return signs, logs, rates
 
 
@@ -669,7 +653,8 @@ class KCoefficients:
 @lru_cache(maxsize=4096)
 def _k_tables(w: float, p: float, b: float, kmax: int) -> KCoefficients:
     """Interval table ``kmax`` for barrier ``b``, by the exact recursion over
-    intervals 0..kmax (cached; the memo keeps the last table only).
+    intervals 0..kmax (memoized per interval: an entry holds that
+    interval's table only, not the tables below it).
 
     Coefficient ``n`` of interval ``k`` is the head of interval ``k - n``
     times a product of exact factors, so it carries that head's loss.  A
@@ -787,7 +772,8 @@ def _log_k_mp(w: float, p: float, b: float, x: float, k: int, dps: int,
     """``(log K(x),)``, or with ``slope`` ``(log K(x), log K'(x))``, from the
     arbitrary-precision table of interval ``k``, and the digits lost
     (as :func:`_log_sum_loss` counts them); None and the whole budget while
-    a sum is <= 0."""
+    a sum is <= 0.  The logs are ``mpf`` at ``dps`` digits, not rounded to
+    float64, so that ``log K' - log K`` rounds only once."""
     tab = _k_tables_mp(w, p, b, k, dps)
     with mp.workdps(dps):
         g = mp.mpf(w) + 1
@@ -799,10 +785,10 @@ def _log_k_mp(w: float, p: float, b: float, x: float, k: int, dps: int,
         sums = [mp.fsum(row) for row in rows]
         if any(v <= 0 for v in sums):
             return None, float(dps)
-        log_sums = tuple(float(mp.log(v)) for v in sums)
+        log_sums = tuple(mp.log(v) for v in sums)
         peaks = [max(float(mp.log(abs(t))) + carried if t else -math.inf
                      for t, carried in zip(row, tab.lost)) for row in rows]
-    return log_sums, max(map(sub, peaks, log_sums)) / _LN10
+    return log_sums, max(map(sub, peaks, map(float, log_sums))) / _LN10
 
 
 @lru_cache(maxsize=4096)
@@ -826,38 +812,50 @@ def _k_log_slope(w: float, p: float, b: float, x: float) -> float:
     k = interval_index(x, b, p)
     if math.isclose(x, b * p ** (-(k + 1)), rel_tol=4e-16):
         k += 1
-    log_k, log_dk = _log_k_sums(w, p, b, x, k, slope=True)
-    return math.exp(log_dk - log_k)
+    return math.exp(_log_k_sums(w, p, b, x, k, slope=True)[1])
 
 
 def _log_k_sums(w: float, p: float, b: float, x: float, k: int,
                 slope: bool) -> Tuple[float, ...]:
-    """``(log K(x),)``, or with ``slope`` ``(log K(x), log K'(x))``, on interval ``k``.
+    """``(log K(x),)``, or with ``slope`` ``(log K(x), log(K'(x)/K(x)))``, on
+    interval ``k``.
 
     The float64 signed-log evaluation reports how many digits each final
     summation lost, the recursion's cancellation included
     (:func:`_log_sum_loss`); past ``_K_EVAL_LOST_OK`` digits on either sum
     the table is rebuilt in arbitrary precision, first at a budget sized
-    from that loss, and kept once its own loss leaves 16 digits.
+    from that loss, and kept once its own loss leaves 16 digits.  Both sums
+    are taken relative to the largest term, so that the slope's ratio is
+    formed before its logs round; each term's exponent still rounds by eps
+    times its size, some ``g x``, which a slope counts as lost digits on
+    either route.
     """
+    spread = math.log10((w + 1.0) * x) if slope else -math.inf
     try:
         tab = _k_tables(w, p, b, k)
         g = w + 1.0
         logs = [L + g * p ** n * x for n, L in enumerate(tab.logmags)]
-        log_k, lost = _log_sum_loss(tab.signs, logs, tab._lost)
+        top = max(logs)
+        rel = [L - top for L in logs]
+        log_k, lost = _log_sum_loss(tab.signs, rel, tab._lost)
         if slope:
             log_g, log_p = math.log(g), math.log(p)
             log_dk, dlost = _log_sum_loss(
-                tab.signs, [L + log_g + n * log_p for n, L in enumerate(logs)], tab._lost)
-            if log_k is not None and log_dk is not None and max(lost, dlost) <= _K_EVAL_LOST_OK:
-                return log_k, log_dk
-            lost = max(lost, dlost)
+                tab.signs, [L + log_g + n * log_p for n, L in enumerate(rel)], tab._lost)
+            lost = max(lost, dlost, spread)
+            if log_k is not None and log_dk is not None and lost <= _K_EVAL_LOST_OK:
+                return top + log_k, log_dk - log_k
         elif log_k is not None and lost <= _K_EVAL_LOST_OK:
-            return (log_k,)
+            return (top + log_k,)
     except ConvergenceError:
         lost = 12.0  # the recursion itself cancelled out; size the budget blind
-    return _escalated(lambda dps: _log_k_mp(w, p, b, x, k, dps, slope), _first_budget(lost), 16,
+
+    def run(dps):
+        logs, lost = _log_k_mp(w, p, b, x, k, dps, slope)
+        return logs, max(lost, spread)
+    logs = _escalated(run, _first_budget(lost), 16,
                       f"reciprocal scale function at w={w}, p={p}, b={b}, x={x}")[0]
+    return (float(logs[0]),) + tuple(float(L - logs[0]) for L in logs[1:])
 
 
 def _log_sum_loss(signs, logs, lost) -> Tuple[Optional[float], float]:

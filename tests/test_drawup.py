@@ -98,6 +98,15 @@ class TestStripSolver:
         # when the scan stopped at 240 kinks)
         assert edges[-1] - edges[-2] < 0.02 * c
 
+    def test_a_kink_next_to_the_infimum_is_dropped_not_the_infimum(self):
+        # at p = 1e-9 the first kink m / p lies 1e-16 above m = 1e-25, below
+        # 1e-13 of the top: the strip still starts at m, on the next kink
+        m, top = 1e-25, 3.0 + 1e-25
+        edges = _strip_edges(1.001, 1e-9, m, top)
+        assert (edges[0], edges[-1]) == (m, top)
+        assert math.isclose(edges[1], 1e-7)
+        assert np.all(np.diff(edges) > 0.0)
+
     def test_stacked_strips_solve_as_lone_strips(self):
         # three deep levels of the p = 0.8 cascade, 15 panels each, assembled
         # together: every matrix entry and every solution keeps the bits of
@@ -204,6 +213,37 @@ class TestCascade:
         assert 0.0 < err.value.partial < 1.0
         assert (diag["generations"], diag["grid_levels"]) == (160, 641)
         assert 1e-4 < diag["truncation_bound"] < 1e-3
+
+    def test_tiny_p_cascades_keep_every_landing_in_a_strip(self):
+        # deep levels whose strip's first kink lies within 1e-13 top of the
+        # infimum; both used to raise numpy's ValueError from a landing
+        # binned at panel -1.  p = 1e-9 and 1e-6 differ by 1.1e-8
+        params = [ModelParams(lam=1.0, p=p) for p in (1e-9, 1e-6)]
+        spec = ExitSpec(ExitKind.DRAWUP, x=2.0, u=1.0, c=3.0)
+        tiny, small = (evaluate(params_, spec, 0.001) for params_ in params)
+        assert math.isclose(tiny, 0.98291922479, rel_tol=1e-10)
+        assert math.isclose(small, 0.98291923590, rel_tol=1e-10)
+        assert 0.0 < drawup.drawup_lst(2.0, 1e-12, 0.01, 0.005, 0.5) < 1.0
+
+    def test_a_value_next_to_certainty_is_capped_at_one(self):
+        # both read 1.0000000000000002 before the clamp
+        assert drawup.drawup_lst(2.5450351779494355e-15, 0.14542479665855712,
+                                 0.015033053188439827, 0.012608654334927758,
+                                 0.025287886754315647) == 1.0
+        spec = ExitSpec(ExitKind.DRAWUP, x=0.6211736416153865, u=0.0288329532440504,
+                        c=1.6925471014264963)
+        assert evaluate(ModelParams(lam=1e-200, p=0.5), spec, 1e-310) == 1.0
+
+    @pytest.mark.parametrize("x, u, c, w", [
+        # the cascade came out NaN
+        (0.6211736416153865, 0.0288329532440504, 1.6925471014264963, 1e-3),
+        # a strip's matrix was singular (numpy's LinAlgError)
+        (0.00014328489570023447, 8.446465183481979e-07, 11.168172331224724, 5e-324),
+    ])
+    def test_levels_near_1e_300_raise_convergence_error(self, x, u, c, w):
+        spec = ExitSpec(ExitKind.DRAWUP, x=x, u=u, c=c)
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+            evaluate(ModelParams(lam=1e-300, p=1e-12), spec, w)
 
 
 class TestGenerations:

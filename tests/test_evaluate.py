@@ -30,7 +30,7 @@ PINNED = [
     ("refl-lower-up", ExitSpec(ExitKind.REFL_LOWER_UP, x=1.5, c=2.5, b=1.0),
      0.8, 0.5, 0.5, "0x1.a5a3422d50c64p-2"),
     ("drawdown", ExitSpec(ExitKind.DRAWDOWN, x=2.0, c=1.2), 0.7, 0.5, 0.5,
-     "0x1.ed79beeabf292p-2"),
+     "0x1.ed79beeabf290p-2"),
     ("drawdown-xbar0", ExitSpec(ExitKind.DRAWDOWN, x=2.0, c=1.2, xbar0=2.3),
      0.7, 0.5, 0.5, "0x1.1536b6d2082a4p-1"),
     ("drawup", ExitSpec(ExitKind.DRAWUP, x=1.5, u=0.8, c=1.5), 1.5, 0.5, 0.5,

@@ -94,6 +94,24 @@ class TestHazard:
             assert math.isclose(at_rate(hazard, w, lam, p, 1.5 * z1, c), w / lam + 1.0,
                                 rel_tol=1e-12)
 
+    @pytest.mark.parametrize("w, p, z, c", [
+        (0.4249942959798767, 0.32642356055739563, 9.87e10, 9.87e10 - 0.5647587048282834),
+        (1.0, 0.3, 1e12, 1e12 - 0.7),
+        (0.5, 0.5, 1e9, 1e9 - 1.0),
+    ])
+    def test_ratio_stays_relative_at_very_large_levels(self, w, p, z, c):
+        # log K and log K' are near 1e11 here, where float64 holds them to
+        # 1e-5: the ratio K'/K is formed before either log rounds.  These were
+        # 1.1e-5, 3.2e-5 and 1.8e-8 off; the reference sums the 150-digit table
+        b = z - c
+        k = interval_index(z, b, p)
+        tab = _k_tables_mp(w, p, b, k, 150)
+        with mp.workdps(150):
+            rates = [(mp.mpf(w) + 1) * mp.mpf(p) ** n for n in range(k + 1)]
+            terms = [a * mp.exp(r * mp.mpf(z)) for a, r in zip(tab, rates)]
+            ref = float(mp.fdot(rates, terms) / mp.fsum(terms))
+        assert math.isclose(hazard(w, p, z, c), ref, rel_tol=1e-12)
+
     def test_positive_and_finite_below_knee(self):
         for z in (1.3, 1.6, 1.9):
             h = hazard(0.5, 0.5, z, 1.0)

@@ -444,8 +444,8 @@ class TestFloatPathPins:
         assert l_up(w, p, x, a, b).hex() == expected
 
     @pytest.mark.parametrize("w, p, z, c, expected", [
-        (0.5, 0.5, 5.0, 4.0, "0x1.78931d8b0004cp+0"),
-        (1.0, 0.8, 3.0, 2.5, "0x1.9b6146b76b934p+0"),
+        (0.5, 0.5, 5.0, 4.0, "0x1.78931d8b0004fp+0"),
+        (1.0, 0.8, 3.0, 2.5, "0x1.9b6146b76b932p+0"),
         (0.5, 0.7, 6.0, 5.0, "0x1.69ad14dc1a791p+0"),
     ])
     def test_hazard(self, w, p, z, c, expected):
@@ -515,6 +515,31 @@ class TestCoefficientTables:
     # a p = 0.8 drawdown node that escalates once, at 40 digits (a first
     # budget of 31 rounded up to a multiple of 10), on four intervals
     NODE = (2.0, 0.8, 5.250358542481988, 2.250358542481987)
+
+    @pytest.mark.parametrize("w, p", [(0.5, 0.8), (0.1, 0.9), (2.0, 0.95)])
+    def test_float_terms_carry_the_tables_coefficients(self, w, p):
+        # the float64 route grows the running products D_k(i) as logs, the
+        # table as mpf: each float term, its exponent g p^i (x - b p^-k) taken
+        # off, is log |alpha_{k,i}| or log |C~ beta_{k,i}| of the 60-digit
+        # table, interval by interval, the alphas first.  Starts stay below
+        # 15 b, so that the exponents round well inside the bound
+        b, eps = 1.0, 2.0 ** -52
+        ct = c_tilde(w, p, b)
+        tab = scalefn._DownCoeffs(w, p, 60).upto(12)
+        for k0 in range(1, 13):
+            x = b * p ** -(k0 - 0.5)
+            signs, logs, rates = scalefn._z_down_terms(w, p, x, b, ct, k0)
+            with mp.workdps(60):
+                want = [(k, i, mp.sign(coeff), float(mp.log(abs(coeff))))
+                        for k in range(k0) for i, coeff in
+                        [(i, tab.alpha[i][k - 1 - i]) for i in range(k)]
+                        + [(i, ct * tab.beta[i][k - i]) for i in range(k + 1)]]
+            assert len(logs) == len(want)
+            for sign, log_term, rate, (k, i, ref_sign, ref) in zip(signs, logs, rates, want):
+                assert rate == (w + 1) * p ** i
+                got = log_term - rate * (x - b * p ** -k)
+                assert sign == ref_sign
+                assert abs(got - ref) <= k0 * 4 * eps * (1 + abs(ref)), (k0, k, i)
 
     def test_neighbouring_budgets_share_one_table(self):
         # C~ and the sums read one table per (w, p) and table precision: the
