@@ -305,8 +305,10 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
     zero (``0 <= u <= x``).
     With no recorded infimum yet below the start (``u == 0``, where 0 acts
     as the worst-case floor) the event reduces to plain ascent to ``c``.
-    Otherwise the value is obtained from the infimum-cascade renewal
-    described in the module docstring.
+    A distance ``t = u + c - x`` so short that a jump before the drift
+    covers it weighs below half an ulp of ``e^{-(w+1) t}`` returns that
+    drift-only value.  Otherwise the value is obtained from the
+    infimum-cascade renewal described in the module docstring.
 
     ``tol > 0`` bounds the cascade truncation error: the cascade stops at
     the first generation ``G`` (a factor ``1/p`` of depth each) whose
@@ -328,6 +330,11 @@ def drawup_lst(w: float, p: float, x: float, u: float, c: float,
     _require(tol > 0.0, f"drawup tol must be > 0, got {tol}")
     if w == 0.0 or x >= u + c:
         return 1.0
+    # drift alone reaches u + c after t, jump-free with weight e^{-(w+1) t};
+    # a path that jumps first (chance 1 - e^{-t}) then weighs below half an ulp
+    t = u + c - x
+    if -math.expm1(-t) <= 2.0 ** -54 * math.exp(-(w + 1.0) * t):
+        return math.exp(-(w + 1.0) * t)
     if u == 0.0:
         return z_up(w, p, x, c)
     G, bound = _generations(w, p, u, tol)

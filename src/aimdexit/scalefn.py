@@ -17,14 +17,15 @@ Signed log space: a real number ``v`` travels as the plain pair
 ``(sign, log |v|)``, sign in {-1, 0, 1} and zero as ``(0, -inf)``; products
 add the logs, and :func:`_log_add` and :func:`_signed_logsumexp` sum.  The
 ``l_up`` evaluator is built on interval coefficient tables for the reciprocal
-scale function ``K`` (``l_up_from_b = 1/K``), kept as such pairs so that deep
-intervals neither overflow nor lose their sign pattern; the slope ``K'/K``
-is formed as a ratio before its logarithms round.  ``z_down`` combines a
-geometric closed form with two finite exponential sums whose coefficients
-involve the alternating q-products ``prod (1 - p^{-i})`` and
-``prod (p^i - p^j)``; their signs are closed-form.  Both precisions grow the
-products ``prod (p^i - p^j)`` by the one recurrence of :class:`_DownCoeffs`,
-the float64 route as sums of logarithms.
+scale function ``K`` (``l_up_from_b = 1/K``), each term kept as such a pair
+at its interval's left end, so that deep intervals neither overflow nor
+lose their sign pattern and a recursion step is continuity there; the
+slope ``K'/K`` is formed as a ratio before its logarithms round.
+``z_down`` combines a geometric closed form with two finite exponential
+sums whose coefficients involve the alternating q-products ``prod (1 -
+p^{-i})`` and ``prod (p^i - p^j)``; their signs are closed-form.  Both
+precisions grow the products ``prod (p^i - p^j)`` by the one recurrence of
+:class:`_DownCoeffs`, the float64 route as sums of logarithms.
 
 Each float64 evaluation measures the digits its sums cancelled (for ``K``,
 those of its recursion too) and past its tolerance escalates to arbitrary
@@ -629,8 +630,9 @@ class KCoefficients:
     """Coefficients of the reciprocal scale function on one interval.
 
     On ``x`` in ``(b p^{-k}, b p^{-(k+1)}]`` the reciprocal ``K = 1/l_up_from_b``
-    is ``sum_{n=0}^{k} a_{n,k} e^{gamma p^n x}``; the ``a_{n,k}`` are stored in
-    signed log space (``signs[n] * exp(logmags[n])``).  ``_lost[n]`` is the
+    is ``sum_{n=0}^{k} a_{n,k} e^{gamma p^n x}``; each term is stored in signed
+    log space at the interval's left end ``anchor = b p^{-k}``, ``signs[n] *
+    exp(logmags[n]) = a_{n,k} e^{gamma p^n anchor}``.  ``_lost[n]`` is the
     log of the factor by which the recursion's cancellation amplified the
     rounding of ``a_{n,k}`` (see :func:`_k_tables`).
     """
@@ -638,11 +640,12 @@ class KCoefficients:
     k: int
     signs: Tuple[int, ...]
     logmags: Tuple[float, ...]
+    anchor: float
     _lost: Tuple[float, ...] = field(default=(), repr=False)
 
     def eval_log(self, gamma: float, p: float, x: float) -> float:
         """``log K(x)`` via signed log-sum-exp; K >= 1 on its interval."""
-        logs = [L + gamma * p ** n * x for n, L in enumerate(self.logmags)]
+        logs = [L + gamma * p ** n * (x - self.anchor) for n, L in enumerate(self.logmags)]
         sign, log_k = _signed_logsumexp(self.signs, logs)
         if sign <= 0:
             raise ConvergenceError(
@@ -656,49 +659,36 @@ def _k_tables(w: float, p: float, b: float, kmax: int) -> KCoefficients:
     intervals 0..kmax (memoized per interval: an entry holds that
     interval's table only, not the tables below it).
 
-    Coefficient ``n`` of interval ``k`` is the head of interval ``k - n``
-    times a product of exact factors, so it carries that head's loss.  A
-    head sums, over the coefficients of the interval below, the terms
-    ``a_n e^{g (p^n - 1) x_k}`` and ``-a_n e^{mu x_{k-1}} / (-mu p)``; it
-    loses its largest term over ``|head|``, or an ``a_n``'s own loss times
-    its net term over ``|head|`` if more (a running error estimate with
-    maxima for sums, Higham, *Accuracy and Stability*, ch. 4).
+    Anchored at ``x_k = b p^{-k}``, coefficient ``m >= 1`` of interval
+    ``k``, ``a_{m-1,k-1} / (g (1 - p^m))``, takes no exponent (``g p^m x_k
+    = g p^{m-1} x_{k-1}``), and the head is continuity at ``x_k``: interval
+    ``k - 1``'s terms there less the others of interval ``k``, in one
+    signed log-sum.  Coefficient ``n`` is the head of interval ``k - n``
+    times exact factors, so it carries that head's loss.  A head loses its
+    largest term over ``|head|``, or, term ``n`` below paired with
+    coefficient ``n + 1``, an ``a_n``'s own loss times the pair's net over
+    ``|head|`` if more (a running error estimate with maxima for sums,
+    Higham, *Accuracy and Stability*, ch. 4).
     """
-    g, log_p = w + 1.0, math.log(p)
-    tab = KCoefficients(0, (1,), (-g * b,), (0.0,))
+    g = w + 1.0
+    tab = KCoefficients(0, (1,), (0.0,), b, (0.0,))
     for k in range(1, kmax + 1):
-        prev = tab
-        signs = [0] * (k + 1)
-        logmags = [float("-inf")] * (k + 1)
-        for m in range(1, k + 1):
-            if prev.signs[m - 1] == 0:
-                continue
-            signs[m] = prev.signs[m - 1]
-            logmags[m] = prev.logmags[m - 1] - math.log(g) - math.log1p(-p ** m)
-        xk, rise = b * p ** (-k), p ** (-(k - 1))
-        log_K_xk = prev.eval_log(g, p, xk)
-        acc_s, acc_l = 0, -math.inf
+        prev, xk = tab, b * p ** (-k)
+        ups = [L + g * p ** n * (xk - prev.anchor) for n, L in enumerate(prev.logmags)]
+        downs = [L - math.log(g) - math.log1p(-p ** m) for m, L in enumerate(prev.logmags, 1)]
+        sign, head = _signed_logsumexp(prev.signs + tuple(-s for s in prev.signs), ups + downs)
+        if sign == 0:
+            raise ConvergenceError(
+                f"reciprocal scale function recursion cancelled out at interval {k}")
         peak = -math.inf  # log of the head's largest term or carried error
-        for n in range(k):
-            if prev.signs[n] == 0:
-                continue
-            pn = p ** n
-            mu = g * (pn - 1.0 / p)  # < 0 always
-            down = prev.logmags[n] + mu * b * rise - math.log(-mu)
-            acc_s, acc_l = _log_add(acc_s, acc_l, -prev.signs[n], down)
-            up, down = prev.logmags[n] + g * (pn - 1.0) * xk, down - log_p
+        for up, down, lost in zip(ups, downs, prev._lost):
             top = up if up > down else down
-            carried = prev._lost[n] + top
+            carried = lost + top
             if carried > peak and up != down:
                 carried += math.log(-math.expm1(-abs(up - down)))
             peak = max(peak, top, carried)
-        # head = K(x_k) e^{-g x_k} + acc / p
-        signs[0], logmags[0] = _log_add(1, -g * xk + log_K_xk, acc_s, acc_l - log_p)
-        if signs[0] == 0:
-            raise ConvergenceError(
-                f"reciprocal scale function recursion cancelled out at interval {k}")
-        tab = KCoefficients(k, tuple(signs), tuple(logmags),
-                            (max(0.0, peak - logmags[0]),) + prev._lost)
+        tab = KCoefficients(k, (sign,) + prev.signs, (head,) + tuple(downs), xk,
+                            (max(0.0, peak - head),) + prev._lost)
     return tab
 
 
@@ -834,7 +824,7 @@ def _log_k_sums(w: float, p: float, b: float, x: float, k: int,
     try:
         tab = _k_tables(w, p, b, k)
         g = w + 1.0
-        logs = [L + g * p ** n * x for n, L in enumerate(tab.logmags)]
+        logs = [L + g * p ** n * (x - tab.anchor) for n, L in enumerate(tab.logmags)]
         top = max(logs)
         rel = [L - top for L in logs]
         log_k, lost = _log_sum_loss(tab.signs, rel, tab._lost)

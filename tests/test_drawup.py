@@ -234,16 +234,30 @@ class TestCascade:
                         c=1.6925471014264963)
         assert evaluate(ModelParams(lam=1e-200, p=0.5), spec, 1e-310) == 1.0
 
-    @pytest.mark.parametrize("x, u, c, w", [
-        # the cascade came out NaN
-        (0.6211736416153865, 0.0288329532440504, 1.6925471014264963, 1e-3),
+    @pytest.mark.parametrize("x, u, c, w, expected", [
+        # the cascade came out NaN; at jump rate 1 the drift reaches u + c
+        # after t = 1.1e-300, so the value is e^{-(w/lam + 1) t}
+        (0.6211736416153865, 0.0288329532440504, 1.6925471014264963, 1e-3,
+         0.9989003985921233),
         # a strip's matrix was singular (numpy's LinAlgError)
-        (0.00014328489570023447, 8.446465183481979e-07, 11.168172331224724, 5e-324),
+        (0.00014328489570023447, 8.446465183481979e-07, 11.168172331224724, 5e-324, 1.0),
     ])
-    def test_levels_near_1e_300_raise_convergence_error(self, x, u, c, w):
+    def test_levels_near_1e_300_take_the_drift_alone(self, x, u, c, w, expected):
         spec = ExitSpec(ExitKind.DRAWUP, x=x, u=u, c=c)
-        with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
-            evaluate(ModelParams(lam=1e-300, p=1e-12), spec, w)
+        assert evaluate(ModelParams(lam=1e-300, p=1e-12), spec, w) == expected
+
+    @pytest.mark.parametrize("fault, message", [("singular", "strip system"),
+                                                ("nan", "cascade came out nan")])
+    def test_a_failed_strip_solve_raises_convergence_error(self, monkeypatch, fault, message):
+        # the calls above reached these guards before they took the drift
+        # alone; the module's numpy now fails a solve, or makes it NaN
+        def spy(K, rhs):
+            if fault == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            rhs[:] = np.nan
+        monkeypatch.setattr(drawup, "np", _numpy_spying_on_solve(spy))
+        with pytest.raises(ConvergenceError, match=message):
+            drawup.drawup_lst(0.5, 0.8, 4.6125, 4.0, 1.75)
 
 
 class TestGenerations:

@@ -12,7 +12,7 @@ from aimdexit import (ConvergenceError, ExitKind, ExitSpec, McConfig,
                       ModelParams, QuadratureControl, ValidationError,
                       default_grid, default_horizon_cap, evaluate,
                       l_down, l_up, lst_drawup, mc_lst, solve_a, z_down, z_up)
-from aimdexit import reflected
+from aimdexit import reflected, scalefn
 from aimdexit.reflected import (hazard, lst_drawdown, lst_reflected_lower,
                                 lst_reflected_upper)
 from aimdexit.scalefn import (_k_log_slope, _k_tables_mp, _log_k_from_b, interval_index,
@@ -111,6 +111,35 @@ class TestHazard:
             terms = [a * mp.exp(r * mp.mpf(z)) for a, r in zip(tab, rates)]
             ref = float(mp.fdot(rates, terms) / mp.fsum(terms))
         assert math.isclose(hazard(w, p, z, c), ref, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("w, p, c, k", [(0.5, 0.5, 1.0, 1), (0.0, 0.8, 1.5, 1),
+                                            (2.0, 0.9, 1.0, 1), (0.5, 0.8, 3.0, 3),
+                                            (1.0, 0.3, 1.2, 2), (2.0, 0.9, 1.0, 8)])
+    def test_right_slope_at_a_breakpoint(self, monkeypatch, w, p, c, k):
+        # z = c/(1 - p^k) is the breakpoint b p^-k of its own barrier b = z - c,
+        # which interval_index ties to interval k - 1: the hazard takes the
+        # right slope, from interval k's table.  K' jumps only at b/p (k = 1,
+        # the knee), where K(p x) leaves 0; further up it is continuous
+        real, tables = scalefn._log_k_sums, []
+
+        def spy(w_, p_, b_, x, k_, slope):
+            tables.append(k_)
+            return real(w_, p_, b_, x, k_, slope)
+        monkeypatch.setattr(scalefn, "_log_k_sums", spy)
+        z = c / (1.0 - p ** k)
+        b = z - c
+
+        def slope_mp(interval):
+            tab = _k_tables_mp(w, p, b, interval, 60)
+            with mp.workdps(60):
+                rates = [(mp.mpf(w) + 1) * mp.mpf(p) ** n for n in range(interval + 1)]
+                terms = [a * mp.exp(r * mp.mpf(z)) for a, r in zip(tab, rates)]
+                return float(mp.fdot(rates, terms) / mp.fsum(terms))
+        h, right, left = hazard(w, p, z, c), slope_mp(k), slope_mp(k - 1)
+        assert tables == [k]
+        assert math.isclose(h, right, rel_tol=1e-13)
+        assert (abs(left - right) > 1e-3 * right) if k == 1 else \
+            math.isclose(left, right, rel_tol=1e-13)
 
     def test_positive_and_finite_below_knee(self):
         for z in (1.3, 1.6, 1.9):
