@@ -153,6 +153,8 @@ def hazard(w: float, p: float, z: float, c: float) -> float:
     ends the race and the slope is ``w + 1``.
     """
     _require(z > c > 0.0, f"hazard needs z > c > 0, got z={z}, c={c}")
+    if (1.0 - p) * z >= c:  # the comparison of lst_drawdown's closed form
+        return w + 1.0
     return _k_log_slope(w, p, z - c, z)
 
 

@@ -39,7 +39,10 @@ not depend on the start: one coefficient table, of the intervals and of
 ``C~``'s terms, per ``(w, p)`` and digit budget (rounded up to a multiple
 of 20); ``C~`` and the ``S_i`` once per barrier and budget, a first budget
 being rounded up to a multiple of 10 so that the starts on one barrier
-share it; and ``log K`` per level.
+share it; the float64 route's ``C~`` and the start-free logs of its terms
+once per barrier ``(w, p, b)``, in one record extended to the deepest
+interval asked, up to 64 (:func:`_down_terms`, 128 records); ``log K``
+per level; and ``log(K(x)/K(a))`` per pair of levels.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ _LN2 = math.log(2.0)
 # a convergent series is cut once its term falls below _REL_TOL times the
 # running sum; _MAX_TERMS bounds every summation loop
 _REL_TOL = 1e-14
+_LOG_REL_TOL = math.log(_REL_TOL)
 _MAX_TERMS = 10_000
 # digit cap of an arbitrary-precision escalation that needs 16 digits
 _MAX_DPS = 400
@@ -225,16 +229,20 @@ def c_tilde(w: float, p: float, b: float) -> float:
     num_s, num_l = 0, -math.inf  # sum_{l>=1} t_l * (1 - p^{-l})
     den_s, den_l = 0, -math.inf  # sum_{l>=0} t_l * p^{-l}
     peak_num = peak_den = -math.inf
+    sign = 1  # (-1)^l
     for l, (num_term, den_term) in enumerate(_c_tilde_logs(w, p, b)):
-        peak_den = max(peak_den, den_term)
-        den_s, den_l = _log_add(den_s, den_l, (-1) ** l, den_term)
+        if den_term > peak_den:
+            peak_den = den_term
+        den_s, den_l = _log_add(den_s, den_l, sign, den_term)
         if l > 0:
-            peak_num = max(peak_num, num_term)
-            num_s, num_l = _log_add(num_s, num_l, (-1) ** (l - 1), num_term)
-            if (num_term < num_l + math.log(_REL_TOL)
-                    and den_term < den_l + math.log(_REL_TOL)
+            if num_term > peak_num:
+                peak_num = num_term
+            num_s, num_l = _log_add(num_s, num_l, -sign, num_term)
+            if (num_term < num_l + _LOG_REL_TOL
+                    and den_term < den_l + _LOG_REL_TOL
                     and l >= 4):
                 break
+        sign = -sign
     else:
         raise ConvergenceError(f"c_tilde series not converged after {_MAX_TERMS} terms")
     # the q-product denominators shrink as p -> 1, making the terms of both
@@ -335,42 +343,101 @@ def _down_interval_count(x: float, b: float, p: float) -> int:
     return k
 
 
-def _z_down_terms(w, p, x, b, ct, k0: int):
-    """Signs, log magnitudes and rates of the exponential terms of the
-    downward transform on interval ``k0``, in float64: the series of
+class _DownTerms:
+    """The start-free part of the float64 downward series on one barrier:
+    ``ct``, the float64 ``C~`` as :func:`c_tilde` returns it, and per term
+    of the intervals built so far its sign, rate, the two logs of
+    :func:`_z_down_terms` (``log_num`` and ``log_den``) and its interval's
+    left end ``b p^{-k}``, interval by interval; ``ends[k]`` counts the
+    terms of intervals ``0..k``.  The coefficients are those of
     :class:`_DownCoeffs`, built by its recurrence with each running product
-    ``D_k(i)`` kept as ``log |D_k(i)|``.
+    ``D_k(i)`` kept as ``log |D_k(i)|``, which has sign ``(-1)^i``, as
+    ``p^i < p^j`` exactly when ``j < i``.  Nothing of interval ``k``
+    depends on a later one, so :meth:`upto` extends the record in place.
+    """
+
+    def __init__(self, w, p, b, ct: float):
+        self.ct, self._p, self._b, self._g = ct, p, b, w + 1
+        self._lock = threading.Lock()
+        self._log_p, self._log_g = math.log(p), math.log(self._g)
+        # w may be subnormal, where the quotient w/g underflows before its log
+        self._log_w_over_g = math.log(w) - self._log_g
+        self._sign_ct = 1 if ct > 0 else -1
+        self._log_ct = math.log(abs(ct)) if ct != 0 else 0.0
+        self._pw, self._up, self._log_dn = [], [], []  # p^k; g p^k; log |D_k(i)|, i < k
+        self.ends, self.signs, self.rates = [], [], []
+        self.log_nums, self.log_dens, self.lefts = [], [], []
+
+    def upto(self, k0: int) -> Tuple[list, ...]:
+        """``(signs, rates, log_nums, log_dens, lefts)`` of the terms of the
+        first ``k0 >= 1`` intervals, extending the record as needed."""
+        with self._lock:
+            for k in range(len(self.ends), k0):
+                self._extend(k)
+            n = self.ends[k0 - 1]
+            return (self.signs[:n], self.rates[:n], self.log_nums[:n], self.log_dens[:n],
+                    self.lefts[:n])
+
+    def _extend(self, k: int) -> None:
+        """Add interval ``k``: the ``alpha_{k,i}``, ``i < k``, then the ``C~
+        beta_{k,i}``, ``i <= k``."""
+        p, pw, log_p, log_dn, up = self._p, self._pw, self._log_p, self._log_dn, self._up
+        pw_k = p ** k
+        grown = [L + math.log(abs(pw[i] - pw_k)) for i, L in enumerate(log_dn)]
+        grown.append(sum(math.log(pw[j] - pw_k) for j in range(k)))
+        # nothing below raises, so the record never holds part of an interval
+        sign_c = (-1) ** (k + 1)
+        log_c = self._log_w_over_g + (k * (k - 1) // 2) * log_p - k * self._log_g  # log |c_k|
+        alt = [sign_c, -sign_c] * (k // 2 + 1)  # sign_c (-1)^i
+        pw.append(pw_k)
+        up.append(self._g * pw_k)
+        signs, rates, log_nums, log_dens = self.signs, self.rates, self.log_nums, self.log_dens
+        signs += alt[:k]
+        rates += up[:k]
+        log_nums += [log_c] * k
+        log_dens += [i * log_p + L for i, L in enumerate(log_dn)]
+        if self.ct != 0:
+            signs += [self._sign_ct * s for s in alt[:k + 1]]
+            rates += up
+            log_nums += [log_c + self._log_ct] * (k + 1)
+            log_dens += grown
+        self.lefts += [self._b * p ** (-k)] * (len(signs) - len(self.lefts))
+        self._log_dn = grown
+        self.ends.append(len(signs))
+
+
+# past this many intervals a start builds its terms afresh, unrecorded
+_DOWN_TERMS_DEPTH = 64
+
+
+# an entry holds one C~ and k^2 terms for the k intervals asked, k at most
+# _DOWN_TERMS_DEPTH: some 9 KB ten intervals deep, 30 KB twenty deep and at
+# most 320 KB; only starts on a shared barrier hit it (each drawdown node
+# has its own), so 128 entries serve, at most some 41 MB
+@lru_cache(maxsize=128)
+def _down_terms(w, p, b) -> _DownTerms:
+    """The float64 downward series' record of barrier ``b``, with its ``C~``
+    (a ``ConvergenceError`` of :func:`c_tilde` is raised, never stored)."""
+    return _DownTerms(w, p, b, c_tilde(w, p, b))
+
+
+def _z_down_terms(w, p, x, b, k0: int):
+    """Signs, log magnitudes and rates of the exponential terms of the
+    downward transform on interval ``k0``, in float64, from the barrier's
+    record (:func:`_down_terms`): per start only the shifts.
 
     Per interval ``k < k0`` the terms are ``alpha_{k,i} e^{g p^i (x - b p^{-k})}``,
-    ``i < k``, then ``C~ beta_{k,i}`` times the same, ``i <= k``; ``D_k(i)``
-    has sign ``(-1)^i``, as ``p^i < p^j`` exactly when ``j < i``.  Every term
+    ``i < k``, then ``C~ beta_{k,i}`` times the same, ``i <= k``.  Every term
     is a constant times ``e^{rate * x}``, so the slope in ``x`` is
     ``sum(term * rate)``; the constant head term ``(1/g)^k0`` (rate 0) is
     left to the caller.
     """
-    g = w + 1
-    log_p, log_g = math.log(p), math.log(g)
-    # w may be subnormal, where the quotient w/g underflows before its log
-    log_w_over_g = math.log(w) - log_g
-    sign_ct, log_ct = (1 if ct > 0 else -1), math.log(abs(ct)) if ct != 0 else 0.0
-    pw, log_dn = [], []  # p^k; log |D_k(i)|, i < k, at the top of step k
-    signs, logs, rates = [], [], []
-    for k in range(k0):
-        pw.append(p ** k)
-        sign_c = (-1) ** (k + 1)
-        log_c = log_w_over_g + (k * (k - 1) // 2) * log_p - k * log_g  # log |c_k|
-        coeffs = [(i, sign_c, log_c, i * log_p + L) for i, L in enumerate(log_dn)]
-        for i in range(k):
-            log_dn[i] += math.log(abs(pw[i] - pw[k]))
-        log_dn.append(sum(math.log(pw[j] - pw[k]) for j in range(k)))
-        if ct != 0:
-            coeffs += [(i, sign_c * sign_ct, log_c + log_ct, L) for i, L in enumerate(log_dn)]
-        shift = x - b * p ** (-k)
-        for i, sign, log_num, log_den in coeffs:
-            rates.append(g * pw[i])
-            signs.append(sign * (-1) ** i)
-            logs.append(log_num + (rates[-1] * shift - log_den))
-    return signs, logs, rates
+    rec = _down_terms(w, p, b)
+    if k0 > _DOWN_TERMS_DEPTH:
+        rec = _DownTerms(w, p, b, rec.ct)
+    signs, rates, log_nums, log_dens, lefts = rec.upto(k0)
+    return signs, [n + (r * (x - left) - d)
+                   for n, r, d, left in zip(log_nums, rates, log_dens, lefts)], rates
 
 
 def _log10_or_zero(v: float) -> float:
@@ -568,8 +635,7 @@ def _z_down_eval(w, p, x, b, slope: bool) -> Tuple[Tuple[float, ...], tuple]:
     if k0 * log_g - slope * (log_g + _LN2) > 1075 * _LN2:
         return (0.0, 0.0)[:1 + slope], (("interval_count", k0), ("float_error_estimate", 0.0),
                                         ("escalated_digits", 0))
-    ct = c_tilde(w, p, b)
-    signs, logs, rates = _z_down_terms(w, p, x, b, ct, k0)
+    signs, logs, rates = _z_down_terms(w, p, x, b, k0)
     log_peak = max(logs, default=-math.inf)
     terms = None
     if log_peak > _LOG_HUGE:
@@ -883,7 +949,44 @@ def l_up(w: float, p: float, x: float, a: float, b: float) -> float:
         return 0.0
     if x >= a:
         return 1.0
-    return min(1.0, math.exp(_log_k_from_b(w, p, b, x) - _log_k_from_b(w, p, b, a)))
+    return min(1.0, math.exp(_log_k_ratio(w, p, b, x, a)))
+
+
+@lru_cache(maxsize=4096)
+def _log_k_ratio(w: float, p: float, b: float, x: float, a: float) -> float:
+    """``log(K(x)/K(a))``, memoized on the exact arguments: ``l_down`` and
+    the reflected kinds ask each start's ``l_up`` again.
+
+    Where ``x`` and ``a`` share interval ``k``, the ratio comes from that
+    interval's float64 table as one ratio of sums: each term is taken
+    relative to ``K(a)``'s largest before ``g p^n (x - a)`` is added, so
+    that the ratio is formed before either logarithm rounds, as the hazard
+    forms ``K'/K`` (at large levels ``log K`` rounds by eps times itself,
+    far more than the ratio).  Elsewhere, or past ``_K_EVAL_LOST_OK``
+    digits lost (as :func:`_log_sum_loss` counts them), it is the
+    difference of the two ``log K``, with their escalation, ``K(a)`` from
+    its memo.
+    """
+    k = interval_index(x, b, p)
+    right = b * p ** (-(k + 1))
+    # a > x lies on x's interval, as interval_index ties a breakpoint
+    if a <= right or math.isclose(a, right, rel_tol=4e-16):
+        try:
+            tab = _k_tables(w, p, b, k)
+        except ConvergenceError:  # the recursion cancelled out: escalate below
+            pass
+        else:
+            rates = [(w + 1.0) * p ** n for n in range(k + 1)]
+            logs = [L + r * (a - tab.anchor) for L, r in zip(tab.logmags, rates)]
+            top = max(logs)
+            rel = [L - top for L in logs]
+            log_ka, lost_a = _log_sum_loss(tab.signs, rel, tab._lost)
+            log_kx, lost_x = _log_sum_loss(
+                tab.signs, [L + r * (x - a) for L, r in zip(rel, rates)], tab._lost)
+            if log_ka is not None and log_kx is not None \
+                    and max(lost_a, lost_x) <= _K_EVAL_LOST_OK:
+                return log_kx - log_ka
+    return _log_k_sums(w, p, b, x, k, slope=False)[0] - _log_k_from_b(w, p, b, a)
 
 
 # threshold below which the up-weighted remote term of l_down is dropped

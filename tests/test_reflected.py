@@ -117,9 +117,10 @@ class TestHazard:
                                             (1.0, 0.3, 1.2, 2), (2.0, 0.9, 1.0, 8)])
     def test_right_slope_at_a_breakpoint(self, monkeypatch, w, p, c, k):
         # z = c/(1 - p^k) is the breakpoint b p^-k of its own barrier b = z - c,
-        # which interval_index ties to interval k - 1: the hazard takes the
-        # right slope, from interval k's table.  K' jumps only at b/p (k = 1,
-        # the knee), where K(p x) leaves 0; further up it is continuous
+        # which interval_index ties to interval k - 1: the slope of log K
+        # that the hazard reads takes the right slope, from interval k's
+        # table.  K' jumps only at b/p (k = 1, the knee, where the hazard
+        # itself is w + 1), where K(p x) leaves 0; further up it is continuous
         real, tables = scalefn._log_k_sums, []
 
         def spy(w_, p_, b_, x, k_, slope):
@@ -135,11 +136,20 @@ class TestHazard:
                 rates = [(mp.mpf(w) + 1) * mp.mpf(p) ** n for n in range(interval + 1)]
                 terms = [a * mp.exp(r * mp.mpf(z)) for a, r in zip(tab, rates)]
                 return float(mp.fdot(rates, terms) / mp.fsum(terms))
-        h, right, left = hazard(w, p, z, c), slope_mp(k), slope_mp(k - 1)
+        h, right, left = _k_log_slope(w, p, b, z), slope_mp(k), slope_mp(k - 1)
         assert tables == [k]
+        assert k == 1 or hazard(w, p, z, c) == h
         assert math.isclose(h, right, rel_tol=1e-13)
         assert (abs(left - right) > 1e-3 * right) if k == 1 else \
             math.isclose(left, right, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("z", [2.0, 2.0 * (1.0 + 1e-15)])
+    def test_total_rate_at_and_just_above_the_knee(self, z):
+        # from the knee z = c/(1 - p) on, any jump achieves the drawdown, so
+        # the hazard is the total rate w + 1 there, not the limit from below,
+        # 1.2768698398515703, the right slope of interval 1's table at b/p
+        assert (1.0 - 0.5) * z >= 1.0
+        assert hazard(0.5, 0.5, z, 1.0) == 1.5
 
     def test_positive_and_finite_below_knee(self):
         for z in (1.3, 1.6, 1.9):

@@ -392,8 +392,9 @@ class TestZDownSlope:
 
 
 def _clear_z_down_memo():
-    for memo in (scalefn._z_down_eval, scalefn._c_tilde_escalated, scalefn._z_down_sums,
-                 scalefn._z_down_coeffs, scalefn._log_k_from_b):
+    for memo in (scalefn._z_down_eval, scalefn._down_terms, scalefn._c_tilde_escalated,
+                 scalefn._z_down_sums, scalefn._z_down_coeffs, scalefn._log_k_from_b,
+                 scalefn._log_k_ratio):
         memo.cache_clear()
 
 
@@ -528,7 +529,7 @@ class TestCoefficientTables:
         tab = scalefn._DownCoeffs(w, p, 60).upto(12)
         for k0 in range(1, 13):
             x = b * p ** -(k0 - 0.5)
-            signs, logs, rates = scalefn._z_down_terms(w, p, x, b, ct, k0)
+            signs, logs, rates = scalefn._z_down_terms(w, p, x, b, k0)
             with mp.workdps(60):
                 want = [(k, i, mp.sign(coeff), float(mp.log(abs(coeff))))
                         for k in range(k0) for i, coeff in
@@ -651,6 +652,109 @@ class TestCoefficientTables:
         assert [getattr(shared, f) for f in fields] == [getattr(serial, f) for f in fields]
 
 
+class TestDownTermsRecord:
+    """The per-barrier record of the float64 downward series (``_down_terms``)."""
+
+    def test_sweep_walks_c_tilde_once_and_builds_each_interval_once(self, monkeypatch):
+        # the sweep workload's two-sided-down shape at p = 0.9, depth 10: 24
+        # starts, each with z_down at the start, its slope and l_down, which
+        # reads z_down at the top too, all on the one barrier b
+        w, p = 0.5, 0.9
+        b = 0.5 / (1.0 - p)
+        a = b * p ** -10
+        real_ct, real_extend = scalefn.c_tilde, scalefn._DownTerms._extend
+        walks, built = [], []
+
+        def walk(*args):
+            walks.append(args)
+            return real_ct(*args)
+
+        def extend(rec, k):
+            built.append(k)
+            return real_extend(rec, k)
+        monkeypatch.setattr(scalefn, "c_tilde", walk)
+        monkeypatch.setattr(scalefn._DownTerms, "_extend", extend)
+        _clear_z_down_memo()
+        for j in range(24):
+            x = b + (a - b) * (j + 0.5) / 24
+            z_down(w, p, x, b)
+            z_down_slope(w, p, x, b)
+            l_down(w, p, x, a, b)
+        assert walks == [(w, p, b)]
+        assert built == list(range(10))
+
+    def test_threads_extending_one_record_build_each_interval_once(self):
+        # four threads extend one shared record to interleaved depths under
+        # a short switch interval; a lost or repeated interval would leave
+        # it unlike the record built in one thread
+        w, p, b = 0.5, 0.9, 1.0
+        _clear_z_down_memo()
+        shared = scalefn._down_terms(w, p, b)
+        serial = scalefn._DownTerms(w, p, b, c_tilde(w, p, b))
+        serial.upto(16)
+
+        def extend(first):
+            for k in range(first, 17, 4):
+                shared.upto(k)
+                shared.upto(17 - k)
+        threads = [threading.Thread(target=extend, args=(first,)) for first in range(1, 5)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        fields = ("ct", "ends", "signs", "rates", "log_nums", "log_dens", "lefts")
+        assert [getattr(shared, f) for f in fields] == [getattr(serial, f) for f in fields]
+
+    def test_deep_barrier_is_bounded(self):
+        # 100 intervals at p = 0.95: the record keeps the first
+        # _DOWN_TERMS_DEPTH = 64 (4,096 terms), within the 320 KB its memo's
+        # comment states; a deeper start builds its terms afresh and keeps
+        # none.  The float64 C~ escalates here, so its memo is filled first
+        w, p, b = 0.5, 0.95, 1.0
+        _clear_z_down_memo()
+        c_tilde(w, p, b)
+        tracemalloc.start()
+        try:
+            for k0 in (10, 40, 64, 65, 100):
+                scalefn._z_down_terms(w, p, b * p ** -(k0 - 0.5), b, k0)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        rec = scalefn._down_terms(w, p, b)
+        assert (len(rec.ends), rec.ends[-1]) == (64, 64 ** 2)
+        assert retained <= 3.2e5
+
+    def test_deep_start_has_the_bits_of_a_recorded_one(self):
+        # a start past the recorded depth builds the same terms afresh and
+        # leaves the barrier's record as it was
+        w, p, b = 0.5, 0.9, 1.0
+        _clear_z_down_memo()
+        deep = scalefn._DOWN_TERMS_DEPTH + 1
+        x = b * p ** -(deep - 0.5)
+        fresh = scalefn._z_down_terms(w, p, x, b, deep)
+        assert scalefn._down_terms(w, p, b).ends == []
+        rec = scalefn._DownTerms(w, p, b, c_tilde(w, p, b))
+        signs, rates, log_nums, log_dens, lefts = rec.upto(deep)
+        assert fresh == (signs, [n + (r * (x - left) - d) for n, r, d, left
+                                 in zip(log_nums, rates, log_dens, lefts)], rates)
+
+    def test_a_failed_constant_is_raised_afresh_and_not_recorded(self, monkeypatch):
+        def fail(*args):
+            raise ConvergenceError("C~ failed")
+        monkeypatch.setattr(scalefn, "c_tilde", fail)
+        _clear_z_down_memo()
+        for _ in range(2):
+            with pytest.raises(ConvergenceError, match="C~ failed"):
+                z_down(0.5, 0.9, 6.0, 5.0)
+        assert scalefn._down_terms.cache_info().currsize == 0
+
+
 class TestZDownMemo:
     """The memo of ``_z_down_eval`` and of the guarded constant under it."""
 
@@ -739,7 +843,8 @@ class TestZDownMemo:
                    for info in pkgutil.iter_modules(aimdexit.__path__)]
         caches = [(mod.__name__, name, fn) for mod in modules
                   for name, fn in vars(mod).items() if hasattr(fn, "cache_parameters")]
-        for name in ("_z_down_eval", "_z_down_sums", "_z_down_coeffs", "_log_k_from_b"):
+        for name in ("_z_down_eval", "_down_terms", "_z_down_sums", "_z_down_coeffs",
+                     "_log_k_from_b", "_log_k_ratio"):
             assert ("aimdexit.scalefn", name, getattr(scalefn, name)) in caches
         for where, name, fn in caches:
             maxsize = fn.cache_parameters()["maxsize"]
@@ -747,7 +852,8 @@ class TestZDownMemo:
         _clear_z_down_memo()
         for params, spec, w in default_grid():
             evaluate(params, spec, w)
-        for memo in (scalefn._z_down_eval, scalefn._z_down_sums, scalefn._log_k_from_b):
+        for memo in (scalefn._z_down_eval, scalefn._down_terms, scalefn._z_down_sums,
+                     scalefn._log_k_from_b, scalefn._log_k_ratio):
             info = memo.cache_info()
             assert 0 < info.currsize <= info.maxsize
 
@@ -926,6 +1032,24 @@ class TestTwoSidedUp:
         assert math.isclose(l_up_from_b(0.0, 0.5, 1.0, 3.0),
                             1.0 / self.GOLDEN_K, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("w, p, x, a, b", [
+        (0.5, 0.5, 1e6, 1e6 + 0.7, 1.0),
+        (2.0, 0.7, 5e6, 5e6 + 0.7, 1.0),
+    ])
+    def test_ratio_on_one_interval_stays_relative_at_large_levels(self, w, p, x, a, b):
+        # x and a share an interval: K(x)/K(a) is one ratio of sums, formed
+        # before either log rounds.  log K, near 1.5e6 and 1.5e7 here, rounds
+        # by some 1e-10 and 1e-9, which a difference of the two logs would
+        # keep (1.2e-10 and 9.3e-10 off); the reference sums the 150-digit table
+        k = interval_index(a, b, p)
+        assert interval_index(x, b, p) == k
+        tab = scalefn._k_tables_mp(w, p, b, k, 150)
+        with mp.workdps(150):
+            rates = [(mp.mpf(w) + 1) * mp.mpf(p) ** n for n in range(k + 1)]
+            ref = float(mp.fsum(c * mp.exp(r * mp.mpf(x)) for c, r in zip(tab, rates))
+                        / mp.fsum(c * mp.exp(r * mp.mpf(a)) for c, r in zip(tab, rates)))
+        assert math.isclose(l_up(w, p, x, a, b), ref, rel_tol=1e-15)
+
     def test_base_interval_is_a_pure_exponential(self):
         w, p, b = 0.5, 0.5, 1.0
         for x in (1.0, 1.3, 1.9999, 2.0):
@@ -1005,7 +1129,8 @@ class TestTwoSidedUp:
         w, p, n = 0.5, 0.95, 2
 
         def sweep():
-            for memo in (scalefn._log_k_from_b, scalefn._k_tables, scalefn._k_tables_mp):
+            for memo in (scalefn._log_k_ratio, scalefn._log_k_from_b, scalefn._k_tables,
+                         scalefn._k_tables_mp):
                 memo.cache_clear()
             for j in range(n):
                 b = 1.0 + j / 200
@@ -1023,7 +1148,9 @@ class TestTwoSidedUp:
         assert retained <= n * (5e6 + 12e6) / 200
 
     def test_sweep_evaluates_the_top_once(self, monkeypatch):
-        # every start of a two-sided sweep divides by K(a) at the same top a
+        # every start of a two-sided sweep below the top's interval divides
+        # by K(a) at the same top a; the six on a's own interval take the
+        # ratio K(x)/K(a) from that interval's table and evaluate neither
         w, p, b = 0.5, 0.8, 1.0
         a = b * p ** -7
         real, tops = scalefn._log_k_sums, []
@@ -1033,8 +1160,12 @@ class TestTwoSidedUp:
             return real(w_, p_, b_, x, *args, **kwargs)
         monkeypatch.setattr(scalefn, "_log_k_sums", counted)
         scalefn._log_k_from_b.cache_clear()
-        values = [l_up(w, p, b + (a - b) * (j + 0.5) / 24, a, b) for j in range(24)]
-        assert (len(tops), sum(tops)) == (25, 1)
+        scalefn._log_k_ratio.cache_clear()
+        xs = [b + (a - b) * (j + 0.5) / 24 for j in range(24)]
+        values = [l_up(w, p, x, a, b) for x in xs]
+        shared = sum(interval_index(x, b, p) == interval_index(a, b, p) for x in xs)
+        assert shared == 6
+        assert (len(tops), sum(tops)) == (25 - shared, 1)
         assert values == sorted(values)
 
     def test_float_check_counts_the_recursions_cancellation(self):
