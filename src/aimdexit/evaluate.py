@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .model import ExitKind, ExitSpec, ModelParams, _require, normalize
+from .model import ExitKind, ExitSpec, ModelParams, ValidationError, normalize
 from .reflected import (DEFAULT_QUAD, QuadratureControl, lst_drawdown, lst_drawup,
                         lst_reflected_lower, lst_reflected_upper)
 from .scalefn import l_down, l_up, z_down, z_up
@@ -26,20 +26,19 @@ def evaluate(params: ModelParams, spec: ExitSpec, w: float,
     that needs a jump weighs below ``lam/w < 1e-308``) the exit is the
     drift-only one: ``e^{-w tau}`` on the wanted side, else 0.  At ``w == 0``
     every kind but the two-sided ones returns 1 before the levels are
-    folded; a positive level that ``lam`` scales to 0 is a
-    ``ValidationError``.  ``qctrl``
-    governs the drawdown quadrature and ``drawup_tol`` the drawup cascade
-    depth, by bounding its truncation error.
+    folded; a positive level that ``lam`` scales to 0, or any level that it
+    scales to ``inf``, is a ``ValidationError``.  ``qctrl`` governs the
+    drawdown quadrature and ``drawup_tol`` the drawup cascade depth, by
+    bounding its truncation error.
     ``diagnostics``, when given a dict, is filled with evaluator internals
     where the kind reports them: series terms used (up-one), interval
     index and escalated digits (down-one), quadrature error and refinement
-    rounds (drawdown: ``|Kronrod - Gauss|`` of the Gauss-Kronrod 10/21
-    pass, ``2 _GAUSS_N + 1`` nodes a panel, and the passes; that is the
-    embedded Gauss value's error, a conservative estimate of the error of
-    the Kronrod value returned), and cascade depth (drawup: ``generations``
-    and the ``truncation_bound`` reached there, at most ``drawup_tol``; a
-    cascade that reaches its 160-generation cap with the bound still above
-    it raises ``ConvergenceError``).
+    rounds (drawdown: the estimated error of the value the 15-point
+    Gauss-Legendre pass returns, read from the Legendre tails of the
+    integrand and the hazard at its nodes, and the passes), and cascade
+    depth (drawup: ``generations`` and the ``truncation_bound`` reached
+    there, at most ``drawup_tol``; a cascade that reaches its 160-generation
+    cap with the bound still above it raises ``ConvergenceError``).
     """
     nparams, spec, w = normalize(params, spec, w)
     lam, p, kind = nparams.lam, nparams.p, spec.kind
@@ -53,9 +52,10 @@ def evaluate(params: ModelParams, spec: ExitSpec, w: float,
     w /= lam
     levels = {}
     for name, v in spec.levels().items():
-        levels[name] = lam * v
-        _require(levels[name] > 0.0 or v == 0.0,
-                 f"level {name}={v} underflows to 0 at jump rate lam={lam}")
+        level = levels[name] = lam * v
+        if not (level > 0.0 or v == 0.0) or level == math.inf:  # format on failure only
+            fault = "overflows to inf" if level else "underflows to 0"
+            raise ValidationError(f"level {name}={v} {fault} at jump rate lam={lam}")
     x, a, b, c, u, xbar0 = map(levels.get, ("x", "a", "b", "c", "u", "xbar0"))
     if kind is ExitKind.UP_ONE:
         return z_up(w, p, x, a, diagnostics=diagnostics)

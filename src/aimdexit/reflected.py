@@ -11,10 +11,10 @@ Four first-passage problems built on the two-sided exit parts from
   supremum, resolved through the supremum's exit distribution (hazard of
   losing the race to a new maximum) and the down-exit slope at the level
   where the supremum stops; both come from exact scale-function slopes,
-  taken once per node of a Gauss-Kronrod 10/21 pass (``_GAUSS_N`` = 10),
-  and the cumulative hazard is integrated from the same nodes.  The start
-  is the supremum; :func:`~aimdexit.evaluate` composes a recorded one above
-  it from this and the two-sided parts.
+  taken once per node of a 15-point Gauss-Legendre pass (``_GAUSS_N``),
+  and the cumulative hazard and the error estimate come from the same
+  nodes.  The start is the supremum; :func:`~aimdexit.evaluate` composes a
+  recorded one above it from this and the two-sided parts.
 * ``lst_drawup`` — first time the process rises ``c`` above its running
   infimum, via the infimum-cascade renewal in :mod:`._drawup`.
 
@@ -53,15 +53,11 @@ __all__ = [
 class QuadratureControl:
     """Accuracy policy for the drawdown integral.
 
-    The integral is taken in one Gauss-Kronrod 10/21 pass over kink-aware
-    panels: the ``2 _GAUSS_N + 1``-point Kronrod value is the result, and
-    ``|Kronrod - Gauss|`` against the embedded ``_GAUSS_N``-point Gauss
-    rule, summed over the panels, is the error estimate (``quad_error``).
-    That difference is the error of the embedded Gauss value, so it is a
-    conservative estimate: it overstates the error of the Kronrod value
-    returned, often by orders of magnitude.  While it misses
-    ``max(abs_tol, rel_tol * |value|)`` the panels are halved and the pass
-    repeated, at most ``_MAX_ROUNDS`` passes in all.
+    The integral is taken in one pass of the ``_GAUSS_N``-point (15)
+    Gauss-Legendre rule over kink-aware panels, whose error estimate
+    (``quad_error``) is that of the value returned (:func:`_drawdown_value`).
+    While it misses ``max(abs_tol, rel_tol * |value|)`` the panels are
+    halved and the pass repeated, at most ``_MAX_ROUNDS`` passes in all.
     Past the last kink level the integrand is known in closed form, so the
     integral needs no cutoff.
     """
@@ -158,81 +154,67 @@ def hazard(w: float, p: float, z: float, c: float) -> float:
     return _k_log_slope(w, p, z - c, z)
 
 
-def _gauss_kronrod(n: int):
-    """Nodes and weights, ascending, of the ``2n+1``-point Kronrod extension
-    of the ``n``-point Gauss-Legendre rule on ``[-1, 1]``.
-
-    Laurie's algorithm (*Math. Comp.* 66, 1997) gives the Jacobi-Kronrod
-    matrix from the Legendre recurrence (its diagonal is zero, as the
-    weight is even); its eigenvalues are the nodes and the squared first
-    components of its eigenvectors, times 2, the weights.  The Gauss nodes
-    are every other node; they are set to ``leggauss``'s own, so the
-    embedded rule is exactly that rule.
-    """
-    b = np.zeros(2 * n + 1)
-    k = np.arange(1, (3 * n + 1) // 2 + 1)
-    b[0] = 2.0
-    b[k] = k * k / (4.0 * k * k - 1.0)
-    s = np.zeros(n // 2 + 2)
-    t = s.copy()
-    t[1] = b[n + 1]
-    for m in range(n - 1):
-        k = np.arange((m + 1) // 2, -1, -1)
-        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
-        s, t = t, s
-    j = np.arange(n // 2, -1, -1)
-    s[j + 1] = s[j]
-    for m in range(n - 1, 2 * n - 2):
-        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
-        j = n - 1 - (m - k)
-        s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
-        if m % 2:
-            b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
-        s, t = t, s
-    off = np.sqrt(b[1:])
-    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    nodes[1::2] = np.polynomial.legendre.leggauss(n)[0]
-    return nodes, b[0] * vecs[0] ** 2
-
-
-# the drawdown rule, QUADPACK's QK21 pair: grid values within 1.1e-16 of 24/49
-_GAUSS_N = 10
-_GAUSS = np.polynomial.legendre.leggauss(_GAUSS_N)
-_KRONROD = _gauss_kronrod(_GAUSS_N)  # the Gauss nodes are _KRONROD[0][1::2]
-
-
-def _cumulative_matrix(nodes: np.ndarray) -> np.ndarray:
-    """``M`` with ``(M @ f)[i]`` the integral over ``[-1, nodes[i]]`` of the
-    Legendre interpolant through the values ``f`` at ``nodes``."""
+def _gauss_rule(n: int):
+    """``(nodes, weights, legendre, cumulative)`` of the ``n``-point
+    Gauss-Legendre rule on ``[-1, 1]``: ``(legendre @ f)[k]`` is the
+    degree-``k`` Legendre coefficient of the interpolant through the values
+    ``f`` at the nodes (the rule integrates its ``f P_k`` exactly), and
+    ``(cumulative @ f)[i]`` the integral of that interpolant over
+    ``[-1, nodes[i]]``."""
     leg = np.polynomial.legendre
-    coeffs = np.linalg.inv(leg.legvander(nodes, len(nodes) - 1))
-    return leg.legval(nodes, leg.legint(coeffs, lbnd=-1)).T
+    nodes, weights = leg.leggauss(n)
+    legendre = (np.arange(n)[:, None] + 0.5) * weights * leg.legvander(nodes, n - 1).T
+    return nodes, weights, legendre, leg.legval(nodes, leg.legint(legendre, lbnd=-1)).T
 
 
-_CUM_GAUSS = _cumulative_matrix(_GAUSS[0])
-_CUM_KRONROD = _cumulative_matrix(_KRONROD[0])
+# the drawdown rule: the fewest nodes that keep every default-grid drawdown
+# value within 1e-13 of a reference with twice the nodes on four times the
+# panels (3.0e-14; 14 nodes miss it by 3.2e-13)
+_GAUSS_N = 15
+_RULE = _gauss_rule(_GAUSS_N)
+
+
+def _gauss_error(coeffs: np.ndarray) -> float:
+    """Estimated error on ``[-1, 1]`` of the Gauss rule whose interpolant has
+    the Legendre coefficients ``coeffs``: the ``n``-point rule is exact to
+    degree ``2n - 1`` and sums any ``P_k`` to at most 2, so its error is at
+    most twice the coefficients from degree ``2n`` on.  They are
+    extrapolated from ``tau``, the larger of the last two (so that a function
+    of one parity counts), at the fall ``r`` a degree that the last two
+    degrees show; a tail that does not fall gives ``2 tau``.  Where the
+    coefficients fall faster than geometrically, as an entire function's
+    do, this overstates the error."""
+    a = np.abs(coeffs[-4:]).tolist()
+    tau, older = max(a[2:]), max(a[:2])
+    if tau >= older:
+        return 2.0 * tau
+    r = math.sqrt(tau / older)
+    return 2.0 * tau * min(1.0, r ** (len(coeffs) + 1) / (1.0 - r))
 
 
 def _drawdown_value(w: float, p: float, x: float, c: float, split: int) -> tuple:
-    """One Gauss-Kronrod pass over the drawdown integral, panels split
+    """One Gauss-Legendre pass over the drawdown integral, panels split
     ``split``-fold: ``(value, error estimate)``.
 
     Integrates ``exp(-H_w(y)) [h_w(y) Z(y) - Z'(y)]`` over ``(x, z1)``, with
     ``Z`` the downward transform for the barrier ``y - c`` and ``z1 =
-    c/(1-p)`` the knee (``x < z1`` here).  The rule is Gauss-Kronrod
-    10/21: the hazard and ``Z`` are evaluated once at each of a panel's
-    ``2 _GAUSS_N + 1`` Kronrod nodes; ``H_w`` at the nodes is the integral
-    of the hazard's interpolant through them, and at the panel end their
-    Kronrod sum.  Past the knee ``h_w = w + 1`` and ``h_w Z - Z' = 1``, so
-    the rest of the integral is ``exp(-H_w(z1)) / (w + 1)``.  The value is
-    the Kronrod one.  The same integral is also taken with the embedded
-    ``_GAUSS_N``-point Gauss rule alone, ``H_w`` included, and the error
-    estimate is ``|Kronrod - Gauss|`` summed over the panels and the tail:
-    the Gauss value's error, a conservative estimate of the Kronrod
-    value's.
+    c/(1-p)`` the knee (``x < z1`` here).  The hazard and ``Z`` are
+    evaluated once at each of a panel's ``_GAUSS_N`` nodes; ``H_w`` at the
+    nodes is the integral of the hazard's interpolant through them, and at
+    the panel end their Gauss sum.  Past the knee ``h_w = w + 1`` and
+    ``h_w Z - Z' = 1``, so the rest of the integral is
+    ``exp(-H_w(z1)) / (w + 1)``.
+
+    The error estimate is the returned value's own, from the Legendre
+    coefficients of the same nodes' interpolants (:func:`_gauss_error`):
+    per panel, the rule's error on the integrand, and its error on the
+    hazard, which shifts ``H_w`` at the panel end and so scales all past
+    it; plus the rounding, ``_GAUSS_N eps`` times each panel's sum of
+    ``|terms|`` and ``eps (1 + H_w)`` of the tail.  Inside a panel the
+    interpolated ``H_w`` errs by a multiple of ``P_{n+1} - P_{n-1}``, at
+    the nodes one of ``P_{n-1}``: a product of two tails, left out.
     """
-    nodes, wk = _KRONROD
-    wg = _GAUSS[1]
+    nodes, weights, legendre, cum = _RULE
     # panels end at the kink levels c/(1-p^k) above x (falling with k from
     # z1), where the strip (y - c, y) changes interval and the hazard kinks
     kinks, k = [], 1
@@ -243,8 +225,9 @@ def _drawdown_value(w: float, p: float, x: float, c: float, split: int) -> tuple
     for e in reversed(kinks):
         if e > ends[-1] + 1e-15:
             ends.append(e)
-    H_k = H_g = 0.0  # cumulative hazard to the panel start: Kronrod, Gauss
-    total = err = 0.0
+    # H: the cumulative hazard to the panel start; dH: its error, which
+    # scales all that lies past it
+    H = dH = total = err = 0.0
     for a0, b0 in zip(ends[:-1], ends[1:]):
         for i in range(split):
             aa = a0 + (b0 - a0) * i / split
@@ -253,16 +236,17 @@ def _drawdown_value(w: float, p: float, x: float, c: float, split: int) -> tuple
             ys = half * nodes + 0.5 * (bb + aa)
             hs = np.array([hazard(w, p, y, c) for y in ys])
             zd, dzd = np.array([z_down_slope(w, p, y, y - c) for y in ys]).T
-            f = hs * zd - dzd
-            kronrod = half * (wk @ (np.exp(-(H_k + half * (_CUM_KRONROD @ hs))) * f))
-            gauss = half * (wg @ (np.exp(-(H_g + half * (_CUM_GAUSS @ hs[1::2]))) * f[1::2]))
-            total += kronrod
-            err += abs(kronrod - gauss)
-            H_k += half * (wk @ hs)
-            H_g += half * (wg @ hs[1::2])
-    tail = math.exp(-H_k) / (w + 1.0)
-    err += abs(tail - math.exp(-H_g) / (w + 1.0))
-    return float(total + tail), float(err)  # numpy scalars; shed the wrapper
+            f = np.exp(-(H + half * (cum @ hs))) * (hs * zd - dzd)
+            value = half * (weights @ f)
+            total += value
+            err += dH * abs(value) + half * (_gauss_error(legendre @ f)
+                                             + _GAUSS_N * 2.2e-16 * (weights @ abs(f)))
+            dH += half * _gauss_error(legendre @ hs)
+            H += half * (weights @ hs)
+    tail = math.exp(-H) / (w + 1.0)
+    total += tail
+    err += (dH + 2.2e-16 * (1.0 + H)) * tail
+    return float(total), float(err)  # numpy scalars; shed the wrapper
 
 
 def lst_drawdown(w: float, p: float, x: float, c: float,
@@ -276,13 +260,12 @@ def lst_drawdown(w: float, p: float, x: float, c: float,
     ``h_w(y) Z(y; y-c) - dZ/dx(y; y-c)``; ``H_w`` is the cumulative hazard
     from ``x`` and ``Z`` the downward transform.  Both slopes are exact
     sums from the scale-function tables.  The stretch past the knee
-    ``c/(1-p)`` is closed form, and the head integral is one Gauss-Kronrod
-    10/21 pass per kink-free panel (``2 _GAUSS_N + 1`` nodes), repeated on
-    halved panels while ``|Kronrod - Gauss|`` misses the tolerance.
+    ``c/(1-p)`` is closed form, and the head integral is one pass of the
+    15-point Gauss-Legendre rule per kink-free panel (``_GAUSS_N`` nodes),
+    repeated on halved panels while the estimated error of the value it
+    returns misses the tolerance (:func:`_drawdown_value`).
     ``diagnostics`` receives that estimate as ``quad_error`` and the number
-    of passes as ``refinement_rounds``.  ``quad_error`` is the error of the
-    embedded Gauss value, so it overstates the error of the Kronrod value
-    returned: a conservative estimate.
+    of passes as ``refinement_rounds``.
     """
     _require(x > c > 0.0, f"drawdown needs x > c > 0, got x={x}, c={c}")
     if w == 0.0:
@@ -298,7 +281,7 @@ def lst_drawdown(w: float, p: float, x: float, c: float,
             break
     else:
         raise ConvergenceError(
-            f"drawdown integral did not settle in {_MAX_ROUNDS} Gauss-Kronrod passes",
+            f"drawdown integral did not settle in {_MAX_ROUNDS} Gauss-Legendre passes",
             partial=value)
     if diagnostics is not None:
         diagnostics.update(quad_error=err, refinement_rounds=rounds)

@@ -334,11 +334,17 @@ def _down_interval_count(x: float, b: float, p: float) -> int:
     needs a jump)."""
     if x <= b:
         return 1
-    k = int(math.floor(math.log(x / b) / math.log(1.0 / p))) + 1
+
+    def below(k):  # b p^-k < x, compared in logs where p^-k is past float64
+        try:
+            return b * p ** -k < x
+        except OverflowError:
+            return math.log(b) - k * math.log(p) < math.log(x)
+    k = int(math.floor((math.log(x) - math.log(b)) / math.log(1.0 / p))) + 1
     # float-robust adjustment around breakpoints
-    while k > 0 and not b * p ** (-(k - 1)) < x:
+    while k > 0 and not below(k - 1):
         k -= 1
-    while b * p ** (-k) < x:
+    while below(k):
         k += 1
     return k
 
@@ -364,6 +370,8 @@ class _DownTerms:
         self._log_w_over_g = math.log(w) - self._log_g
         self._sign_ct = 1 if ct > 0 else -1
         self._log_ct = math.log(abs(ct)) if ct != 0 else 0.0
+        if self._log_ct == math.inf:  # C~ past float64's range: its log is not
+            self._log_ct = float(mp.log(abs(_c_tilde_escalated(w, p, b, 30)[0])))
         self._pw, self._up, self._log_dn = [], [], []  # p^k; g p^k; log |D_k(i)|, i < k
         self.ends, self.signs, self.rates = [], [], []
         self.log_nums, self.log_dens, self.lefts = [], [], []
@@ -678,7 +686,10 @@ def _z_down_eval(w, p, x, b, slope: bool) -> Tuple[Tuple[float, ...], tuple]:
 
     # the first budget is rounded up to a multiple of 10 digits, so that the
     # starts on one barrier share it, and with it the barrier's C~ and sums
-    first = max(25 + max(0, math.ceil(pk - _log10_or_zero(tot))) for pk, tot in parts)
+    # (a float64 route that is not finite, as where C~ is past its range, gives
+    # no measure and starts at the cap, as _first_budget does)
+    lost = max(pk - _log10_or_zero(tot) for pk, tot in parts)
+    first = 25 + max(0, math.ceil(lost)) if math.isfinite(lost) else _MAX_DPS
     vals, digits = _escalated(run, min(_MAX_DPS, -(-first // 10) * 10), 16,
                               f"z_down at w={w}, p={p}, x={x}, b={b}")
     return (min(max(0.0, vals[0]), 1.0),) + vals[1:], (

@@ -31,8 +31,10 @@ PINNED = [
      0.8, 0.5, 0.5, "0x1.a5a3422d50c65p-2"),
     ("drawdown", ExitSpec(ExitKind.DRAWDOWN, x=2.0, c=1.2), 0.7, 0.5, 0.5,
      "0x1.ed79beeabf290p-2"),
+    # the value of a reference with twice the rule's nodes on four times its
+    # panels, too
     ("drawdown-xbar0", ExitSpec(ExitKind.DRAWDOWN, x=2.0, c=1.2, xbar0=2.3),
-     0.7, 0.5, 0.5, "0x1.1536b6d2082a4p-1"),
+     0.7, 0.5, 0.5, "0x1.1536b6d2082a3p-1"),
     ("drawup", ExitSpec(ExitKind.DRAWUP, x=1.5, u=0.8, c=1.5), 1.5, 0.5, 0.5,
      "0x1.4c95b3d3d596dp-2"),
 ]
@@ -131,6 +133,13 @@ class TestLevelUnderflow:
         # w/lam = 2 is finite, so the levels are folded, and b folds to 0
         with pytest.raises(ValidationError, match="b=0.05 underflows"):
             evaluate(ModelParams(lam=5e-324, p=0.5), UNDERFLOWING[1][1], 1e-323)
+
+    def test_a_level_that_overflows_is_rejected(self):
+        # lam * a is inf: the K tables would index an infinite level
+        spec = ExitSpec(ExitKind.TWO_SIDED_UP, x=54859657.955245435, a=1085682367.6748738,
+                        b=33550382.806013245)
+        with pytest.raises(ValidationError, match="a=1085682367.6748738 overflows"):
+            evaluate(ModelParams(lam=1e300, p=1e-300), spec, 7.155556342243033e-07)
 
 
 class TestDownOneAtBarrier:

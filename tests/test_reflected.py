@@ -279,12 +279,13 @@ class TestDrawdown:
         assert all(v0 > v1 for v0, v1 in zip(vals, vals[1:]))
 
     def test_start_next_to_the_window_settles_past_underflowing_nodes(self, monkeypatch):
-        # a start 1e-18 above c: the Kronrod node nearest it puts the barrier
-        # y - c some 5e-18 above 0, 23 intervals below y, where z_down is
-        # below float64's range.  That node settles at 0 (its weight is
-        # negligible) instead of failing the whole integral.  A start 1e-16
-        # above c, whose nodes all stay in range, is the reference
-        w, p, c = 5.0, 0.4, 1e-8
+        # a start 1e-18 above c: the Gauss node nearest it puts the barrier
+        # y - c some 8e-18 above 0, 31 intervals below y, where z_down is
+        # below float64's range, and five more nodes are out of range too.
+        # They settle at 0 (their weight is negligible) instead of failing
+        # the whole integral.  A start 1e-16 above c, whose nodes all stay
+        # in range, is the reference
+        w, p, c = 5.0, 0.5, 1e-8
         zeros = []
 
         def counted(*args):
@@ -323,9 +324,9 @@ class TestDrawdown:
 
     @pytest.mark.parametrize("x, p, c, panels", [(1.5, 0.5, 1.0, 1), (3.0, 0.8, 1.5, 3)])
     def test_one_hazard_call_per_gauss_node(self, monkeypatch, x, p, c, panels):
-        # the cumulative hazard comes from the hazard values at the panel's
-        # own Kronrod nodes, whose odd members are the Gauss nodes of the
-        # error estimate; a round-1 answer is one pass, one call a node
+        # the cumulative hazard and the error estimate come from the hazard
+        # values at the panel's own Gauss nodes; a round-1 answer is one
+        # pass, one call a node
         calls = []
 
         def counted(*args):
@@ -335,7 +336,7 @@ class TestDrawdown:
         diags = {}
         lst_drawdown(0.5, p, x, c, diagnostics=diags)
         assert diags["refinement_rounds"] == 1
-        assert len(calls) == len(reflected._KRONROD[0]) * panels
+        assert len(calls) == reflected._GAUSS_N * panels == 15 * panels
 
     def test_unsettled_refinement_raises_with_the_last_raw_integral(self, monkeypatch):
         # an integral whose error estimate never shrinks never settles: after
@@ -348,10 +349,10 @@ class TestDrawdown:
         assert info.value.partial == 0.5 / 2 ** (reflected._MAX_ROUNDS - 1)
 
     def test_the_user_tolerance_governs_the_kronrod_estimate(self):
-        # |Kronrod - Gauss| is rounding alone here, 4.2e-17 to 2.4e-16 over
-        # the six passes (0.4 to 2.1 ulps of the value), never below 1e-300
-        # times the value, so that tolerance exhausts every pass; the
-        # defaults settle in the first
+        # the estimate is at rounding level here, 6.5e-16 to 2.7e-15 over
+        # the six passes (the panels' sums and the coefficient tails' noise),
+        # never below 1e-300 times the value, so that tolerance exhausts
+        # every pass; the defaults settle in the first
         args = (0.5, 0.5, 1.5, 1.0)
         strict = QuadratureControl(abs_tol=1e-300, rel_tol=1e-300)
         with pytest.raises(ConvergenceError) as info:
@@ -374,71 +375,89 @@ class TestDrawdown:
 
 
 class TestDrawdownReference:
-    def test_grid_rows_match_the_24_49_rule_on_panels_split_4_fold(self, monkeypatch):
-        # every default-grid drawdown row that reaches the quadrature (nine,
-        # one of them an xbar0 row through its inner lst_drawdown) against a
-        # reference with more than twice the rule's nodes on four times the
-        # panels
+    """Every default-grid drawdown row that reaches the quadrature (nine, one
+    of them an xbar0 row through its inner lst_drawdown) against a
+    reference with twice the rule's nodes on four times the panels."""
+
+    @pytest.fixture(scope="class")
+    def reached(self):
+        """``(row, value, diagnostics, reference)`` per row that reaches the
+        quadrature, and the hazard calls of the rule's pass over them all."""
         rows = [row for row in default_grid() if row[1].kind is ExitKind.DRAWDOWN]
-        values = [evaluate(*row) for row in rows]
-        nodes, weights = reflected._gauss_kronrod(24)
-        gauss = np.polynomial.legendre.leggauss(24)
-        for name, value in [("_KRONROD", (nodes, weights)), ("_GAUSS", gauss),
-                            ("_CUM_KRONROD", reflected._cumulative_matrix(nodes)),
-                            ("_CUM_GAUSS", reflected._cumulative_matrix(gauss[0]))]:
-            monkeypatch.setattr(reflected, name, value)
-        real, passes = reflected._drawdown_value, []
+        real, out, calls, passes = reflected._drawdown_value, [], [], []
+        with pytest.MonkeyPatch.context() as mp_:
+            mp_.setattr(reflected, "hazard", lambda *args: calls.append(args) or hazard(*args))
+            mp_.setattr(reflected, "_drawdown_value",
+                        lambda *args: passes.append(args) or real(*args))
+            for row in rows:
+                diags, before = {}, len(passes)
+                value = evaluate(*row, diagnostics=diags)
+                if len(passes) > before:
+                    out.append([row, value, diags])
+        with pytest.MonkeyPatch.context() as mp_:
+            mp_.setattr(reflected, "_RULE", reflected._gauss_rule(2 * reflected._GAUSS_N))
+            mp_.setattr(reflected, "_drawdown_value",
+                        lambda w, p, x, c, split: real(w, p, x, c, 4 * split))
+            for entry in out:
+                entry.append(evaluate(*entry[0]))
+        return out, len(calls)
 
-        def refined(w, p, x, c, split):
-            passes.append(split)
-            return real(w, p, x, c, 4 * split)
-        monkeypatch.setattr(reflected, "_drawdown_value", refined)
-        reached = []  # whether each row that reached the quadrature has xbar0
-        for row, value in zip(rows, values):
-            before = len(passes)
-            reference = evaluate(*row)
-            if len(passes) > before:
-                reached.append(row[1].xbar0 is not None)
-                assert abs(value - reference) <= 1e-13, row
-        assert (len(reached), reached.count(True)) == (9, 1)
+    def test_grid_rows_match_a_refined_reference_within_1e_13(self, reached):
+        rows, _ = reached
+        assert (len(rows), sum(row[1].xbar0 is not None for row, *_ in rows)) == (9, 1)
+        for row, value, _, reference in rows:
+            assert abs(value - reference) <= 1e-13, row
+
+    def test_the_estimate_covers_the_error_and_each_row_settles_in_one_pass(self, reached):
+        # the xbar0 row reports its inner integral's estimate, which covers
+        # the composed value's error too: the integral enters it times l_up
+        for row, value, diags, reference in reached[0]:
+            assert diags["refinement_rounds"] == 1, row
+            assert diags["quad_error"] >= abs(value - reference), row
+
+    def test_hazard_calls_of_the_nine_rows(self, reached):
+        # 21 kink-free panels, one call at each of their 15 nodes
+        assert reached[1] == 315
 
 
-class TestGaussKronrodRule:
-    """Laurie's Gauss-Kronrod construction: the rule behind the drawdown
-    quadrature, and the 24/49 pair that the refined reference uses."""
+class TestDrawdownRule:
+    """The 15-point Gauss-Legendre rule behind the drawdown quadrature: its
+    Legendre transform, its cumulative matrix and its error estimate."""
 
-    @pytest.fixture(params=[reflected._GAUSS_N, 24], scope="class")
-    def rule(self, request):
-        """``(n, nodes, weights, cumulative matrix)`` of the ``2n+1``-point rule."""
-        n = request.param
-        if n == reflected._GAUSS_N:
-            return (n, *reflected._KRONROD, reflected._CUM_KRONROD)
-        nodes, weights = reflected._gauss_kronrod(n)
-        return n, nodes, weights, reflected._cumulative_matrix(nodes)
+    NODES, WEIGHTS, LEGENDRE, CUM = reflected._RULE
+    N = reflected._GAUSS_N
 
-    def test_has_the_gauss_nodes_among_its_nodes(self, rule):
-        n, nodes, _, _ = rule
-        gauss = np.polynomial.legendre.leggauss(n)[0]
-        assert len(nodes) == 2 * n + 1
-        assert np.all(np.diff(nodes) > 0.0)
-        assert np.max(np.abs(nodes[1::2] - gauss)) <= 1e-15
+    def test_legendre_transform_recovers_each_legendre_polynomial(self):
+        values = np.polynomial.legendre.legvander(self.NODES, self.N - 1)
+        assert np.max(np.abs(self.LEGENDRE @ values - np.eye(self.N))) <= 1e-13
 
-    def test_weights_are_positive_and_sum_to_two(self, rule):
-        _, _, weights, _ = rule
-        assert np.all(weights > 0.0)
-        assert abs(weights.sum() - 2.0) <= 1e-14
-
-    def test_integrates_every_monomial_to_degree_3n_plus_1(self, rule):
-        n, nodes, weights, _ = rule
-        for d in range(3 * n + 2):
-            exact = (1.0 - (-1.0) ** (d + 1)) / (d + 1)
-            assert abs(weights @ nodes ** d - exact) <= 1e-14, d
-
-    def test_cumulative_matrix_is_exact_to_degree_2n(self, rule):
-        n, x, _, cum = rule
-        for d in range(2 * n + 1):
+    def test_cumulative_matrix_is_exact_to_degree_n_minus_1(self):
+        x = self.NODES
+        for d in range(self.N):
             exact = (x ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
-            assert np.max(np.abs(cum @ x ** d - exact)) <= 1e-14, d
+            assert np.max(np.abs(self.CUM @ x ** d - exact)) <= 1e-14, d
+
+    @pytest.mark.parametrize("f, exact", [
+        (lambda t: np.exp(3.0 * t), (math.exp(3.0) - math.exp(-3.0)) / 3.0),
+        (lambda t: 1.0 / (1.0 + 4.0 * t * t), math.atan(2.0)),   # poles at +-i/2
+        (lambda t: 1.0 / (1.2 - t), math.log(2.2 / 0.2)),        # a pole past 1
+        (lambda t: 1.0 / (1.02 - t), math.log(2.02 / 0.02)),     # and just past
+        (lambda t: np.abs(t) ** 3, 0.5)])                        # a kink in f''
+    def test_error_estimate_covers_the_rule_and_overshoots_it_at_most_1e3_fold(self, f, exact):
+        # the truncation error, which the estimate covers, falls
+        # geometrically with a pole's Bernstein ellipse (the estimate reads
+        # 1.7 to 300 times it), algebraically for |t|^3 (99 times) and faster
+        # than geometrically for the entire exp(3 t), whose error is rounding
+        values = f(self.NODES)
+        error = abs(self.WEIGHTS @ values - exact)
+        rounding = 8 * 2.2e-16 * abs(exact)
+        estimate = reflected._gauss_error(self.LEGENDRE @ values)
+        assert error <= estimate + rounding
+        assert estimate <= 1e3 * max(error, rounding)
+
+    def test_error_estimate_of_a_cubic_is_the_transform_rounding(self):
+        # the coefficients past degree 3 are rounding, which does not fall
+        assert reflected._gauss_error(self.LEGENDRE @ (1.0 + self.NODES ** 3)) <= 1e-13
 
 
 class TestDrawdownGeneralStart:

@@ -318,6 +318,32 @@ class TestZDown:
         spec = ExitSpec(ExitKind.DOWN_ONE, x=2.0 ** 60, b=1.0)
         assert evaluate(ModelParams(lam=1.0, p=0.5), spec, 1e6) == 0.0
 
+    def test_subnormal_w_continues_the_small_w_values(self):
+        # w/lam is 1.6e-323, where the float64 C~, near 1/w, is past float64's
+        # range: the barrier's record takes its log from the escalated C~.
+        # The value is not 1 - O(w): a path that does not fall the 10
+        # intervals to b at once climbs to levels whose way back down takes
+        # far longer than 1/w, so the value is the weight of the quick fall,
+        # the same at every w from 1e-10 down
+        params = ModelParams(lam=0.31838016288812065, p=0.8936831169233511)
+        spec = ExitSpec(ExitKind.DOWN_ONE, x=2.979994668203142e-09, b=1.0501627785500992e-09)
+        value = evaluate(params, spec, 5e-324)
+        assert math.isclose(value, evaluate(params, spec, 1e-10 * params.lam), rel_tol=1e-12)
+        assert math.isclose(value, 1.9081087611930173e-110, rel_tol=1e-12)
+
+    def test_float_route_that_is_not_finite_escalates_from_the_cap(self, monkeypatch):
+        # no peak to measure a loss against: the first budget is the cap, and
+        # with no measure the run cannot settle there
+        budgets = []
+        real = scalefn._z_down_mp
+        monkeypatch.setattr(scalefn, "_z_down_terms",
+                            lambda *args: ([1], [math.inf], [1.5]))
+        monkeypatch.setattr(scalefn, "_z_down_mp",
+                            lambda *args: budgets.append(args[4]) or real(*args))
+        with pytest.raises(ConvergenceError):
+            scalefn._z_down_eval.__wrapped__(0.5, 0.5, 1.5, 1.0, False)
+        assert budgets == [scalefn._MAX_DPS]
+
     def test_decreasing_in_start_level(self):
         vals = [z_down(1.0, 0.5, x, 1.0) for x in (1.1, 1.5, 2.5, 4.0, 8.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -378,6 +404,20 @@ class TestZDownSlope:
         assert left[1] == -0.45450268140970507
         assert right[1] == -0.05356051068247958
         assert math.isclose(left[0], right[0], rel_tol=0.0, abs_tol=1e-15)
+
+    def test_breakpoints_past_float64_range_are_compared_in_logs(self):
+        # p^-k overflows before b p^-k passes x: 1e-300 2^1994 > 1e300 > 1e-300 2^1993
+        assert scalefn._down_interval_count(1e300, 1e-300, 0.5) == 1994
+        # at p = 1e-12 the 26th breakpoint overflows; the start is in interval
+        # 26, whose series cancels past the digit cap
+        spec = ExitSpec(ExitKind.REFL_UPPER_DOWN, x=1e300, a=1.0000000000000091e+300,
+                        c=0.04369126585810171)
+        try:
+            value = evaluate(ModelParams(lam=2.0778381763105752e-10, p=1e-12), spec,
+                             1.8512715034215414e-11)
+        except ConvergenceError:
+            return
+        assert 0.0 <= value <= 1.0
 
     def test_generator_identity_past_the_first_breakpoint(self):
         # for b < x <= b/p every jump lands below b, so the generator gives
