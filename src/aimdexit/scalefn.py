@@ -13,41 +13,38 @@ Notation used throughout (all levels positive unless stated otherwise):
 Everything here runs at jump rate 1, so ``gamma = w + 1``: a problem at rate
 ``lam`` is posed as ``(w/lam, p, lam*levels)``, with the same values.
 
-Signed log space: a real number ``v`` travels as the plain pair
-``(sign, log |v|)``, sign in {-1, 0, 1} and zero as ``(0, -inf)``; products
-add the logs, and :func:`_log_add` and :func:`_signed_logsumexp` sum.  The
-``l_up`` evaluator is built on interval coefficient tables for the reciprocal
-scale function ``K`` (``l_up_from_b = 1/K``), each term kept as such a pair
-at its interval's left end, so that deep intervals neither overflow nor
-lose their sign pattern and a recursion step is continuity there; the
+Signed log space: a real number ``v`` travels as the pair ``(sign, log
+|v|)``, zero as ``(0, -inf)``; :func:`_log_add` and
+:func:`_signed_logsumexp` sum.  ``l_up`` is built on interval tables of the
+reciprocal scale function ``K`` (``l_up_from_b = 1/K``), each term such a
+pair at its interval's left end, where a recursion step is continuity; the
 slope ``K'/K`` is formed as a ratio before its logarithms round.
 ``z_down`` combines a geometric closed form with two finite exponential
 sums whose coefficients involve the alternating q-products ``prod (1 -
-p^{-i})`` and ``prod (p^i - p^j)``; their signs are closed-form.  Both
-precisions grow the products ``prod (p^i - p^j)`` by the one recurrence of
-:class:`_DownCoeffs`, the float64 route as sums of logarithms.
+p^{-i})`` and ``prod (p^i - p^j)``, of closed-form signs, grown in both
+precisions by the one recurrence of :class:`_DownCoeffs`.
 
 Each float64 evaluation measures the digits its sums cancelled (for ``K``,
 those of its recursion too) and past its tolerance escalates to arbitrary
-precision under one rule, :func:`_escalated`: a first budget sized by the
-caller, kept once the run's own measured loss leaves the digits needed.
-The escalated ``z_down`` writes the transform on interval ``k0`` as
-``g^{-k0} + sum_i e^{g p^i x} S_i(b)``, each ``S_i`` a sum of coefficients
-of ``(w, p)`` times ``e^{-g b p^{-m}}``, ``C~`` entering linearly; ``C~``
-itself is a ratio of two such sums.  Bounded memos share the work that does
-not depend on the start: one coefficient table, of the intervals and of
-``C~``'s terms, per ``(w, p)`` and digit budget (rounded up to a multiple
-of 20); ``C~`` and the ``S_i`` once per barrier and budget, a first budget
-being rounded up to a multiple of 10 so that the starts on one barrier
-share it; the float64 route's ``C~`` and the start-free logs of its terms
-once per barrier ``(w, p, b)``, in one record extended to the deepest
-interval asked, up to 64 (:func:`_down_terms`, 128 records); ``log K``
-per level; and ``log(K(x)/K(a))`` per pair of levels.
+precision under one rule, :func:`_escalated`.  The escalated ``z_down`` on
+interval ``k0`` is ``g^{-k0} + sum_i e^{g p^i x} S_i(b)``, each ``S_i`` a
+sum of coefficients of ``(w, p)`` times ``e^{-g b p^{-m}}``, ``C~``
+entering linearly; ``C~`` itself is a ratio of two such sums.  Bounded
+memos share the work that does not depend on the start: per barrier one
+record (:class:`_Barrier`) of ``K``'s heads, the float64 ``C~`` and
+downward terms and the ``S_i`` per interval count and budget; ``K``'s
+interval tables in float64 and in arbitrary precision; the escalated ``C~``
+per barrier and budget (a first budget rounded up to a multiple of 10, so
+that the starts on one barrier share it); and one coefficient table per
+``(w, p)`` and budget (rounded up to a multiple of 20).  Two memos per
+start, of ``z_down`` and of ``log(K(x)/K(a))``, serve the kinds that ask a
+start again.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -71,6 +68,7 @@ __all__ = [
 ]
 
 _LOG_HUGE = 690.0  # ln(max float64) with margin
+_LOG_MAX = math.log(sys.float_info.max)
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
 
@@ -191,17 +189,13 @@ def _c_tilde_logs(w: float, p: float, b: float):
     float64 log magnitudes of its numerator term ``t_l (1 - p^{-l})`` and its
     denominator term ``t_l p^{-l}`` (``_MAX_TERMS`` of them at most); the
     first ``-inf`` at ``l = 0``, both ``-inf`` once ``p^{-l}`` is past
-    float64's range."""
+    float64's range, where ``e^{-b g p^{-l}}`` underflows."""
     g = w + 1.0
     log_rate = math.log(1.0 / g)
     log_p_inv = -math.log(p)
     log_prod = 0.0  # log |prod_{i=1}^{l}(1 - p^{-i})|
     for l in range(_MAX_TERMS):
-        try:
-            p_inv = p ** (-l)
-        except OverflowError:  # then e^{-b g p^-l}, and so both terms, underflow to 0
-            yield -math.inf, -math.inf
-            continue
+        p_inv = _edge(1.0, p, l)
         log_prev = log_prod  # the product up to l - 1
         if l > 0:
             log_prod += math.log(abs(1.0 - p_inv))
@@ -213,16 +207,14 @@ def c_tilde(w: float, p: float, b: float) -> float:
     """The downward-exit series constant ``C~(w; b)``.
 
     Defined as ``A/B - 1`` with ``A = sum_l t_l`` and ``B = sum_l t_l p^{-l}``
-    where ``t_l = e^{-b gamma p^{-l}} gamma^{-l} / prod_{i<=l}(1 - p^{-i})``.
-    Evaluated in the algebraically equivalent cancellation-free form
-    ``(A - B)/B``, whose numerator sums ``t_l (1 - p^{-l})`` term by term;
-    both series decay super-geometrically thanks to the ``e^{-b gamma p^{-l}}``
-    factor.  The q-product ``prod_{i<=l}(1 - p^{-i})`` has sign ``(-1)^l``;
-    its log magnitude and both running sums are kept in signed log space.
+    where ``t_l = e^{-b gamma p^{-l}} gamma^{-l} / prod_{i<=l}(1 - p^{-i})``,
+    and evaluated as ``(A - B)/B``, whose numerator sums ``t_l (1 - p^{-l})``
+    term by term; both series decay super-geometrically.  The q-product has
+    sign ``(-1)^l``; its log and both running sums are kept in signed logs.
     """
     _require(b > 0.0, f"c_tilde needs b > 0, got {b}")
     _require(w > 0.0, f"c_tilde needs w > 0, got {w}")
-    if math.isinf(b * (w + 1.0) * p ** -1):
+    if math.isinf(_edge(b * (w + 1.0), p, 1)):
         # the numerator's terms, from e^{-b g / p} on, all underflow (the walk
         # below could never end), and C~, near e^{-b g (1/p - 1)} / g, with them
         return 0.0
@@ -267,11 +259,11 @@ def _first_budget(lost: float) -> int:
 def _escalated(run: Callable[[int], Tuple[Optional[tuple], float]], digits: int,
                need: int, what: str) -> Tuple[tuple, int]:
     """``(values, dps)`` at the first budget ``dps``, from ``digits`` up, at
-    which ``run(dps) -> (values, lost)`` loses few enough decimal digits (its
-    whole budget for noise) to leave ``need``.  The next budget is ``need +
-    lost + 4``, and at least 1.5 times the last after a run left with at most
-    4 digits, which measured only a floor of its loss; the cap is ``_MAX_DPS``
-    for the 16 digits of ``z_down`` and ``K``, more for a caller needing more.
+    which ``run(dps) -> (values, lost)`` loses few enough decimal digits to
+    leave ``need``.  The next budget is ``need + lost + 4``, and at least 1.5
+    times the last after a run left with at most 4 digits, which measured
+    only a floor of its loss; the cap is ``_MAX_DPS`` for 16 digits, more
+    for a caller needing more.
     """
     cap = _MAX_DPS + need - 16
     while True:
@@ -286,9 +278,8 @@ def _escalated(run: Callable[[int], Tuple[Optional[tuple], float]], digits: int,
 
 
 def _table_dps(dps: int) -> int:
-    """Digits of the coefficient tables that serve a working budget of
-    ``dps``: rounded up to a multiple of 20, so that neighbouring budgets
-    share one table."""
+    """Digits of the tables that serve a budget of ``dps``: rounded up to a
+    multiple of 20, so that neighbouring budgets share one table."""
     return -(-dps // 20) * 20
 
 
@@ -297,15 +288,14 @@ def _c_tilde_mp(w, p, b, dps: int):
     at ``dps`` digits: ``((value, falls), lost)``, with ``falls`` the factors
     ``e^{-b g p^{-l}}`` of the terms and ``lost`` the decimal digits the
     alternating sums cancelled, each against its own peak term (all ``dps``
-    if one came out 0).  The float64 log magnitudes of the terms, walked as
-    :func:`c_tilde` walks them, size each sum: it ends at its first term
-    past the fifth that lies ``dps + 9`` digits below its own peak term, so
-    its tail is below ``10^-(dps+5)`` of it, past the digits that
-    :func:`_c_tilde_escalated` keeps.  The numerator can lie hundreds of
-    digits below the denominator (large ``w b``), so neither sum is sized
-    or measured by the other's peak.  Each sum is one ``mp.fdot`` with the
-    coefficients of the ``(w, p)`` table (:class:`_DownCoeffs`), extended
-    to exactly the longer sum's terms."""
+    if one came out 0).  The float64 logs of the terms, walked as
+    :func:`c_tilde` walks them, end each sum at its first term past the
+    fifth that lies ``dps + 9`` digits below its own peak, so its tail is
+    past the digits :func:`_c_tilde_escalated` keeps; the numerator can lie
+    hundreds of digits below the denominator (large ``w b``), so neither sum
+    is sized or measured by the other's peak.  Each sum is one ``mp.fdot``
+    with the ``(w, p)`` table (:class:`_DownCoeffs`), extended to exactly
+    the longer sum's terms."""
     # numerator, denominator: peak log term, terms taken, whether it ended
     peak, size, done = [-math.inf, -math.inf], [0, 0], [False, False]
     for l, terms in enumerate(_c_tilde_logs(w, p, b)):
@@ -328,124 +318,29 @@ def _c_tilde_mp(w, p, b, dps: int):
         return (num / den, falls), lost
 
 
+def _edge(b: float, p: float, k: int) -> float:
+    """The breakpoint ``b p^{-k}``, formed from logarithms once ``p^{-k}`` is
+    past float64's range, and ``inf`` where the breakpoint is too."""
+    try:
+        return b * p ** -k
+    except OverflowError:
+        log_edge = math.log(b) - k * math.log(p)
+        return math.exp(log_edge) if log_edge < _LOG_MAX else math.inf
+
+
 def _down_interval_count(x: float, b: float, p: float) -> int:
     """``min{k >= 1 : x <= b p^{-k}}``: for ``x > b`` the number of k >= 0
     with ``b p^{-k} < x``, and 1 at ``x == b``, the right limit (a crossing
     needs a jump)."""
     if x <= b:
         return 1
-
-    def below(k):  # b p^-k < x, compared in logs where p^-k is past float64
-        try:
-            return b * p ** -k < x
-        except OverflowError:
-            return math.log(b) - k * math.log(p) < math.log(x)
-    k = int(math.floor((math.log(x) - math.log(b)) / math.log(1.0 / p))) + 1
+    k = int(math.floor((math.log(x) - math.log(b)) / -math.log(p))) + 1
     # float-robust adjustment around breakpoints
-    while k > 0 and not below(k - 1):
+    while k > 0 and not _edge(b, p, k - 1) < x:
         k -= 1
-    while below(k):
+    while _edge(b, p, k) < x:
         k += 1
     return k
-
-
-class _DownTerms:
-    """The start-free part of the float64 downward series on one barrier:
-    ``ct``, the float64 ``C~`` as :func:`c_tilde` returns it, and per term
-    of the intervals built so far its sign, rate, the two logs of
-    :func:`_z_down_terms` (``log_num`` and ``log_den``) and its interval's
-    left end ``b p^{-k}``, interval by interval; ``ends[k]`` counts the
-    terms of intervals ``0..k``.  The coefficients are those of
-    :class:`_DownCoeffs`, built by its recurrence with each running product
-    ``D_k(i)`` kept as ``log |D_k(i)|``, which has sign ``(-1)^i``, as
-    ``p^i < p^j`` exactly when ``j < i``.  Nothing of interval ``k``
-    depends on a later one, so :meth:`upto` extends the record in place.
-    """
-
-    def __init__(self, w, p, b, ct: float):
-        self.ct, self._p, self._b, self._g = ct, p, b, w + 1
-        self._lock = threading.Lock()
-        self._log_p, self._log_g = math.log(p), math.log(self._g)
-        # w may be subnormal, where the quotient w/g underflows before its log
-        self._log_w_over_g = math.log(w) - self._log_g
-        self._sign_ct = 1 if ct > 0 else -1
-        self._log_ct = math.log(abs(ct)) if ct != 0 else 0.0
-        if self._log_ct == math.inf:  # C~ past float64's range: its log is not
-            self._log_ct = float(mp.log(abs(_c_tilde_escalated(w, p, b, 30)[0])))
-        self._pw, self._up, self._log_dn = [], [], []  # p^k; g p^k; log |D_k(i)|, i < k
-        self.ends, self.signs, self.rates = [], [], []
-        self.log_nums, self.log_dens, self.lefts = [], [], []
-
-    def upto(self, k0: int) -> Tuple[list, ...]:
-        """``(signs, rates, log_nums, log_dens, lefts)`` of the terms of the
-        first ``k0 >= 1`` intervals, extending the record as needed."""
-        with self._lock:
-            for k in range(len(self.ends), k0):
-                self._extend(k)
-            n = self.ends[k0 - 1]
-            return (self.signs[:n], self.rates[:n], self.log_nums[:n], self.log_dens[:n],
-                    self.lefts[:n])
-
-    def _extend(self, k: int) -> None:
-        """Add interval ``k``: the ``alpha_{k,i}``, ``i < k``, then the ``C~
-        beta_{k,i}``, ``i <= k``."""
-        p, pw, log_p, log_dn, up = self._p, self._pw, self._log_p, self._log_dn, self._up
-        pw_k = p ** k
-        grown = [L + math.log(abs(pw[i] - pw_k)) for i, L in enumerate(log_dn)]
-        grown.append(sum(math.log(pw[j] - pw_k) for j in range(k)))
-        # nothing below raises, so the record never holds part of an interval
-        sign_c = (-1) ** (k + 1)
-        log_c = self._log_w_over_g + (k * (k - 1) // 2) * log_p - k * self._log_g  # log |c_k|
-        alt = [sign_c, -sign_c] * (k // 2 + 1)  # sign_c (-1)^i
-        pw.append(pw_k)
-        up.append(self._g * pw_k)
-        signs, rates, log_nums, log_dens = self.signs, self.rates, self.log_nums, self.log_dens
-        signs += alt[:k]
-        rates += up[:k]
-        log_nums += [log_c] * k
-        log_dens += [i * log_p + L for i, L in enumerate(log_dn)]
-        if self.ct != 0:
-            signs += [self._sign_ct * s for s in alt[:k + 1]]
-            rates += up
-            log_nums += [log_c + self._log_ct] * (k + 1)
-            log_dens += grown
-        self.lefts += [self._b * p ** (-k)] * (len(signs) - len(self.lefts))
-        self._log_dn = grown
-        self.ends.append(len(signs))
-
-
-# past this many intervals a start builds its terms afresh, unrecorded
-_DOWN_TERMS_DEPTH = 64
-
-
-# an entry holds one C~ and k^2 terms for the k intervals asked, k at most
-# _DOWN_TERMS_DEPTH: some 9 KB ten intervals deep, 30 KB twenty deep and at
-# most 320 KB; only starts on a shared barrier hit it (each drawdown node
-# has its own), so 128 entries serve, at most some 41 MB
-@lru_cache(maxsize=128)
-def _down_terms(w, p, b) -> _DownTerms:
-    """The float64 downward series' record of barrier ``b``, with its ``C~``
-    (a ``ConvergenceError`` of :func:`c_tilde` is raised, never stored)."""
-    return _DownTerms(w, p, b, c_tilde(w, p, b))
-
-
-def _z_down_terms(w, p, x, b, k0: int):
-    """Signs, log magnitudes and rates of the exponential terms of the
-    downward transform on interval ``k0``, in float64, from the barrier's
-    record (:func:`_down_terms`): per start only the shifts.
-
-    Per interval ``k < k0`` the terms are ``alpha_{k,i} e^{g p^i (x - b p^{-k})}``,
-    ``i < k``, then ``C~ beta_{k,i}`` times the same, ``i <= k``.  Every term
-    is a constant times ``e^{rate * x}``, so the slope in ``x`` is
-    ``sum(term * rate)``; the constant head term ``(1/g)^k0`` (rate 0) is
-    left to the caller.
-    """
-    rec = _down_terms(w, p, b)
-    if k0 > _DOWN_TERMS_DEPTH:
-        rec = _DownTerms(w, p, b, rec.ct)
-    signs, rates, log_nums, log_dens, lefts = rec.upto(k0)
-    return signs, [n + (r * (x - left) - d)
-                   for n, r, d, left in zip(log_nums, rates, log_dens, lefts)], rates
 
 
 def _log10_or_zero(v: float) -> float:
@@ -453,8 +348,7 @@ def _log10_or_zero(v: float) -> float:
 
 
 # an entry is some 2 KB at the 30-80 digits of the default grid's drawdown
-# nodes, up to some 130 KB at 400 digits near p = 1; only starts on a shared
-# barrier hit it (each drawdown node has its own), so 1,024 entries serve
+# nodes, up to 130 KB at 400 digits near p = 1: 1,024 entries serve
 @lru_cache(maxsize=1024)
 def _c_tilde_escalated(w, p, b, dps: int):
     """:func:`_c_tilde_mp` good to the ``dps - 4`` digits an escalated value at
@@ -482,9 +376,8 @@ class _DownCoeffs:
     products, one factor per interval: O(k0^2) in all.  ``C~`` (:func:`c_tilde`)
     is ``sum_m num_m F_m / sum_m den_m F_m``, the first sum from ``m = 1``,
     with ``num_m = g^{-m} / prod_{i<m}(1 - p^{-i})`` and
-    ``den_m = g^{-m} p^{-m} / prod_{i<=m}(1 - p^{-i})``.  Nothing of interval
-    or term ``k`` depends on a later one, so a table is the prefix of any
-    longer one, and :meth:`upto` extends one in place.
+    ``den_m = g^{-m} p^{-m} / prod_{i<=m}(1 - p^{-i})``.  A table is the
+    prefix of any longer one, so :meth:`upto` extends one in place.
     """
 
     def __init__(self, w, p, dps: int):
@@ -519,7 +412,6 @@ class _DownCoeffs:
             c_k = self._c if k % 2 else -self._c
             for i in range(k):
                 alpha[i].append(c_k / (pw[i] * dn[i]))
-            for i in range(k):
                 dn[i] *= pw[i] - pw[k]
             new = mp.mpf(1)
             for j in range(k):
@@ -539,10 +431,8 @@ class _DownCoeffs:
             self.den.append(g_inv_m * p_inv_m / prod)
 
 
-# an entry holds some k0^2 numbers for the deepest k0 asked, and three per
-# term of C~'s longest series: 100 intervals deep some 2.5 MB at 40 digits
-# (4 MB at 400), ten deep some 30 KB; one table per (w, p, digits) serves
-# every interval and term count
+# an entry holds k0^2 numbers for the deepest k0 asked and three per term
+# of C~'s series: 100 intervals deep 2.5 MB at 40 digits, ten deep 30 KB
 @lru_cache(maxsize=32)
 def _z_down_coeffs(w, p, dps: int) -> _DownCoeffs:
     """The coefficient table of the escalated downward series for ``(w, p)``
@@ -550,36 +440,189 @@ def _z_down_coeffs(w, p, dps: int) -> _DownCoeffs:
     return _DownCoeffs(w, p, dps)
 
 
-# an entry holds k0 sums and their rates, some 2 KB at 40 digits ten
-# intervals deep; the starts on one barrier share one entry per interval
-# and budget, while each drawdown node has a barrier of its own
-@lru_cache(maxsize=1024)
-def _z_down_sums(w, p, b, k0: int, dps: int):
-    """``(up, sums)`` of the escalated downward transform on interval ``k0``
-    at ``dps`` digits: the rates ``up_i`` and the ``x``-free sums ``S_i(b)``
-    of :class:`_DownCoeffs`, per barrier, interval and budget.  The ``F_m``
-    come with the barrier's ``C~`` as far as its series ran; any past it
-    cost one exponential each, of the table's rate ``down_m``, the one
-    ``C~``'s series reads.  Computed inside the caller's working precision."""
-    with mp.workdps(dps):
-        ct, falls = _c_tilde_escalated(w, p, b, dps)
-        tab = _z_down_coeffs(w, p, _table_dps(dps)).upto(k0, k0)
-        b_ = mp.mpf(b)
-        fall = list(falls[:k0]) + [mp.exp(-b_ * r) for r in tab.down[len(falls):k0]]
-        fall_ct = [ct * f for f in fall]
-        return tuple(tab.up[:k0]), tuple(
-            mp.fdot(tab.alpha[i][:k0 - 1 - i] + tab.beta[i][:k0 - i],
-                    fall[1:k0 - i] + fall_ct[:k0 - i]) for i in range(k0))
+# ---------------------------------------------------------------------------
+# One barrier's record: K's heads, the downward terms and the escalated sums
+# ---------------------------------------------------------------------------
+
+
+class _Barrier:
+    """The start-free work of one barrier ``b`` at ``(w, p)``, built on
+    first use and extended in place under one lock; a ``ConvergenceError``
+    (a head that cancels out, a ``C~`` that fails) leaves nothing behind.
+
+    * ``K``'s heads: per interval ``k`` the sign, anchored log and loss of
+      ``a_{0,k}``.  As ``a_{n,k} = a_{0,k-n} / (g^n prod_{i<=n}(1 - p^i))``
+      and ``g p^n x_k = g x_{k-n}`` (``x_k = b p^{-k}``), coefficient ``n``
+      of interval ``k`` is ``H_{k-n} - C_n`` in logs (``C_n`` the divisor's
+      log), with head ``k - n``'s sign and loss: a row costs O(k).
+    * the float64 downward series: ``ct``, the float64 ``C~``, and per term
+      of the intervals built so far its sign, rate, the two logs of
+      :func:`_z_down_terms` and its left end (``ends[k]`` counts the terms
+      of intervals ``0..k``); :class:`_DownCoeffs`'s coefficients, each
+      ``D_k(i)`` kept as ``log |D_k(i)|``, of sign ``(-1)^i``.
+    * the escalated downward series' sums ``S_i(b)`` (:meth:`sums`), and
+      ``log K`` at levels (:func:`_log_k_from_b`).
+    """
+
+    def __init__(self, w, p, b):
+        self.w, self.p, self.b, self.g, self.ct = w, p, b, w + 1, None
+        self._lock = threading.Lock()
+        self._log_p, self._log_g = math.log(p), math.log(self.g)
+        # K's heads from interval 0, where K = e^{g (x - b)}; C_n; g p^n
+        self._head_signs, self._head_logs, self._head_lost = [1], [0.0], [0.0]
+        self._shifts, self._k_rates = [0.0], [self.g]
+        self._pw, self._up, self._log_dn = [], [], []  # p^k; g p^k; log |D_k(i)|, i < k
+        self.ends, self.signs, self.rates = [], [], []
+        self.log_nums, self.log_dens, self.lefts = [], [], []
+        self._sums, self.log_k = {}, {}  # (k0, dps) -> (up, sums); level -> log K
+
+    def k_row(self, k: int) -> Tuple[tuple, tuple, tuple]:
+        """Interval ``k``'s ``(signs, logmags, lost)``, after the head steps missing."""
+        with self._lock:
+            while len(self._head_logs) <= k:
+                self._head_step()
+            return (tuple(self._head_signs[k::-1]),
+                    tuple([h - c for h, c in zip(self._head_logs[k::-1], self._shifts)]),
+                    tuple(self._head_lost[k::-1]))
+
+    def _head_step(self) -> None:
+        """Add the head of the next interval ``k``: continuity at ``x_k``,
+        interval ``k - 1``'s terms there less the others of interval ``k``,
+        in one signed log-sum.  It loses its largest term over ``|head|``,
+        or, term ``n`` below paired with coefficient ``n + 1``, an ``a_n``'s
+        own loss times the pair's net over ``|head|`` if more (Higham,
+        *Accuracy and Stability*, ch. 4: running error with maxima)."""
+        k, p, shifts, rates = len(self._head_logs), self.p, self._shifts, self._k_rates
+        heads, signs = self._head_logs[::-1], self._head_signs[::-1]  # interval k - 1's
+        step = _edge(self.b, p, k) - _edge(self.b, p, k - 1)
+        ups = [h - c + r * step for h, c, r in zip(heads, shifts, rates)]
+        shifts.append(shifts[-1] + self._log_g + math.log1p(-p ** k))
+        downs = [h - c for h, c in zip(heads, shifts[1:])]
+        sign, head = _signed_logsumexp(signs + [-s for s in signs], ups + downs)
+        if sign == 0:
+            shifts.pop()
+            raise ConvergenceError(
+                f"reciprocal scale function recursion cancelled out at interval {k}")
+        rates.append(self.g * p ** k)
+        peak = -math.inf  # log of the head's largest term or carried error
+        for up, down, carried in zip(ups, downs, self._head_lost[::-1]):
+            top = up if up > down else down
+            carried += top
+            if carried > peak and up != down:
+                carried += math.log(-math.expm1(-abs(up - down)))
+            peak = max(peak, top, carried)
+        self._head_signs.append(sign)
+        self._head_logs.append(head)
+        self._head_lost.append(max(0.0, peak - head))
+
+    def down_terms(self, k0: int) -> Tuple[list, ...]:
+        """``(signs, rates, log_nums, log_dens, lefts)`` of intervals ``0..k0-1``'s terms."""
+        with self._lock:
+            if self.ct is None:
+                ct = c_tilde(self.w, self.p, self.b)
+                # w may be subnormal, where the quotient w/g underflows before its log
+                self._log_w_over_g = math.log(self.w) - self._log_g
+                self._sign_ct = 1 if ct > 0 else -1
+                self._log_ct = math.log(abs(ct)) if ct != 0 else 0.0
+                if self._log_ct == math.inf:  # C~ past float64's range: its log is not
+                    self._log_ct = float(mp.log(abs(
+                        _c_tilde_escalated(self.w, self.p, self.b, 30)[0])))
+                self.ct = ct
+            for k in range(len(self.ends), k0):
+                self._extend_down(k)
+            n = self.ends[k0 - 1]
+            return (self.signs[:n], self.rates[:n], self.log_nums[:n], self.log_dens[:n],
+                    self.lefts[:n])
+
+    def _extend_down(self, k: int) -> None:
+        """Add interval ``k``: the ``alpha_{k,i}``, ``i < k``, then the ``C~
+        beta_{k,i}``, ``i <= k``."""
+        p, pw, log_p, log_dn, up = self.p, self._pw, self._log_p, self._log_dn, self._up
+        # b p^-k past float64 raises here, stopping an O(k^2) build; nothing
+        # raises past `grown`, so the record never holds part of an interval
+        pw_k, left = p ** k, self.b * p ** -k
+        grown = [L + math.log(abs(pw[i] - pw_k)) for i, L in enumerate(log_dn)]
+        grown.append(sum(math.log(pw[j] - pw_k) for j in range(k)))
+        sign_c = (-1) ** (k + 1)
+        log_c = self._log_w_over_g + (k * (k - 1) // 2) * log_p - k * self._log_g  # log |c_k|
+        alt = [sign_c, -sign_c] * (k // 2 + 1)  # sign_c (-1)^i
+        pw.append(pw_k)
+        up.append(self.g * pw_k)
+        signs, rates, log_nums, log_dens = self.signs, self.rates, self.log_nums, self.log_dens
+        signs += alt[:k]
+        rates += up[:k]
+        log_nums += [log_c] * k
+        log_dens += [i * log_p + L for i, L in enumerate(log_dn)]
+        if self.ct != 0:
+            signs += [self._sign_ct * s for s in alt[:k + 1]]
+            rates += up
+            log_nums += [log_c + self._log_ct] * (k + 1)
+            log_dens += grown
+        self.lefts += [left] * (len(signs) - len(self.lefts))
+        self._log_dn = grown
+        self.ends.append(len(signs))
+
+    def sums(self, k0: int, dps: int) -> Tuple[tuple, tuple]:
+        """``(up, sums)`` of the escalated downward transform on interval
+        ``k0`` at ``dps`` digits: the rates ``up_i`` and the ``x``-free sums
+        ``S_i(b)`` of :class:`_DownCoeffs`, kept up to ``_DOWN_TERMS_DEPTH``
+        intervals, inside the caller's precision.  The ``F_m`` come with the
+        barrier's ``C~`` as far as its series ran; any past it cost one
+        exponential each, of the rate ``down_m`` ``C~``'s series reads."""
+        with self._lock:
+            out = self._sums.get((k0, dps))
+            if out is not None:
+                return out
+            with mp.workdps(dps):
+                ct, falls = _c_tilde_escalated(self.w, self.p, self.b, dps)
+                tab = _z_down_coeffs(self.w, self.p, _table_dps(dps)).upto(k0, k0)
+                b_ = mp.mpf(self.b)
+                fall = list(falls[:k0]) + [mp.exp(-b_ * r) for r in tab.down[len(falls):k0]]
+                fall_ct = [ct * f for f in fall]
+                out = tuple(tab.up[:k0]), tuple(
+                    mp.fdot(tab.alpha[i][:k0 - 1 - i] + tab.beta[i][:k0 - i],
+                            fall[1:k0 - i] + fall_ct[:k0 - i]) for i in range(k0))
+            if k0 <= _DOWN_TERMS_DEPTH:
+                self._sums[k0, dps] = out
+            return out
+
+
+# past this many intervals a start builds its downward terms and sums afresh
+_DOWN_TERMS_DEPTH = 64
+
+# an entry holds K's heads, five floats an interval, and log K at 64 levels;
+# C~ and k^2 downward terms for k intervals, k at most _DOWN_TERMS_DEPTH: 9 KB
+# ten deep, at most 320 KB; k sums per interval count and budget, 2 KB at 40
+# digits ten deep.  Each drawdown node has a barrier of its own: 128 serve
+@lru_cache(maxsize=128)
+def _barrier(w, p, b) -> _Barrier:
+    """The record of barrier ``b`` at ``(w, p)``, empty until asked."""
+    return _Barrier(w, p, b)
+
+
+def _z_down_terms(w, p, x, b, k0: int):
+    """Signs, log magnitudes and rates of the exponential terms of the
+    downward transform on interval ``k0``, in float64, from the barrier's
+    record (a fresh one past ``_DOWN_TERMS_DEPTH``): per start only the
+    shifts.  Per interval ``k < k0`` the terms are ``alpha_{k,i} e^{g p^i
+    (x - b p^{-k})}``, ``i < k``, then ``C~ beta_{k,i}`` times the same,
+    ``i <= k``; the slope in ``x`` is ``sum(term * rate)``, and the constant
+    head term ``(1/g)^k0`` is left to the caller.
+    """
+    rec = _barrier(w, p, b) if k0 <= _DOWN_TERMS_DEPTH else _Barrier(w, p, b)
+    signs, rates, log_nums, log_dens, lefts = rec.down_terms(k0)
+    return signs, [n + (r * (x - left) - d)
+                   for n, r, d, left in zip(log_nums, rates, log_dens, lefts)], rates
 
 
 def _z_down_mp(w, p, x, b, dps: int, slope: bool = False) -> Tuple[float, ...]:
     """Arbitrary-precision downward transform: ``(value,)``, or with ``slope``
     ``(value, d/dx value)``, as ``g^{-k0} + sum_i e^{up_i x} S_i(b)`` from
-    the barrier's memoized sums (:func:`_z_down_sums`), so a start on a
+    the barrier's recorded sums (:meth:`_Barrier.sums`), so a start on a
     barrier already seen costs ``k0`` exponentials."""
     with mp.workdps(dps):
         k0 = _down_interval_count(x, b, p)
-        up, sums = _z_down_sums(w, p, b, k0, dps)
+        up, sums = _barrier(w, p, b).sums(k0, dps)
         x_ = mp.mpf(x)
         terms = [mp.exp(r * x_) * s for r, s in zip(up, sums)]
         value = float(mp.fsum([(1 / (mp.mpf(w) + 1)) ** k0] + terms))
@@ -592,13 +635,11 @@ def z_down(w: float, p: float, x: float, b: float, *,
            diagnostics: Optional[dict] = None) -> float:
     """LST of the passage time from ``x`` to a level ``<= b`` (jump crossing).
 
-    ``w == 0`` returns 1 exactly (the crossing is a.s. finite; the series
-    representation degenerates there); ``x == b`` is the right limit, the
-    series of the first interval at ``b`` itself (a crossing needs a jump).
-    A start so many intervals up that ``(w + 1)^-k0`` is below float64's
-    range returns 0.  The signed exponential sums are evaluated in float64
-    with a cancellation estimate; past its tolerance they are summed in
-    arbitrary precision (:func:`_escalated`) to 1e-12 relative.
+    ``w == 0`` returns 1 exactly (the crossing is a.s. finite); ``x == b``
+    is the right limit (a crossing needs a jump); a start so many intervals
+    up that ``(w + 1)^-k0`` is below float64's range returns 0.  The signed
+    sums are evaluated in float64 with a cancellation estimate, past its
+    tolerance in arbitrary precision (:func:`_escalated`) to 1e-12 relative.
     """
     _require(b > 0.0, f"z_down needs b > 0, got b={b}")
     _require(x >= b, f"z_down needs x >= b, got x={x}, b={b}")
@@ -613,10 +654,9 @@ def z_down(w: float, p: float, x: float, b: float, *,
 def z_down_slope(w: float, p: float, x: float, b: float) -> Tuple[float, float]:
     """``z_down(w; x, b)`` and its exact slope in ``x``, from one pass over the terms.
 
-    The slope differentiates the same exponential sums on the same interval
-    (breakpoints ``b p^{-k}`` tie to the lower interval, as the value does)
-    and must meet the float64 cancellation check alongside the value: the
-    slope scale is ``w + 1``, since ``|d/dx z_down| <= 1``.
+    The slope differentiates the same sums on the same interval (breakpoints
+    tie to the lower one) and meets its own float64 cancellation check, at
+    scale ``w + 1``, since ``|d/dx z_down| <= 1``.
     """
     _require(b > 0.0, f"z_down needs b > 0, got b={b}")
     _require(x > b, f"z_down needs x > b, got x={x}, b={b}")
@@ -673,10 +713,9 @@ def _z_down_eval(w, p, x, b, slope: bool) -> Tuple[Tuple[float, ...], tuple]:
                       ("escalated_digits", 0))
 
     # a run at dps digits (C~ good to dps - 4) is noise of peak 10^(4 - dps) and
-    # keeps 16 digits, 1e-12 past it; z_down > 0, so a value <= 0 is noise.
-    # Any value also settles once that noise is below the smallest subnormal,
-    # 5e-324 (a loss of at most pk - log10(5e-312)): float64 then holds it as
-    # well as it can hold anything so small
+    # keeps 16 digits; z_down > 0, so a value <= 0 is noise.  Any value also
+    # settles once that noise is below 5e-324 (a loss of at most pk -
+    # log10(5e-312)), which float64 holds as well as anything so small
     def run(dps):
         vals = _z_down_mp(w, p, x, b, dps, slope)
         signed = (vals[0] if vals[0] > 0.0 else 0.0,) + vals[1:]
@@ -685,9 +724,8 @@ def _z_down_eval(w, p, x, b, slope: bool) -> Tuple[Tuple[float, ...], tuple]:
                          for (pk, _), v in zip(parts, signed))
 
     # the first budget is rounded up to a multiple of 10 digits, so that the
-    # starts on one barrier share it, and with it the barrier's C~ and sums
-    # (a float64 route that is not finite, as where C~ is past its range, gives
-    # no measure and starts at the cap, as _first_budget does)
+    # starts on one barrier share it, and with it the barrier's C~ and sums;
+    # a float64 route that is not finite gives no measure and starts at the cap
     lost = max(pk - _log10_or_zero(tot) for pk, tot in parts)
     first = 25 + max(0, math.ceil(lost)) if math.isfinite(lost) else _MAX_DPS
     vals, digits = _escalated(run, min(_MAX_DPS, -(-first // 10) * 10), 16,
@@ -707,11 +745,10 @@ class KCoefficients:
     """Coefficients of the reciprocal scale function on one interval.
 
     On ``x`` in ``(b p^{-k}, b p^{-(k+1)}]`` the reciprocal ``K = 1/l_up_from_b``
-    is ``sum_{n=0}^{k} a_{n,k} e^{gamma p^n x}``; each term is stored in signed
-    log space at the interval's left end ``anchor = b p^{-k}``, ``signs[n] *
-    exp(logmags[n]) = a_{n,k} e^{gamma p^n anchor}``.  ``_lost[n]`` is the
-    log of the factor by which the recursion's cancellation amplified the
-    rounding of ``a_{n,k}`` (see :func:`_k_tables`).
+    is ``sum_{n=0}^{k} a_{n,k} e^{gamma p^n x}``, each term stored in signed
+    logs at ``anchor = b p^{-k}``: ``signs[n] exp(logmags[n]) = a_{n,k}
+    e^{gamma p^n anchor}``.  ``_lost[n]`` is the log of the factor by which
+    the recursion's cancellation amplified the rounding of ``a_{n,k}``.
     """
 
     k: int
@@ -732,41 +769,10 @@ class KCoefficients:
 
 @lru_cache(maxsize=4096)
 def _k_tables(w: float, p: float, b: float, kmax: int) -> KCoefficients:
-    """Interval table ``kmax`` for barrier ``b``, by the exact recursion over
-    intervals 0..kmax (memoized per interval: an entry holds that
-    interval's table only, not the tables below it).
-
-    Anchored at ``x_k = b p^{-k}``, coefficient ``m >= 1`` of interval
-    ``k``, ``a_{m-1,k-1} / (g (1 - p^m))``, takes no exponent (``g p^m x_k
-    = g p^{m-1} x_{k-1}``), and the head is continuity at ``x_k``: interval
-    ``k - 1``'s terms there less the others of interval ``k``, in one
-    signed log-sum.  Coefficient ``n`` is the head of interval ``k - n``
-    times exact factors, so it carries that head's loss.  A head loses its
-    largest term over ``|head|``, or, term ``n`` below paired with
-    coefficient ``n + 1``, an ``a_n``'s own loss times the pair's net over
-    ``|head|`` if more (a running error estimate with maxima for sums,
-    Higham, *Accuracy and Stability*, ch. 4).
-    """
-    g = w + 1.0
-    tab = KCoefficients(0, (1,), (0.0,), b, (0.0,))
-    for k in range(1, kmax + 1):
-        prev, xk = tab, b * p ** (-k)
-        ups = [L + g * p ** n * (xk - prev.anchor) for n, L in enumerate(prev.logmags)]
-        downs = [L - math.log(g) - math.log1p(-p ** m) for m, L in enumerate(prev.logmags, 1)]
-        sign, head = _signed_logsumexp(prev.signs + tuple(-s for s in prev.signs), ups + downs)
-        if sign == 0:
-            raise ConvergenceError(
-                f"reciprocal scale function recursion cancelled out at interval {k}")
-        peak = -math.inf  # log of the head's largest term or carried error
-        for up, down, lost in zip(ups, downs, prev._lost):
-            top = up if up > down else down
-            carried = lost + top
-            if carried > peak and up != down:
-                carried += math.log(-math.expm1(-abs(up - down)))
-            peak = max(peak, top, carried)
-        tab = KCoefficients(k, (sign,) + prev.signs, (head,) + tuple(downs), xk,
-                            (max(0.0, peak - head),) + prev._lost)
-    return tab
+    """Interval table ``kmax`` for barrier ``b``, a row of the barrier's
+    record (:meth:`_Barrier.k_row`); an entry holds that table only."""
+    signs, logmags, lost = _barrier(w, p, b).k_row(kmax)
+    return KCoefficients(kmax, signs, logmags, _edge(b, p, kmax), lost)
 
 
 def interval_index(x: float, b: float, p: float) -> int:
@@ -774,10 +780,10 @@ def interval_index(x: float, b: float, p: float) -> int:
     _require(x >= b > 0.0, f"need x >= b > 0, got x={x}, b={b}")
     if x == b:
         return 0
-    k = max(0, int(math.floor(math.log(x / b) / math.log(1.0 / p))))
-    while x > b * p ** (-(k + 1)) and not math.isclose(x, b * p ** (-(k + 1)), rel_tol=4e-16):
+    k = max(0, int(math.floor((math.log(x) - math.log(b)) / -math.log(p))))
+    while x > _edge(b, p, k + 1) and not math.isclose(x, _edge(b, p, k + 1), rel_tol=4e-16):
         k += 1
-    while k > 0 and (x <= b * p ** (-k) or math.isclose(x, b * p ** (-k), rel_tol=4e-16)):
+    while k > 0 and (x <= _edge(b, p, k) or math.isclose(x, _edge(b, p, k), rel_tol=4e-16)):
         k -= 1
     return k
 
@@ -789,8 +795,7 @@ def k_up_coeffs(w: float, p: float, b: float, k: int) -> KCoefficients:
     return _k_tables(w, p, b, k)
 
 
-# eval-time digits of cancellation beyond which the float64 tables are no
-# longer trusted (high p: many slowly-growing intervals, near-cancelling sums)
+# digits an evaluation may cancel before float64 tables are no longer trusted
 _K_EVAL_LOST_OK = 3.0
 
 
@@ -799,18 +804,15 @@ class _MpTable(tuple):
     ``lost`` as ``KCoefficients._lost``."""
 
 
-# an entry holds k + 1 coefficients: 150 intervals deep at 165 digits some
-# 40 KB; the workloads build none, a barrier sweep one per barrier
+# an entry holds k + 1 coefficients, 150 intervals deep at 165 digits 40 KB
 @lru_cache(maxsize=256)
 def _k_tables_mp(w: float, p: float, b: float, kmax: int, dps: int) -> _MpTable:
     """The interval coefficient recursion re-run in arbitrary precision: the
-    coefficients of interval ``kmax``, with their losses measured as
-    :func:`_k_tables` measures them (from binary exponents, to a bit).
-
-    With ``E_m = e^{g b p^{-m}}`` the head of interval ``k`` is
-    ``(sum_n a_n E_{k-n} - sum_n a'_{n+1} E_{k-1-n}) / E_k``, ``a`` the
-    coefficients of interval ``k - 1`` and ``a'`` those of ``k``: the
-    recursion takes ``kmax + 1`` exponentials in all.
+    coefficients of interval ``kmax``, with their losses measured as the
+    float64 heads measure them (from binary exponents, to a bit).  With
+    ``E_m = e^{g b p^{-m}}`` the head of interval ``k`` is ``(sum_n a_n
+    E_{k-n} - sum_n a'_{n+1} E_{k-1-n}) / E_k``, ``a`` the coefficients of
+    interval ``k - 1`` and ``a'`` those of ``k``: ``kmax + 1`` exponentials.
     """
     with mp.workdps(dps):
         w_, p_, b_ = map(mp.mpf, (w, p, b))
@@ -858,26 +860,27 @@ def _log_k_mp(w: float, p: float, b: float, x: float, k: int, dps: int,
     return log_sums, max(map(sub, peaks, map(float, log_sums))) / _LN10
 
 
-@lru_cache(maxsize=4096)
 def _log_k_from_b(w: float, p: float, b: float, x: float) -> float:
-    """``log K(x)``, escalating to arbitrary precision on deep cancellation.
-
-    Memoized on the exact arguments: ``l_up`` divides by ``K(a)`` at the
-    same top ``a`` for every start."""
-    return _log_k_sums(w, p, b, x, interval_index(x, b, p), slope=False)[0]
+    """``log K(x)``, escalating on deep cancellation, kept in the record for
+    its first 64 levels: a sweep's starts divide by ``K`` at one top."""
+    rec = _barrier(w, p, b)
+    value = rec.log_k.get(x)
+    if value is None:
+        value = _log_k_sums(w, p, b, x, interval_index(x, b, p), slope=False)[0]
+        with rec._lock:
+            if len(rec.log_k) < 64:
+                rec.log_k[x] = value
+    return value
 
 
 def _k_log_slope(w: float, p: float, b: float, x: float) -> float:
-    """Exact right slope ``K'(x)/K(x)`` of ``log K`` for barrier ``b``.
-
-    ``K' = sum_n a_n gamma p^n e^{gamma p^n x}`` on the interval's own
-    table.  On a breakpoint ``b p^{-(k+1)}`` (where :func:`interval_index`
-    ties to the lower interval) the next interval's table is used: ``K`` is
-    continuous there, and its right slope belongs to the interval on the
-    right.
+    """Exact right slope ``K'(x)/K(x)`` of ``log K`` for barrier ``b``:
+    ``K' = sum_n a_n gamma p^n e^{gamma p^n x}`` on the interval's own table,
+    and on a breakpoint ``b p^{-(k+1)}`` (which :func:`interval_index` ties
+    to the lower interval) on the next one, where the right slope belongs.
     """
     k = interval_index(x, b, p)
-    if math.isclose(x, b * p ** (-(k + 1)), rel_tol=4e-16):
+    if math.isclose(x, _edge(b, p, k + 1), rel_tol=4e-16):
         k += 1
     return math.exp(_log_k_sums(w, p, b, x, k, slope=True)[1])
 
@@ -887,15 +890,13 @@ def _log_k_sums(w: float, p: float, b: float, x: float, k: int,
     """``(log K(x),)``, or with ``slope`` ``(log K(x), log(K'(x)/K(x)))``, on
     interval ``k``.
 
-    The float64 signed-log evaluation reports how many digits each final
-    summation lost, the recursion's cancellation included
-    (:func:`_log_sum_loss`); past ``_K_EVAL_LOST_OK`` digits on either sum
-    the table is rebuilt in arbitrary precision, first at a budget sized
-    from that loss, and kept once its own loss leaves 16 digits.  Both sums
-    are taken relative to the largest term, so that the slope's ratio is
-    formed before its logs round; each term's exponent still rounds by eps
-    times its size, some ``g x``, which a slope counts as lost digits on
-    either route.
+    The float64 evaluation counts the digits each sum lost, the
+    recursion's included (:func:`_log_sum_loss`); past ``_K_EVAL_LOST_OK``
+    on either sum the table is rebuilt in arbitrary precision, first at a
+    budget sized from that loss, and kept once its own loss leaves 16
+    digits.  Both sums are taken relative to the largest term, so that the
+    slope's ratio is formed before its logs round; each term's exponent
+    still rounds by eps times ``g x``, which a slope counts as lost digits.
     """
     spread = math.log10((w + 1.0) * x) if slope else -math.inf
     try:
@@ -927,13 +928,10 @@ def _log_k_sums(w: float, p: float, b: float, x: float, k: int,
 
 def _log_sum_loss(signs, logs, lost) -> Tuple[Optional[float], float]:
     """``log`` of a signed sum of ``exp(logs)`` (None unless positive) and the
-    decimal digits it lost: its largest term, times the loss that term's
-    coefficient carries from the recursion (``lost``), over the sum; a head
-    thus counts by its share of ``K``.
-
-    A sum that came out non-positive gets its peak as the loss: ``K >= 1``
-    makes that a bound for ``log K``, and for ``log K'`` it sizes the first
-    arbitrary-precision budget, which the escalation then checks.
+    decimal digits it lost: its largest term, times the loss its coefficient
+    carries from the recursion (``lost``), over the sum.  A sum that came
+    out non-positive gets its peak as the loss: ``K >= 1`` makes that a
+    bound for ``log K``, and for ``log K'`` it sizes the first budget.
     """
     peak = max(map(add, logs, lost))
     sign, log_sum = _signed_logsumexp(signs, logs)
@@ -943,7 +941,10 @@ def _log_sum_loss(signs, logs, lost) -> Tuple[Optional[float], float]:
 
 
 def l_up_from_b(w: float, p: float, b: float, x: float) -> float:
-    """``E[e^{-w tau}; up-exit]`` from start ``b`` for the exit from ``(b, x)``."""
+    """``E[e^{-w tau}; up-exit]`` from start ``b`` for the exit from ``(b, x)``
+    (0 past ``2^-1075``, as :func:`l_up`)."""
+    if w * (x - b) > 1075 * _LN2:
+        return 0.0
     return math.exp(-_log_k_from_b(w, p, b, x))
 
 
@@ -952,14 +953,17 @@ def l_up(w: float, p: float, x: float, a: float, b: float) -> float:
 
     Returns 0 for ``x < b`` (the start already lies at or below the exit
     region, a convention used by the reflected-process evaluators) and 1
-    for ``x >= a``.  The ratio ``K(x)/K(a)`` is capped at 1: where the
-    down-exit is negligible the two logarithms agree to their rounding,
-    which may put the quotient a few ulps above certainty.
+    for ``x >= a``; an up-exit climbs ``a - x`` at unit slope, so the value
+    is at most ``e^{-w (a - x)}``, and 0 past ``2^-1075`` before any table.
+    The ratio ``K(x)/K(a)`` is capped at 1: where the down-exit is
+    negligible it may round a few ulps above certainty.
     """
     if x < b:
         return 0.0
     if x >= a:
         return 1.0
+    if w * (a - x) > 1075 * _LN2:
+        return 0.0
     return min(1.0, math.exp(_log_k_ratio(w, p, b, x, a)))
 
 
@@ -968,35 +972,30 @@ def _log_k_ratio(w: float, p: float, b: float, x: float, a: float) -> float:
     """``log(K(x)/K(a))``, memoized on the exact arguments: ``l_down`` and
     the reflected kinds ask each start's ``l_up`` again.
 
-    Where ``x`` and ``a`` share interval ``k``, the ratio comes from that
-    interval's float64 table as one ratio of sums: each term is taken
-    relative to ``K(a)``'s largest before ``g p^n (x - a)`` is added, so
-    that the ratio is formed before either logarithm rounds, as the hazard
-    forms ``K'/K`` (at large levels ``log K`` rounds by eps times itself,
-    far more than the ratio).  Elsewhere, or past ``_K_EVAL_LOST_OK``
-    digits lost (as :func:`_log_sum_loss` counts them), it is the
-    difference of the two ``log K``, with their escalation, ``K(a)`` from
-    its memo.
+    One ratio of float64 sums: ``K(a)``'s terms on ``a``'s table relative to
+    their largest, ``K(x)``'s on ``x``'s table written as a shift ``g p^n (x
+    - a)`` from ``a``, so that on one interval the ratio is formed before
+    either logarithm rounds (``log K`` rounds by eps times itself).  Past
+    ``_K_EVAL_LOST_OK`` digits lost on either sum (:func:`_log_sum_loss`) it
+    is the difference of the two escalated ``log K``.
     """
-    k = interval_index(x, b, p)
-    right = b * p ** (-(k + 1))
-    # a > x lies on x's interval, as interval_index ties a breakpoint
-    if a <= right or math.isclose(a, right, rel_tol=4e-16):
-        try:
-            tab = _k_tables(w, p, b, k)
-        except ConvergenceError:  # the recursion cancelled out: escalate below
-            pass
-        else:
-            rates = [(w + 1.0) * p ** n for n in range(k + 1)]
-            logs = [L + r * (a - tab.anchor) for L, r in zip(tab.logmags, rates)]
-            top = max(logs)
-            rel = [L - top for L in logs]
-            log_ka, lost_a = _log_sum_loss(tab.signs, rel, tab._lost)
-            log_kx, lost_x = _log_sum_loss(
-                tab.signs, [L + r * (x - a) for L, r in zip(rel, rates)], tab._lost)
-            if log_ka is not None and log_kx is not None \
-                    and max(lost_a, lost_x) <= _K_EVAL_LOST_OK:
-                return log_kx - log_ka
+    k, j = interval_index(x, b, p), interval_index(a, b, p)
+    try:
+        tab_x, tab_a = _k_tables(w, p, b, k), _k_tables(w, p, b, j)
+        rates = [(w + 1.0) * p ** n for n in range(j + 1)]
+        logs = [L + r * (a - tab_a.anchor) for L, r in zip(tab_a.logmags, rates)]
+        top = max(logs)
+        rel = [L - top for L in logs]
+        log_ka, lost_a = _log_sum_loss(tab_a.signs, rel, tab_a._lost)
+        if j != k:
+            rel = [L + r * (a - tab_x.anchor) - top for L, r in zip(tab_x.logmags, rates)]
+        log_kx, lost_x = _log_sum_loss(
+            tab_x.signs, [L + r * (x - a) for L, r in zip(rel, rates)], tab_x._lost)
+        if log_ka is not None and log_kx is not None \
+                and max(lost_a, lost_x) <= _K_EVAL_LOST_OK:
+            return log_kx - log_ka
+    except ConvergenceError:  # the recursion cancelled out: escalate below
+        pass
     return _log_k_sums(w, p, b, x, k, slope=False)[0] - _log_k_from_b(w, p, b, a)
 
 
@@ -1007,12 +1006,10 @@ _L_UP_NEGLIGIBLE = 1e-18
 def l_down(w: float, p: float, x: float, a: float, b: float) -> float:
     """Down-exit part of the two-sided exit from ``(b, a)`` started at ``x``.
 
-    Evaluates ``z_down(w; x, b) - l_up(w; x, a, b) z_down(w; a, b)``.  At
-    ``x == b`` that is the right limit, as ``z_down`` takes it (the crossing
-    needs a jump, so the transform is right-continuous there).  When the up-exit
-    weight is negligible relative to the leading term, the second term is
-    dropped without evaluating the (possibly extremely ill-conditioned)
-    transform at the remote level ``a``.
+    Evaluates ``z_down(w; x, b) - l_up(w; x, a, b) z_down(w; a, b)``; at
+    ``x == b`` the right limit, as ``z_down`` takes it.  When the up-exit
+    weight is negligible against the leading term, the second term is
+    dropped without the (possibly ill-conditioned) transform at ``a``.
     """
     _require(b <= x <= a, f"l_down needs b <= x <= a, got x={x}, a={a}, b={b}")
     if x == a:

@@ -205,7 +205,7 @@ class TestSweep:
         cold = []
         for x in xs:
             scalefn._z_down_eval.cache_clear()
-            scalefn._down_terms.cache_clear()
+            scalefn._barrier.cache_clear()
             scalefn._c_tilde_escalated.cache_clear()
             rc, out, _ = run(capsys, "sweep", "--sweep", "x", "--values", x, *strip)
             assert rc == 0

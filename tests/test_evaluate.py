@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from aimdexit import (ExitKind, ExitSpec, McConfig, ModelParams, ValidationError,
+from aimdexit import (AimdError, ExitKind, ExitSpec, McConfig, ModelParams, ValidationError,
                       default_grid, default_horizon_cap, evaluate, mc_lst)
 
 # (id, spec, lam, p, w, value as float.hex).  The escalated cases reach the
@@ -18,7 +18,7 @@ PINNED = [
     ("down-one-escalated", ExitSpec(ExitKind.DOWN_ONE, x=3.0, b=1.0), 1.5, 0.9, 0.6,
      "0x1.31d142b4eda73p-34"),
     ("two-sided-up", ExitSpec(ExitKind.TWO_SIDED_UP, x=1.5, a=2.5, b=1.0), 1.5, 0.6, 0.5,
-     "0x1.6cedc1022ca3ep-3"),
+     "0x1.6cedc1022ca3dp-3"),
     # both K(x) and K(a) escalate, for the cancellation of their recursion
     # (float64 K(a) is 9.2e-12 off); the pin is the 150-digit value
     ("two-sided-up-escalated", ExitSpec(ExitKind.TWO_SIDED_UP, x=4.0, a=6.0, b=1.0),
@@ -34,7 +34,7 @@ PINNED = [
     # the value of a reference with twice the rule's nodes on four times its
     # panels, too
     ("drawdown-xbar0", ExitSpec(ExitKind.DRAWDOWN, x=2.0, c=1.2, xbar0=2.3),
-     0.7, 0.5, 0.5, "0x1.1536b6d2082a3p-1"),
+     0.7, 0.5, 0.5, "0x1.1536b6d2082a2p-1"),
     ("drawup", ExitSpec(ExitKind.DRAWUP, x=1.5, u=0.8, c=1.5), 1.5, 0.5, 0.5,
      "0x1.4c95b3d3d596dp-2"),
 ]
@@ -140,6 +140,43 @@ class TestLevelUnderflow:
                         b=33550382.806013245)
         with pytest.raises(ValidationError, match="a=1085682367.6748738 overflows"):
             evaluate(ModelParams(lam=1e300, p=1e-300), spec, 7.155556342243033e-07)
+
+
+# (id, params, spec, w) of seeded draws that raised a bare OverflowError:
+# breakpoints b p^-k, or the quotient x/b, past float64's range, and an
+# up-exit far below 2^-1075 that reached the arbitrary-precision K tables
+PAST_FLOAT64 = [
+    ("refl-lower-up-tiny-p", ModelParams(lam=4458.66443238521, p=5e-324),
+     ExitSpec(ExitKind.REFL_LOWER_UP, x=4.8532268042012375e-05, b=4.8532268042012375e-05,
+              c=16386575433.304081), 4.134175525146836e-05),
+    ("refl-upper-down-tiny-p", ModelParams(lam=1.0897636079615492e-10, p=5e-324),
+     ExitSpec(ExitKind.REFL_UPPER_DOWN, x=3.559807053624719e-05, a=0.05330225532238304,
+              c=1.3824458163228636e-09), 78718648170.82185),
+    ("two-sided-down-a-over-b-inf", ModelParams(lam=0.6209219150393406, p=0.6975327426799959),
+     ExitSpec(ExitKind.TWO_SIDED_DOWN, x=3.1730798995404475e-07, a=1e+300,
+              b=1.2802153584971697e-09), 3916432.729391604),
+    ("refl-lower-up-far-climb", ModelParams(lam=1417742.9424669098, p=0.21259250402404742),
+     ExitSpec(ExitKind.REFL_LOWER_UP, x=1.02074511325037e-09, b=1.02074511325037e-09,
+              c=928260496.8677269), 1e300),
+]
+
+
+class TestPastFloat64Range:
+    @pytest.mark.parametrize("params, spec, w", [pytest.param(*case[1:], id=case[0])
+                                                 for case in PAST_FLOAT64])
+    def test_value_in_unit_interval_or_aimd_error(self, params, spec, w):
+        try:
+            value = evaluate(params, spec, w)
+        except AimdError:
+            return
+        assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("case", [0, 3])
+    def test_a_climb_past_2_to_the_minus_1075_is_zero(self, case):
+        # the up-exit climbs c - x at unit slope, and w (c - x) is some 6.8e5,
+        # and past float64's range, at jump rate 1, so l_up is 0 before any
+        # table, and with it the reflected-lower value
+        assert evaluate(*PAST_FLOAT64[case][1:]) == 0.0
 
 
 class TestDownOneAtBarrier:

@@ -432,9 +432,8 @@ class TestZDownSlope:
 
 
 def _clear_z_down_memo():
-    for memo in (scalefn._z_down_eval, scalefn._down_terms, scalefn._c_tilde_escalated,
-                 scalefn._z_down_sums, scalefn._z_down_coeffs, scalefn._log_k_from_b,
-                 scalefn._log_k_ratio):
+    for memo in (scalefn._z_down_eval, scalefn._barrier, scalefn._c_tilde_escalated,
+                 scalefn._z_down_coeffs, scalefn._log_k_ratio):
         memo.cache_clear()
 
 
@@ -479,14 +478,14 @@ class TestFloatPathPins:
     @pytest.mark.parametrize("w, p, x, a, b, expected", [
         (1.0, 0.5, 3.0, 7.0, 1.0, "0x1.734f94fe5af1fp-12"),
         (0.5, 0.8, 2.0, 4.0, 1.0, "0x1.51c11c20bb3e1p-3"),
-        (0.5, 0.7, 3.5, 9.0, 1.0, "0x1.ea2832e9b02cfp-12"),
+        (0.5, 0.7, 3.5, 9.0, 1.0, "0x1.ea2832e9b02c7p-12"),
     ])
     def test_l_up(self, w, p, x, a, b, expected):
         assert l_up(w, p, x, a, b).hex() == expected
 
     @pytest.mark.parametrize("w, p, z, c, expected", [
         (0.5, 0.5, 5.0, 4.0, "0x1.78931d8b0004fp+0"),
-        (1.0, 0.8, 3.0, 2.5, "0x1.9b6146b76b92ep+0"),
+        (1.0, 0.8, 3.0, 2.5, "0x1.9b6146b76b92fp+0"),
         (0.5, 0.7, 6.0, 5.0, "0x1.69ad14dc1a791p+0"),
     ])
     def test_hazard(self, w, p, z, c, expected):
@@ -692,8 +691,71 @@ class TestCoefficientTables:
         assert [getattr(shared, f) for f in fields] == [getattr(serial, f) for f in fields]
 
 
+class TestKHeadsRecord:
+    """``K``'s heads in the per-barrier record (``_barrier``): every
+    interval table of a barrier is a row of them."""
+
+    @staticmethod
+    def count_steps(monkeypatch):
+        real, steps = scalefn._Barrier._head_step, []
+
+        def step(rec):
+            steps.append(len(rec._head_logs))
+            return real(rec)
+        monkeypatch.setattr(scalefn._Barrier, "_head_step", step)
+        return steps
+
+    @pytest.mark.parametrize("order", ["ascending", "deepest-first"])
+    def test_tables_of_one_barrier_take_each_head_step_once(self, monkeypatch, order):
+        # every table of intervals 0..100 from one record: 100 head steps in
+        # all, however the tables are asked for (a rerun of the recursion from
+        # interval 0 per table took 5,050), each table the row of the record
+        w, p, b = 0.5, 0.8, 1.3
+        steps = self.count_steps(monkeypatch)
+        _clear_z_down_memo()
+        scalefn._k_tables.cache_clear()
+        ks = list(range(101)) if order == "ascending" else [100] + list(range(100))
+        tables = {k: scalefn._k_tables(w, p, b, k) for k in ks}
+        assert steps == list(range(1, 101))
+        rec = scalefn._barrier(w, p, b)
+        for k, tab in tables.items():
+            assert (tab.signs, tab.logmags, tab._lost) == rec.k_row(k)
+            assert tab.anchor == b * p ** -k
+
+    def test_rows_are_heads_less_barrier_free_shifts(self):
+        # a_{n,k} = a_{0,k-n} / (g^n prod_{i<=n}(1 - p^i)): coefficient n of
+        # interval k is head k - n, its sign and loss too, shifted by the log
+        # of that divisor, the same for every barrier
+        w, p = 0.5, 0.8
+        g = w + 1
+        _clear_z_down_memo()
+        for b in (0.7, 1.3):
+            heads = [scalefn._k_tables(w, p, b, k) for k in range(13)]
+            tab = heads[12]
+            for n in range(13):
+                head = heads[12 - n]
+                shift = sum(math.log(g) + math.log1p(-p ** i) for i in range(1, n + 1))
+                assert (tab.signs[n], tab._lost[n]) == (head.signs[0], head._lost[0])
+                assert abs(tab.logmags[n] - (head.logmags[0] - shift)) \
+                    <= 16 * 2.0 ** -52 * (1 + abs(tab.logmags[n]))
+
+    def test_a_cancelled_head_is_raised_afresh_and_not_recorded(self, monkeypatch):
+        # a head that cancels out raises on every ask and leaves the record
+        # at the heads below it
+        real = scalefn._signed_logsumexp
+        monkeypatch.setattr(scalefn, "_signed_logsumexp",
+                            lambda signs, logs: (0, -math.inf) if len(logs) == 6
+                            else real(signs, logs))
+        _clear_z_down_memo()
+        for _ in range(2):
+            with pytest.raises(ConvergenceError, match="cancelled out at interval 3"):
+                scalefn._barrier(0.5, 0.8, 1.0).k_row(5)
+        assert len(scalefn._barrier(0.5, 0.8, 1.0)._head_logs) == 3
+
+
 class TestDownTermsRecord:
-    """The per-barrier record of the float64 downward series (``_down_terms``)."""
+    """The float64 downward series and the escalated sums in the per-barrier
+    record (``_barrier``)."""
 
     def test_sweep_walks_c_tilde_once_and_builds_each_interval_once(self, monkeypatch):
         # the sweep workload's two-sided-down shape at p = 0.9, depth 10: 24
@@ -702,7 +764,7 @@ class TestDownTermsRecord:
         w, p = 0.5, 0.9
         b = 0.5 / (1.0 - p)
         a = b * p ** -10
-        real_ct, real_extend = scalefn.c_tilde, scalefn._DownTerms._extend
+        real_ct, real_extend = scalefn.c_tilde, scalefn._Barrier._extend_down
         walks, built = [], []
 
         def walk(*args):
@@ -713,7 +775,8 @@ class TestDownTermsRecord:
             built.append(k)
             return real_extend(rec, k)
         monkeypatch.setattr(scalefn, "c_tilde", walk)
-        monkeypatch.setattr(scalefn._DownTerms, "_extend", extend)
+        monkeypatch.setattr(scalefn._Barrier, "_extend_down", extend)
+        steps = TestKHeadsRecord.count_steps(monkeypatch)
         _clear_z_down_memo()
         for j in range(24):
             x = b + (a - b) * (j + 0.5) / 24
@@ -722,21 +785,26 @@ class TestDownTermsRecord:
             l_down(w, p, x, a, b)
         assert walks == [(w, p, b)]
         assert built == list(range(10))
+        assert steps == list(range(1, 10))  # K's heads of intervals 1..9, from the same record
 
     def test_threads_extending_one_record_build_each_interval_once(self):
-        # four threads extend one shared record to interleaved depths under
-        # a short switch interval; a lost or repeated interval would leave
-        # it unlike the record built in one thread
+        # four threads extend one shared record's heads and downward terms to
+        # interleaved depths under a short switch interval; a lost or
+        # repeated interval would leave it unlike the record built in one
+        # thread
         w, p, b = 0.5, 0.9, 1.0
         _clear_z_down_memo()
-        shared = scalefn._down_terms(w, p, b)
-        serial = scalefn._DownTerms(w, p, b, c_tilde(w, p, b))
-        serial.upto(16)
+        shared = scalefn._barrier(w, p, b)
+        serial = scalefn._Barrier(w, p, b)
+        serial.down_terms(16)
+        serial.k_row(16)
 
         def extend(first):
             for k in range(first, 17, 4):
-                shared.upto(k)
-                shared.upto(17 - k)
+                shared.down_terms(k)
+                shared.k_row(17 - k)
+                shared.down_terms(17 - k)
+                shared.k_row(k)
         threads = [threading.Thread(target=extend, args=(first,)) for first in range(1, 5)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -748,14 +816,16 @@ class TestDownTermsRecord:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        fields = ("ct", "ends", "signs", "rates", "log_nums", "log_dens", "lefts")
+        fields = ("ct", "ends", "signs", "rates", "log_nums", "log_dens", "lefts",
+                  "_head_signs", "_head_logs", "_head_lost", "_shifts", "_k_rates")
         assert [getattr(shared, f) for f in fields] == [getattr(serial, f) for f in fields]
 
     def test_deep_barrier_is_bounded(self):
-        # 100 intervals at p = 0.95: the record keeps the first
-        # _DOWN_TERMS_DEPTH = 64 (4,096 terms), within the 320 KB its memo's
-        # comment states; a deeper start builds its terms afresh and keeps
-        # none.  The float64 C~ escalates here, so its memo is filled first
+        # 100 intervals at p = 0.95: the record keeps the downward terms of
+        # the first _DOWN_TERMS_DEPTH = 64 (4,096 terms), within the 320 KB
+        # its memo's comment states; a deeper start builds its terms afresh
+        # and keeps none.  The float64 C~ escalates here, so its memo is
+        # filled first
         w, p, b = 0.5, 0.95, 1.0
         _clear_z_down_memo()
         c_tilde(w, p, b)
@@ -766,7 +836,7 @@ class TestDownTermsRecord:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        rec = scalefn._down_terms(w, p, b)
+        rec = scalefn._barrier(w, p, b)
         assert (len(rec.ends), rec.ends[-1]) == (64, 64 ** 2)
         assert retained <= 3.2e5
 
@@ -778,21 +848,37 @@ class TestDownTermsRecord:
         deep = scalefn._DOWN_TERMS_DEPTH + 1
         x = b * p ** -(deep - 0.5)
         fresh = scalefn._z_down_terms(w, p, x, b, deep)
-        assert scalefn._down_terms(w, p, b).ends == []
-        rec = scalefn._DownTerms(w, p, b, c_tilde(w, p, b))
-        signs, rates, log_nums, log_dens, lefts = rec.upto(deep)
+        assert scalefn._barrier(w, p, b).ends == []
+        rec = scalefn._Barrier(w, p, b)
+        signs, rates, log_nums, log_dens, lefts = rec.down_terms(deep)
         assert fresh == (signs, [n + (r * (x - left) - d) for n, r, d, left
                                  in zip(log_nums, rates, log_dens, lefts)], rates)
 
+    def test_escalated_sums_are_kept_to_the_recorded_depth(self):
+        # the sums of an escalated start are kept per interval count and
+        # budget up to _DOWN_TERMS_DEPTH intervals, and built afresh past it
+        w, p, b = 0.5, 0.95, 1.0
+        _clear_z_down_memo()
+        rec = scalefn._barrier(w, p, b)
+        for k0 in (3, 64, 65):
+            assert rec.sums(k0, 40) == scalefn._Barrier(w, p, b).sums(k0, 40)
+        assert sorted(rec._sums) == [(3, 40), (64, 40)]
+        assert rec.sums(64, 40) is rec._sums[64, 40]
+
     def test_a_failed_constant_is_raised_afresh_and_not_recorded(self, monkeypatch):
+        calls = []
+
         def fail(*args):
+            calls.append(args)
             raise ConvergenceError("C~ failed")
         monkeypatch.setattr(scalefn, "c_tilde", fail)
         _clear_z_down_memo()
         for _ in range(2):
             with pytest.raises(ConvergenceError, match="C~ failed"):
                 z_down(0.5, 0.9, 6.0, 5.0)
-        assert scalefn._down_terms.cache_info().currsize == 0
+        rec = scalefn._barrier(0.5, 0.9, 5.0)
+        assert len(calls) == 2
+        assert (rec.ct, rec.ends) == (None, [])
 
 
 class TestZDownMemo:
@@ -821,13 +907,19 @@ class TestZDownMemo:
         lam, p, w = 1.0, 0.9, 0.5
         c = 0.5 / (lam * (1.0 - p))
         a = c * p ** -7
-        real = scalefn._z_down_mp
-        calls = []  # (x, b, dps) of each call
+        real, real_sums = scalefn._z_down_mp, scalefn._Barrier.sums
+        calls, built = [], []  # (x, b, dps) of each call; (b, k0, dps) of each sums built
 
         def counted(*args):
             calls.append(args[2:5])
             return real(*args)
+
+        def sums(rec, k0, dps):
+            if (k0, dps) not in rec._sums:
+                built.append((rec.b, k0, dps))
+            return real_sums(rec, k0, dps)
         monkeypatch.setattr(scalefn, "_z_down_mp", counted)
+        monkeypatch.setattr(scalefn._Barrier, "sums", sums)
         _clear_z_down_memo()
         for j in range(24):
             x = c + (a - c) * (j + 0.5) / 24
@@ -837,12 +929,12 @@ class TestZDownMemo:
         assert len(calls) > 2
         assert len(starts) == len(set(starts))
         # the starts share their barrier-level work: C~ once per barrier and
-        # budget, the x-free sums once per barrier, interval and budget, and
-        # one coefficient table per table precision
+        # budget, the x-free sums once per barrier, interval and budget (in the
+        # barrier's record), and one coefficient table per table precision
         budgets = {(w, p, b, dps) for _, b, dps in calls}
         assert scalefn._c_tilde_escalated.cache_info().misses == len(budgets) < len(calls)
         sums = {(b, scalefn._down_interval_count(x, b, p), dps) for x, b, dps in calls}
-        assert scalefn._z_down_sums.cache_info().misses == len(sums) < len(calls)
+        assert len(built) == len(set(built)) == len(sums) < len(calls)
         tables = {scalefn._table_dps(dps) for _, _, dps in calls}
         assert scalefn._z_down_coeffs.cache_info().misses == len(tables)
 
@@ -883,17 +975,20 @@ class TestZDownMemo:
                    for info in pkgutil.iter_modules(aimdexit.__path__)]
         caches = [(mod.__name__, name, fn) for mod in modules
                   for name, fn in vars(mod).items() if hasattr(fn, "cache_parameters")]
-        for name in ("_z_down_eval", "_down_terms", "_z_down_sums", "_z_down_coeffs",
-                     "_log_k_from_b", "_log_k_ratio"):
-            assert ("aimdexit.scalefn", name, getattr(scalefn, name)) in caches
+        # scalefn's seven: the barrier record, the three the benchmark reads,
+        # the escalated series' coefficient tables and two per-start memos
+        assert {name for where, name, _ in caches if where == "aimdexit.scalefn"} == {
+            "_barrier", "_k_tables", "_k_tables_mp", "_c_tilde_escalated",
+            "_z_down_coeffs", "_z_down_eval", "_log_k_ratio"}
         for where, name, fn in caches:
             maxsize = fn.cache_parameters()["maxsize"]
             assert maxsize is not None and maxsize <= 4096, (where, name)
         _clear_z_down_memo()
+        scalefn._k_tables.cache_clear()
         for params, spec, w in default_grid():
             evaluate(params, spec, w)
-        for memo in (scalefn._z_down_eval, scalefn._down_terms, scalefn._z_down_sums,
-                     scalefn._log_k_from_b, scalefn._log_k_ratio):
+        for memo in (scalefn._z_down_eval, scalefn._barrier, scalefn._k_tables,
+                     scalefn._log_k_ratio):
             info = memo.cache_info()
             assert 0 < info.currsize <= info.maxsize
 
@@ -1061,6 +1156,15 @@ class TestIntervalIndex:
         assert interval_index(edge, 1.0, 0.5) == 6
         assert interval_index(edge * (1 + 1e-12), 1.0, 0.5) == 7
 
+    def test_breakpoints_past_float64_range(self):
+        # p^-k, x/b or b p^-k past float64: the breakpoints are formed from
+        # logs, and a breakpoint past the range lies above every start
+        assert scalefn._edge(1e-300, 0.5, 1994) == pytest.approx(1e-300 * 2.0 ** 994 * 2.0 ** 1000)
+        assert scalefn._edge(1.0, 5e-324, 1) == math.inf
+        assert interval_index(1e300, 1e-300, 0.5) == 1993  # 1e-300 2^1993 < 1e300
+        assert interval_index(1e300, 1e-10, 0.5) == 1029   # x/b is inf; 2^1029 < 1e310
+        assert interval_index(1.0, 0.5, 5e-324) == 0
+
 
 class TestTwoSidedUp:
     GOLDEN_K = math.exp(2) - 2 * math.e + 2 * math.exp(0.5)  # 5.2499349...
@@ -1159,7 +1263,7 @@ class TestTwoSidedUp:
 
     def test_deep_barrier_sweep_keeps_one_table_per_memo_entry(self):
         # 150 intervals deep at p = 0.95 one float64 table takes under 10 KB,
-        # the prefix of tables 0..149 some 480 KB; the bound is 5 MB per 200
+        # and the barrier's record its 150 heads; the bound is 5 MB per 200
         # barriers.  Their heads carry 54 digits of the recursion's
         # cancellation (the float64 1/K is 3.2e-5 off), so l_up rebuilds each
         # at 165 digits: some 40 KB a table, some 3 MB the prefix; the
@@ -1169,7 +1273,7 @@ class TestTwoSidedUp:
         w, p, n = 0.5, 0.95, 2
 
         def sweep():
-            for memo in (scalefn._log_k_ratio, scalefn._log_k_from_b, scalefn._k_tables,
+            for memo in (scalefn._log_k_ratio, scalefn._barrier, scalefn._k_tables,
                          scalefn._k_tables_mp):
                 memo.cache_clear()
             for j in range(n):
@@ -1183,30 +1287,80 @@ class TestTwoSidedUp:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
+        assert scalefn._barrier.cache_info().currsize == n
         assert scalefn._k_tables.cache_info().currsize == n
         assert scalefn._k_tables_mp.cache_info().currsize == n
         assert retained <= n * (5e6 + 12e6) / 200
 
-    def test_sweep_evaluates_the_top_once(self, monkeypatch):
-        # every start of a two-sided sweep below the top's interval divides
-        # by K(a) at the same top a; the six on a's own interval take the
-        # ratio K(x)/K(a) from that interval's table and evaluate neither
+    def test_sweep_builds_each_table_once(self, monkeypatch):
+        # a two-sided sweep on one barrier, 24 starts over seven intervals:
+        # every start forms K(x)/K(a) as one ratio over x's table and the
+        # top's, on float64 (no log K of its own), and each of the seven
+        # tables is built once, from the barrier's six head steps
         w, p, b = 0.5, 0.8, 1.0
         a = b * p ** -7
-        real, tops = scalefn._log_k_sums, []
+        real, sums = scalefn._log_k_sums, []
 
-        def counted(w_, p_, b_, x, *args, **kwargs):
-            tops.append(x == a)
-            return real(w_, p_, b_, x, *args, **kwargs)
+        def counted(*args, **kwargs):
+            sums.append(args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(scalefn, "_log_k_sums", counted)
-        scalefn._log_k_from_b.cache_clear()
-        scalefn._log_k_ratio.cache_clear()
+        steps = TestKHeadsRecord.count_steps(monkeypatch)
+        _clear_z_down_memo()
+        scalefn._k_tables.cache_clear()
         xs = [b + (a - b) * (j + 0.5) / 24 for j in range(24)]
         values = [l_up(w, p, x, a, b) for x in xs]
-        shared = sum(interval_index(x, b, p) == interval_index(a, b, p) for x in xs)
-        assert shared == 6
-        assert (len(tops), sum(tops)) == (25 - shared, 1)
+        assert {interval_index(x, b, p) for x in xs} == set(range(7))
+        assert sums == []
+        assert scalefn._k_tables.cache_info().misses == 7
+        assert steps == list(range(1, 7))
         assert values == sorted(values)
+
+    def test_an_escalating_sweep_evaluates_the_top_once(self, monkeypatch):
+        # at p = 0.95 every start of this sweep, 5 intervals apart up to 100
+        # deep, loses too many digits on float64 and takes the difference of
+        # two escalated logs: log K(a) at the one top comes from the
+        # barrier's record after the first start, not escalated again
+        w, p, b, a = 0.5, 0.95, 1.0, 170.0
+        real, levels = scalefn._log_k_sums, []
+
+        def counted(w_, p_, b_, x, *args, **kwargs):
+            levels.append(x)
+            return real(w_, p_, b_, x, *args, **kwargs)
+        monkeypatch.setattr(scalefn, "_log_k_sums", counted)
+        _clear_z_down_memo()
+        xs = [p ** -(0.25 + 5 * j) for j in range(20)]
+        values = [l_up(w, p, x, a, b) for x in xs]
+        assert (len(levels), levels.count(a)) == (21, 1)
+        assert values == sorted(values)
+
+    @staticmethod
+    def l_up_reference(w, p, x, a, b):
+        # the ratio of two sums over the 150-digit tables of x's and a's intervals
+        with mp.workdps(150):
+            k_x, k_a = (mp.fsum(c * mp.exp((mp.mpf(w) + 1) * mp.mpf(p) ** n * mp.mpf(v))
+                                for n, c in enumerate(scalefn._k_tables_mp(
+                                    w, p, b, interval_index(v, b, p), 150)))
+                        for v in (x, a))
+            return float(k_x / k_a)
+
+    @pytest.mark.parametrize("shared, bound", [(False, 1e-9), (True, 1e-15)])
+    def test_ratio_at_large_levels(self, shared, bound):
+        # at (w, p, b) = (0.5, 0.5, 1), 20 seeded pairs about 2^20: across the
+        # breakpoint 2^20, x within 20 below it and a within 20 above, and on
+        # the one interval above it, about 2^20 + 40.  Across it each table's
+        # anchored logs round by ulp(g x_k), some 2.3e-10, which neither a
+        # ratio nor a difference of logs undoes (2.3e-10 and 4.1e-10 off
+        # here); on one interval the ratio holds (0 off)
+        w, p, b = 0.5, 0.5, 1.0
+        mid = 2.0 ** 20 + (40.0 if shared else 0.0)
+        rng = random.Random(20)
+        for _ in range(20):
+            x, a = mid - rng.uniform(0.0, 20.0), mid + rng.uniform(0.0, 20.0)
+            assert (interval_index(x, b, p), interval_index(a, b, p)) == (20 - (not shared), 20)
+            ref = self.l_up_reference(w, p, x, a, b)
+            assert ref > 1e-30
+            assert abs(l_up(w, p, x, a, b) - ref) <= bound * ref, (x, a)
 
     def test_float_check_counts_the_recursions_cancellation(self):
         # the final sum of K(a) cancels 2 digits, one head step of its
